@@ -10,6 +10,25 @@ Gradient-stopping is expressed structurally: tensors without a node id are
 constants, and `gather_rows` indices / `mask_multiply` masks never receive
 gradients. Gradient flow through discrete selection is routed explicitly by
 `straight_through`.
+
+Batch-axis contract. Training and evaluation record one node per op for a
+whole minibatch, not one per example:
+
+- Row-wise primitives take an optional leading batch axis: `add` (also a
+  bias or a [K, d] block broadcast over leading axes), `layer_norm` and
+  `softmax_with_temperature` (last axis), `gelu` and the other elementwise
+  ops, `gather_rows` / `scale_rows` / `concat_rows` (rows are the
+  second-to-last axis), `transpose` (last two axes) and `cross_entropy_loss`
+  ([B, C] logits give [B] losses).
+- `matmul` stays 2-D: weight projections run on the flattened [B*K, d]
+  activations. `batched_matmul` covers the per-example products [B, m, k] @
+  [B, k, n] of attention and of the mean pool.
+- Sequences of unequal length are padded to the longest one. Padded keys get
+  a large negative additive bias before the attention softmax, so they
+  receive exactly zero weight, and padded rows are left out of pooling.
+- `Tape.backward` releases each node's closure (and the forward arrays it
+  holds) as soon as that node's adjoint has run, so a tape supports exactly
+  one backward; a second call raises ContractError.
 """
 from __future__ import annotations
 
@@ -86,9 +105,11 @@ class Tape:
     """Append-only record of one forward computation plus its gradients."""
 
     def __init__(self):
-        # node: (op kind, input node ids, vjp callable or None for leaves)
+        # node: (op kind, input node ids, vjp callable or None for leaves and
+        # for nodes whose adjoint has already run)
         self._nodes: list[tuple[str, tuple, Callable | None]] = []
         self._param_nodes: dict[int, Tensor] = {}
+        self._backward_done = False
         self.gradients: dict[int, np.ndarray] = {}
 
     def __enter__(self) -> "Tape":
@@ -125,9 +146,16 @@ class Tape:
         return t
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Populate gradients of every recorded node reachable from `loss`."""
+        """Populate gradients of every recorded node reachable from `loss`.
+
+        Runs once per tape: each node's closure is dropped after its adjoint
+        has run, which frees the forward arrays it captured.
+        """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._backward_done:
+            raise ContractError("backward already ran on this tape; record a new one")
+        self._backward_done = True
         grads: dict[int, np.ndarray] = {}
         if loss.node_id is None:  # constant loss: nothing reachable, all grads zero
             self.gradients = grads
@@ -140,6 +168,7 @@ class Tape:
             kind, input_ids, vjp = self._nodes[nid]
             if vjp is None:
                 continue
+            self._nodes[nid] = (kind, input_ids, None)
             input_grads = vjp(g)
             if _CORRUPT_VJP is not None and kind == _CORRUPT_VJP[0]:
                 input_grads = tuple(
@@ -223,13 +252,20 @@ def _record(kind: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callabl
     return Tensor(out, tape._append(kind, ids, vjp))
 
 
+def _leading_axes(x: np.ndarray, trailing: int) -> tuple[int, ...]:
+    return tuple(range(x.ndim - trailing))
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a [m] bias against a [n, m] left operand."""
+    """Elementwise sum; b may also match only the trailing axes of a (a [m]
+    bias against [n, m] or [B, n, m], a [K, d] block against [B, K, d]) and
+    is then broadcast over a's leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.shape == (a.shape[1],):
-        return _record("add", a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+    if 0 < b.data.ndim < a.data.ndim and a.shape[a.data.ndim - b.data.ndim:] == b.shape:
+        lead = _leading_axes(a.data, b.data.ndim)
+        return _record("add", a.data + b.data, (a, b), lambda g: (g, g.sum(axis=lead)))
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
 
 
@@ -249,11 +285,23 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[m, k] @ [k, n]; 2-D only (flatten a batch of rows first)."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
     return _record("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """One product per example: [B, m, k] @ [B, k, n] -> [B, m, n]."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[1]):
+        raise ShapeError(f"batched_matmul: shapes {a.shape} and {b.shape} do not conform")
+    ad, bd = a.data, b.data
+    return _record("batched_matmul", ad @ bd, (a, b),
+                   lambda g: (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -297,56 +345,70 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization of a [n, d] tensor with learnable gain and bias."""
+    """Normalization over the last axis of a [..., n, d] tensor with learnable
+    gain and bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm expects a 2-dim input, got {x.shape}")
-    d = x.shape[1]
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm expects rows of a 2-dim or wider input, got {x.shape}")
+    d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the row width")
     xd = x.data
-    mu = xd.mean(axis=1, keepdims=True)
+    mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + _LN_EPS)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat = xc * inv
     gd = gain.data
+    lead = _leading_axes(xd, 1)
 
     def vjp(g):
         dxhat = g * gd
         dx = inv * (dxhat
-                    - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _record("layer_norm", xhat * gd + bias.data, (x, gain, bias), vjp)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Stack b's rows under a's: [..., na, d] and [..., nb, d] -> [..., na+nb, d]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+    if (a.data.ndim not in (2, 3) or a.data.ndim != b.data.ndim
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-1]):
         raise ShapeError(f"concat_rows: shapes {a.shape} and {b.shape} do not conform")
-    na = a.shape[0]
-    return _record("concat_rows", np.concatenate([a.data, b.data], axis=0), (a, b),
-                   lambda g: (g[:na], g[na:]))
+    na = a.shape[-2]
+    return _record("concat_rows", np.concatenate([a.data, b.data], axis=-2), (a, b),
+                   lambda g: (g[..., :na, :], g[..., na:, :]))
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows by constant indices; backward scatter-adds into the source."""
+    """Select rows by constant indices; backward scatter-adds into the source.
+
+    A [n, d] source takes indices of any shape S and gives S + [d]. A batch
+    [B, n, d] takes [B, K] indices, row b indexing example b, and gives
+    [B, K, d].
+    """
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-dim input, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    n = x.shape[0]
+    idx = np.asarray(indices, dtype=np.int64)
+    if x.data.ndim == 2:
+        flat = idx
+    elif x.data.ndim == 3 and idx.ndim == 2 and idx.shape[0] == x.shape[0]:
+        flat = idx + x.shape[1] * np.arange(x.shape[0], dtype=np.int64)[:, None]
+    else:
+        raise ShapeError(f"gather_rows: source {x.shape} and indices {idx.shape} do not conform")
+    n = x.shape[-2]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather_rows index out of range for {n} rows")
     shape = x.shape
+    src = x.data.reshape(-1, shape[-1])
 
     def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
+        out = np.zeros(src.shape)
+        np.add.at(out, flat.reshape(-1), g.reshape(-1, shape[-1]))
+        return (out.reshape(shape),)
 
-    return _record("gather_rows", x.data[idx], (x,), vjp)
+    return _record("gather_rows", src[flat], (x,), vjp)
 
 
 def mask_multiply(x: Tensor, mask) -> Tensor:
@@ -367,10 +429,12 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes of a [n, m] or [B, n, m] tensor."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-dim input, got {x.shape}")
-    return _record("transpose", x.data.T.copy(), (x,), lambda g: (g.T,))
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose expects a 2- or 3-dim input, got {x.shape}")
+    return _record("transpose", np.swapaxes(x.data, -1, -2).copy(), (x,),
+                   lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -383,13 +447,14 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def scale_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Multiply row i of a [n, d] tensor by w[i]; both operands differentiable."""
+    """Multiply row i of a [..., n, d] tensor by w[..., i]; both operands
+    differentiable."""
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 2 or w.shape != (x.shape[0],):
+    if x.data.ndim < 2 or w.shape != x.shape[:-1]:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {w.shape} do not conform")
     xd, wd = x.data, w.data
-    return _record("scale_rows", xd * wd[:, None], (x, w),
-                   lambda g: (g * wd[:, None], (g * xd).sum(axis=1)))
+    return _record("scale_rows", xd * wd[..., None], (x, w),
+                   lambda g: (g * wd[..., None], (g * xd).sum(axis=-1)))
 
 
 def straight_through(soft: Tensor, hard_values) -> Tensor:
@@ -417,26 +482,32 @@ def softmax_with_temperature(x: Tensor, axis: int, tau: float) -> Tensor:
     return _record("softmax", y, (x,), vjp)
 
 
-def cross_entropy_loss(logits: Tensor, target_class: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1-dim logit vector."""
+def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
+    """-log softmax(logits)[target]: [C] logits and one class give a [1] loss,
+    [B, C] logits and B classes give the [B] per-example losses."""
     logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy_loss expects 1-dim logits, got {logits.shape}")
-    c = logits.data.size
-    t = int(target_class)
-    if not 0 <= t < c:
-        raise IndexError(f"target class {t} out of range for {c} classes")
-    z = logits.data
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
+    if logits.data.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy_loss expects [C] or [B, C] logits, got {logits.shape}")
+    z = np.atleast_2d(logits.data)
+    rows, c = z.shape
+    t = np.asarray(target_class, dtype=np.int64).reshape(-1)
+    if t.size != rows:
+        raise ShapeError(f"cross_entropy_loss: {t.size} targets for {rows} logit rows")
+    bad = (t < 0) | (t >= c)
+    if bad.any():
+        raise IndexError(f"target class {int(t[bad][0])} out of range for {c} classes")
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     p = np.exp(z - lse)
+    at = np.arange(rows)
+    shape = logits.shape
 
     def vjp(g):
         d = p.copy()
-        d[t] -= 1.0
-        return (d * g[0],)
+        d[at, t] -= 1.0
+        return ((d * g[:, None]).reshape(shape),)
 
-    return _record("cross_entropy", np.array([lse - z[t]]), (logits,), vjp)
+    return _record("cross_entropy", lse[:, 0] - z[at, t], (logits,), vjp)
 
 
 def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
@@ -452,6 +523,7 @@ _PRIMITIVES = {
     "subtract": subtract,
     "multiply_elementwise": multiply,
     "matmul": matmul,
+    "batched_matmul": batched_matmul,
     "scale_by_constant": scale,
     "natural_log": log,
     "exp": exp,

@@ -10,11 +10,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, finite_difference_check
-from .gumbel import sample_standard_gumbel
+from .errors import ContractError
+from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig, init_parameters
-from .multimodal import ContextModel, equalize_lengths
+from .multimodal import ContextModel, MultiModalSequence, equalize_lengths
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, compute_keep_probabilities,
+from .selection import (KeepProbPredictor, KeptTokens, compute_keep_probabilities,
                         gumbel_topk_select, keep_scores_from_values,
                         ratio_controlled_select)
 
@@ -96,7 +97,72 @@ def _catalog_cases(rng: SeededRng):
         ("mean_squared_error", r((2, 3)),
          lambda x: ad.mean_squared_error(x, ad.constant(w23))),
     ]
-    return cases
+    return cases + _batched_cases(r)
+
+
+def _batched_cases(r):
+    """The same primitives with a leading batch axis of 2, plus
+    batched_matmul on both operands and a softmax over masked keys."""
+    b234, b243, b233, b264 = r((2, 3, 4)), r((2, 4, 3)), r((2, 3, 3)), r((2, 6, 4))
+    b23, b2 = r((2, 3)), r((2,))
+    ln_gain, ln_bias = np.abs(r((4,))) + 0.5, r((4,))
+    mask = (np.abs(r((2, 3, 4))) > 0.5).astype(float)
+    # a factor away from zero: the gradient b234 * factor stays above the
+    # finite-difference rounding floor
+    factor = np.abs(r((2, 3, 4))) + 0.5
+    rows = np.array([[2, 0, 2], [1, 1, 0]])  # repeated rows check additive scatter
+    # example 0 masks key 2, example 1 keys 0 and 1
+    key_bias = np.repeat(np.array([[0.0, 0.0, -1e9], [-1e9, -1e9, 0.0]])[:, None, :], 3, axis=1)
+    const = ad.constant
+    return [
+        ("add_batched", r((2, 3, 4)), lambda x: _scalarize(ad.add(x, const(b234)), b234)),
+        ("add_bias_batched", r((4,)), lambda x: _scalarize(ad.add(const(b234), x), b234)),
+        ("add_rows_batched", r((3, 4)), lambda x: _scalarize(ad.add(const(b234), x), b234)),
+        ("subtract_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.subtract(const(b234), x), b234)),
+        ("multiply_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.multiply(x, const(factor)), b234)),
+        ("batched_matmul_left", r((2, 3, 4)),
+         lambda x: _scalarize(ad.batched_matmul(x, const(b243)), b233)),
+        ("batched_matmul_right", r((2, 4, 3)),
+         lambda x: _scalarize(ad.batched_matmul(const(b234), x), b233)),
+        ("scale_by_constant_batched", r((2, 3, 4)), lambda x: _scalarize(ad.scale(x, -0.6), b234)),
+        ("natural_log_batched", np.abs(r((2, 3, 4))) + 0.5, lambda x: _scalarize(ad.log(x), b234)),
+        ("exp_batched", r((2, 3, 4)), lambda x: _scalarize(ad.exp(x), b234)),
+        ("square_batched", r((2, 3, 4)), lambda x: _scalarize(ad.square(x), b234)),
+        ("gelu_batched", r((2, 3, 4)), lambda x: _scalarize(ad.gelu(x), b234)),
+        ("layer_norm_x_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.layer_norm(x, const(ln_gain), const(ln_bias)), b234)),
+        ("layer_norm_gain_batched", r((4,)),
+         lambda x: _scalarize(ad.layer_norm(const(b234), x, const(ln_bias)), b234)),
+        ("layer_norm_bias_batched", r((4,)),
+         lambda x: _scalarize(ad.layer_norm(const(b234), const(ln_gain), x), b234)),
+        ("concat_rows_left_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.concat_rows(x, const(b234)), b264)),
+        ("concat_rows_right_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.concat_rows(const(b234), x), b264)),
+        ("gather_rows_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.gather_rows(x, rows), b234)),
+        ("gather_rows_table", r((3, 4)),  # one table, a batch of index rows
+         lambda x: _scalarize(ad.gather_rows(x, rows), b234)),
+        ("mask_multiply_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.mask_multiply(x, mask), b234)),
+        ("mean_all_batched", r((2, 3, 4)), lambda x: ad.mean_all(x)),
+        ("transpose_batched", r((2, 3, 4)), lambda x: _scalarize(ad.transpose(x), b243)),
+        ("reshape_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.reshape(x, (6, 4)), b234.reshape(6, 4))),
+        ("scale_rows_batched", r((2, 3)),
+         lambda x: _scalarize(ad.scale_rows(const(b234), x), b234)),
+        ("scale_rows_tokens_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.scale_rows(x, const(b23)), b234)),
+        ("softmax_batched", r((2, 3, 4)),
+         lambda x: _scalarize(ad.softmax_with_temperature(x, axis=-1, tau=0.9), b234)),
+        ("softmax_masked_keys", r((2, 3, 3)),
+         lambda x: _scalarize(ad.softmax_with_temperature(ad.add(x, const(key_bias)),
+                                                          axis=2, tau=1.0), b233)),
+        ("cross_entropy_batched", r((2, 4)),
+         lambda x: _scalarize(ad.cross_entropy_loss(x, np.array([1, 3])), b2)),
+    ]
 
 
 def check_catalog(repeats: int = 3, seed: int = 2024) -> SuiteReport:
@@ -197,39 +263,60 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
 
 def check_multimodal_end_to_end(seed: int = 11) -> SuiteReport:
     """Gradient of the full equalize -> fuse -> sparsify -> classify loss wrt
-    every parameter of a reduced pipeline and wrt an input token, noise frozen."""
+    every parameter of a reduced pipeline and wrt the visual tokens, noise
+    frozen, on a batch of two examples.
+
+    The examples have textual streams of different lengths and keep different
+    token counts, so padded keys in the context model, padded rows in the
+    kept batch and the task model's key mask all sit inside the check.
+    """
     rng = SeededRng(seed)
-    d, n_v, n_w = 6, 5, 3
+    d, n_v, n_w = 6, 5, (3, 4)
     cfg = TaskPerformerConfig(d_in=d, d_model=8, heads=2, layers=1, max_len=12,
                               num_classes=3, ff_mult=2)
     # large init keeps every gradient above the finite-difference noise floor
     task = init_parameters(cfg, rng.split(0), stddev=0.5)
     context = ContextModel(d).init(rng.split(1), stddev=0.5)
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
-    visual = _rand(rng.split(3), (n_v, d))
-    textual = _rand(rng.split(4), (n_w, d))
-    label = 1
+    visual = _rand(rng.split(3), (2, n_v, d))
+    textual = [_rand(rng.split(4, b), (n_w[b], d)) for b in range(2)]
+    labels = np.array([1, 2])
+
+    def batch_of(rows_a: Tensor, rows_b: Tensor) -> Tensor:
+        return ad.reshape(ad.concat_rows(rows_a, rows_b), (2,) + rows_a.shape)
 
     def pipeline_loss(tape: Tape, visual_t: Tensor, gate_mode: str,
                       frozen: dict | None) -> tuple[Tensor, dict]:
-        seq = equalize_lengths(tape, visual_t, ad.constant(textual), "pad", task.null_token)
+        flat = ad.reshape(visual_t, (2 * n_v, d))
+        seqs = [equalize_lengths(tape, ad.gather_rows(flat, np.arange(n_v) + b * n_v),
+                                 ad.constant(textual[b]), "pad", task.null_token)
+                for b in range(2)]
+        seq = MultiModalSequence(
+            batch_of(seqs[0].visual, seqs[1].visual), batch_of(seqs[0].textual, seqs[1].textual),
+            np.stack([q.pad_mask_visual for q in seqs]),
+            np.stack([q.pad_mask_textual for q in seqs]), n_v, max(n_w))
         u = context.fuse(tape, seq)
         scores = compute_keep_probabilities(tape, u, scorer)
-        mask = gumbel_topk_select(scores, 3, 0.5, SeededRng(55))
+        mask = ratio_controlled_select(scores, 0.5, SeededRng(55))
         if frozen is None:
+            counts = mask.kept_count
+            if counts[0] == counts[1] or counts.min() == 0:
+                raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
             frozen = {"hard": mask.hard, "kept": mask.kept_indices,
-                      "offset": mask.hard - mask.soft.data}
+                      "offset": mask.hard - mask.soft.data,
+                      "valid": np.arange(mask.kept_indices.shape[1]) < counts[:, None]}
         if gate_mode == "ste":
             gate = ad.straight_through(mask.soft, frozen["hard"])
         else:
             gate = ad.add(mask.soft, ad.constant(frozen["offset"]))
-        kept_v = ad.gather_rows(ad.scale_rows(seq.visual, gate), frozen["kept"])
-        kept_w = ad.gather_rows(ad.scale_rows(seq.textual, gate), frozen["kept"])
-        k = frozen["kept"].size
-        pos = ad.gather_rows(tape.param(task.pos_table), np.arange(k))
-        logits = task.forward(tape, ad.concat_rows(kept_v, kept_w),
-                              ad.concat_rows(pos, pos))
-        return ad.cross_entropy_loss(logits, label), frozen
+        kept_v = KeptTokens(ad.gather_rows(ad.scale_rows(seq.visual, gate), frozen["kept"]),
+                            frozen["valid"])
+        kept_w = KeptTokens(ad.gather_rows(ad.scale_rows(seq.textual, gate), frozen["kept"]),
+                            frozen["valid"])
+        rows = np.broadcast_to(np.arange(frozen["kept"].shape[1]), frozen["kept"].shape)
+        pos = ad.gather_rows(tape.param(task.pos_table), rows)
+        logits = task.forward(tape, kept_v.concat(kept_w), ad.concat_rows(pos, pos))
+        return ad.mean_all(ad.cross_entropy_loss(logits, labels)), frozen
 
     with Tape() as tape:
         loss, frozen = pipeline_loss(tape, tape.leaf(visual), "ste", None)
@@ -280,27 +367,24 @@ def check_gumbel_mean(n: int = 1_000_000) -> SuiteReport:
 
 
 def check_gumbel_max_frequencies(n: int = 100_000) -> SuiteReport:
-    from .gumbel import gumbel_max_sample
+    """n Gumbel-max draws from one categorical, sampled as one [n, 3] call."""
     p = np.array([0.2, 0.3, 0.5])
-    rng = SeededRng(_MC_SEED, 2)
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[gumbel_max_sample(p, rng)] += 1
+    picks = gumbel_max_sample(np.tile(p, (n, 1)), SeededRng(_MC_SEED, 2))
+    counts = np.bincount(picks, minlength=p.size)
     dev = float(np.abs(counts / n - p).max())
     return SuiteReport("gumbel_max_freq_dev", dev, dev <= 0.01)
 
 
 def check_topk_selection_frequencies(n: int = 100_000) -> SuiteReport:
-    """K=1 Gumbel top-K must sample index i with probability s_i / sum(s)."""
+    """K=1 Gumbel top-K must sample index i with probability s_i / sum(s).
+
+    The n trials are one batch through the batched selector training uses.
+    """
     s = np.array([0.18, 0.27, 0.45])
     target = s / s.sum()
-    scores = keep_scores_from_values(Tape(), s)
-    rng = SeededRng(_MC_SEED, 3)
-    counts = np.zeros(3)
-    for i in range(n):
-        mask = gumbel_topk_select(scores, 1, 0.1, rng.split(i))
-        counts[mask.kept_indices[0]] += 1
-    dev = float(np.abs(counts / n - target).max())
+    scores = keep_scores_from_values(Tape(), np.tile(s, (n, 1)))
+    mask = gumbel_topk_select(scores, 1, 0.1, SeededRng(_MC_SEED, 3))
+    dev = float(np.abs(mask.hard.sum(axis=0) / n - target).max())
     return SuiteReport("topk_k1_freq_dev", dev, dev <= 0.01)
 
 

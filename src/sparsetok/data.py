@@ -188,6 +188,8 @@ def _check_matrix(raw, n: int, d: int, line_no: int, fieldname: str) -> np.ndarr
     if m.shape != (n, d):
         raise SchemaError(f"line {line_no}: {fieldname} shape {m.shape} does not match "
                           f"header (n={n}, d={d})")
+    if not np.isfinite(m).all():
+        raise SchemaError(f"line {line_no}: {fieldname} holds a non-finite value")
     return m
 
 

@@ -37,21 +37,24 @@ def sample_standard_gumbel(rng: SeededRng, count: int) -> GumbelDraw:
     return GumbelDraw(values=-np.log(-np.log(u)), source_uniforms=u)
 
 
-def gumbel_max_sample(probabilities, rng: SeededRng) -> int:
+def gumbel_max_sample(probabilities, rng: SeededRng):
     """Sample an index from a categorical distribution via the Gumbel-max trick.
 
     Returns argmax_i(log p_i + g_i); zero-probability entries map to -inf and
-    are never selected.
+    are never selected. A [m, C] matrix samples each row, drawing all m*C
+    uniforms in one call (row-major, the order of m one-row calls), and
+    returns an int array [m].
     """
     p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < 0):
-        raise ValueError("probabilities must be a non-negative vector")
-    total = p.sum()
-    if total <= 0:
+    if p.ndim not in (1, 2) or np.any(p < 0):
+        raise ValueError("probabilities must be a non-negative vector or matrix of rows")
+    total = p.sum(axis=-1)
+    if np.any(total <= 0):
         raise DegenerateDistributionError("all-zero probability vector")
-    if abs(total - 1.0) > 1e-9:
+    if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
-    g = sample_standard_gumbel(rng, p.size).values
+    g = sample_standard_gumbel(rng, p.size).values.reshape(p.shape)
     with np.errstate(divide="ignore"):
         scores = np.where(p > 0, np.log(np.maximum(p, 1e-300)) + g, -np.inf)
-    return int(np.argmax(scores))
+    picks = np.argmax(scores, axis=-1)
+    return int(picks) if p.ndim == 1 else picks

@@ -3,6 +3,10 @@
 Pre-norm encoder blocks, learnable positional embeddings assigned to the
 compacted sequence, mean-pool head. Deterministic: no dropout — the only
 training noise in the whole pipeline lives in the Gumbel selection.
+
+The model runs a whole batch at once: activations are [B*L, d] rows,
+example-major, and sequences shorter than L are padded, with their padded
+rows masked out of attention keys and of the mean pool.
 """
 from __future__ import annotations
 
@@ -15,9 +19,13 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import CapacityError, ContractError
 from .rng import SeededRng
+from .selection import KeptTokens
 
 CHECKPOINT_MAGIC = b"STKN"
 CHECKPOINT_VERSION = 1
+
+# additive attention logit of a padded key: its softmax weight is exactly 0
+_MASKED_KEY = -1e9
 
 
 @dataclass
@@ -63,19 +71,29 @@ class MultiHeadAttention:
         for i, w in enumerate(self.wq + self.wk + self.wv + self.wo):
             w.value = rng.split(i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
 
-    def forward(self, tape: ad.Tape, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
-        """Attention over x [n, d]; attn_bias (constant) masks padded keys."""
+    def forward(self, tape: ad.Tape, x: Tensor, batch: int = 1,
+                pad_keys: np.ndarray | None = None) -> Tensor:
+        """Attention within each of `batch` sequences of x [batch*L, d] (rows
+        example-major); pad_keys, bool [batch, L], marks keys to mask out."""
+        rows = x.shape[0]
+        length = rows // batch
         scale = 1.0 / np.sqrt(self.dk)
+        bias = None
+        if pad_keys is not None and pad_keys.any():
+            key_bias = np.where(pad_keys, _MASKED_KEY, 0.0)[:, None, :]
+            bias = ad.constant(np.repeat(key_bias, length, axis=1))
         mixed: Tensor | None = None
         for h in range(self.heads):
-            q = ad.matmul(x, tape.param(self.wq[h]))
-            k = ad.matmul(x, tape.param(self.wk[h]))
-            v = ad.matmul(x, tape.param(self.wv[h]))
-            logits = ad.scale(ad.matmul(q, ad.transpose(k)), scale)
-            if attn_bias is not None:
-                logits = ad.add(logits, ad.constant(attn_bias))
-            probs = ad.softmax_with_temperature(logits, axis=1, tau=1.0)
-            head = ad.matmul(ad.matmul(probs, v), tape.param(self.wo[h]))
+            per_example = (batch, length, self.dk)
+            q = ad.reshape(ad.matmul(x, tape.param(self.wq[h])), per_example)
+            k = ad.reshape(ad.matmul(x, tape.param(self.wk[h])), per_example)
+            v = ad.reshape(ad.matmul(x, tape.param(self.wv[h])), per_example)
+            logits = ad.scale(ad.batched_matmul(q, ad.transpose(k)), scale)
+            if bias is not None:
+                logits = ad.add(logits, bias)
+            probs = ad.softmax_with_temperature(logits, axis=2, tau=1.0)
+            context = ad.reshape(ad.batched_matmul(probs, v), (rows, self.dk))
+            head = ad.matmul(context, tape.param(self.wo[h]))
             mixed = head if mixed is None else ad.add(mixed, head)
         return ad.add(mixed, tape.param(self.bo))
 
@@ -106,9 +124,10 @@ class AttentionBlock:
         for i, w in enumerate((self.ff_w1, self.ff_w2)):
             w.value = rng.split(1, i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
 
-    def forward(self, tape: ad.Tape, x: Tensor, attn_bias: np.ndarray | None = None) -> Tensor:
+    def forward(self, tape: ad.Tape, x: Tensor, batch: int = 1,
+                pad_keys: np.ndarray | None = None) -> Tensor:
         h = ad.layer_norm(x, tape.param(self.ln1_g), tape.param(self.ln1_b))
-        x = ad.add(x, self.attn.forward(tape, h, attn_bias))
+        x = ad.add(x, self.attn.forward(tape, h, batch, pad_keys))
         h = ad.layer_norm(x, tape.param(self.ln2_g), tape.param(self.ln2_b))
         ff = ad.matmul(ad.gelu(ad.add(ad.matmul(h, tape.param(self.ff_w1)),
                                       tape.param(self.ff_b1))),
@@ -143,30 +162,57 @@ class TaskPerformer:
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
 
-    def positional_rows(self, tape: ad.Tape) -> Tensor:
-        return tape.param(self.pos_table)
+    def forward(self, tape: ad.Tape, kept_tokens, positional_rows: Tensor) -> Tensor:
+        """Class logits for compacted sequences.
 
-    def forward(self, tape: ad.Tape, kept_tokens: Tensor, positional_rows: Tensor) -> Tensor:
-        """Class logits [C] for a compacted sequence [K', d_in].
-
-        K' = 0 falls back to the learned null token at positional row 0, so an
-        empty selection still produces finite, trainable logits.
+        kept_tokens is one sequence [K', d_in] with positional rows
+        [K', d_model], giving logits [C] (a batch of one), or KeptTokens
+        [B, L, d_in] with positional rows [B, L, d_model], giving [B, C].
+        A sequence with no kept token falls back to the learned null token at
+        positional row 0, so an empty selection still produces finite,
+        trainable logits.
         """
-        kp = kept_tokens.shape[0]
-        if kp > self.config.max_len:
-            raise CapacityError(f"sequence of {kp} exceeds max_len {self.config.max_len}")
-        if kp == 0:
-            kept_tokens = ad.reshape(tape.param(self.null_token), (1, self.config.d_in))
-            positional_rows = ad.gather_rows(tape.param(self.pos_table), np.array([0]))
-            kp = 1
-        x = ad.add(ad.matmul(kept_tokens, tape.param(self.in_w)), tape.param(self.in_b))
-        x = ad.add(x, positional_rows)
+        c = self.config
+        if isinstance(kept_tokens, KeptTokens):
+            valid = kept_tokens.valid
+            batch, length = valid.shape
+            x_in = ad.reshape(kept_tokens.tokens, (batch * length, c.d_in))
+            positions = ad.reshape(positional_rows, (batch * length, c.d_model))
+        else:
+            valid = np.ones((1, kept_tokens.shape[0]), dtype=bool)
+            batch, length = valid.shape
+            x_in, positions = kept_tokens, positional_rows
+        if length > c.max_len:
+            raise CapacityError(f"sequence of {length} exceeds max_len {c.max_len}")
+        if length == 0:  # one empty sequence: a single padded row to hold the null token
+            valid = np.zeros((1, 1), dtype=bool)
+            length = 1
+            x_in = ad.constant(np.zeros((1, c.d_in)))
+            positions = ad.gather_rows(tape.param(self.pos_table), np.array([0]))
+        empty = ~valid.any(axis=1)
+        if empty.any():  # row 0 of an empty sequence becomes the null token
+            slot = np.zeros((batch * length, 1))
+            slot[np.flatnonzero(empty) * length] = 1.0
+            null_rows = ad.matmul(ad.constant(slot),
+                                  ad.reshape(tape.param(self.null_token), (1, c.d_in)))
+            x_in = ad.add(ad.mask_multiply(x_in, np.repeat(1.0 - slot, c.d_in, axis=1)),
+                          null_rows)
+            valid = valid | (slot.reshape(batch, length) > 0)
+        pad_keys = None if valid.all() else ~valid
+        x = ad.add(ad.add(ad.matmul(x_in, tape.param(self.in_w)), tape.param(self.in_b)),
+                   positions)
         for block in self.blocks:
-            x = block.forward(tape, x)
+            x = block.forward(tape, x, batch, pad_keys)
         x = ad.layer_norm(x, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
-        pooled = ad.matmul(ad.constant(np.full((1, kp), 1.0 / kp)), x)
+        # mean over each sequence's valid rows
+        weights = valid / valid.sum(axis=1, keepdims=True)
+        pooled = ad.batched_matmul(ad.constant(weights[:, None, :]),
+                                   ad.reshape(x, (batch, length, c.d_model)))
+        pooled = ad.reshape(pooled, (batch, c.d_model))
         logits = ad.add(ad.matmul(pooled, tape.param(self.head_w)), tape.param(self.head_b))
-        return ad.reshape(logits, (self.config.num_classes,))
+        if isinstance(kept_tokens, KeptTokens):
+            return logits
+        return ad.reshape(logits, (c.num_classes,))
 
 
 def init_parameters(config: TaskPerformerConfig, rng: SeededRng,
@@ -203,25 +249,35 @@ def save_checkpoint(path: str, parameters: list[Parameter]) -> None:
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ContractError(f"checkpoint truncated in {what}: "
+                            f"{len(raw)} of {size} bytes present")
+    return raw
+
+
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ContractError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "the header"))
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"unsupported checkpoint version {version}")
         while True:
-            raw = fh.read(4)
-            if not raw:
+            if not fh.read(1):
                 break
-            (name_len,) = struct.unpack("<I", raw)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+            fh.seek(-1, 1)
+            where = f"the parameter after {name!r}" if out else "the first parameter"
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, where))
+            name = _read_exact(fh, name_len, where).decode("utf-8")
+            where = f"parameter {name!r}"
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, where))
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, where))
             count = int(np.prod(dims)) if rank else 1
-            payload = fh.read(8 * count)
+            payload = _read_exact(fh, 8 * count, where)
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return out
 

@@ -20,15 +20,14 @@ from .rng import SeededRng
 from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
                         compute_keep_probabilities, run_strategy, apply_ste)
 
-_MASKED_KEY = -1e9
-
 
 @dataclass
 class MultiModalSequence:
-    """Length-equalized (visual, textual) pair with padding bookkeeping."""
+    """Length-equalized (visual, textual) pair with padding bookkeeping; the
+    streams are [n, d], or [B, n, d] with [B, n] pad masks for a batch."""
 
-    visual: Tensor            # [n, d]
-    textual: Tensor           # [n, d]
+    visual: Tensor
+    textual: Tensor
     pad_mask_visual: np.ndarray   # True where a null row was appended
     pad_mask_textual: np.ndarray
     n_visual: int
@@ -36,7 +35,7 @@ class MultiModalSequence:
 
     @property
     def n(self) -> int:
-        return self.visual.shape[0]
+        return self.visual.shape[-2]
 
 
 def _pad_rows(tape: ad.Tape, stream: Tensor, count: int, null_token: Parameter) -> Tensor:
@@ -100,21 +99,23 @@ class ContextModel:
         return self
 
     def encode(self, tape: ad.Tape, x: Tensor, pad_mask: np.ndarray) -> Tensor:
-        """Attention over one sequence with padded keys masked out."""
-        if x.shape[1] != self.d:
-            raise ShapeError(f"context model expects width {self.d}, got {x.shape[1]}")
-        bias = None
-        if pad_mask.any():
-            bias = np.where(pad_mask, _MASKED_KEY, 0.0)[None, :].repeat(x.shape[0], axis=0)
-        return self.attn.forward(tape, x, bias)
+        """Attention over a sequence [n, d] (or a batch [B, n, d]) with padded
+        keys masked out; the output has x's shape."""
+        if x.shape[-1] != self.d:
+            raise ShapeError(f"context model expects width {self.d}, got {x.shape[-1]}")
+        if x.data.ndim == 2:
+            return self.attn.forward(tape, x, 1, pad_mask[None, :])
+        batch, n, d = x.shape
+        out = self.attn.forward(tape, ad.reshape(x, (batch * n, d)), batch, pad_mask)
+        return ad.reshape(out, x.shape)
 
     def fuse(self, tape: ad.Tape, seq: MultiModalSequence) -> Tensor:
         """Unified u_1..u_n from the concatenated (visual; textual) sequence."""
         n = seq.n
         joint = ad.concat_rows(seq.visual, seq.textual)
-        pad = np.concatenate([seq.pad_mask_visual, seq.pad_mask_textual])
+        pad = np.concatenate([seq.pad_mask_visual, seq.pad_mask_textual], axis=-1)
         out = self.encode(tape, joint, pad)
-        idx = np.arange(n, dtype=np.int64)
+        idx = np.broadcast_to(np.arange(n, dtype=np.int64), pad.shape[:-1] + (n,))
         return ad.add(ad.gather_rows(out, idx), ad.gather_rows(out, idx + n))
 
 

@@ -2,7 +2,9 @@
 
 One run = one seed, one strategy, one dataset. Plain momentum-free gradient
 descent; every stochastic choice (split, shuffles, Gumbel noise) draws from
-labelled sub-streams of the run seed so reruns are bit-identical.
+labelled sub-streams of the run seed so reruns are bit-identical. Each
+training step and each evaluation chunk runs its whole minibatch through one
+batched forward pass.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .data import Example, load_dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformer, TaskPerformerConfig, init_parameters, save_checkpoint
-from .multimodal import ContextModel, MultiModalSequence, sparsify_pairs
+from .multimodal import ContextModel, MultiModalSequence
 from .rng import SeededRng
 from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
                         apply_ste, compute_keep_probabilities, inference_k_for,
@@ -54,6 +56,10 @@ class RunConfig:
             raise ConfigError(f"unknown positions mode {self.positions!r}")
         if not 0 < self.eval_fraction < 1:
             raise ConfigError("eval_fraction must lie in (0, 1)")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
     def config_dict(self) -> dict:
         s, m = self.strategy, self.model
@@ -110,40 +116,47 @@ class Pipeline:
     def _select(self, tape: Tape, scores, noise_rng: SeededRng | None) -> SelectionMask:
         strategy = self.cfg.strategy
         if noise_rng is None:  # inference: rank keep probabilities, no noise
-            return inference_rank_topk(scores, inference_k_for(strategy, scores.valid_count))
+            return inference_rank_topk(scores, inference_k_for(strategy, scores.n))
         return run_strategy(scores, strategy, noise_rng)
 
-    def forward_example(self, tape: Tape, ex: Example,
-                        noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
-        """Class logits and the selection mask; noise_rng None = inference path."""
+    def forward_batch(self, tape: Tape, examples: list[Example],
+                      noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
+        """Class logits [B, C] and the batch's selection mask; noise_rng None =
+        inference path. Every input sequence has the dataset's full length n,
+        so only the kept sequences need padding."""
         strategy = self.cfg.strategy
         if self.multimodal:
+            visual = np.stack([ex.tokens for ex in examples])
+            no_pad = np.zeros(visual.shape[:2], dtype=bool)
             seq = MultiModalSequence(
-                visual=ad.constant(ex.tokens), textual=ad.constant(ex.textual_tokens),
-                pad_mask_visual=np.zeros(ex.tokens.shape[0], dtype=bool),
-                pad_mask_textual=np.zeros(ex.tokens.shape[0], dtype=bool),
-                n_visual=ex.tokens.shape[0], n_textual=ex.textual_tokens.shape[0])
+                visual=ad.constant(visual),
+                textual=ad.constant(np.stack([ex.textual_tokens for ex in examples])),
+                pad_mask_visual=no_pad, pad_mask_textual=no_pad,
+                n_visual=visual.shape[1], n_textual=visual.shape[1])
             u = self.context.fuse(tape, seq)
             scores = compute_keep_probabilities(tape, u, self.scorer)
             mask = self._select(tape, scores, noise_rng)
-            kept_v = apply_ste(seq.visual, mask)
-            kept_w = apply_ste(seq.textual, mask)
+            kept = apply_ste(seq.visual, mask).concat(apply_ste(seq.textual, mask))
             pos = self._positions(tape, mask)
-            tokens = ad.concat_rows(kept_v, kept_w)
             positions = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
-            logits = self.task.forward(tape, tokens, positions)
-            return logits, mask
+            return self.task.forward(tape, kept, positions), mask
 
-        tokens = ad.constant(self._channel_tokens(ex))
+        tokens = ad.constant(np.stack([self._channel_tokens(ex) for ex in examples]))
         if strategy.kind == "uniform_fixed":
             from .selection import uniform_fixed_select
-            mask = uniform_fixed_select(tokens.shape[0], strategy.k)
+            mask = uniform_fixed_select(tokens.shape[1], strategy.k, len(examples))
         else:
             scores = compute_keep_probabilities(tape, tokens, self.scorer)
             mask = self._select(tape, scores, noise_rng)
         kept = apply_ste(tokens, mask)
-        logits = self.task.forward(tape, kept, self._positions(tape, mask))
-        return logits, mask
+        return self.task.forward(tape, kept, self._positions(tape, mask)), mask
+
+    def forward_example(self, tape: Tape, ex: Example,
+                        noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
+        """Class logits [C] and the selection mask of one example: the batched
+        forward on a batch of one."""
+        logits, mask = self.forward_batch(tape, [ex], noise_rng)
+        return ad.reshape(logits, (logits.shape[1],)), mask.squeeze()
 
 
 @dataclass
@@ -158,7 +171,7 @@ class TrainResult:
         return self.rows[-1]
 
 
-def _recall(ex: Example, mask: SelectionMask, channel: str, multimodal_run: bool) -> float:
+def _recall(ex: Example, kept: np.ndarray, channel: str, multimodal_run: bool) -> float:
     if multimodal_run:
         truth = set(ex.informative_indices.tolist())
         truth |= set(ex.textual_informative_indices.tolist())
@@ -168,12 +181,12 @@ def _recall(ex: Example, mask: SelectionMask, channel: str, multimodal_run: bool
         truth = set(ex.informative_indices.tolist())
     if not truth:
         return 1.0
-    kept = set(mask.kept_indices.tolist())
-    return len(truth & kept) / len(truth)
+    return len(truth & set(kept.tolist())) / len(truth)
 
 
 def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]:
-    """(accuracy, selection recall) on the noise-free inference path.
+    """(accuracy, selection recall) on the noise-free inference path, in
+    chunks of the run's batch size.
 
     The tape is never entered, so nothing is recorded: evaluation is a pure
     forward pass.
@@ -181,10 +194,15 @@ def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]
     correct = 0
     recall_sum = 0.0
     tape = Tape()
-    for ex in examples:
-        logits, mask = pipeline.forward_example(tape, ex, noise_rng=None)
-        correct += int(np.argmax(logits.data) == ex.label)
-        recall_sum += _recall(ex, mask, pipeline.cfg.channel, pipeline.multimodal)
+    chunk = pipeline.cfg.batch_size
+    for start in range(0, len(examples), chunk):
+        part = examples[start:start + chunk]
+        logits, mask = pipeline.forward_batch(tape, part, noise_rng=None)
+        predicted = np.argmax(logits.data, axis=1)
+        for b, ex in enumerate(part):
+            correct += int(predicted[b] == ex.label)
+            recall_sum += _recall(ex, mask.kept_in(b), pipeline.cfg.channel,
+                                  pipeline.multimodal)
     return correct / len(examples), recall_sum / len(examples)
 
 
@@ -221,6 +239,9 @@ def train_run(cfg: RunConfig) -> TrainResult:
     eval_idx = perm[-eval_count:]
     train_set = [examples[i] for i in train_idx]
     eval_set = [examples[i] for i in eval_idx]
+    if not train_set:
+        raise ConfigError(f"eval_fraction {cfg.eval_fraction} leaves no training example "
+                          f"of {len(examples)}")
 
     needs_select_loss = strategy.kind == "ratio_controlled" and strategy.lam > 0
     rows: list[MetricsRow] = []
@@ -229,21 +250,15 @@ def train_run(cfg: RunConfig) -> TrainResult:
         order = run_rng.split(_L_SHUFFLE, epoch).permutation(len(train_set))
         loss_sum = 0.0
         ratio_sum = 0.0
-        ratio_count = 0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             noise_rng = run_rng.split(_L_NOISE, epoch, batch_no)
             with Tape() as tape:
-                ce_sum: Tensor | None = None
-                masks: list[SelectionMask] = []
-                for ex in batch:
-                    logits, mask = pipeline.forward_example(tape, ex, noise_rng)
-                    ce = ad.cross_entropy_loss(logits, ex.label)
-                    ce_sum = ce if ce_sum is None else ad.add(ce_sum, ce)
-                    masks.append(mask)
-                task_loss = ad.scale(ce_sum, 1.0 / len(batch))
+                logits, mask = pipeline.forward_batch(tape, batch, noise_rng)
+                labels = np.array([ex.label for ex in batch])
+                task_loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
                 if needs_select_loss:
-                    sel = selection_loss(masks, strategy.target_ratio)
+                    sel = selection_loss(mask, strategy.target_ratio)
                     loss = total_loss(task_loss, sel, strategy.lam)
                 else:
                     loss = task_loss
@@ -251,8 +266,7 @@ def train_run(cfg: RunConfig) -> TrainResult:
                 for p in params:
                     p.value = p.value - cfg.lr * tape.grad(p)
             loss_sum += loss.item() * len(batch)
-            ratio_sum += sum(m.keep_ratio for m in masks)
-            ratio_count += len(masks)
+            ratio_sum += sum(mask.keep_ratio.tolist())
         accuracy, recall = evaluate(pipeline, eval_set)
         elapsed = time.perf_counter() - t0
         rows.append(MetricsRow(
@@ -261,7 +275,7 @@ def train_run(cfg: RunConfig) -> TrainResult:
             seed=cfg.seed, epoch=epoch,
             train_loss=loss_sum / len(train_set),
             eval_accuracy=accuracy,
-            mean_keep_ratio=ratio_sum / ratio_count,
+            mean_keep_ratio=ratio_sum / len(train_set),
             selection_recall=recall,
             wall_seconds=elapsed if timing_enabled() else 0.0,
         ))

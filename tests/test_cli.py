@@ -98,6 +98,12 @@ def test_missing_dataset_is_usage_error(tmp_path):
     assert main(["train", "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+def test_zero_epochs_or_batch_size_is_usage_error(tmp_path, dataset, capsys, flag):
+    assert run_train(dataset, str(tmp_path / "x"), flag, "0") == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_unreadable_dataset_is_io_error(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "x")])

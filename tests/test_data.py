@@ -161,6 +161,13 @@ class TestSchemaValidation:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_names_line(self, tmp_path, value):
+        path = self.write(tmp_path, self.header_line(), self.record(),
+                          self.record(tokens=f"[[1,1],[2,{value}],[3,3],[4,4]]"))
+        with pytest.raises(SchemaError, match="line 3: tokens holds a non-finite value"):
+            load_dataset(path)
+
     def test_missing_header_key(self, tmp_path):
         path = self.write(tmp_path, '{"format_version":1,"n":4}')
         with pytest.raises(SchemaError, match="header"):

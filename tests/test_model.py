@@ -154,3 +154,15 @@ class TestCheckpoint:
         arrays = load_checkpoint(str(path))
         with pytest.raises(ContractError):
             restore_parameters(model.parameters(), arrays)
+
+    @pytest.mark.parametrize("cut,named", [(3000, "parameter 'task.in.w'"),
+                                           (9, "the first parameter"),
+                                           (-1, "parameter 'task.head.b'")])
+    def test_truncated_checkpoint_names_parameter(self, tmp_path, cut, named):
+        path = tmp_path / "m.stkn"
+        save_checkpoint(str(path), init_parameters(TaskPerformerConfig(), SeededRng(15))
+                        .parameters())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ContractError, match=f"truncated in {named}"):
+            load_checkpoint(str(path))

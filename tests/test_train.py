@@ -122,6 +122,20 @@ def test_textual_channel_requires_multimodal(tiny_dataset):
                            channel="textual"))
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -1), ("batch_size", 0)])
+def test_non_positive_epochs_or_batch_size_rejected(tiny_dataset, field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=2), **{field: value})
+
+
+def test_empty_train_split_rejected(tmp_path):
+    path = tmp_path / "one.jsonl"
+    spec = NeedleSpec(n=8, d=6, num_informative=2)
+    write_dataset(generate_dataset(spec, 1, seed=5), str(path), spec, 5)
+    with pytest.raises(ConfigError, match="no training example"):
+        train_run(tiny_cfg(str(path), StrategyConfig("gumbel_topk", k=2)))
+
+
 def test_k_exceeding_sequence_rejected(tiny_dataset):
     with pytest.raises(ConfigError):
         train_run(tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=9, tau=0.5)))
