@@ -1,12 +1,11 @@
 """Learnable token sparsification on a verifiable synthetic task."""
 
-from .autodiff import (Parameter, Tape, Tensor, apply_primitive,
-                       cross_entropy_loss, finite_difference_check,
+from .autodiff import (Parameter, Tape, Tensor, cross_entropy_loss, finite_difference_check,
                        mean_squared_error, softmax_with_temperature)
 from .data import Example, NeedleSpec, generate_dataset, load_dataset, write_dataset
 from .gumbel import GumbelDraw, gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformer, TaskPerformerConfig, init_parameters
-from .multimodal import ContextModel, MultiModalSequence, equalize_lengths, sparsify_pairs
+from .multimodal import ContextModel
 from .rng import SeededRng
 from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
                         apply_ste, compute_keep_probabilities,

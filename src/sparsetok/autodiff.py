@@ -517,75 +517,55 @@ def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
     return mean_all(square(subtract(a, b)))
 
 
-# kinds exposed to the generic dispatcher / gradient checker
-_PRIMITIVES = {
-    "add": add,
-    "subtract": subtract,
-    "multiply_elementwise": multiply,
-    "matmul": matmul,
-    "batched_matmul": batched_matmul,
-    "scale_by_constant": scale,
-    "natural_log": log,
-    "exp": exp,
-    "gelu": gelu,
-    "layer_norm": layer_norm,
-    "concat_rows": concat_rows,
-    "gather_rows": gather_rows,
-    "mask_multiply": mask_multiply,
-    "mean_all": mean_all,
-    "square": square,
-    "transpose": transpose,
-    "reshape": reshape,
-    "scale_rows": scale_rows,
-    "straight_through": straight_through,
-}
-
-
-def apply_primitive(kind: str, inputs: Sequence, **kwargs) -> Tensor:
-    """Dispatch a catalog primitive by name."""
-    fn = _PRIMITIVES.get(kind)
-    if fn is None:
-        raise KeyError(f"unknown primitive kind {kind!r}")
-    return fn(*inputs, **kwargs)
-
-
-def primitive_kinds() -> list[str]:
-    return list(_PRIMITIVES)
-
-
 # ---------------------------------------------------------------------------
 # finite differences
+
+def central_difference_check(loss_at: Callable[[], float], arrays: Sequence[np.ndarray],
+                             analytic: Sequence[np.ndarray],
+                             step: float = 1e-5) -> tuple[float, int, int]:
+    """Worst relative error between analytic gradients and central differences.
+
+    Each coordinate of each array is moved by +-step in place and `loss_at()`
+    re-evaluated, so `loss_at` must read the arrays themselves (parameter
+    values, token arrays) and be deterministic: freeze any noise first. The
+    relative error denominator is max(|analytic|, |numeric|, 1e-8) per
+    coordinate. Returns (error, array index, flat coordinate) of the worst
+    coordinate; the first one wins a tie, and a NaN error beats any number.
+    """
+    worst, where = 0.0, (0, 0)
+    for a, (array, grad) in enumerate(zip(arrays, analytic)):
+        if array.dtype != np.float64 or not array.flags.c_contiguous:
+            raise ContractError("finite differences perturb contiguous float64 arrays in place")
+        flat = array.reshape(-1)
+        numeric = np.zeros(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss_at()
+            flat[i] = orig - step
+            down = loss_at()
+            flat[i] = orig
+            numeric[i] = (up - down) / (2.0 * step)
+        grad = np.asarray(grad, dtype=np.float64).reshape(-1)
+        denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
+        err = np.abs(grad - numeric) / denom
+        i = int(np.argmax(err))  # argmax ranks a NaN first, and a NaN fails any tolerance
+        if err[i] > worst or (np.isnan(err[i]) and not np.isnan(worst)):
+            worst, where = float(err[i]), (a, i)
+    return worst, where[0], where[1]
+
 
 def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
                             point: np.ndarray,
                             step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `build_scalar` maps a leaf tensor to a scalar loss using tape operations
-    and must be deterministic (freeze any noise before calling). The relative
-    error denominator is max(|analytic|, |numeric|, 1e-8) per coordinate.
-    """
-    point = np.asarray(point, dtype=np.float64)
+    """Max relative error between tape gradients and central differences of
+    `build_scalar`, which maps a leaf tensor to a scalar loss using tape
+    operations and must be deterministic (freeze any noise before calling)."""
+    point = np.array(point, dtype=np.float64)
     with Tape() as tape:
         x = tape.leaf(point)
         loss = build_scalar(x)
         tape.backward(loss)
         analytic = tape.grad(x)
-
-    def value_at(p: np.ndarray) -> float:
-        return build_scalar(Tensor(p)).item()
-
-    numeric = np.zeros_like(point)
-    flat_num = numeric.reshape(-1)
-    flat_pt = point.reshape(-1)
-    for i in range(flat_pt.size):
-        orig = flat_pt[i]
-        flat_pt[i] = orig + step
-        up = value_at(point)
-        flat_pt[i] = orig - step
-        down = value_at(point)
-        flat_pt[i] = orig
-        flat_num[i] = (up - down) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float((np.abs(analytic - numeric) / denom).max())
+    return central_difference_check(lambda: build_scalar(Tensor(point)).item(),
+                                    [point], [analytic], step)[0]

@@ -9,15 +9,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, finite_difference_check
+from .autodiff import Tape, Tensor, central_difference_check, finite_difference_check
 from .errors import ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
-from .model import TaskPerformerConfig, init_parameters
-from .multimodal import ContextModel, MultiModalSequence, equalize_lengths
+from .model import TaskPerformerConfig
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeptTokens, compute_keep_probabilities,
-                        gumbel_topk_select, keep_scores_from_values,
-                        ratio_controlled_select)
+from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
+                        apply_ste, compute_keep_probabilities, gumbel_topk_select,
+                        keep_scores_from_values, ratio_controlled_select, run_strategy)
+from .train import Pipeline, RunConfig, Selector
 
 GRAD_TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -177,64 +177,53 @@ def check_catalog(repeats: int = 3, seed: int = 2024) -> SuiteReport:
     return SuiteReport("autodiff_catalog", worst, worst <= GRAD_TOLERANCE, worst_op)
 
 
-def _frozen_gate_loss(tokens_const: np.ndarray, s_fn, selector, quad_w: np.ndarray):
-    """Build base-point artifacts for the STE surrogate.
+def frozen_selector(select: Selector) -> Selector:
+    """Wrap a selector with fixed noise so finite differences see one smooth
+    function: the soft surrogate the straight-through estimator linearizes.
 
-    Returns (loss_builder, base_offsets): loss_builder(mode) constructs the
-    quadratic downstream loss either through the real straight-through op
-    ("ste") or through soft + frozen constant offset ("frozen"), the latter
-    being the differentiable function the tape linearizes at the base point.
+    The first call fixes the base point's kept set; every later call keeps
+    that set whatever the selector would pick. On kept rows the forwarded
+    hard value is soft + (1 - soft0), soft0 being the base point's soft
+    weights: exactly 1 at the base point, so the tape's straight-through
+    gradient is the one of the base mask, and away from it a smooth function
+    whose derivative equals that gradient.
     """
-    with Tape() as tape:
-        scores = s_fn(tape)
-        mask = selector(scores)
-    hard, kept = mask.hard, mask.kept_indices
-    offset = hard - mask.soft.data
+    base: list[SelectionMask] = []
 
-    def loss_builder(tape: Tape, mode: str) -> Tensor:
-        scores = s_fn(tape)
-        mask2 = selector(scores)
-        if mode == "ste":
-            gate = ad.straight_through(mask2.soft, hard)
-        else:
-            gate = ad.add(mask2.soft, ad.constant(offset))
-        kept_rows = ad.gather_rows(ad.scale_rows(ad.constant(tokens_const), gate), kept)
-        return _scalarize(ad.square(kept_rows), quad_w[kept])
+    def select_frozen(scores: KeepScores) -> SelectionMask:
+        mask = select(scores)
+        if not base:
+            base.append(mask)
+        keep = base[0].hard > 0
+        hard = np.where(keep, mask.soft.data + (1.0 - base[0].soft.data), 0.0)
+        return SelectionMask(hard, mask.soft, base[0].kept_indices, mask.strategy_tag,
+                             mask.valid_count)
 
-    return loss_builder
+    return select_frozen
 
 
-def _param_fd(params, analytic: dict[str, np.ndarray], value_at, step: float
-              ) -> tuple[float, str]:
-    """Central differences over every coordinate of every parameter."""
-    worst, worst_name = 0.0, ""
-    for p in params:
-        flat = p.value.reshape(-1)
-        grad = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = value_at()
-            flat[i] = orig - step
-            down = value_at()
-            flat[i] = orig
-            numeric = (up - down) / (2 * step)
-            denom = max(abs(grad[i]), abs(numeric), 1e-8)
-            err = abs(grad[i] - numeric) / denom
-            if err > worst:
-                worst, worst_name = err, f"{p.name}[{i}]"
-    return worst, worst_name
+def _worst_coordinate(loss_at, named_arrays: list[tuple[str, np.ndarray]],
+                      analytic: list[np.ndarray]) -> tuple[float, str]:
+    """Central differences over named arrays: the worst error and "name[i]"."""
+    worst, a, i = central_difference_check(loss_at, [arr for _, arr in named_arrays],
+                                           analytic, FD_STEP)
+    return worst, f"{named_arrays[a][0]}[{i}]"
 
 
 def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     """STE gradients wrt scorer parameters vs finite differences of the
-    frozen-noise, frozen-hard soft surrogate, for both Gumbel variants."""
+    frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants.
+
+    A quadratic loss reads the tokens `apply_ste` compacts, so the check runs
+    through the straight-through op training uses.
+    """
     rng = SeededRng(seed)
     d, n = 6, 8
-    tokens = _rand(rng.split(0), (n, d))
+    tokens = ad.constant(_rand(rng.split(0), (n, d)))
     quad_w = _rand(rng.split(1), (n, d))
     # large init keeps every gradient above the finite-difference noise floor
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
+    params = [(p.name, p.value) for p in scorer.parameters()]
     worst, worst_name = 0.0, ""
 
     variants = [
@@ -242,103 +231,62 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
         ("ratio_controlled", lambda scores: ratio_controlled_select(scores, 0.5, SeededRng(99))),
     ]
     for vname, selector in variants:
-        def s_fn(tape: Tape):
-            return compute_keep_probabilities(tape, ad.constant(tokens), scorer)
+        select = frozen_selector(selector)
 
-        build = _frozen_gate_loss(tokens, s_fn, selector, quad_w)
+        def loss_on(tape: Tape) -> Tensor:
+            mask = select(compute_keep_probabilities(tape, tokens, scorer))
+            return _scalarize(ad.square(apply_ste(tokens, mask)), quad_w[mask.kept_indices])
+
         with Tape() as tape:
-            loss = build(tape, "ste")
-            tape.backward(loss)
-            analytic = {p.name: tape.grad(p).copy() for p in scorer.parameters()}
-
-        def value_at() -> float:
-            with Tape() as t2:
-                return build(t2, "frozen").item()
-
-        err, name = _param_fd(scorer.parameters(), analytic, value_at, FD_STEP)
-        if err > worst:
+            tape.backward(loss_on(tape))
+            analytic = [tape.grad(p) for p in scorer.parameters()]
+        err, name = _worst_coordinate(lambda: loss_on(Tape()).item(), params, analytic)
+        if err > worst or np.isnan(err):
             worst, worst_name = err, f"{vname}:{name}"
     return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, worst_name)
 
 
-def check_multimodal_end_to_end(seed: int = 11) -> SuiteReport:
-    """Gradient of the full equalize -> fuse -> sparsify -> classify loss wrt
-    every parameter of a reduced pipeline and wrt the visual tokens, noise
-    frozen, on a batch of two examples.
+def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
+    """Gradient of the training pipeline's loss (fuse -> score -> select ->
+    STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
+    and the visual tokens, noise and kept sets frozen, on a batch of two.
 
-    The examples have textual streams of different lengths and keep different
-    token counts, so padded keys in the context model, padded rows in the
-    kept batch and the task model's key mask all sit inside the check.
+    The two examples keep different, non-zero token counts, so padded rows
+    in the kept batch and the task model's key mask sit inside the check.
     """
     rng = SeededRng(seed)
-    d, n_v, n_w = 6, 5, (3, 4)
-    cfg = TaskPerformerConfig(d_in=d, d_model=8, heads=2, layers=1, max_len=12,
-                              num_classes=3, ff_mult=2)
-    # large init keeps every gradient above the finite-difference noise floor
-    task = init_parameters(cfg, rng.split(0), stddev=0.5)
-    context = ContextModel(d).init(rng.split(1), stddev=0.5)
-    scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
-    visual = _rand(rng.split(3), (2, n_v, d))
-    textual = [_rand(rng.split(4, b), (n_w[b], d)) for b in range(2)]
+    d, n = 6, 5
+    model = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_mult=2,
+                                # large init keeps every gradient above the
+                                # finite-difference noise floor
+                                init_std=0.5)
+    strategy = StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5)
+    pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=model, seed=seed),
+                        {"d": d, "multimodal": True, "num_classes": 3})
+    visual = _rand(rng.split(0), (2, n, d))
+    textual = ad.constant(_rand(rng.split(1), (2, n, d)))
     labels = np.array([1, 2])
+    select = frozen_selector(lambda scores: run_strategy(scores, strategy, SeededRng(55)))
 
-    def batch_of(rows_a: Tensor, rows_b: Tensor) -> Tensor:
-        return ad.reshape(ad.concat_rows(rows_a, rows_b), (2,) + rows_a.shape)
+    def loss_on(tape: Tape, visual_t: Tensor) -> tuple[Tensor, SelectionMask]:
+        logits, mask = pipeline.forward_batch(tape, visual_t, textual, select)
+        return ad.mean_all(ad.cross_entropy_loss(logits, labels)), mask
 
-    def pipeline_loss(tape: Tape, visual_t: Tensor, gate_mode: str,
-                      frozen: dict | None) -> tuple[Tensor, dict]:
-        flat = ad.reshape(visual_t, (2 * n_v, d))
-        seqs = [equalize_lengths(tape, ad.gather_rows(flat, np.arange(n_v) + b * n_v),
-                                 ad.constant(textual[b]), "pad", task.null_token)
-                for b in range(2)]
-        seq = MultiModalSequence(
-            batch_of(seqs[0].visual, seqs[1].visual), batch_of(seqs[0].textual, seqs[1].textual),
-            np.stack([q.pad_mask_visual for q in seqs]),
-            np.stack([q.pad_mask_textual for q in seqs]), n_v, max(n_w))
-        u = context.fuse(tape, seq)
-        scores = compute_keep_probabilities(tape, u, scorer)
-        mask = ratio_controlled_select(scores, 0.5, SeededRng(55))
-        if frozen is None:
-            counts = mask.kept_count
-            if counts[0] == counts[1] or counts.min() == 0:
-                raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
-            frozen = {"hard": mask.hard, "kept": mask.kept_indices,
-                      "offset": mask.hard - mask.soft.data,
-                      "valid": np.arange(mask.kept_indices.shape[1]) < counts[:, None]}
-        if gate_mode == "ste":
-            gate = ad.straight_through(mask.soft, frozen["hard"])
-        else:
-            gate = ad.add(mask.soft, ad.constant(frozen["offset"]))
-        kept_v = KeptTokens(ad.gather_rows(ad.scale_rows(seq.visual, gate), frozen["kept"]),
-                            frozen["valid"])
-        kept_w = KeptTokens(ad.gather_rows(ad.scale_rows(seq.textual, gate), frozen["kept"]),
-                            frozen["valid"])
-        rows = np.broadcast_to(np.arange(frozen["kept"].shape[1]), frozen["kept"].shape)
-        pos = ad.gather_rows(tape.param(task.pos_table), rows)
-        logits = task.forward(tape, kept_v.concat(kept_w), ad.concat_rows(pos, pos))
-        return ad.mean_all(ad.cross_entropy_loss(logits, labels)), frozen
-
+    params = pipeline.parameters()
     with Tape() as tape:
-        loss, frozen = pipeline_loss(tape, tape.leaf(visual), "ste", None)
+        visual_t = tape.leaf(visual)
+        loss, mask = loss_on(tape, visual_t)
+        counts = mask.kept_count
+        if counts[0] == counts[1] or counts.min() == 0:
+            raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
         tape.backward(loss)
-        params = task.parameters() + context.parameters() + scorer.parameters()
-        analytic = {p.name: tape.grad(p).copy() for p in params}
+        analytic = [tape.grad(p) for p in params] + [tape.grad(visual_t)]
 
-    def value_at() -> float:
-        with Tape() as t2:
-            return pipeline_loss(t2, ad.constant(visual), "frozen", frozen)[0].item()
-
-    worst, worst_name = _param_fd(params, analytic, value_at, FD_STEP)
-
-    def active_or_new() -> Tape:
-        t = ad.active_tape()
-        return t if t is not None else Tape()
-
-    err = finite_difference_check(lambda x: pipeline_loss(active_or_new(), x,
-                                                          "frozen", frozen)[0],
-                                  visual, FD_STEP)
-    if err > worst:
-        worst, worst_name = err, "visual_tokens"
+    # the pipeline reads parameter values and `visual` themselves, so the
+    # in-place perturbations reach it; no tape is entered, nothing is recorded
+    worst, worst_name = _worst_coordinate(
+        lambda: loss_on(Tape(), ad.constant(visual))[0].item(),
+        [(p.name, p.value) for p in params] + [("visual_tokens", visual)], analytic)
     return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, worst_name)
 
 

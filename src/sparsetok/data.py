@@ -124,11 +124,6 @@ class NeedleGenerator:
         return Example(example_id, tokens, label, info_v, textual, info_w)
 
 
-def generate_example(spec: NeedleSpec, rng: SeededRng) -> Example:
-    """One example from a fresh dataset seeded by the given stream."""
-    return NeedleGenerator(spec, rng.seed ^ rng.stream_id).example(0)
-
-
 def generate_dataset(spec: NeedleSpec, count: int, seed: int) -> list[Example]:
     """count examples with stratified labels (balanced within one example)."""
     gen = NeedleGenerator(spec, seed)

@@ -381,8 +381,16 @@ def reencode_positions(mask: SelectionMask, positional_table: Tensor) -> Tensor:
     return ad.gather_rows(positional_table, rows)
 
 
-def _ratio_error_sq(mask: SelectionMask, target_ratio: float) -> Tensor:
-    """[B, 1] squared deviations of each sequence's keep ratio from target."""
+def selection_loss(mask: SelectionMask, target_ratio: float) -> Tensor:
+    """Mean squared deviation of each sequence's realized keep ratio from target.
+
+    `mask` is one sequence or a batch. The value uses hard counts; the
+    gradient flows through each sequence's mean soft weight (same
+    straight-through contract as apply_ste). Padded positions are excluded
+    from the denominators.
+    """
+    if not 0 < target_ratio <= 1:
+        raise ContractError("target_ratio must lie in (0, 1]")
     soft = mask.soft if mask.hard.ndim == 2 else ad.reshape(mask.soft, (1, mask.n))
     rows = soft.shape[0]
     per_valid = 1.0 / np.asarray(mask.valid_count, dtype=np.float64).reshape(rows, 1)
@@ -390,28 +398,8 @@ def _ratio_error_sq(mask: SelectionMask, target_ratio: float) -> Tensor:
                                   per_valid)
     hard_ratio = np.asarray(mask.keep_ratio, dtype=np.float64).reshape(rows, 1)
     st_ratio = ad.straight_through(soft_ratio, hard_ratio)
-    return ad.square(ad.subtract(ad.constant(np.full((rows, 1), target_ratio)), st_ratio))
-
-
-def selection_loss(masks, target_ratio: float) -> Tensor:
-    """Mean squared deviation of each sequence's realized keep ratio from target.
-
-    `masks` is one SelectionMask (a sequence or a batch) or a list of them.
-    The value uses hard counts; the gradient flows through each sequence's
-    mean soft weight (same straight-through contract as apply_ste). Padded
-    positions are excluded from the denominators.
-    """
-    if not 0 < target_ratio <= 1:
-        raise ContractError("target_ratio must lie in (0, 1]")
-    if isinstance(masks, SelectionMask):
-        masks = [masks]
-    if not masks:
-        raise ContractError("selection_loss needs at least one mask")
-    errors: Tensor | None = None
-    for mask in masks:
-        sq = _ratio_error_sq(mask, target_ratio)
-        errors = sq if errors is None else ad.concat_rows(errors, sq)
-    return ad.mean_all(errors)
+    return ad.mean_all(ad.square(ad.subtract(ad.constant(np.full((rows, 1), target_ratio)),
+                                             st_ratio)))
 
 
 def total_loss(task_loss: Tensor, select_loss: Tensor, lam: float) -> Tensor:

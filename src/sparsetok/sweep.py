@@ -86,14 +86,28 @@ def _run_cell(payload: tuple[SweepCell, int, int]) -> tuple[int, int, MetricsRow
     return cell.index, seed_index, final
 
 
+def _worker_count() -> int:
+    """STKN_THREADS as a positive worker count; unset or empty means 1."""
+    raw = os.environ.get("STKN_THREADS", "")
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"STKN_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
               out_dir: str, grid: tuple[float, ...] | None = None,
               strategies: tuple[str, ...] = CURVE_STRATEGIES,
               ) -> tuple[list[MetricsRow], str, str]:
     """Run the grid, write the combined CSV and the accuracy curve SVG."""
+    workers = _worker_count()
     cells = build_cells(axis, base, n_tokens, grid, strategies)
     payloads = [(cell, s, base.seed) for cell in cells for s in range(num_seeds)]
-    workers = int(os.environ.get("STKN_THREADS", "1") or "1")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, payloads))

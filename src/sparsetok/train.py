@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -20,9 +21,9 @@ from .data import Example, load_dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformer, TaskPerformerConfig, init_parameters, save_checkpoint
-from .multimodal import ContextModel, MultiModalSequence
+from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
+from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
                         apply_ste, compute_keep_probabilities, inference_k_for,
                         inference_rank_topk, reencode_positions, run_strategy,
                         selection_loss, total_loss)
@@ -30,6 +31,9 @@ from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
 # stream labels under the run seed
 _L_INIT_TASK, _L_INIT_SCORER, _L_INIT_CONTEXT = 0, 1, 2
 _L_SPLIT, _L_SHUFFLE, _L_NOISE = 3, 4, 5
+
+# the one hook of the forward pass: keep scores of a batch -> its selection mask
+Selector = Callable[[KeepScores], SelectionMask]
 
 CHANNELS = ("both", "visual", "textual")
 POSITION_MODES = ("compact", "original")
@@ -76,7 +80,8 @@ class RunConfig:
 
 class Pipeline:
     """The trainable pieces of one run: task model, and if the strategy is
-    learnable, the scorer (plus the context model in multimodal runs)."""
+    learnable, the scorer (plus, in multimodal runs, the context model that
+    feeds it)."""
 
     def __init__(self, cfg: RunConfig, header: dict):
         d = header["d"]
@@ -90,7 +95,7 @@ class Pipeline:
         self.scorer = (KeepProbPredictor(d).init(rng.split(_L_INIT_SCORER), stddev=std)
                        if self.needs_scorer else None)
         self.context = (ContextModel(d).init(rng.split(_L_INIT_CONTEXT), stddev=std)
-                        if self.multimodal else None)
+                        if self.multimodal and self.needs_scorer else None)
 
     def parameters(self) -> list[Parameter]:
         out = list(self.task.parameters())
@@ -106,56 +111,56 @@ class Pipeline:
             return reencode_positions(mask, table)
         return ad.gather_rows(table, mask.kept_indices)  # naive: keep original rows
 
-    def _channel_tokens(self, ex: Example) -> np.ndarray:
-        if self.cfg.channel == "textual":
-            if ex.textual_tokens is None:
-                raise ConfigError("channel=textual requires a multimodal dataset")
-            return ex.textual_tokens
-        return ex.tokens
-
-    def _select(self, tape: Tape, scores, noise_rng: SeededRng | None) -> SelectionMask:
-        strategy = self.cfg.strategy
-        if noise_rng is None:  # inference: rank keep probabilities, no noise
-            return inference_rank_topk(scores, inference_k_for(strategy, scores.n))
-        return run_strategy(scores, strategy, noise_rng)
-
-    def forward_batch(self, tape: Tape, examples: list[Example],
-                      noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
-        """Class logits [B, C] and the batch's selection mask; noise_rng None =
-        inference path. Every input sequence has the dataset's full length n,
-        so only the kept sequences need padding."""
-        strategy = self.cfg.strategy
+    def batch_tokens(self, examples: list[Example]) -> tuple[Tensor, Tensor | None]:
+        """Constant token tensors [B, n, d] of a batch: the run's channel, and
+        in a multimodal run also the textual stream (None otherwise)."""
         if self.multimodal:
-            visual = np.stack([ex.tokens for ex in examples])
-            no_pad = np.zeros(visual.shape[:2], dtype=bool)
-            seq = MultiModalSequence(
-                visual=ad.constant(visual),
-                textual=ad.constant(np.stack([ex.textual_tokens for ex in examples])),
-                pad_mask_visual=no_pad, pad_mask_textual=no_pad,
-                n_visual=visual.shape[1], n_textual=visual.shape[1])
-            u = self.context.fuse(tape, seq)
-            scores = compute_keep_probabilities(tape, u, self.scorer)
-            mask = self._select(tape, scores, noise_rng)
-            kept = apply_ste(seq.visual, mask).concat(apply_ste(seq.textual, mask))
-            pos = self._positions(tape, mask)
-            positions = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
-            return self.task.forward(tape, kept, positions), mask
+            return (ad.constant(np.stack([ex.tokens for ex in examples])),
+                    ad.constant(np.stack([ex.textual_tokens for ex in examples])))
+        if self.cfg.channel == "textual":
+            if any(ex.textual_tokens is None for ex in examples):
+                raise ConfigError("channel=textual requires a multimodal dataset")
+            return ad.constant(np.stack([ex.textual_tokens for ex in examples])), None
+        return ad.constant(np.stack([ex.tokens for ex in examples])), None
 
-        tokens = ad.constant(np.stack([self._channel_tokens(ex) for ex in examples]))
-        if strategy.kind == "uniform_fixed":
+    def sampler(self, noise_rng: SeededRng) -> Selector:
+        """The training selector: the run's strategy drawing from noise_rng."""
+        return lambda scores: run_strategy(scores, self.cfg.strategy, noise_rng)
+
+    def ranker(self) -> Selector:
+        """The inference selector: rank keep probabilities, no noise."""
+        strategy = self.cfg.strategy
+        return lambda scores: inference_rank_topk(scores, inference_k_for(strategy, scores.n))
+
+    def forward_batch(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
+                      select: Selector) -> tuple[Tensor, SelectionMask]:
+        """Class logits [B, C] and the batch's selection mask.
+
+        tokens (and textual, in a multimodal run) are [B, n, d]; `select`
+        turns the batch's keep scores into its mask (unused by uniform_fixed,
+        which has no scorer). Every input sequence has the dataset's full
+        length n, so only the kept sequences need padding.
+        """
+        if self.cfg.strategy.kind == "uniform_fixed":
             from .selection import uniform_fixed_select
-            mask = uniform_fixed_select(tokens.shape[1], strategy.k, len(examples))
+            mask = uniform_fixed_select(tokens.shape[1], self.cfg.strategy.k, tokens.shape[0])
         else:
-            scores = compute_keep_probabilities(tape, tokens, self.scorer)
-            mask = self._select(tape, scores, noise_rng)
+            u = self.context.fuse(tape, tokens, textual) if self.multimodal else tokens
+            mask = select(compute_keep_probabilities(tape, u, self.scorer))
         kept = apply_ste(tokens, mask)
-        return self.task.forward(tape, kept, self._positions(tape, mask)), mask
+        if not self.multimodal:
+            return self.task.forward(tape, kept, self._positions(tape, mask)), mask
+        kept = kept.concat(apply_ste(textual, mask))
+        pos = self._positions(tape, mask)
+        positions = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
+        return self.task.forward(tape, kept, positions), mask
 
     def forward_example(self, tape: Tape, ex: Example,
                         noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
         """Class logits [C] and the selection mask of one example: the batched
-        forward on a batch of one."""
-        logits, mask = self.forward_batch(tape, [ex], noise_rng)
+        forward on a batch of one; noise_rng None = inference path."""
+        select = self.ranker() if noise_rng is None else self.sampler(noise_rng)
+        logits, mask = self.forward_batch(tape, *self.batch_tokens([ex]), select)
         return ad.reshape(logits, (logits.shape[1],)), mask.squeeze()
 
 
@@ -194,10 +199,11 @@ def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]
     correct = 0
     recall_sum = 0.0
     tape = Tape()
+    select = pipeline.ranker()
     chunk = pipeline.cfg.batch_size
     for start in range(0, len(examples), chunk):
         part = examples[start:start + chunk]
-        logits, mask = pipeline.forward_batch(tape, part, noise_rng=None)
+        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(part), select)
         predicted = np.argmax(logits.data, axis=1)
         for b, ex in enumerate(part):
             correct += int(predicted[b] == ex.label)
@@ -254,7 +260,8 @@ def train_run(cfg: RunConfig) -> TrainResult:
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             noise_rng = run_rng.split(_L_NOISE, epoch, batch_no)
             with Tape() as tape:
-                logits, mask = pipeline.forward_batch(tape, batch, noise_rng)
+                logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(batch),
+                                                      pipeline.sampler(noise_rng))
                 labels = np.array([ex.label for ex in batch])
                 task_loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
                 if needs_select_loss:

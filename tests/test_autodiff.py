@@ -190,17 +190,25 @@ def test_mask_multiply_blocks_gradient_to_mask_only():
         assert np.allclose(tape.grad(x), mask / 3.0)
 
 
-def test_apply_primitive_dispatch():
-    out = ad.apply_primitive("add", [ad.constant([1.0]), ad.constant([2.0])])
-    assert out.data[0] == 3.0
-    with pytest.raises(KeyError):
-        ad.apply_primitive("no_such_op", [])
-
-
 def test_finite_difference_self_test():
     err = ad.finite_difference_check(lambda x: ad.mean_all(ad.square(x)),
                                      np.array([3.0]), 1e-5)
     assert err <= 1e-8
+
+
+def test_central_difference_check_locates_the_worst_coordinate():
+    a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+
+    def loss_at():
+        return float(a.sum() + (b * b).sum())
+
+    err, array, coord = ad.central_difference_check(loss_at, [a, b],
+                                                    [np.ones(2), np.array([6.0, 7.0])])
+    assert (array, coord) == (1, 1)
+    assert abs(err - 1 / 8) < 1e-6  # |7 - 8| / 8
+    assert np.array_equal(b, [3.0, 4.0])  # every perturbation undone
+    err, _, _ = ad.central_difference_check(loss_at, [a], [np.array([1.0, np.nan])])
+    assert np.isnan(err)
 
 
 def test_tape_replay_determinism():

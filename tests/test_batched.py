@@ -45,7 +45,8 @@ def _batched_step(pipeline, examples, rng):
     """B times the batch-mean loss and its gradients, with the kept counts."""
     b = len(examples)
     with Tape() as tape:
-        logits, mask = pipeline.forward_batch(tape, examples, rng)
+        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(examples),
+                                              pipeline.sampler(rng))
         loss = _loss(logits, np.array([ex.label for ex in examples]), mask,
                      pipeline.cfg.strategy)
         tape.backward(loss)

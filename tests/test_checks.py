@@ -20,6 +20,13 @@ def test_gradcheck_detects_injected_bad_adjoint():
     assert any("gelu" in r.detail for r in failing)
 
 
+def test_corrupted_straight_through_fails_both_ste_suites():
+    reports, ok = run_gradcheck(corrupt_op="straight_through")
+    assert not ok
+    failing = {r.name for r in reports if not r.ok}
+    assert {"ste_soft_path", "multimodal_end_to_end"} <= failing
+
+
 def test_gradcheck_is_deterministic():
     r1, _ = run_gradcheck()
     r2, _ = run_gradcheck()

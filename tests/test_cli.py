@@ -196,3 +196,17 @@ class TestSweep:
         res = train_run(cfg)
         assert f"{res.final.eval_accuracy:.10g}" == gumbel_row["eval_accuracy"]
         assert f"{res.final.train_loss:.10g}" == gumbel_row["train_loss"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_stkn_threads_must_be_a_positive_integer(tmp_path, dataset, capsys, monkeypatch, value):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("sparsetok.sweep.ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("STKN_THREADS", value)
+    rc = main(["sweep", "--dataset", dataset, "--out", str(tmp_path / "sweep"),
+               "--axis", "variant", "--epochs", "1"])
+    assert rc == 1
+    assert "STKN_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()

@@ -2,60 +2,20 @@ import numpy as np
 import pytest
 
 from sparsetok import autodiff as ad
-from sparsetok.autodiff import Parameter, Tape
-from sparsetok.errors import ContractError
-from sparsetok.multimodal import (ContextModel, ModalityScorer, MultiModalSequence,
-                                  equalize_lengths, fuse_context, sparsify_pairs,
-                                  sparsify_per_modality)
+from sparsetok.autodiff import Tape
+from sparsetok.errors import ShapeError
+from sparsetok.model import TaskPerformerConfig
+from sparsetok.multimodal import ContextModel
 from sparsetok.rng import SeededRng
-from sparsetok.selection import (KeepProbPredictor, StrategyConfig,
-                                 compute_keep_probabilities, keep_scores_from_values,
-                                 selection_loss)
+from sparsetok.selection import (StrategyConfig, deterministic_topk_select,
+                                 keep_scores_from_values)
+from sparsetok.train import Pipeline, RunConfig
 
 D = 6
 
 
-def null_param(d=D):
-    return Parameter("null", np.arange(1.0, d + 1.0))
-
-
 def rand(shape, seed=0):
     return SeededRng(seed).normals(int(np.prod(shape))).reshape(shape)
-
-
-class TestEqualize:
-    def test_equal_lengths_unchanged(self):
-        v, w = rand((4, D), 1), rand((4, D), 2)
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w), "pad", null_param())
-        assert np.array_equal(seq.visual.data, v)
-        assert np.array_equal(seq.textual.data, w)
-        assert not seq.pad_mask_visual.any() and not seq.pad_mask_textual.any()
-
-    def test_pad_appends_null_rows(self):
-        v, w = rand((4, D), 1), rand((2, D), 2)
-        null = null_param()
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w), "pad", null)
-        assert seq.n == 4
-        assert np.array_equal(seq.textual.data[:2], w)
-        assert np.array_equal(seq.textual.data[2], null.value)
-        assert np.array_equal(seq.textual.data[3], null.value)
-        assert np.array_equal(seq.pad_mask_textual, [False, False, True, True])
-
-    def test_interpolate_duplicates_nearest(self):
-        v, w = rand((4, D), 1), rand((2, D), 2)
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w),
-                                   "interpolate", null_param())
-        assert np.array_equal(seq.textual.data, w[[0, 0, 1, 1]])
-        assert not seq.pad_mask_textual.any()
-
-    def test_unknown_mode(self):
-        with Tape() as tape:
-            with pytest.raises(ContractError):
-                equalize_lengths(tape, ad.constant(rand((2, D))),
-                                 ad.constant(rand((2, D))), "resample", null_param())
 
 
 class TestContextModel:
@@ -63,134 +23,83 @@ class TestContextModel:
         model = ContextModel(D)  # weights stay zero
         model.attn.bo.value = np.arange(1.0, D + 1.0)
         with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(rand((3, D), 3)),
-                                   ad.constant(rand((3, D), 4)), "pad", null_param())
-            u = fuse_context(tape, seq, model)
-        assert np.allclose(u.data, u.data[0])
-        assert np.allclose(u.data[0], 2.0 * model.attn.bo.value)
-
-    @pytest.mark.parametrize("n_v,n_w", [(3, 3), (5, 2), (2, 6)])
-    def test_output_length_is_max(self, n_v, n_w):
-        model = ContextModel(D).init(SeededRng(5))
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(rand((n_v, D), 1)),
-                                   ad.constant(rand((n_w, D), 2)), "pad", null_param())
-            u = fuse_context(tape, seq, model)
-        assert u.shape == (max(n_v, n_w), D)
+            u = model.fuse(tape, ad.constant(rand((1, 3, D), 3)),
+                           ad.constant(rand((1, 3, D), 4)))
+        assert u.shape == (1, 3, D)
+        assert np.allclose(u.data, u.data[0, 0])
+        assert np.allclose(u.data[0, 0], 2.0 * model.attn.bo.value)
 
     def test_visual_token_gradient_matches_finite_differences(self):
         model = ContextModel(D).init(SeededRng(6), stddev=0.5)
-        textual = rand((2, D), 7)
-        null = null_param()
-        weights = rand((4, D), 8)
+        textual = ad.constant(rand((2, 4, D), 7))
+        weights = rand((2, 4, D), 8)
 
         def build(x):
-            tape = ad.active_tape() or Tape()
-            seq = equalize_lengths(tape, x, ad.constant(textual), "pad", null)
-            u = fuse_context(tape, seq, model)
+            u = model.fuse(ad.active_tape() or Tape(), x, textual)
             return ad.mean_all(ad.mask_multiply(u, weights))
 
-        err = ad.finite_difference_check(build, rand((4, D), 9), 1e-5)
+        err = ad.finite_difference_check(build, rand((2, 4, D), 9), 1e-5)
         assert err <= 1e-4
 
 
+def multimodal_pipeline():
+    cfg = RunConfig(dataset="unused",
+                    strategy=StrategyConfig("gumbel_topk", k=2, tau=0.1),
+                    model=TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
+                                              ff_mult=2))
+    pipeline = Pipeline(cfg, {"d": D, "multimodal": True, "num_classes": 4})
+    fed = []  # what the task model receives
+    task_forward = pipeline.task.forward
+    pipeline.task.forward = lambda tape, kept, pos: fed.append(kept) or task_forward(
+        tape, kept, pos)
+    return pipeline, fed
+
+
+def fixed_selector(s, k):
+    """Selector that ignores the scores and keeps the top-k of s."""
+    return lambda scores: deterministic_topk_select(keep_scores_from_values(Tape(), s), k)
+
+
 class TestSparsifyPairs:
-    def test_shared_mask_keeps_aligned_pairs(self, frozen_rng):
-        v, w = rand((4, D), 1), rand((4, D), 2)
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w), "pad", null_param())
-            scores = keep_scores_from_values(tape, [0.9, 0.1, 0.5, 0.7])
-            kept_v, kept_w, mask = sparsify_pairs(
-                scores, seq, StrategyConfig("gumbel_topk", k=2, tau=0.1), frozen_rng)
-        assert np.array_equal(mask.kept_indices, [0, 3])
-        assert np.array_equal(kept_v.data, v[[0, 3]])
-        assert np.array_equal(kept_w.data, w[[0, 3]])
+    """The training pipeline selects pairs: one mask, applied to both streams."""
 
-    def test_keep_all_is_identity(self, frozen_rng):
-        v, w = rand((3, D), 3), rand((3, D), 4)
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w), "pad", null_param())
-            scores = keep_scores_from_values(tape, [0.5, 0.5, 0.5])
-            kept_v, kept_w, _ = sparsify_pairs(
-                scores, seq, StrategyConfig("gumbel_topk", k=3, tau=0.1), frozen_rng)
-        assert np.array_equal(kept_v.data, v)
-        assert np.array_equal(kept_w.data, w)
+    def test_shared_mask_keeps_aligned_pairs(self):
+        pipeline, fed = multimodal_pipeline()
+        v, w = rand((1, 4, D), 1), rand((1, 4, D), 2)
+        _, mask = pipeline.forward_batch(Tape(), ad.constant(v), ad.constant(w),
+                                         fixed_selector(np.array([[0.9, 0.1, 0.5, 0.7]]), 2))
+        assert np.array_equal(mask.kept_indices, [[0, 3]])
+        assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0, [0, 3]],
+                                                                     w[0, [0, 3]]]))
 
-    def test_padded_slot_can_be_selected(self, frozen_rng):
-        v, w = rand((4, D), 5), rand((2, D), 6)
-        null = null_param()
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(v), ad.constant(w), "pad", null)
-            scores = keep_scores_from_values(tape, [0.1, 0.1, 0.9, 0.8])
-            kept_v, kept_w, mask = sparsify_pairs(
-                scores, seq, StrategyConfig("gumbel_topk", k=2, tau=0.1), frozen_rng)
-        assert np.array_equal(mask.kept_indices, [2, 3])
-        assert np.array_equal(kept_w.data[0], null.value)  # null token flows through
+    def test_keep_all_is_identity(self):
+        pipeline, fed = multimodal_pipeline()
+        v, w = rand((1, 2, D), 3), rand((1, 2, D), 4)
+        pipeline.forward_batch(Tape(), ad.constant(v), ad.constant(w),
+                               fixed_selector(np.array([[0.5, 0.5]]), 2))
+        assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0], w[0]]))
 
-    def test_length_mismatch(self, frozen_rng):
-        with Tape() as tape:
-            seq = equalize_lengths(tape, ad.constant(rand((4, D))),
-                                   ad.constant(rand((4, D))), "pad", null_param())
-            scores = keep_scores_from_values(tape, [0.5, 0.5])
-            with pytest.raises(ContractError):
-                sparsify_pairs(scores, seq, StrategyConfig("gumbel_topk", k=1, tau=0.1),
-                               frozen_rng)
+    def test_length_mismatch(self):
+        pipeline, _ = multimodal_pipeline()
+        with pytest.raises(ShapeError):
+            pipeline.forward_batch(Tape(), ad.constant(rand((1, 4, D))),
+                                   ad.constant(rand((1, 3, D))),
+                                   fixed_selector(np.array([[0.5] * 4]), 2))
 
 
-def modality_scorer(seed):
-    rng = SeededRng(seed)
-    return ModalityScorer(ContextModel(D).init(rng.split(0)),
-                          KeepProbPredictor(D).init(rng.split(1)))
-
-
-class TestPerModality:
-    def test_requires_ratio_strategies(self):
-        with Tape() as tape:
-            with pytest.raises(ContractError):
-                sparsify_per_modality(tape, ad.constant(rand((4, D))),
-                                      ad.constant(rand((4, D))),
-                                      modality_scorer(1), modality_scorer(2),
-                                      StrategyConfig("gumbel_topk", k=2, tau=0.1),
-                                      StrategyConfig("ratio_controlled", target_ratio=0.5),
-                                      SeededRng(3))
-
-    def test_combined_loss_is_exact_sum(self):
-        ratio_v = StrategyConfig("ratio_controlled", target_ratio=0.5)
-        ratio_w = StrategyConfig("ratio_controlled", target_ratio=0.25)
-        with Tape() as tape:
-            mask_v, mask_w, combined = sparsify_per_modality(
-                tape, ad.constant(rand((8, D), 4)), ad.constant(rand((8, D), 5)),
-                modality_scorer(1), modality_scorer(2), ratio_v, ratio_w, SeededRng(6))
-            separate = (selection_loss([mask_v], 0.5).item()
-                        + selection_loss([mask_w], 0.25).item())
-        assert combined.item() == separate
-
-    def test_exact_ratios_give_zero_loss(self):
-        # masks with exactly the target ratios: loss must vanish
-        from sparsetok.selection import SelectionMask
-        def mask(n, k):
-            kept = np.arange(k)
-            hard = np.zeros(n); hard[kept] = 1.0
-            return SelectionMask(hard, ad.constant(hard.copy()), kept, "t", n)
-        loss = ad.add(selection_loss([mask(8, 4)], 0.5), selection_loss([mask(8, 2)], 0.25))
-        assert loss.item() == 0.0
-
-    def test_identical_streams_and_seeds_give_identical_masks(self):
-        x = rand((6, D), 7)
-        ratio = StrategyConfig("ratio_controlled", target_ratio=0.5)
-        with Tape() as tape:
-            scorer = modality_scorer(8)
-            mask_v, mask_w, _ = sparsify_per_modality(
-                tape, ad.constant(x), ad.constant(x), scorer, scorer,
-                ratio, ratio, SeededRng(9))
-            rerun_v, rerun_w, _ = sparsify_per_modality(
-                tape, ad.constant(x), ad.constant(x), scorer, scorer,
-                ratio, ratio, SeededRng(9))
-        assert np.array_equal(mask_v.kept_indices, rerun_v.kept_indices)
-        assert np.array_equal(mask_w.kept_indices, rerun_w.kept_indices)
-
-
-def test_multimodal_end_to_end_gradients():
+def test_multimodal_end_to_end_gradients(monkeypatch):
+    """The suite passes and runs the training forward pass itself: one taped
+    pass, then two per coordinate of every parameter and visual token."""
     from sparsetok.checks import check_multimodal_end_to_end
+    batches = []
+    forward_batch = Pipeline.forward_batch
+
+    def counted(self, tape, tokens, textual, select):
+        batches.append(tokens.shape)
+        return forward_batch(self, tape, tokens, textual, select)
+
+    monkeypatch.setattr(Pipeline, "forward_batch", counted)
     report = check_multimodal_end_to_end()
     assert report.ok, report.line()
+    coordinates = 1037 + 2 * 5 * 6  # pipeline parameters + visual tokens [2, 5, 6]
+    assert batches == [(2, 5, 6)] * (1 + 2 * coordinates)

@@ -300,16 +300,21 @@ def mask_with_ratio(n, kept_count, soft_value=0.5):
 
 class TestSelectionLoss:
     def test_exact_ratio_is_zero(self):
-        loss = selection_loss([mask_with_ratio(10, 3)], 0.3)
+        loss = selection_loss(mask_with_ratio(10, 3), 0.3)
         assert loss.item() == 0.0
 
     def test_all_kept_against_half(self):
-        loss = selection_loss([mask_with_ratio(10, 10)], 0.5)
+        loss = selection_loss(mask_with_ratio(10, 10), 0.5)
         assert abs(loss.item() - 0.25) < 1e-15
 
     def test_batch_mean(self):
-        masks = [mask_with_ratio(10, 2), mask_with_ratio(10, 6)]
-        assert abs(selection_loss(masks, 0.4).item() - 0.04) < 1e-15
+        hard = np.zeros((2, 10))
+        hard[0, :2] = 1.0
+        hard[1, :6] = 1.0
+        kept = np.array([[0, 1, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5]])
+        batch = SelectionMask(hard, ad.constant(np.full((2, 10), 0.5)), kept, "test",
+                              np.array([10, 10]))
+        assert abs(selection_loss(batch, 0.4).item() - 0.04) < 1e-15
 
     def test_permutation_invariance(self):
         rng = SeededRng(8)
@@ -326,14 +331,14 @@ class TestSelectionLoss:
         hard_p = np.zeros(n)
         hard_p[kept_p] = 1.0
         permuted = SelectionMask(hard_p, ad.constant(soft[perm]), kept_p, "t", n)
-        assert selection_loss([base], 0.3).item() == selection_loss([permuted], 0.3).item()
+        assert selection_loss(base, 0.3).item() == selection_loss(permuted, 0.3).item()
 
     def test_gradient_uses_soft_path(self):
         with Tape() as tape:
             soft = tape.leaf(np.full(4, 0.5))
             mask = SelectionMask(np.array([1.0, 1.0, 0, 0]), soft,
                                  np.array([0, 1]), "t", 4)
-            loss = selection_loss([mask], 0.25)
+            loss = selection_loss(mask, 0.25)
             tape.backward(loss)
             grad = tape.grad(soft)
         # value (0.25 - 0.5)^2; d/dsoft_i = -2 (0.25 - 0.5) / 4 = 0.125
@@ -342,9 +347,7 @@ class TestSelectionLoss:
 
     def test_target_validation(self):
         with pytest.raises(ContractError):
-            selection_loss([mask_with_ratio(4, 2)], 0.0)
-        with pytest.raises(ContractError):
-            selection_loss([], 0.5)
+            selection_loss(mask_with_ratio(4, 2), 0.0)
 
 
 class TestTotalLoss:

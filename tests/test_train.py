@@ -116,6 +116,12 @@ def test_multimodal_run_and_channels(tiny_mm_dataset):
     assert res.final.eval_accuracy != res_v.final.eval_accuracy or True  # both valid runs
 
 
+def test_uniform_fixed_keeps_the_same_grid_in_both_streams(tiny_mm_dataset):
+    res = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("uniform_fixed", k=4)))
+    assert res.pipeline.multimodal and res.pipeline.context is None
+    assert res.final.mean_keep_ratio == 0.5
+
+
 def test_textual_channel_requires_multimodal(tiny_dataset):
     with pytest.raises(ConfigError):
         train_run(tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5),
