@@ -33,6 +33,7 @@ whole minibatch, not one per example:
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -218,7 +219,7 @@ def full(shape: Sequence[int], value: float) -> Tensor:
 def from_values(values: Iterable[float], shape: Sequence[int]) -> Tensor:
     shape = _check_shape(shape)
     data = np.asarray(list(values), dtype=np.float64)
-    if data.size != int(np.prod(shape)):
+    if data.size != math.prod(shape):
         raise ShapeError(f"{data.size} values cannot fill shape {list(shape)}")
     return Tensor(data.reshape(shape))
 
@@ -227,7 +228,7 @@ def random_normal(shape: Sequence[int], mean: float, stddev: float, rng: SeededR
     shape = _check_shape(shape)
     if stddev < 0:
         raise DomainError("stddev must be non-negative")
-    return Tensor(rng.normals(int(np.prod(shape)), mean, stddev).reshape(shape))
+    return Tensor(rng.normals(math.prod(shape), mean, stddev).reshape(shape))
 
 
 def constant(array_like) -> Tensor:
@@ -440,7 +441,7 @@ def transpose(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     new = tuple(int(s) for s in shape)
-    if int(np.prod(new)) != x.data.size:
+    if math.prod(new) != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} to {list(new)}")
     old = x.shape
     return _record("reshape", x.data.reshape(new), (x,), lambda g: (g.reshape(old),))

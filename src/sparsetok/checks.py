@@ -202,12 +202,18 @@ def frozen_selector(select: Selector) -> Selector:
     return select_frozen
 
 
-def _worst_coordinate(loss_at, named_arrays: list[tuple[str, np.ndarray]],
-                      analytic: list[np.ndarray]) -> tuple[float, str]:
-    """Central differences over named arrays: the worst error and "name[i]"."""
-    worst, a, i = central_difference_check(loss_at, [arr for _, arr in named_arrays],
-                                           analytic, FD_STEP)
-    return worst, f"{named_arrays[a][0]}[{i}]"
+def _worst_coordinate(groups) -> tuple[float, str]:
+    """Central differences over groups `(loss_at, [(name, array), ...],
+    analytic)`, each group perturbing its arrays under its own loss: the
+    worst error and "name[i]". An earlier group wins a tie and a NaN beats
+    any number, as within one group.
+    """
+    for g, (loss_at, named_arrays, analytic) in enumerate(groups):
+        err, a, i = central_difference_check(loss_at, [arr for _, arr in named_arrays],
+                                             analytic, FD_STEP)
+        if g == 0 or err > worst or (np.isnan(err) and not np.isnan(worst)):
+            worst, worst_name = err, f"{named_arrays[a][0]}[{i}]"
+    return worst, worst_name
 
 
 def check_ste_soft_path(seed: int = 7) -> SuiteReport:
@@ -240,7 +246,7 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
         with Tape() as tape:
             tape.backward(loss_on(tape))
             analytic = [tape.grad(p) for p in scorer.parameters()]
-        err, name = _worst_coordinate(lambda: loss_on(Tape()).item(), params, analytic)
+        err, name = _worst_coordinate([(lambda: loss_on(Tape()).item(), params, analytic)])
         if err > worst or np.isnan(err):
             worst, worst_name = err, f"{vname}:{name}"
     return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, worst_name)
@@ -253,6 +259,10 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
 
     The two examples keep different, non-zero token counts, so padded rows
     in the kept batch and the task model's key mask sit inside the check.
+    Task parameters are read only by the second stage, `Pipeline.classify`,
+    so their coordinates re-run it alone on the base point's `sparsify`
+    output; the context and scorer parameters and the visual tokens re-run
+    the whole pipeline.
     """
     rng = SeededRng(seed)
     d, n = 6, 5
@@ -268,25 +278,32 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     labels = np.array([1, 2])
     select = frozen_selector(lambda scores: run_strategy(scores, strategy, SeededRng(55)))
 
-    def loss_on(tape: Tape, visual_t: Tensor) -> tuple[Tensor, SelectionMask]:
-        logits, mask = pipeline.forward_batch(tape, visual_t, textual, select)
-        return ad.mean_all(ad.cross_entropy_loss(logits, labels)), mask
+    def loss_of(logits: Tensor) -> Tensor:
+        return ad.mean_all(ad.cross_entropy_loss(logits, labels))
 
-    params = pipeline.parameters()
+    task_params = pipeline.task.parameters()
+    selection_params = pipeline.scorer.parameters() + pipeline.context.parameters()
     with Tape() as tape:
         visual_t = tape.leaf(visual)
-        loss, mask = loss_on(tape, visual_t)
+        logits, mask = pipeline.forward_batch(tape, visual_t, textual, select)
         counts = mask.kept_count
         if counts[0] == counts[1] or counts.min() == 0:
             raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
-        tape.backward(loss)
-        analytic = [tape.grad(p) for p in params] + [tape.grad(visual_t)]
+        tape.backward(loss_of(logits))
+        task_grads = [tape.grad(p) for p in task_params]
+        selection_grads = [tape.grad(p) for p in selection_params] + [tape.grad(visual_t)]
 
     # the pipeline reads parameter values and `visual` themselves, so the
     # in-place perturbations reach it; no tape is entered, nothing is recorded
-    worst, worst_name = _worst_coordinate(
-        lambda: loss_on(Tape(), ad.constant(visual))[0].item(),
-        [(p.name, p.value) for p in params] + [("visual_tokens", visual)], analytic)
+    kept, mask = pipeline.sparsify(Tape(), ad.constant(visual), textual, select)
+    worst, worst_name = _worst_coordinate([
+        (lambda: loss_of(pipeline.classify(Tape(), kept, mask)[0]).item(),
+         [(p.name, p.value) for p in task_params], task_grads),
+        (lambda: loss_of(pipeline.forward_batch(Tape(), ad.constant(visual), textual,
+                                                select)[0]).item(),
+         [(p.name, p.value) for p in selection_params] + [("visual_tokens", visual)],
+         selection_grads),
+    ])
     return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, worst_name)
 
 

@@ -7,7 +7,7 @@ overrides the built-in defaults. STKN_THREADS caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 
 from .checks import format_sample_report, run_gradcheck, run_sample_check
@@ -193,6 +193,11 @@ def _cmd_train(args) -> int:
         raise ConfigError("--out is required")
     cfg, _ = _run_config(opt)
     result = train_run(cfg)
+    diverged = [row for row in result.rows if not math.isfinite(row.train_loss)]
+    if diverged:
+        print(f"error: train loss is {diverged[0].train_loss} at epoch {diverged[0].epoch} "
+              f"(metrics: {result.metrics_path})", file=sys.stderr)
+        return EXIT_VERIFY
     final = result.final
     print(f"final epoch {final.epoch}: loss={final.train_loss:.4f} "
           f"accuracy={final.eval_accuracy:.4f} keep_ratio={final.mean_keep_ratio:.4f} "

@@ -20,11 +20,11 @@ from .autodiff import Parameter, Tape, Tensor
 from .data import Example, load_dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, timing_enabled, write_metrics_csv
-from .model import TaskPerformer, TaskPerformerConfig, init_parameters, save_checkpoint
+from .model import TaskPerformerConfig, init_parameters, save_checkpoint
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
-                        apply_ste, compute_keep_probabilities, inference_k_for,
+from .selection import (KeepProbPredictor, KeepScores, KeptTokens, SelectionMask,
+                        StrategyConfig, apply_ste, compute_keep_probabilities, inference_k_for,
                         inference_rank_topk, reencode_positions, run_strategy,
                         selection_loss, total_loss)
 
@@ -132,14 +132,17 @@ class Pipeline:
         strategy = self.cfg.strategy
         return lambda scores: inference_rank_topk(scores, inference_k_for(strategy, scores.n))
 
-    def forward_batch(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
-                      select: Selector) -> tuple[Tensor, SelectionMask]:
-        """Class logits [B, C] and the batch's selection mask.
+    def sparsify(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
+                 select: Selector) -> tuple[KeptTokens, SelectionMask]:
+        """The first stage: the kept tokens [B, L, d] (both streams' rows,
+        example by example, in a multimodal run) and the batch's selection
+        mask.
 
         tokens (and textual, in a multimodal run) are [B, n, d]; `select`
         turns the batch's keep scores into its mask (unused by uniform_fixed,
         which has no scorer). Every input sequence has the dataset's full
-        length n, so only the kept sequences need padding.
+        length n, so only the kept sequences need padding. Reads no task
+        parameter.
         """
         if self.cfg.strategy.kind == "uniform_fixed":
             from .selection import uniform_fixed_select
@@ -148,12 +151,24 @@ class Pipeline:
             u = self.context.fuse(tape, tokens, textual) if self.multimodal else tokens
             mask = select(compute_keep_probabilities(tape, u, self.scorer))
         kept = apply_ste(tokens, mask)
-        if not self.multimodal:
-            return self.task.forward(tape, kept, self._positions(tape, mask)), mask
-        kept = kept.concat(apply_ste(textual, mask))
+        if self.multimodal:
+            kept = kept.concat(apply_ste(textual, mask))
+        return kept, mask
+
+    def classify(self, tape: Tape, kept: KeptTokens,
+                 mask: SelectionMask) -> tuple[Tensor, SelectionMask]:
+        """The second stage: class logits [B, C] of the kept tokens, and the
+        mask passed through. Reads only task parameters."""
         pos = self._positions(tape, mask)
-        positions = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
-        return self.task.forward(tape, kept, positions), mask
+        if self.multimodal:
+            pos = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
+        return self.task.forward(tape, kept, pos), mask
+
+    def forward_batch(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
+                      select: Selector) -> tuple[Tensor, SelectionMask]:
+        """Class logits [B, C] and the batch's selection mask: `sparsify`,
+        then `classify`."""
+        return self.classify(tape, *self.sparsify(tape, tokens, textual, select))
 
     def forward_example(self, tape: Tape, ex: Example,
                         noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:

@@ -1,7 +1,6 @@
 import os
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 
 from sparsetok.cli import main
@@ -102,6 +101,17 @@ def test_missing_dataset_is_usage_error(tmp_path):
 def test_zero_epochs_or_batch_size_is_usage_error(tmp_path, dataset, capsys, flag):
     assert run_train(dataset, str(tmp_path / "x"), flag, "0") == 1
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_non_finite_train_loss_is_verification_failure(tmp_path, dataset, capsys):
+    out = str(tmp_path / "run")
+    with pytest.warns(RuntimeWarning):  # overflow in the diverging updates
+        rc = run_train(dataset, out, "--lr", "1e200", "--epochs", "2")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "train loss is nan at epoch 0" in err
+    rows, _ = read_metrics_csv(os.path.join(out, "metrics.csv"))
+    assert len(rows) == 2  # the artifacts are still written for inspection
 
 
 def test_unreadable_dataset_is_io_error(tmp_path):

@@ -87,19 +87,85 @@ class TestSparsifyPairs:
                                    fixed_selector(np.array([[0.5] * 4]), 2))
 
 
+def ratio_pipeline():
+    """A multimodal ratio_controlled pipeline, a batch of three and the
+    training selector with fixed noise: kept counts differ, so the kept batch
+    is padded."""
+    cfg = RunConfig(dataset="unused",
+                    strategy=StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5),
+                    model=TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
+                                              ff_mult=2, init_std=0.5))
+    pipeline = Pipeline(cfg, {"d": D, "multimodal": True, "num_classes": 3})
+    visual, textual = ad.constant(rand((3, 5, D), 11)), ad.constant(rand((3, 5, D), 12))
+    return pipeline, visual, textual, lambda scores: pipeline.sampler(SeededRng(55))(scores)
+
+
+def sparsified(pipeline, visual, textual, select):
+    kept, mask = pipeline.sparsify(Tape(), visual, textual, select)
+    return (kept.tokens.data.tobytes(), kept.valid.tobytes(), mask.hard.tobytes(),
+            mask.soft.data.tobytes(), mask.kept_indices.tobytes())
+
+
+class TestStages:
+    """forward_batch = classify(sparsify(...)), and only classify reads the
+    task parameters: what lets gradcheck cache the first stage."""
+
+    def test_task_parameters_do_not_reach_sparsify(self):
+        pipeline, visual, textual, select = ratio_pipeline()
+        kept, _ = pipeline.sparsify(Tape(), visual, textual, select)
+        assert not kept.valid.all()  # padded rows sit inside the check
+        base = sparsified(pipeline, visual, textual, select)
+        rng = SeededRng(13)
+        for p in pipeline.task.parameters():
+            p.value = p.value + rng.normals(p.value.size).reshape(p.value.shape)
+        assert sparsified(pipeline, visual, textual, select) == base
+
+    def test_classify_on_cached_prefix_equals_forward_batch(self):
+        pipeline, visual, textual, select = ratio_pipeline()
+        labels = np.array([0, 2, 1])
+
+        def loss(logits):
+            return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
+
+        kept, mask = pipeline.sparsify(Tape(), visual, textual, select)
+        base = loss(pipeline.classify(Tape(), kept, mask)[0])
+        w1 = {p.name: p for p in pipeline.task.parameters()}["task.block0.ff.w1"]
+        w1.value.reshape(-1)[5] += 1e-5  # in place, as gradcheck moves a coordinate
+        full = loss(pipeline.forward_batch(Tape(), visual, textual, select)[0])
+        assert full != base
+        assert loss(pipeline.classify(Tape(), kept, mask)[0]) == full
+
+
 def test_multimodal_end_to_end_gradients(monkeypatch):
-    """The suite passes and runs the training forward pass itself: one taped
-    pass, then two per coordinate of every parameter and visual token."""
+    """The suite passes and runs the training pipeline itself: one taped
+    pass, two full passes per context or scorer parameter coordinate and per
+    visual token, and two classify-only passes per task parameter
+    coordinate, on the one sparsify output of the base point."""
     from sparsetok.checks import check_multimodal_end_to_end
-    batches = []
-    forward_batch = Pipeline.forward_batch
+    calls = []
+    inside = []
 
-    def counted(self, tape, tokens, textual, select):
-        batches.append(tokens.shape)
-        return forward_batch(self, tape, tokens, textual, select)
+    def counted(stage):
+        method = getattr(Pipeline, stage)
 
-    monkeypatch.setattr(Pipeline, "forward_batch", counted)
+        def run(self, tape, *args):
+            if not inside:  # tokens [B, n, d] for the first stage, KeptTokens for classify
+                calls.append((stage, ad.active_tape() is not None,
+                              getattr(args[0], "shape", None)))
+            inside.append(stage)
+            try:
+                return method(self, tape, *args)
+            finally:
+                inside.pop()
+        return run
+
+    for stage in ("forward_batch", "sparsify", "classify"):
+        monkeypatch.setattr(Pipeline, stage, counted(stage))
     report = check_multimodal_end_to_end()
     assert report.ok, report.line()
-    coordinates = 1037 + 2 * 5 * 6  # pipeline parameters + visual tokens [2, 5, 6]
-    assert batches == [(2, 5, 6)] * (1 + 2 * coordinates)
+    task, selection, visual = 777, 260, 2 * 5 * 6  # visual tokens [2, 5, 6]
+    assert calls.count(("forward_batch", True, (2, 5, 6))) == 1
+    assert calls.count(("forward_batch", False, (2, 5, 6))) == 2 * (selection + visual)
+    assert calls.count(("sparsify", False, (2, 5, 6))) == 1
+    assert calls.count(("classify", False, None)) == 2 * task
+    assert len(calls) == 1 + 2 * (selection + visual) + 1 + 2 * task
