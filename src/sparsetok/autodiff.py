@@ -22,7 +22,8 @@ whole minibatch, not one per example:
   ([B, C] logits give [B] losses).
 - `matmul` stays 2-D: weight projections run on the flattened [B*K, d]
   activations. `batched_matmul` covers the per-example products [B, m, k] @
-  [B, k, n] of attention and of the mean pool.
+  [B, k, n] of the mean pool. `attention` is all heads of self-attention in
+  one node: [B*K, 3d] projected q | k | v rows in, [B*K, d] contexts out.
 - Sequences of unequal length are padded to the longest one. Padded keys get
   a large negative additive bias before the attention softmax, so they
   receive exactly zero weight, and padded rows are left out of pooling.
@@ -138,8 +139,11 @@ class Tape:
         """Fetch the tape tensor for a parameter, registering it on first use.
 
         Memoized by identity so that reusing a parameter accumulates into one
-        gradient slot.
+        gradient slot. A tape that is not the active one records nothing, so
+        it hands out the bare value and registers nothing.
         """
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            return Tensor(p.value)
         t = self._param_nodes.get(id(p))
         if t is None:
             t = self.leaf(p.value, requires_grad=True)
@@ -355,9 +359,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the row width")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    # row means as np.add.reduce(...) / d: what ndarray.mean computes, without
+    # its Python wrapper
+    row_sum = np.add.reduce
+    mu = row_sum(xd, axis=-1, keepdims=True) / d
     xc = xd - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    inv = 1.0 / np.sqrt(row_sum(xc * xc, axis=-1, keepdims=True) / d + _LN_EPS)
     xhat = xc * inv
     gd = gain.data
     lead = _leading_axes(xd, 1)
@@ -365,8 +372,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def vjp(g):
         dxhat = g * gd
         dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                    - row_sum(dxhat, axis=-1, keepdims=True) / d
+                    - xhat * (row_sum(dxhat * xhat, axis=-1, keepdims=True) / d))
         return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _record("layer_norm", xhat * gd + bias.data, (x, gain, bias), vjp)
@@ -405,8 +412,11 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     src = x.data.reshape(-1, shape[-1])
 
     def vjp(g):
-        out = np.zeros(src.shape)
-        np.add.at(out, flat.reshape(-1), g.reshape(-1, shape[-1]))
+        # one bincount over flat cell indices: each cell sums its
+        # contributions in gather order, as np.add.at would
+        width = shape[-1]
+        cells = (flat.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        out = np.bincount(cells, weights=g.reshape(-1), minlength=src.size)
         return (out.reshape(shape),)
 
     return _record("gather_rows", src[flat], (x,), vjp)
@@ -425,7 +435,7 @@ def mean_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     size = x.data.size
     shape = x.shape
-    return _record("mean_all", np.array([x.data.mean()]), (x,),
+    return _record("mean_all", np.array([np.add.reduce(x.data, axis=None) / size]), (x,),
                    lambda g: (np.full(shape, g[0] / size),))
 
 
@@ -481,6 +491,62 @@ def softmax_with_temperature(x: Tensor, axis: int, tau: float) -> Tensor:
         return ((y * (g - (g * y).sum(axis=axis, keepdims=True))) / tau,)
 
     return _record("softmax", y, (x,), vjp)
+
+
+def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one tape node.
+
+    qkv is [B*L, 3d]: rows example-major (B = batch sequences of L rows),
+    columns q | k | v, each of the three head-major (head h owns columns
+    h*dk .. (h+1)*dk - 1 of its block, dk = d / heads). key_bias, a
+    constant [B, L], is added to every logit of the key it indexes; a large
+    negative value masks the key out. Returns the heads' contexts [B*L, d],
+    head-major columns.
+
+    The softmax and its adjoint run in place: one [B, heads, L, L] buffer
+    forward and one backward, whatever the head count.
+    """
+    qkv = _as_tensor(qkv)
+    rows, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
+    if batch < 1 or heads < 1 or rows < batch or rows % batch or width % (3 * heads):
+        raise ShapeError(f"attention: qkv {qkv.shape} does not split into {batch} "
+                         f"sequences of q | k | v over {heads} heads")
+    d = width // 3
+    dk, length = d // heads, rows // batch
+    if key_bias is not None:
+        key_bias = np.asarray(key_bias, dtype=np.float64)
+        if key_bias.shape != (batch, length):
+            raise ShapeError(f"attention: key bias {key_bias.shape} is not "
+                             f"[{batch}, {length}]")
+    scale = 1.0 / math.sqrt(dk)
+    # [3, B, H, L, dk] views of q, k and v; every [L, dk] slice stays BLAS-ready
+    q, k, v = qkv.data.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    probs = q @ k.transpose(0, 1, 3, 2)
+    probs *= scale
+    if key_bias is not None:
+        probs += key_bias[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    context = probs @ v
+    out = context.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def vjp(g):
+        g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
+        grad = np.empty((batch, length, 3, heads, dk))
+        g_q, g_k, g_v = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs.transpose(0, 1, 3, 2), g_context, out=g_v)
+        g_logits = g_context @ v.transpose(0, 1, 3, 2)
+        # softmax adjoint P * (dP - rowsum(dP * P)), where rowsum(dP * P) =
+        # rowsum(dO * O) needs no second [L, L] array
+        g_logits -= np.add.reduce(g_context * context, axis=-1, keepdims=True)
+        g_logits *= probs
+        g_logits *= scale
+        np.matmul(g_logits, k, out=g_q)
+        np.matmul(g_logits.transpose(0, 1, 3, 2), q, out=g_k)
+        return (grad.reshape(rows, width),)
+
+    return _record("attention", out, (qkv,), vjp)
 
 
 def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:

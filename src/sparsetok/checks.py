@@ -97,7 +97,7 @@ def _catalog_cases(rng: SeededRng):
         ("mean_squared_error", r((2, 3)),
          lambda x: ad.mean_squared_error(x, ad.constant(w23))),
     ]
-    return cases + _batched_cases(r)
+    return cases + _batched_cases(r) + _attention_cases(r)
 
 
 def _batched_cases(r):
@@ -162,6 +162,18 @@ def _batched_cases(r):
                                                           axis=2, tau=1.0), b233)),
         ("cross_entropy_batched", r((2, 4)),
          lambda x: _scalarize(ad.cross_entropy_loss(x, np.array([1, 3])), b2)),
+    ]
+
+
+def _attention_cases(r):
+    """The fused attention op: one head on one sequence, and two heads on a
+    batch of two with one masked key each."""
+    w32, w64 = r((3, 2)), r((6, 4))
+    key_bias = np.array([[0.0, 0.0, -1e9], [-1e9, 0.0, 0.0]])
+    return [
+        ("attention_1head", r((3, 6)), lambda x: _scalarize(ad.attention(x, 1, 1), w32)),
+        ("attention_2heads_masked_keys", r((6, 12)),
+         lambda x: _scalarize(ad.attention(x, 2, 2, key_bias), w64)),
     ]
 
 

@@ -14,7 +14,7 @@ from .checks import format_sample_report, run_gradcheck, run_sample_check
 from .data import NeedleSpec, generate_dataset, load_dataset, write_dataset
 from .errors import ConfigError, ParseError, SchemaError
 from .selection import STRATEGY_KINDS, StrategyConfig
-from .sweep import CURVE_STRATEGIES, SWEEP_AXES, run_sweep
+from .sweep import CURVE_STRATEGIES, SWEEP_AXES, X_COLUMNS, run_sweep
 from .train import RunConfig, k_for_fraction, train_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -222,10 +222,18 @@ def _cmd_sweep(args) -> int:
         unknown = set(strategies) - set(STRATEGY_KINDS)
         if unknown:
             raise ConfigError(f"unknown strategies {sorted(unknown)}")
-    rows, csv_path, svg_path = run_sweep(opt["axis"], cfg, n_tokens, opt["seeds"],
+    axis = opt["axis"]
+    rows, csv_path, svg_path = run_sweep(axis, cfg, n_tokens, opt["seeds"],
                                          opt["out"], grid, strategies)
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"curve -> {svg_path}")
+    diverged = [row for row in rows if not math.isfinite(row.train_loss)]
+    if diverged:
+        row = diverged[0]
+        x_value = {"tau": row.tau, "lambda": row.lam}.get(axis, row.keep_fraction)
+        print(f"error: train loss is {row.train_loss} in the {row.strategy} cell at "
+              f"{X_COLUMNS[axis]} {x_value:g} (seed {row.seed})", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from .rng import SeededRng
 from .selection import KeptTokens
 
 CHECKPOINT_MAGIC = b"STKN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # additive attention logit of a padded key: its softmax weight is exactly 0
 _MASKED_KEY = -1e9
@@ -46,56 +46,47 @@ class TaskPerformerConfig:
 
 
 class MultiHeadAttention:
-    """Bidirectional multi-head self-attention with a learned output bias."""
+    """Bidirectional multi-head self-attention with a learned output bias.
+
+    All heads share one [d, 3d] projection to q | k | v (each block
+    head-major) and one [d, d] output projection, whose row block h reads
+    head h's context; the attention itself is the one `attention` tape op.
+    """
 
     def __init__(self, prefix: str, d: int, heads: int):
         self.d = d
         self.heads = heads
-        self.dk = d // heads
-        dk = self.dk
-        p = Parameter
-        self.wq = [p(f"{prefix}.h{h}.wq", np.zeros((d, dk))) for h in range(heads)]
-        self.wk = [p(f"{prefix}.h{h}.wk", np.zeros((d, dk))) for h in range(heads)]
-        self.wv = [p(f"{prefix}.h{h}.wv", np.zeros((d, dk))) for h in range(heads)]
-        self.wo = [p(f"{prefix}.h{h}.wo", np.zeros((dk, d))) for h in range(heads)]
-        self.bo = p(f"{prefix}.bias", np.zeros(d))
+        self.wqkv = Parameter(f"{prefix}.wqkv", np.zeros((d, 3 * d)))
+        self.wo = Parameter(f"{prefix}.wo", np.zeros((d, d)))
+        self.bo = Parameter(f"{prefix}.bias", np.zeros(d))
 
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for group in (self.wq, self.wk, self.wv, self.wo):
-            out.extend(group)
-        out.append(self.bo)
-        return out
+        return [self.wqkv, self.wo, self.bo]
 
     def init(self, rng: SeededRng, stddev: float) -> None:
-        for i, w in enumerate(self.wq + self.wk + self.wv + self.wo):
-            w.value = rng.split(i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
+        """Weights ~ N(0, stddev), drawn as one block per head and role:
+        stream i of rng fills, in order, the [d, dk] q blocks, k blocks and
+        v blocks (the columns of wqkv), then the [dk, d] output blocks (the
+        rows of wo)."""
+        d, heads = self.d, self.heads
+        dk = d // heads
+
+        def block(i: int, shape: tuple[int, int]) -> np.ndarray:
+            return rng.split(i).normals(d * dk, 0.0, stddev).reshape(shape)
+
+        self.wqkv.value = np.concatenate([block(i, (d, dk)) for i in range(3 * heads)], axis=1)
+        self.wo.value = np.concatenate([block(3 * heads + h, (dk, d)) for h in range(heads)])
 
     def forward(self, tape: ad.Tape, x: Tensor, batch: int = 1,
                 pad_keys: np.ndarray | None = None) -> Tensor:
         """Attention within each of `batch` sequences of x [batch*L, d] (rows
         example-major); pad_keys, bool [batch, L], marks keys to mask out."""
-        rows = x.shape[0]
-        length = rows // batch
-        scale = 1.0 / np.sqrt(self.dk)
-        bias = None
+        key_bias = None
         if pad_keys is not None and pad_keys.any():
-            key_bias = np.where(pad_keys, _MASKED_KEY, 0.0)[:, None, :]
-            bias = ad.constant(np.repeat(key_bias, length, axis=1))
-        mixed: Tensor | None = None
-        for h in range(self.heads):
-            per_example = (batch, length, self.dk)
-            q = ad.reshape(ad.matmul(x, tape.param(self.wq[h])), per_example)
-            k = ad.reshape(ad.matmul(x, tape.param(self.wk[h])), per_example)
-            v = ad.reshape(ad.matmul(x, tape.param(self.wv[h])), per_example)
-            logits = ad.scale(ad.batched_matmul(q, ad.transpose(k)), scale)
-            if bias is not None:
-                logits = ad.add(logits, bias)
-            probs = ad.softmax_with_temperature(logits, axis=2, tau=1.0)
-            context = ad.reshape(ad.batched_matmul(probs, v), (rows, self.dk))
-            head = ad.matmul(context, tape.param(self.wo[h]))
-            mixed = head if mixed is None else ad.add(mixed, head)
-        return ad.add(mixed, tape.param(self.bo))
+            key_bias = np.where(pad_keys, _MASKED_KEY, 0.0)
+        qkv = ad.matmul(x, tape.param(self.wqkv))
+        context = ad.attention(qkv, batch, self.heads, key_bias)
+        return ad.add(ad.matmul(context, tape.param(self.wo)), tape.param(self.bo))
 
 
 class AttentionBlock:

@@ -20,6 +20,9 @@ SPARSITY_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
 TAU_GRID = (0.01, 0.1, 0.5)
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 CURVE_STRATEGIES = ("uniform_fixed", "deterministic_topk", "gumbel_topk")
+# the CSV column each axis varies, and the curve's x axis
+X_COLUMNS = {"sparsity": "keep_fraction", "tau": "tau", "lambda": "lambda",
+             "variant": "keep_fraction"}
 
 
 def cell_seed(master_seed: int, cell_index: int, seed_index: int) -> int:
@@ -132,10 +135,8 @@ def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
     config.update({"axis": axis, "num_seeds": num_seeds,
                    "grid": ",".join(str(c.x_value) for c in cells)})
     write_metrics_csv(csv_path, rows, config)
-    x_label = {"sparsity": "keep_fraction", "tau": "tau",
-               "lambda": "lambda", "variant": "keep_fraction"}[axis]
     plot = {label: [(x, sum(vals) / len(vals)) for x, vals in sorted(pts.items())]
             for label, pts in series.items()}
-    write_line_plot(svg_path, plot, x_label, "mean eval accuracy",
+    write_line_plot(svg_path, plot, X_COLUMNS[axis], "mean eval accuracy",
                     f"{axis} sweep ({num_seeds} seed{'s' if num_seeds != 1 else ''})")
     return rows, csv_path, svg_path

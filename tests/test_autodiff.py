@@ -133,6 +133,27 @@ def test_backward_constant_loss_gives_zero_grads():
         assert np.array_equal(tape.grad(p), np.zeros(2))
 
 
+def test_param_on_an_inactive_tape_records_nothing():
+    p = ad.Parameter("p", np.array([1.0, 2.0]))
+    idle = Tape()
+    t = idle.param(p)
+    assert t.node_id is None and t.data is p.value
+    with Tape() as active:
+        assert idle.param(p).node_id is None  # entered, but another tape's
+        assert active.param(p).node_id == 0
+    assert len(idle) == 0
+    assert np.array_equal(idle.grad(p), np.zeros(2))
+
+
+def test_attention_rejects_shapes_that_do_not_split():
+    with pytest.raises(ShapeError):
+        ad.attention(ad.constant(np.zeros((6, 12))), 4, 2)  # 6 rows, 4 sequences
+    with pytest.raises(ShapeError):
+        ad.attention(ad.constant(np.zeros((6, 12))), 2, 3)  # d = 4 over 3 heads
+    with pytest.raises(ShapeError):
+        ad.attention(ad.constant(np.zeros((6, 12))), 2, 2, np.zeros((2, 2)))
+
+
 def test_backward_requires_scalar():
     with Tape() as tape:
         x = tape.leaf(np.array([1.0, 2.0]))

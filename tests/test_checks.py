@@ -27,6 +27,14 @@ def test_corrupted_straight_through_fails_both_ste_suites():
     assert {"ste_soft_path", "multimodal_end_to_end"} <= failing
 
 
+def test_corrupted_attention_fails_catalog_and_multimodal():
+    reports, ok = run_gradcheck(corrupt_op="attention")
+    assert not ok
+    failing = {r.name for r in reports if not r.ok}
+    assert {"autodiff_catalog", "multimodal_end_to_end"} <= failing
+    assert "attention" in reports[0].detail
+
+
 def test_gradcheck_is_deterministic():
     r1, _ = run_gradcheck()
     r2, _ = run_gradcheck()

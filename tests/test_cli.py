@@ -207,6 +207,19 @@ class TestSweep:
         assert f"{res.final.eval_accuracy:.10g}" == gumbel_row["eval_accuracy"]
         assert f"{res.final.train_loss:.10g}" == gumbel_row["train_loss"]
 
+    def test_non_finite_cell_loss_is_verification_failure(self, tmp_path, dataset, capsys):
+        out = str(tmp_path / "sweep5")
+        with pytest.warns(RuntimeWarning):  # overflow in the diverging updates
+            rc = main(["sweep", "--dataset", dataset, "--out", out, "--axis", "sparsity",
+                       "--grid", "0.5", "--strategies", "gumbel_topk", "--epochs", "1",
+                       "--batch-size", "16", "--lr", "1e200"])
+        assert rc == 2
+        assert "train loss is nan in the gumbel_topk cell at keep_fraction 0.5" in (
+            capsys.readouterr().err)
+        rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
+        assert [r["train_loss"] for r in rows] == ["nan"]  # still written for inspection
+        assert os.path.exists(os.path.join(out, "sweep_sparsity.svg"))
+
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_stkn_threads_must_be_a_positive_integer(tmp_path, dataset, capsys, monkeypatch, value):

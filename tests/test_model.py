@@ -4,8 +4,9 @@ import pytest
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.errors import CapacityError, ContractError
-from sparsetok.model import (TaskPerformer, TaskPerformerConfig, init_parameters,
-                             load_checkpoint, restore_parameters, save_checkpoint)
+from sparsetok.model import (CHECKPOINT_VERSION, MultiHeadAttention, TaskPerformer,
+                             TaskPerformerConfig, init_parameters, load_checkpoint,
+                             restore_parameters, save_checkpoint)
 from sparsetok.rng import SeededRng
 
 SMALL = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=1, max_len=10,
@@ -39,7 +40,7 @@ def test_default_parameter_count_is_frozen():
     # in 16*32+32, pos 64*32, null 16, per block 12608, final ln 64, head 132
     model = TaskPerformer(TaskPerformerConfig())
     per_block = (2 * 32          # ln1
-                 + 2 * (3 * 32 * 16 + 16 * 32)   # two heads of q,k,v,o
+                 + 32 * 96 + 32 * 32   # fused q|k|v and output projections
                  + 32            # attention output bias
                  + 2 * 32        # ln2
                  + 32 * 128 + 128 + 128 * 32 + 32)  # feed-forward
@@ -113,6 +114,71 @@ def test_input_token_gradient_matches_finite_differences():
     assert ad.finite_difference_check(build, point, 1e-5) <= 1e-4
 
 
+def per_head_attention(attn, x, batch, pad_keys):
+    """Numpy reference: each example and head on its own, from the head's
+    column slices of wqkv (q | k | v blocks) and row slice of wo."""
+    d, heads = attn.d, attn.heads
+    dk, length = d // heads, x.shape[0] // batch
+    wqkv, wo = attn.wqkv.value, attn.wo.value
+    out = np.tile(attn.bo.value, (x.shape[0], 1))
+    for b in range(batch):
+        rows = slice(b * length, (b + 1) * length)
+        for h in range(heads):
+            q, k, v = (x[rows] @ wqkv[:, role * d + h * dk: role * d + (h + 1) * dk]
+                       for role in range(3))
+            logits = q @ k.T / np.sqrt(dk)
+            if pad_keys is not None:
+                logits[:, pad_keys[b]] = -np.inf
+            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs /= probs.sum(axis=1, keepdims=True)
+            out[rows] += probs @ v @ wo[h * dk:(h + 1) * dk]
+    return out
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_fused_attention_matches_per_head_reference(padded):
+    attn = MultiHeadAttention("attn", 8, 2)
+    attn.init(SeededRng(20), 0.5)
+    attn.bo.value = SeededRng(21).normals(8)
+    x = SeededRng(22).normals(3 * 5 * 8).reshape(15, 8)
+    pad_keys = None
+    if padded:
+        pad_keys = np.zeros((3, 5), dtype=bool)
+        pad_keys[0, 3:] = True
+        pad_keys[2, 1:] = True
+    out = attn.forward(Tape(), ad.constant(x), 3, pad_keys).data
+    expected = per_head_attention(attn, x, 3, pad_keys)
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_fused_init_keeps_the_per_head_draws():
+    """Stream i fills the i-th [d, dk] column block of wqkv (q heads, k heads,
+    v heads), then stream 3*heads + h the h-th [dk, d] row block of wo."""
+    d, heads, dk = 8, 2, 4
+    attn = MultiHeadAttention("attn", d, heads)
+    rng = SeededRng(23)
+    attn.init(rng, 0.3)
+
+    def draw(i, shape):
+        return rng.split(i).normals(d * dk, 0.0, 0.3).reshape(shape)
+
+    for i in range(3 * heads):
+        assert np.array_equal(attn.wqkv.value[:, i * dk:(i + 1) * dk], draw(i, (d, dk)))
+    for h in range(heads):
+        assert np.array_equal(attn.wo.value[h * dk:(h + 1) * dk], draw(3 * heads + h, (dk, d)))
+    assert [p.name for p in attn.parameters()] == ["attn.wqkv", "attn.wo", "attn.bias"]
+
+
+def test_attention_is_four_tape_ops_whatever_the_head_count():
+    for heads in (1, 2, 4):
+        attn = MultiHeadAttention("attn", 8, heads)
+        pad_keys = np.array([[False, False, True], [False, False, False]])
+        with Tape() as tape:
+            attn.forward(tape, tape.leaf(np.ones((6, 8))), 2, pad_keys)
+        # x, wqkv, wo, bias leaves + matmul, attention, matmul, add
+        assert len(tape) == 4 + 4
+
+
 def test_d_model_heads_divisibility():
     with pytest.raises(ContractError):
         TaskPerformerConfig(d_model=30, heads=4)
@@ -139,7 +205,15 @@ class TestCheckpoint:
         save_checkpoint(str(path), model.parameters())
         raw = path.read_bytes()
         assert raw[:4] == b"STKN"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == CHECKPOINT_VERSION == 2
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "old.stkn"
+        save_checkpoint(str(path), init_parameters(SMALL, SeededRng(13)).parameters())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:])
+        with pytest.raises(ContractError, match="unsupported checkpoint version 1"):
+            load_checkpoint(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.stkn"

@@ -120,6 +120,16 @@ class TestStages:
             p.value = p.value + rng.normals(p.value.size).reshape(p.value.shape)
         assert sparsified(pipeline, visual, textual, select) == base
 
+    def test_forward_batch_off_tape_records_nothing(self):
+        pipeline, visual, textual, select = ratio_pipeline()
+        tape = Tape()
+        logits, _ = pipeline.forward_batch(tape, visual, textual, select)
+        assert len(tape) == 0
+        with Tape() as active:
+            taped, _ = pipeline.forward_batch(active, visual, textual, select)
+        assert len(active) > 0
+        assert np.array_equal(logits.data, taped.data)
+
     def test_classify_on_cached_prefix_equals_forward_batch(self):
         pipeline, visual, textual, select = ratio_pipeline()
         labels = np.array([0, 2, 1])
