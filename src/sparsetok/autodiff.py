@@ -21,8 +21,9 @@ whole minibatch, not one per example:
   second-to-last axis), `transpose` (last two axes) and `cross_entropy_loss`
   ([B, C] logits give [B] losses).
 - `matmul` stays 2-D: weight projections run on the flattened [B*K, d]
-  activations. `batched_matmul` covers the per-example products [B, m, k] @
-  [B, k, n] of the mean pool. `attention` is all heads of self-attention in
+  activations, and `linear` is a biased projection x @ w + b as one node.
+  `batched_matmul` covers the per-example products [B, m, k] @ [B, k, n] of
+  the mean pool. `attention` is all heads of self-attention in
   one node: [B*K, 3d] projected q | k | v rows in, [B*K, d] contexts out.
 - Sequences of unequal length are padded to the longest one. Padded keys get
   a large negative additive bias before the attention softmax, so they
@@ -30,6 +31,9 @@ whole minibatch, not one per example:
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
+- Kernels write into their own fresh buffers in place where that keeps the
+  order of floating-point operations, but never into an input or into the
+  incoming gradient `g`, which `add` hands to both of its inputs.
 """
 from __future__ import annotations
 
@@ -298,6 +302,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """[m, k] @ [k, n] + a [n] bias as one node, the bias added in place:
+    the values and gradients of `add(matmul(x, w), b)`."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    return _record("linear", out, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+
+
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
     """One product per example: [B, m, k] @ [B, k, n] -> [B, m, n]."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -336,22 +353,43 @@ def square(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU with the tanh approximation."""
+    """GELU with the tanh approximation:
+    0.5 x (1 + tanh(c0 (x + c1 x^3))), derivative
+    0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2). The forward pass
+    allocates four full-size arrays (x^2 and t kept for the adjoint, one
+    temporary, the output), the adjoint two."""
     x = _as_tensor(x)
     xd = x.data
     sq = xd * xd
-    t = np.tanh(_GELU_C0 * (xd + _GELU_C1 * sq * xd))
+    t = np.multiply(sq, _GELU_C1)
+    t *= xd
+    t += xd
+    t *= _GELU_C0
+    np.tanh(t, out=t)
+    out = np.multiply(xd, 0.5)
+    out *= np.add(t, 1.0)
 
     def vjp(g):
-        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * sq)
-        return (g * d,)
+        d = np.multiply(t, t)
+        np.subtract(1.0, d, out=d)
+        buf = np.multiply(xd, 0.5)
+        d *= buf
+        d *= _GELU_C0
+        np.multiply(sq, 3.0 * _GELU_C1, out=buf)
+        buf += 1.0
+        d *= buf
+        np.add(t, 1.0, out=buf)
+        buf *= 0.5
+        d += buf
+        d *= g
+        return (d,)
 
-    return _record("gelu", 0.5 * xd * (1.0 + t), (x,), vjp)
+    return _record("gelu", out, (x,), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalization over the last axis of a [..., n, d] tensor with learnable
-    gain and bias."""
+    gain and bias. Forward and adjoint each allocate two full-size arrays."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm expects rows of a 2-dim or wider input, got {x.shape}")
@@ -362,21 +400,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     # row means as np.add.reduce(...) / d: what ndarray.mean computes, without
     # its Python wrapper
     row_sum = np.add.reduce
-    mu = row_sum(xd, axis=-1, keepdims=True) / d
-    xc = xd - mu
-    inv = 1.0 / np.sqrt(row_sum(xc * xc, axis=-1, keepdims=True) / d + _LN_EPS)
-    xhat = xc * inv
+    xhat = xd - row_sum(xd, axis=-1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)  # the squares first, the output at the end
+    inv = 1.0 / np.sqrt(row_sum(out, axis=-1, keepdims=True) / d + _LN_EPS)
+    xhat *= inv
     gd = gain.data
     lead = _leading_axes(xd, 1)
 
     def vjp(g):
-        dxhat = g * gd
-        dx = inv * (dxhat
-                    - row_sum(dxhat, axis=-1, keepdims=True) / d
-                    - xhat * (row_sum(dxhat * xhat, axis=-1, keepdims=True) / d))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        dx = np.multiply(g, gd)
+        buf = np.multiply(dx, xhat)
+        mean_dot = row_sum(buf, axis=-1, keepdims=True) / d
+        dx -= row_sum(dx, axis=-1, keepdims=True) / d
+        np.multiply(xhat, mean_dot, out=buf)
+        dx -= buf
+        dx *= inv
+        np.multiply(g, xhat, out=buf)
+        return dx, buf.sum(axis=lead), g.sum(axis=lead)
 
-    return _record("layer_norm", xhat * gd + bias.data, (x, gain, bias), vjp)
+    np.multiply(xhat, gd, out=out)
+    out += bias.data
+    return _record("layer_norm", out, (x, gain, bias), vjp)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

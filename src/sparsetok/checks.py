@@ -97,7 +97,7 @@ def _catalog_cases(rng: SeededRng):
         ("mean_squared_error", r((2, 3)),
          lambda x: ad.mean_squared_error(x, ad.constant(w23))),
     ]
-    return cases + _batched_cases(r) + _attention_cases(r)
+    return cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
 
 
 def _batched_cases(r):
@@ -174,6 +174,17 @@ def _attention_cases(r):
         ("attention_1head", r((3, 6)), lambda x: _scalarize(ad.attention(x, 1, 1), w32)),
         ("attention_2heads_masked_keys", r((6, 12)),
          lambda x: _scalarize(ad.attention(x, 2, 2, key_bias), w64)),
+    ]
+
+
+def _linear_cases(r):
+    """The fused projection x @ w + b on 2-D rows, wrt each operand."""
+    x, w, b, out_w = r((3, 4)), r((4, 2)), r((2,)), r((3, 2))
+    const = ad.constant
+    return [
+        ("linear_x", r((3, 4)), lambda v: _scalarize(ad.linear(v, const(w), const(b)), out_w)),
+        ("linear_w", r((4, 2)), lambda v: _scalarize(ad.linear(const(x), v, const(b)), out_w)),
+        ("linear_b", r((2,)), lambda v: _scalarize(ad.linear(const(x), const(w), v), out_w)),
     ]
 
 

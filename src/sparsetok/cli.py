@@ -19,6 +19,10 @@ from .train import RunConfig, k_for_fraction, train_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
 
+# `train` has diverged when its last epoch's train loss exceeds the first
+# epoch's by more than this factor
+DIVERGENCE_FACTOR = 10.0
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
@@ -198,7 +202,12 @@ def _cmd_train(args) -> int:
         print(f"error: train loss is {diverged[0].train_loss} at epoch {diverged[0].epoch} "
               f"(metrics: {result.metrics_path})", file=sys.stderr)
         return EXIT_VERIFY
-    final = result.final
+    first, final = result.rows[0], result.final
+    if final.train_loss > DIVERGENCE_FACTOR * first.train_loss:
+        print(f"error: train loss diverged from {first.train_loss:.6g} at epoch {first.epoch} "
+              f"to {final.train_loss:.6g} at epoch {final.epoch}, more than "
+              f"{DIVERGENCE_FACTOR:g}x (metrics: {result.metrics_path})", file=sys.stderr)
+        return EXIT_VERIFY
     print(f"final epoch {final.epoch}: loss={final.train_loss:.4f} "
           f"accuracy={final.eval_accuracy:.4f} keep_ratio={final.mean_keep_ratio:.4f} "
           f"recall={final.selection_recall:.4f}")

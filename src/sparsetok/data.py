@@ -10,6 +10,7 @@ alone can beat 50% accuracy while both together determine the label.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -142,12 +143,16 @@ def nearest_prototype_oracle(example: Example, prototypes: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # line-delimited decimal serialization (JSON records, 17 significant digits)
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+@functools.lru_cache(maxsize=8)
+def _matrix_template(rows: int, cols: int) -> str:
+    """printf template of a [rows, cols] matrix in JSON, one "%.17g" a value."""
+    row = "[" + ",".join(["%.17g"] * cols) + "]"
+    return "[" + ",".join([row] * rows) + "]"
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
-    return "[" + ",".join("[" + ",".join(_fmt(v) for v in row) + "]" for row in m) + "]"
+    """JSON text of a 2-D float matrix, every value as format(x, ".17g")."""
+    return _matrix_template(*m.shape) % tuple(m.ravel().tolist())
 
 
 def _fmt_indices(idx: np.ndarray) -> str:

@@ -50,7 +50,8 @@ class MultiHeadAttention:
 
     All heads share one [d, 3d] projection to q | k | v (each block
     head-major) and one [d, d] output projection, whose row block h reads
-    head h's context; the attention itself is the one `attention` tape op.
+    head h's context; the attention itself is the one `attention` tape op,
+    so a forward is three ops: `matmul`, `attention`, `linear`.
     """
 
     def __init__(self, prefix: str, d: int, heads: int):
@@ -86,7 +87,7 @@ class MultiHeadAttention:
             key_bias = np.where(pad_keys, _MASKED_KEY, 0.0)
         qkv = ad.matmul(x, tape.param(self.wqkv))
         context = ad.attention(qkv, batch, self.heads, key_bias)
-        return ad.add(ad.matmul(context, tape.param(self.wo)), tape.param(self.bo))
+        return ad.linear(context, tape.param(self.wo), tape.param(self.bo))
 
 
 class AttentionBlock:
@@ -120,10 +121,8 @@ class AttentionBlock:
         h = ad.layer_norm(x, tape.param(self.ln1_g), tape.param(self.ln1_b))
         x = ad.add(x, self.attn.forward(tape, h, batch, pad_keys))
         h = ad.layer_norm(x, tape.param(self.ln2_g), tape.param(self.ln2_b))
-        ff = ad.matmul(ad.gelu(ad.add(ad.matmul(h, tape.param(self.ff_w1)),
-                                      tape.param(self.ff_b1))),
-                       tape.param(self.ff_w2))
-        return ad.add(x, ad.add(ff, tape.param(self.ff_b2)))
+        h = ad.gelu(ad.linear(h, tape.param(self.ff_w1), tape.param(self.ff_b1)))
+        return ad.add(x, ad.linear(h, tape.param(self.ff_w2), tape.param(self.ff_b2)))
 
 
 class TaskPerformer:
@@ -190,8 +189,7 @@ class TaskPerformer:
                           null_rows)
             valid = valid | (slot.reshape(batch, length) > 0)
         pad_keys = None if valid.all() else ~valid
-        x = ad.add(ad.add(ad.matmul(x_in, tape.param(self.in_w)), tape.param(self.in_b)),
-                   positions)
+        x = ad.add(ad.linear(x_in, tape.param(self.in_w), tape.param(self.in_b)), positions)
         for block in self.blocks:
             x = block.forward(tape, x, batch, pad_keys)
         x = ad.layer_norm(x, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
@@ -200,7 +198,7 @@ class TaskPerformer:
         pooled = ad.batched_matmul(ad.constant(weights[:, None, :]),
                                    ad.reshape(x, (batch, length, c.d_model)))
         pooled = ad.reshape(pooled, (batch, c.d_model))
-        logits = ad.add(ad.matmul(pooled, tape.param(self.head_w)), tape.param(self.head_b))
+        logits = ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
         if isinstance(kept_tokens, KeptTokens):
             return logits
         return ad.reshape(logits, (c.num_classes,))

@@ -7,13 +7,12 @@ resulting mask to both streams so kept tokens stay time-aligned pairs.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ShapeError
 from .model import MultiHeadAttention
 from .rng import SeededRng
+from .selection import index_grid
 
 
 class ContextModel:
@@ -48,5 +47,5 @@ class ContextModel:
         joint = ad.concat_rows(visual, textual)
         out = self.attn.forward(tape, ad.reshape(joint, (batch * 2 * n, d)), batch)
         out = ad.reshape(out, joint.shape)
-        idx = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
-        return ad.add(ad.gather_rows(out, idx), ad.gather_rows(out, idx + n))
+        return ad.add(ad.gather_rows(out, index_grid((batch, n))),
+                      ad.gather_rows(out, index_grid((batch, n), n)))

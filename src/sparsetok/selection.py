@@ -8,6 +8,7 @@ gradient path; `apply_ste` wires value-from-hard / derivative-from-soft.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ class KeepProbPredictor:
             raise ShapeError(f"predictor expects width {self.d}, got {tokens.shape[-1]}")
         if tokens.data.ndim != 2:
             tokens = ad.reshape(tokens, (tokens.data.size // self.d, self.d))
-        h = ad.gelu(ad.add(ad.matmul(tokens, tape.param(self.w1)), tape.param(self.b1)))
-        return ad.add(ad.matmul(h, tape.param(self.w2)), tape.param(self.b2))
+        h = ad.gelu(ad.linear(tokens, tape.param(self.w1), tape.param(self.b1)))
+        return ad.linear(h, tape.param(self.w2), tape.param(self.b2))
 
 
 @dataclass
@@ -377,8 +378,16 @@ def reencode_positions(mask: SelectionMask, positional_table: Tensor) -> Tensor:
     if k > positional_table.shape[0]:
         raise CapacityError(f"{k} kept tokens exceed positional capacity "
                             f"{positional_table.shape[0]}")
-    rows = np.broadcast_to(np.arange(k, dtype=np.int64), mask.kept_indices.shape)
-    return ad.gather_rows(positional_table, rows)
+    return ad.gather_rows(positional_table, index_grid(mask.kept_indices.shape))
+
+
+@functools.lru_cache(maxsize=64)
+def index_grid(shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    """Read-only int64 grid of `shape` whose every row is offset,
+    offset + 1, ..., offset + shape[-1] - 1; built once per (shape, offset)."""
+    grid = np.broadcast_to(np.arange(offset, offset + shape[-1], dtype=np.int64), shape)
+    grid.flags.writeable = False
+    return grid
 
 
 def selection_loss(mask: SelectionMask, target_ratio: float) -> Tensor:

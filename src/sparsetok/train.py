@@ -35,6 +35,12 @@ _L_SPLIT, _L_SHUFFLE, _L_NOISE = 3, 4, 5
 # the one hook of the forward pass: keep scores of a batch -> its selection mask
 Selector = Callable[[KeepScores], SelectionMask]
 
+# glibc mallopt parameters (malloc.h) and the heap policy of `retain_heap`
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_heap_policy: bool | None = None
+
 CHANNELS = ("both", "visual", "textual")
 POSITION_MODES = ("compact", "original")
 
@@ -238,8 +244,59 @@ def k_for_fraction(fraction: float, n: int) -> int:
     return max(1, min(n, round(fraction * n)))
 
 
+def train_step(pipeline: Pipeline, params: list[Parameter], batch: list[Example],
+               noise_rng: SeededRng) -> tuple[float, SelectionMask]:
+    """One plain gradient-descent step on a minibatch: the forward pass with
+    the strategy's sampler drawing from noise_rng, the backward pass, and
+    the update of params. Returns the batch's mean loss and its mask."""
+    strategy, lr = pipeline.cfg.strategy, pipeline.cfg.lr
+    with Tape() as tape:
+        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(batch),
+                                              pipeline.sampler(noise_rng))
+        labels = np.array([ex.label for ex in batch])
+        loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
+        if strategy.kind == "ratio_controlled" and strategy.lam > 0:
+            loss = total_loss(loss, selection_loss(mask, strategy.target_ratio), strategy.lam)
+        tape.backward(loss)
+        for p in params:
+            p.value = p.value - lr * tape.grad(p)
+    return loss.item(), mask
+
+
+def retain_heap() -> bool:
+    """Keep the memory a training step frees for the next step; True where
+    the policy is in force (glibc), False elsewhere. Idempotent.
+
+    By default glibc serves every block above a dynamic threshold (128 KiB
+    at first) with a fresh mmap, and hands the top of the heap back to the
+    kernel once more than twice that threshold is free, so each step
+    page-faults its tape's arrays in again. Here blocks below 32 MiB come
+    from the heap, and the heap keeps up to 64 MiB of free memory at its
+    top. The largest heap a run grows measured 29 MiB for a K=32 sweep cell
+    (n=32, B=32) and 45 MiB for multimodal training (64 rows a context
+    attention, B=32), so at these sizes no step hands memory back.
+    """
+    global _heap_policy
+    if _heap_policy is None:
+        _heap_policy = False
+        try:
+            libc = os.confstr("CS_GNU_LIBC_VERSION")
+        except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+            libc = None
+        if libc is not None and libc.startswith("glibc"):
+            import ctypes
+
+            mallopt = ctypes.CDLL(None).mallopt
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            _heap_policy = bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+    return _heap_policy
+
+
 def train_run(cfg: RunConfig) -> TrainResult:
     """Train per cfg; returns per-epoch metrics and writes artifacts if out_dir set."""
+    retain_heap()
     examples, header = load_dataset(cfg.dataset)
     if not examples:
         raise ConfigError(f"dataset {cfg.dataset} has no examples")
@@ -264,7 +321,6 @@ def train_run(cfg: RunConfig) -> TrainResult:
         raise ConfigError(f"eval_fraction {cfg.eval_fraction} leaves no training example "
                           f"of {len(examples)}")
 
-    needs_select_loss = strategy.kind == "ratio_controlled" and strategy.lam > 0
     rows: list[MetricsRow] = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -273,21 +329,9 @@ def train_run(cfg: RunConfig) -> TrainResult:
         ratio_sum = 0.0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            noise_rng = run_rng.split(_L_NOISE, epoch, batch_no)
-            with Tape() as tape:
-                logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(batch),
-                                                      pipeline.sampler(noise_rng))
-                labels = np.array([ex.label for ex in batch])
-                task_loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
-                if needs_select_loss:
-                    sel = selection_loss(mask, strategy.target_ratio)
-                    loss = total_loss(task_loss, sel, strategy.lam)
-                else:
-                    loss = task_loss
-                tape.backward(loss)
-                for p in params:
-                    p.value = p.value - cfg.lr * tape.grad(p)
-            loss_sum += loss.item() * len(batch)
+            loss, mask = train_step(pipeline, params, batch,
+                                    run_rng.split(_L_NOISE, epoch, batch_no))
+            loss_sum += loss * len(batch)
             ratio_sum += sum(mask.keep_ratio.tolist())
         accuracy, recall = evaluate(pipeline, eval_set)
         elapsed = time.perf_counter() - t0

@@ -254,3 +254,113 @@ def test_catalog_gradients_on_many_random_inputs():
     report = check_catalog(repeats=100, seed=9)
     assert report.ok, f"worst {report.detail}: {report.worst}"
     assert report.worst <= 1e-4
+
+
+def _value_and_input_grads(build, arrays, out_weights):
+    """Forward value and the gradient wrt every input of build(*leaves),
+    scalarized by a fixed weight array."""
+    with Tape() as tape:
+        leaves = [tape.leaf(a) for a in arrays]
+        out = build(*leaves)
+        tape.backward(ad.mean_all(ad.mask_multiply(out, out_weights)))
+        return out.data, [tape.grad(t) for t in leaves]
+
+
+@pytest.mark.parametrize("m, k, n", [(1, 1, 1), (3, 4, 2), (64, 32, 128), (1024, 32, 4)])
+def test_linear_equals_add_of_matmul_exactly(m, k, n):
+    rng = SeededRng(m * 1000 + k * 10 + n)
+    arrays = [rng.normals(m * k).reshape(m, k), rng.normals(k * n).reshape(k, n),
+              rng.normals(n)]
+    weights = rng.normals(m * n).reshape(m, n)
+    fused = _value_and_input_grads(ad.linear, arrays, weights)
+    unfused = _value_and_input_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                                     arrays, weights)
+    np.testing.assert_array_equal(fused[0], unfused[0])
+    for got, expected in zip(fused[1], unfused[1]):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_linear_rejects_shapes_that_do_not_conform():
+    x, w = ad.zeros((2, 3)), ad.zeros((3, 4))
+    for args in [(x, w, ad.zeros((3,))), (x, ad.zeros((2, 4)), ad.zeros((4,))),
+                 (ad.zeros((2, 2, 3)), w, ad.zeros((4,))), (x, w, ad.zeros((1, 4)))]:
+        with pytest.raises(ShapeError):
+            ad.linear(*args)
+
+
+# the GELU and layer-norm formulas written out plainly; the in-place kernels
+# must reproduce them bit for bit
+_C0, _C1, _EPS = 0.7978845608028654, 0.044715, 1e-5
+
+
+def _gelu_reference(x, g):
+    sq = x * x
+    t = np.tanh(_C0 * (x + _C1 * sq * x))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _C0 * (1.0 + 3.0 * _C1 * sq)
+    return 0.5 * x * (1.0 + t), g * d
+
+
+def _layer_norm_reference(x, gain, bias, g):
+    d = x.shape[-1]
+    lead = tuple(range(x.ndim - 1))
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+    xc = x - mu
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + _EPS)
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = inv * (dxhat
+                - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
+    return xhat * gain + bias, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def _value_and_adjoint(build, arrays, g):
+    """Value of build(*leaves), recorded as the tape's last node, and that
+    node's input gradients for the upstream gradient g."""
+    with Tape() as tape:
+        out = build(*[tape.leaf(a) for a in arrays])
+        _, _, vjp = tape._nodes[-1]
+        return out.data, vjp(g)
+
+
+SHAPES = [(1, 1), (3, 4), (2, 3, 4), (1024, 128), (32, 20, 32)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_gelu_matches_the_unfused_formula_exactly(shape):
+    rng = SeededRng(sum(shape))
+    x = 3.0 * rng.normals(int(np.prod(shape))).reshape(shape)
+    g = rng.normals(x.size).reshape(shape)
+    value, (dx,) = _value_and_adjoint(ad.gelu, [x], g)
+    ref_value, ref_dx = _gelu_reference(x, g)
+    np.testing.assert_array_equal(value, ref_value)
+    np.testing.assert_array_equal(dx, ref_dx)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_layer_norm_matches_the_unfused_formula_exactly(shape):
+    rng = SeededRng(sum(shape) + 1)
+    d = shape[-1]
+    x = 2.0 * rng.normals(int(np.prod(shape))).reshape(shape) + 0.5
+    gain, bias = rng.normals(d) + 1.0, rng.normals(d)
+    g = rng.normals(x.size).reshape(shape)
+    value, grads = _value_and_adjoint(ad.layer_norm, [x, gain, bias], g)
+    ref_value, ref_grads = _layer_norm_reference(x, gain, bias, g)
+    np.testing.assert_array_equal(value, ref_value)
+    for got, expected in zip(grads, ref_grads):
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kernel", ["gelu", "layer_norm", "linear"])
+def test_in_place_kernels_leave_inputs_and_upstream_gradient_alone(kernel):
+    rng = SeededRng(31)
+    x = rng.normals(24).reshape(6, 4)
+    arrays = {"gelu": [x], "layer_norm": [x, rng.normals(4), rng.normals(4)],
+              "linear": [x, rng.normals(12).reshape(4, 3), rng.normals(3)]}[kernel]
+    g = rng.normals(18 if kernel == "linear" else 24).reshape(6, -1)
+    kept = [a.copy() for a in arrays + [g]]
+    value, grads = _value_and_adjoint(getattr(ad, kernel), arrays, g)
+    for before, after in zip(kept, arrays + [g]):
+        np.testing.assert_array_equal(before, after)
+    for out in [value, *grads]:
+        assert not any(np.shares_memory(out, a) for a in arrays + [g])

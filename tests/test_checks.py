@@ -35,6 +35,25 @@ def test_corrupted_attention_fails_catalog_and_multimodal():
     assert "attention" in reports[0].detail
 
 
+def test_corrupted_linear_fails_catalog_and_multimodal():
+    reports, ok = run_gradcheck(corrupt_op="linear")
+    assert not ok
+    failing = {r.name for r in reports if not r.ok}
+    # the scorer's two layers are linear too, so the STE suite fails as well
+    assert failing == {"autodiff_catalog", "ste_soft_path", "multimodal_end_to_end"}
+    assert "linear" in reports[0].detail
+
+
+def test_corrupted_matmul_still_fails_every_suite():
+    """With the biased projections fused into `linear`, matmul remains in the
+    catalog, the q | k | v projection and the scorer's keep column."""
+    reports, ok = run_gradcheck(corrupt_op="matmul")
+    assert not ok
+    assert [r.name for r in reports if not r.ok] == [
+        "autodiff_catalog", "ste_soft_path", "multimodal_end_to_end"]
+    assert "matmul" in reports[0].detail
+
+
 def test_gradcheck_is_deterministic():
     r1, _ = run_gradcheck()
     r2, _ = run_gradcheck()

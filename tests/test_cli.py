@@ -1,4 +1,5 @@
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -112,6 +113,21 @@ def test_non_finite_train_loss_is_verification_failure(tmp_path, dataset, capsys
     assert "train loss is nan at epoch 0" in err
     rows, _ = read_metrics_csv(os.path.join(out, "metrics.csv"))
     assert len(rows) == 2  # the artifacts are still written for inspection
+
+
+def test_finite_divergence_is_verification_failure(tmp_path, dataset, capsys):
+    out = str(tmp_path / "run")
+    rc = run_train(dataset, out, "--lr", "5", "--epochs", "2")
+    assert rc == 2
+    rows, _ = read_metrics_csv(os.path.join(out, "metrics.csv"))
+    first, last = (float(row["train_loss"]) for row in rows)
+    assert 10 * first < last < float("inf")
+    err = capsys.readouterr().err
+    named = re.search(r"diverged from (\S+) at epoch 0 to (\S+) at epoch 1, more than 10x", err)
+    assert named, err
+    assert float(named[1]) == pytest.approx(first, rel=1e-5)
+    assert float(named[2]) == pytest.approx(last, rel=1e-5)
+    assert os.path.exists(os.path.join(out, "checkpoint.stkn"))
 
 
 def test_unreadable_dataset_is_io_error(tmp_path):

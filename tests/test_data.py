@@ -2,8 +2,10 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sparsetok.data import (NeedleGenerator, NeedleSpec, generate_dataset,
+from sparsetok.data import (NeedleGenerator, _fmt_matrix, NeedleSpec, generate_dataset,
                             load_dataset, make_prototypes, nearest_prototype_oracle,
                             write_dataset)
 from sparsetok.errors import ParseError, SchemaError
@@ -90,6 +92,49 @@ def test_multimodal_needs_even_classes():
 def test_too_many_informative_rejected():
     with pytest.raises(SchemaError):
         NeedleSpec(n=4, num_informative=3, multimodal=True, textual_informative=2)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 0.1, -0.1, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+                   1.0, 1 / 3, 123456789012345678.0]
+
+
+def _format_each(m: np.ndarray) -> str:
+    """The matrix text with one format(x, ".17g") a value."""
+    return "[" + ",".join("[" + ",".join(format(float(v), ".17g") for v in row) + "]"
+                          for row in m) + "]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(5e-324)
+@example(-0.0)
+@example(1e300)
+@example(-1e-300)
+@example(0.1)
+def test_matrix_template_formats_like_format(x):
+    assert _fmt_matrix(np.array([[x]])) == "[[" + format(x, ".17g") + "]]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_matrix_template_formats_every_value(rows, cols, draw):
+    values = draw.draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                          st.sampled_from(_SPECIAL_FLOATS)),
+                                min_size=rows * cols, max_size=rows * cols))
+    m = np.array(values, dtype=np.float64).reshape(rows, cols)
+    assert _fmt_matrix(m) == _format_each(m)
+
+
+def test_written_token_matrices_are_formatted_value_by_value(tmp_path):
+    spec = NeedleSpec(multimodal=True)
+    examples = generate_dataset(spec, 5, seed=4)
+    path = tmp_path / "data.jsonl"
+    write_dataset(examples, str(path), spec, 4)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    for ex, line in zip(examples, lines):
+        assert f'"tokens":{_format_each(ex.tokens)}' in line
+        assert f'"textual_tokens":{_format_each(ex.textual_tokens)}' in line
 
 
 class TestRoundTrip:

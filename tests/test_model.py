@@ -169,14 +169,16 @@ def test_fused_init_keeps_the_per_head_draws():
     assert [p.name for p in attn.parameters()] == ["attn.wqkv", "attn.wo", "attn.bias"]
 
 
-def test_attention_is_four_tape_ops_whatever_the_head_count():
+def test_attention_is_three_tape_ops_whatever_the_head_count():
     for heads in (1, 2, 4):
         attn = MultiHeadAttention("attn", 8, heads)
         pad_keys = np.array([[False, False, True], [False, False, False]])
         with Tape() as tape:
             attn.forward(tape, tape.leaf(np.ones((6, 8))), 2, pad_keys)
-        # x, wqkv, wo, bias leaves + matmul, attention, matmul, add
-        assert len(tape) == 4 + 4
+        # x, wqkv, wo, bias leaves + matmul, attention, linear
+        ops = [kind for kind, _, _ in tape._nodes if kind != "leaf"]
+        assert ops == ["matmul", "attention", "linear"]
+        assert len(tape) == 4 + 3
 
 
 def test_d_model_heads_divisibility():

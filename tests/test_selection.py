@@ -6,7 +6,7 @@ from sparsetok.autodiff import Tape
 from sparsetok.errors import CapacityError, ContractError
 from sparsetok.rng import SeededRng
 from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
-                                 apply_ste, compute_keep_probabilities,
+                                 apply_ste, compute_keep_probabilities, index_grid,
                                  deterministic_topk_select, gumbel_topk_select,
                                  inference_k_for, inference_rank_topk,
                                  keep_scores_from_values, ratio_controlled_select,
@@ -381,3 +381,13 @@ class TestInference:
         assert inference_k_for(cfg, 3) == 1  # clamped to at least one token
         cfg_k = StrategyConfig("gumbel_topk", k=5)
         assert inference_k_for(cfg_k, 32) == 5
+
+
+def test_index_grid_is_built_once_per_shape():
+    grid = index_grid((3, 5))
+    np.testing.assert_array_equal(grid, np.broadcast_to(np.arange(5), (3, 5)))
+    assert grid.dtype == np.int64 and not grid.flags.writeable
+    assert index_grid((3, 5)) is grid
+    np.testing.assert_array_equal(index_grid((3, 5), 5),
+                                  np.broadcast_to(np.arange(5, 10), (3, 5)))
+    assert index_grid((4,)).tolist() == [0, 1, 2, 3]
