@@ -8,8 +8,9 @@ not to be fast on real workloads.
 
 Gradient-stopping is expressed structurally: tensors without a node id are
 constants, and `gather_rows` indices / `mask_multiply` masks never receive
-gradients. Gradient flow through discrete selection is routed explicitly by
-`straight_through`.
+gradients. `matmul`, `linear` and `batched_matmul` skip the adjoint product
+of a constant operand and return None for it. Gradient flow through discrete
+selection is routed explicitly by `straight_through`.
 
 Batch-axis contract. Training and evaluation record one node per op for a
 whole minibatch, not one per example:
@@ -31,13 +32,15 @@ whole minibatch, not one per example:
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
-- Kernels write into their own fresh buffers in place where that keeps the
-  order of floating-point operations, but never into an input or into the
-  incoming gradient `g`, which `add` hands to both of its inputs.
+- Kernels write into their own fresh buffers in place, but never into an
+  input or into the incoming gradient `g`, which `add` hands to both of its
+  inputs. Row and column sums run as BLAS matrix-vector products with a
+  constant vector, not as numpy reductions along a short axis.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -252,17 +255,30 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(kind: str, out: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable | None) -> Tensor:
-    tape = active_tape()
-    if tape is None or vjp is None:
+    # the tape stack is read inline: off-tape evaluations (every central
+    # difference) make hundreds of thousands of calls
+    if not _TAPE_STACK or vjp is None:
         return Tensor(out)
-    ids = tuple(t.node_id for t in inputs)
-    if all(i is None for i in ids):
+    ids = tuple([t.node_id for t in inputs])
+    if ids.count(None) == len(ids):
         return Tensor(out)
-    return Tensor(out, tape._append(kind, ids, vjp))
+    return Tensor(out, _TAPE_STACK[-1]._append(kind, ids, vjp))
 
 
-def _leading_axes(x: np.ndarray, trailing: int) -> tuple[int, ...]:
-    return tuple(range(x.ndim - trailing))
+@functools.lru_cache(maxsize=128)
+def _filled(n: int, value: float) -> np.ndarray:
+    """A read-only [n] vector of one value, kept for the most recent shapes:
+    the operand that turns a row or column sum into a BLAS matrix-vector
+    product."""
+    v = np.full(n, value)
+    v.flags.writeable = False
+    return v
+
+
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Sums over the rows of a [m, n] array, as one matrix-vector product
+    with a ones vector rather than a reduction along the row axis."""
+    return _filled(len(rows), 1.0) @ rows
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -273,8 +289,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape == b.shape:
         return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
     if 0 < b.data.ndim < a.data.ndim and a.shape[a.data.ndim - b.data.ndim:] == b.shape:
-        lead = _leading_axes(a.data, b.data.ndim)
-        return _record("add", a.data + b.data, (a, b), lambda g: (g, g.sum(axis=lead)))
+        shape, size = b.shape, b.data.size
+        return _record("add", a.data + b.data, (a, b),
+                       lambda g: (g, _column_sums(g.reshape(-1, size)).reshape(shape)))
     raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
 
 
@@ -299,7 +316,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
-    return _record("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _record("matmul", ad @ bd, (a, b),
+                   lambda g: (None if a.node_id is None else g @ bd.T,
+                              None if b.node_id is None else ad.T @ g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -312,7 +331,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     out = xd @ wd
     out += b.data
-    return _record("linear", out, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+    return _record("linear", out, (x, w, b),
+                   lambda g: (None if x.node_id is None else g @ wd.T,
+                              None if w.node_id is None else xd.T @ g,
+                              None if b.node_id is None else _column_sums(g)))
 
 
 def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -323,7 +345,8 @@ def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"batched_matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
     return _record("batched_matmul", ad @ bd, (a, b),
-                   lambda g: (g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g))
+                   lambda g: (None if a.node_id is None else g @ bd.transpose(0, 2, 1),
+                              None if b.node_id is None else ad.transpose(0, 2, 1) @ g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -353,34 +376,30 @@ def square(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU with the tanh approximation:
-    0.5 x (1 + tanh(c0 (x + c1 x^3))), derivative
-    0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2). The forward pass
-    allocates four full-size arrays (x^2 and t kept for the adjoint, one
-    temporary, the output), the adjoint two."""
+    """GELU with the tanh approximation 0.5 x (1 + tanh u), u = c0 (x + c1 x^3),
+    evaluated as x s with s = (1 + tanh u) / 2 = 1 / (1 + exp(-2u)): one
+    exp and one reciprocal. The derivative is s + 2 c0 out (1 - s)(1 + 3 c1 x^2).
+    Forward 8 passes over the array (x^2 and s kept for the adjoint), adjoint 7.
+    Very negative x overflows exp(-2u) to inf, which gives s = 0 exactly."""
     x = _as_tensor(x)
     xd = x.data
     sq = xd * xd
-    t = np.multiply(sq, _GELU_C1)
-    t *= xd
-    t += xd
-    t *= _GELU_C0
-    np.tanh(t, out=t)
-    out = np.multiply(xd, 0.5)
-    out *= np.add(t, 1.0)
+    s = np.multiply(sq, -2.0 * _GELU_C0 * _GELU_C1)
+    s -= 2.0 * _GELU_C0
+    s *= xd
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    out = xd * s
 
     def vjp(g):
-        d = np.multiply(t, t)
-        np.subtract(1.0, d, out=d)
-        buf = np.multiply(xd, 0.5)
+        d = np.subtract(1.0, s)
+        d *= out
+        buf = np.multiply(sq, 6.0 * _GELU_C0 * _GELU_C1)
+        buf += 2.0 * _GELU_C0
         d *= buf
-        d *= _GELU_C0
-        np.multiply(sq, 3.0 * _GELU_C1, out=buf)
-        buf += 1.0
-        d *= buf
-        np.add(t, 1.0, out=buf)
-        buf *= 0.5
-        d += buf
+        d += s
         d *= g
         return (d,)
 
@@ -389,39 +408,44 @@ def gelu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalization over the last axis of a [..., n, d] tensor with learnable
-    gain and bias. Forward and adjoint each allocate two full-size arrays."""
+    gain and bias. Every row mean is a matrix-vector product with a [d]
+    vector of 1/d, and the gain and bias gradients are products of a ones
+    vector with the [rows, d] arrays, so no reduction runs along the short
+    last axis. Forward and adjoint each allocate two full-size arrays."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim < 2:
         raise ShapeError(f"layer_norm expects rows of a 2-dim or wider input, got {x.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the row width")
-    xd = x.data
-    # row means as np.add.reduce(...) / d: what ndarray.mean computes, without
-    # its Python wrapper
-    row_sum = np.add.reduce
-    xhat = xd - row_sum(xd, axis=-1, keepdims=True) / d
+    shape = x.shape
+    rows = x.data.reshape(-1, d)
+    mean = _filled(d, 1.0 / d)
+    xhat = rows - (rows @ mean)[:, None]
     out = np.multiply(xhat, xhat)  # the squares first, the output at the end
-    inv = 1.0 / np.sqrt(row_sum(out, axis=-1, keepdims=True) / d + _LN_EPS)
-    xhat *= inv
+    inv = 1.0 / np.sqrt(out @ mean + _LN_EPS)
+    xhat *= inv[:, None]
     gd = gain.data
-    lead = _leading_axes(xd, 1)
 
     def vjp(g):
-        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+        # dxhat = g * gain, so both row means are products of g and of
+        # g * xhat with the vector gain / d
+        g = g.reshape(-1, d)
+        buf = np.multiply(g, xhat)
+        g_gain, g_bias = _column_sums(buf), _column_sums(g)
+        gain_mean = gd * mean
+        mean_dot, mean_dx = buf @ gain_mean, g @ gain_mean
         dx = np.multiply(g, gd)
-        buf = np.multiply(dx, xhat)
-        mean_dot = row_sum(buf, axis=-1, keepdims=True) / d
-        dx -= row_sum(dx, axis=-1, keepdims=True) / d
-        np.multiply(xhat, mean_dot, out=buf)
+        np.multiply(xhat, mean_dot[:, None], out=buf)
         dx -= buf
-        dx *= inv
-        np.multiply(g, xhat, out=buf)
-        return dx, buf.sum(axis=lead), g.sum(axis=lead)
+        dx -= mean_dx[:, None]
+        dx *= inv[:, None]
+        return dx.reshape(shape), g_gain, g_bias
 
     np.multiply(xhat, gd, out=out)
     out += bias.data
-    return _record("layer_norm", out, (x, gain, bias), vjp)
+    return _record("layer_norm", out.reshape(shape), (x, gain, bias), vjp)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -495,7 +519,7 @@ def transpose(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    new = tuple(int(s) for s in shape)
+    new = tuple(map(int, shape))
     if math.prod(new) != x.data.size:
         raise ShapeError(f"cannot reshape {x.shape} to {list(new)}")
     old = x.shape
@@ -527,10 +551,10 @@ def softmax_with_temperature(x: Tensor, axis: int, tau: float) -> Tensor:
     x = _as_tensor(x)
     if tau <= 0:
         raise DomainError(f"softmax temperature must be positive, got {tau}")
-    z = x.data / tau
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data / tau
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         return ((y * (g - (g * y).sum(axis=axis, keepdims=True))) / tau,)
@@ -548,8 +572,12 @@ def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
     negative value masks the key out. Returns the heads' contexts [B*L, d],
     head-major columns.
 
-    The softmax and its adjoint run in place: one [B, heads, L, L] buffer
-    forward and one backward, whatever the head count.
+    The logits are laid out key-major, [B, heads, key, query] = k @ q^T, so
+    the softmax's max and sum reduce across rows of the contiguous query
+    axis, and the contexts are probs^T @ v through a transposed view. The
+    1/sqrt(dk) scale is folded into the [L, dk] q operand, not the [L, L]
+    logits. The softmax and its adjoint run in place: one [B, heads, L, L]
+    buffer forward and one backward, whatever the head count.
     """
     qkv = _as_tensor(qkv)
     rows, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
@@ -566,29 +594,34 @@ def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
     scale = 1.0 / math.sqrt(dk)
     # [3, B, H, L, dk] views of q, k and v; every [L, dk] slice stays BLAS-ready
     q, k, v = qkv.data.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
-    probs = q @ k.transpose(0, 1, 3, 2)
-    probs *= scale
+    probs = k @ (q * scale).transpose(0, 1, 3, 2)
     if key_bias is not None:
-        probs += key_bias[:, None, None, :]
-    probs -= probs.max(axis=-1, keepdims=True)
+        probs += key_bias[:, None, :, None]
+    probs -= probs.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    context = probs @ v
-    out = context.transpose(0, 2, 1, 3).reshape(rows, d)
+    probs *= 1.0 / np.add.reduce(probs, axis=-2, keepdims=True)
+    # the contexts are written straight into the [B*L, d] output's head blocks
+    out = np.empty((batch, length, heads, dk))
+    np.matmul(probs.transpose(0, 1, 3, 2), v, out=out.transpose(0, 2, 1, 3))
+    out = out.reshape(rows, d)
 
     def vjp(g):
         g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
         grad = np.empty((batch, length, 3, heads, dk))
         g_q, g_k, g_v = grad.transpose(2, 0, 3, 1, 4)
-        np.matmul(probs.transpose(0, 1, 3, 2), g_context, out=g_v)
-        g_logits = g_context @ v.transpose(0, 1, 3, 2)
+        np.matmul(probs, g_context, out=g_v)
+        g_logits = v @ g_context.transpose(0, 1, 3, 2)
         # softmax adjoint P * (dP - rowsum(dP * P)), where rowsum(dP * P) =
-        # rowsum(dO * O) needs no second [L, L] array
-        g_logits -= np.add.reduce(g_context * context, axis=-1, keepdims=True)
+        # rowsum(dO * O) needs no second [L, L] array; it is one
+        # matrix-vector product over the [B*L*heads, dk] rows of dO * O
+        row_term = np.multiply(g, out).reshape(-1, dk) @ _filled(dk, 1.0)
+        g_logits -= row_term.reshape(batch, length, heads).transpose(0, 2, 1).copy()[:, :, None]
         g_logits *= probs
+        # the 1/sqrt(dk) of q: on the contiguous logit gradient, not the
+        # strided g_q block
         g_logits *= scale
-        np.matmul(g_logits, k, out=g_q)
-        np.matmul(g_logits.transpose(0, 1, 3, 2), q, out=g_k)
+        np.matmul(g_logits, q, out=g_k)
+        np.matmul(g_logits.transpose(0, 1, 3, 2), k, out=g_q)
         return (grad.reshape(rows, width),)
 
     return _record("attention", out, (qkv,), vjp)

@@ -97,7 +97,9 @@ def _catalog_cases(rng: SeededRng):
         ("mean_squared_error", r((2, 3)),
          lambda x: ad.mean_squared_error(x, ad.constant(w23))),
     ]
-    return cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
+    # appended cases come last, so the earlier ones keep their draws
+    return (cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
+            + _long_attention_cases(r))
 
 
 def _batched_cases(r):
@@ -185,6 +187,18 @@ def _linear_cases(r):
         ("linear_x", r((3, 4)), lambda v: _scalarize(ad.linear(v, const(w), const(b)), out_w)),
         ("linear_w", r((4, 2)), lambda v: _scalarize(ad.linear(const(x), v, const(b)), out_w)),
         ("linear_b", r((2,)), lambda v: _scalarize(ad.linear(const(x), const(w), v), out_w)),
+    ]
+
+
+def _long_attention_cases(r):
+    """Attention whose sequences are longer than its head width: two heads
+    of width 1 on a batch of two length-5 sequences, one masked key each."""
+    w = r((10, 2))
+    key_bias = np.zeros((2, 5))
+    key_bias[0, 4] = key_bias[1, 1] = -1e9
+    return [
+        ("attention_2heads_length5", r((10, 6)),
+         lambda x: _scalarize(ad.attention(x, 2, 2, key_bias), w)),
     ]
 
 

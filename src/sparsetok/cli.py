@@ -19,8 +19,8 @@ from .train import RunConfig, k_for_fraction, train_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
 
-# `train` has diverged when its last epoch's train loss exceeds the first
-# epoch's by more than this factor
+# a run (`train`, or one `sweep` cell) has diverged when its last epoch's
+# train loss exceeds the first epoch's by more than this factor
 DIVERGENCE_FACTOR = 10.0
 
 
@@ -236,12 +236,23 @@ def _cmd_sweep(args) -> int:
                                          opt["out"], grid, strategies)
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"curve -> {svg_path}")
+
+    def where(row) -> str:
+        x_value = {"tau": row.tau, "lambda": row.lam}.get(axis, row.keep_fraction)
+        return f"the {row.strategy} cell at {X_COLUMNS[axis]} {x_value:g} (seed {row.seed})"
+
     diverged = [row for row in rows if not math.isfinite(row.train_loss)]
     if diverged:
+        print(f"error: train loss is {diverged[0].train_loss} in {where(diverged[0])}",
+              file=sys.stderr)
+        return EXIT_VERIFY
+    diverged = [row for row in rows
+                if row.train_loss > DIVERGENCE_FACTOR * row.first_train_loss]
+    if diverged:
         row = diverged[0]
-        x_value = {"tau": row.tau, "lambda": row.lam}.get(axis, row.keep_fraction)
-        print(f"error: train loss is {row.train_loss} in the {row.strategy} cell at "
-              f"{X_COLUMNS[axis]} {x_value:g} (seed {row.seed})", file=sys.stderr)
+        print(f"error: train loss diverged from {row.first_train_loss:.6g} in the first "
+              f"epoch to {row.train_loss:.6g} in the last, more than "
+              f"{DIVERGENCE_FACTOR:g}x, in {where(row)}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

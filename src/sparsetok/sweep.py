@@ -5,6 +5,7 @@ to run in parallel (STKN_THREADS caps the worker count).
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -82,11 +83,19 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
     return cells
 
 
-def _run_cell(payload: tuple[SweepCell, int, int]) -> tuple[int, int, MetricsRow]:
+@dataclass
+class SweepRow(MetricsRow):
+    """A cell's final-epoch row plus its run's first-epoch train loss, which
+    the divergence check reads and the CSV leaves out."""
+    first_train_loss: float = math.nan
+
+
+def _run_cell(payload: tuple[SweepCell, int, int]) -> tuple[int, int, SweepRow]:
     cell, seed_index, master_seed = payload
     cfg = replace(cell.cfg, seed=cell_seed(master_seed, cell.index, seed_index))
-    final = train_run(cfg).final
-    return cell.index, seed_index, final
+    rows = train_run(cfg).rows
+    return cell.index, seed_index, SweepRow(**vars(rows[-1]),
+                                            first_train_loss=rows[0].train_loss)
 
 
 def _worker_count() -> int:
@@ -106,7 +115,7 @@ def _worker_count() -> int:
 def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
               out_dir: str, grid: tuple[float, ...] | None = None,
               strategies: tuple[str, ...] = CURVE_STRATEGIES,
-              ) -> tuple[list[MetricsRow], str, str]:
+              ) -> tuple[list[SweepRow], str, str]:
     """Run the grid, write the combined CSV and the accuracy curve SVG."""
     workers = _worker_count()
     cells = build_cells(axis, base, n_tokens, grid, strategies)
@@ -119,7 +128,7 @@ def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
     outcomes.sort(key=lambda item: (item[0], item[1]))  # deterministic merge order
 
     by_cell: dict[int, SweepCell] = {c.index: c for c in cells}
-    rows: list[MetricsRow] = []
+    rows: list[SweepRow] = []
     series: dict[str, dict[float, list[float]]] = {}
     for cell_index, _seed_index, final in outcomes:
         cell = by_cell[cell_index]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,30 +289,35 @@ def test_linear_rejects_shapes_that_do_not_conform():
             ad.linear(*args)
 
 
-# the GELU and layer-norm formulas written out plainly; the in-place kernels
-# must reproduce them bit for bit
+# the GELU and layer-norm formulas written out plainly, in the order of
+# floating-point operations the in-place kernels use, which must reproduce
+# them bit for bit
 _C0, _C1, _EPS = 0.7978845608028654, 0.044715, 1e-5
 
 
-def _gelu_reference(x, g):
+def _gelu_formula(x, g):
+    """x s with s = 1 / (1 + exp(-2u)), derivative s + 2 c0 out (1 - s)(1 + 3 c1 x^2)."""
     sq = x * x
-    t = np.tanh(_C0 * (x + _C1 * sq * x))
-    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _C0 * (1.0 + 3.0 * _C1 * sq)
-    return 0.5 * x * (1.0 + t), g * d
+    s = 1.0 / (1.0 + np.exp((sq * (-2.0 * _C0 * _C1) - 2.0 * _C0) * x))
+    out = x * s
+    d = (1.0 - s) * out * (sq * (6.0 * _C0 * _C1) + 2.0 * _C0) + s
+    return out, d * g
 
 
-def _layer_norm_reference(x, gain, bias, g):
+def _layer_norm_formula(x, gain, bias, g):
+    """Row means as products with a [d] vector of 1/d, column sums as
+    products with a ones vector."""
     d = x.shape[-1]
-    lead = tuple(range(x.ndim - 1))
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
-    xc = x - mu
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + _EPS)
-    xhat = xc * inv
-    dxhat = g * gain
-    dx = inv * (dxhat
-                - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
-    return xhat * gain + bias, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+    rows, g = x.reshape(-1, d), g.reshape(-1, d)
+    mean, ones = np.full(d, 1.0 / d), np.ones(len(rows))
+    xc = rows - (rows @ mean)[:, None]
+    inv = 1.0 / np.sqrt((xc * xc) @ mean + _EPS)
+    xhat = xc * inv[:, None]
+    g_xhat, gain_mean = g * xhat, gain * mean
+    dx = (g * gain - xhat * (g_xhat @ gain_mean)[:, None]
+          - (g @ gain_mean)[:, None]) * inv[:, None]
+    return ((xhat * gain + bias).reshape(x.shape),
+            (dx.reshape(x.shape), ones @ g_xhat, ones @ g))
 
 
 def _value_and_adjoint(build, arrays, g):
@@ -332,7 +338,7 @@ def test_gelu_matches_the_unfused_formula_exactly(shape):
     x = 3.0 * rng.normals(int(np.prod(shape))).reshape(shape)
     g = rng.normals(x.size).reshape(shape)
     value, (dx,) = _value_and_adjoint(ad.gelu, [x], g)
-    ref_value, ref_dx = _gelu_reference(x, g)
+    ref_value, ref_dx = _gelu_formula(x, g)
     np.testing.assert_array_equal(value, ref_value)
     np.testing.assert_array_equal(dx, ref_dx)
 
@@ -345,10 +351,138 @@ def test_layer_norm_matches_the_unfused_formula_exactly(shape):
     gain, bias = rng.normals(d) + 1.0, rng.normals(d)
     g = rng.normals(x.size).reshape(shape)
     value, grads = _value_and_adjoint(ad.layer_norm, [x, gain, bias], g)
-    ref_value, ref_grads = _layer_norm_reference(x, gain, bias, g)
+    ref_value, ref_grads = _layer_norm_formula(x, gain, bias, g)
     np.testing.assert_array_equal(value, ref_value)
     for got, expected in zip(grads, ref_grads):
         np.testing.assert_array_equal(got, expected)
+
+
+# the textbook forms of the three row-wise kernels: GELU through tanh,
+# layer norm with numpy's row reductions, and a query-major attention
+# softmax with the scale on the logits; the kernels reorder the arithmetic,
+# so they must agree to rounding, measured against the largest value
+def _assert_close(got, expected, rel=1e-13):
+    scale = np.abs(expected).max()
+    assert np.abs(got - expected).max() <= rel * scale, (np.abs(got - expected).max(), scale)
+
+
+def _gelu_tanh(x, g):
+    sq = x * x
+    t = np.tanh(_C0 * (x + _C1 * sq * x))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _C0 * (1.0 + 3.0 * _C1 * sq)
+    return 0.5 * x * (1.0 + t), g * d
+
+
+def _layer_norm_reduce(x, gain, bias, g):
+    d = x.shape[-1]
+    lead = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _EPS)
+    xhat = xc * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def _attention_query_major(qkv, batch, heads, key_bias, g):
+    rows, width = qkv.shape
+    d, length = width // 3, rows // batch
+    dk = d // heads
+    q, k, v = qkv.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk) + key_bias[:, None, None, :]
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(rows, d)
+    g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
+    g_p = g_context @ v.transpose(0, 1, 3, 2)
+    g_logits = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) / np.sqrt(dk)
+    grads = np.stack([g_logits @ k, g_logits.transpose(0, 1, 3, 2) @ q,
+                      p.transpose(0, 1, 3, 2) @ g_context])  # [3, B, H, L, dk]
+    return out, grads.transpose(1, 3, 0, 2, 4).reshape(rows, width)
+
+
+@pytest.mark.parametrize("shape", [(256, 128), (1024, 128), (3, 5)])
+def test_gelu_agrees_with_the_tanh_form(shape):
+    rng = SeededRng(shape[0] + 7)
+    x = 3.0 * rng.normals(shape[0] * shape[1]).reshape(shape)
+    g = rng.normals(x.size).reshape(shape)
+    value, (dx,) = _value_and_adjoint(ad.gelu, [x], g)
+    ref_value, ref_dx = _gelu_tanh(x, g)
+    _assert_close(value, ref_value)
+    _assert_close(dx, ref_dx)
+
+
+@pytest.mark.parametrize("length", [1, 8, 33])
+@pytest.mark.parametrize("d", [16, 32])
+def test_layer_norm_agrees_with_row_reductions(length, d):
+    rng = SeededRng(length * 100 + d)
+    shape = (32, length, d)
+    x = 2.0 * rng.normals(int(np.prod(shape))).reshape(shape) + 0.5
+    gain, bias = rng.normals(d) + 1.0, rng.normals(d)
+    g = rng.normals(x.size).reshape(shape)
+    value, grads = _value_and_adjoint(ad.layer_norm, [x, gain, bias], g)
+    ref_value, ref_grads = _layer_norm_reduce(x, gain, bias, g)
+    _assert_close(value, ref_value)
+    for got, expected in zip(grads, ref_grads):
+        _assert_close(got, expected)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [1, 3, 8, 64])
+def test_attention_agrees_with_the_query_major_form(length, heads, padded):
+    """Three sequences of 16-wide rows; with padding, the second one masks
+    its second half of keys and the third keeps only key 0."""
+    batch, d = 3, 16
+    rng = SeededRng(length * 10 + heads)
+    qkv = rng.normals(batch * length * 3 * d).reshape(batch * length, 3 * d)
+    g = rng.normals(batch * length * d).reshape(batch * length, d)
+    key_bias = np.zeros((batch, length))
+    if padded:
+        key_bias[1, (length + 1) // 2:] = -1e9
+        key_bias[2, 1:] = -1e9
+    value, (grad,) = _value_and_adjoint(
+        lambda x: ad.attention(x, batch, heads, key_bias if padded else None), [qkv], g)
+    ref_value, ref_grad = _attention_query_major(qkv, batch, heads, key_bias, g)
+    _assert_close(value, ref_value)
+    _assert_close(grad, ref_grad)
+
+
+def test_gelu_is_finite_and_silent_at_large_magnitudes():
+    x = np.array([-1e4, -50.0, 50.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, (dx,) = _value_and_adjoint(ad.gelu, [x], np.ones(4))
+    np.testing.assert_array_equal(value, [0.0, 0.0, 50.0, 1e4])
+    np.testing.assert_array_equal(dx, [0.0, 0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("op, shapes", [
+    ("matmul", [(5, 4), (4, 3)]),
+    ("linear", [(5, 4), (4, 3), (3,)]),
+    ("batched_matmul", [(2, 5, 4), (2, 4, 3)]),
+])
+def test_constant_operands_get_no_adjoint_product(op, shapes):
+    """An operand with no tape node gets None, and the others' gradients
+    are those of the all-leaf node bit for bit."""
+    rng = SeededRng(len(op))
+    arrays = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
+    fn = getattr(ad, op)
+    shape = fn(*arrays).shape
+    g = rng.normals(int(np.prod(shape))).reshape(shape)
+    _, all_leaves = _value_and_adjoint(fn, arrays, g)
+    for const in range(len(arrays)):
+        with Tape() as tape:
+            fn(*[ad.constant(a) if i == const else tape.leaf(a)
+                 for i, a in enumerate(arrays)])
+            _, _, vjp = tape._nodes[-1]
+            grads = vjp(g)
+        assert grads[const] is None
+        for i, (got, expected) in enumerate(zip(grads, all_leaves)):
+            if i != const:
+                np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("kernel", ["gelu", "layer_norm", "linear"])

@@ -236,6 +236,22 @@ class TestSweep:
         assert [r["train_loss"] for r in rows] == ["nan"]  # still written for inspection
         assert os.path.exists(os.path.join(out, "sweep_sparsity.svg"))
 
+    def test_finite_cell_divergence_is_verification_failure(self, tmp_path, dataset, capsys):
+        out = str(tmp_path / "sweep6")
+        rc = main(["sweep", "--dataset", dataset, "--out", out, "--lr", "5", "--epochs", "2",
+                   "--grid", "0.25", "--strategies", "gumbel_topk", "--tau", "0.5",
+                   "--batch-size", "16", "--seed", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        named = re.search(r"diverged from (\S+) in the first epoch to (\S+) in the last, "
+                          r"more than 10x, in the gumbel_topk cell at keep_fraction 0.25", err)
+        assert named, err
+        rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
+        last = float(rows[0]["train_loss"])  # the CSV keeps only the last epoch
+        assert 10 * float(named[1]) < last < float("inf")
+        assert float(named[2]) == pytest.approx(last, rel=1e-5)
+        assert os.path.exists(os.path.join(out, "sweep_sparsity.svg"))
+
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_stkn_threads_must_be_a_positive_integer(tmp_path, dataset, capsys, monkeypatch, value):
