@@ -643,12 +643,11 @@ def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
         raise IndexError(f"target class {int(t[bad][0])} out of range for {c} classes")
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    p = np.exp(z - lse)
     at = np.arange(rows)
     shape = logits.shape
 
     def vjp(g):
-        d = p.copy()
+        d = np.exp(z - lse)  # softmax(z), made only when the adjoint is taken
         d[at, t] -= 1.0
         return ((d * g[:, None]).reshape(shape),)
 

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 CSV_COLUMNS = ("keep_fraction", "strategy", "tau", "lambda", "seed", "epoch",
                "train_loss", "eval_accuracy", "mean_keep_ratio",
                "selection_recall", "wall_seconds")
+
+
+def _escape(text: str) -> str:
+    """&, < and > as XML entities, as xml.sax.saxutils.escape writes them; that
+    module's import pulls in urllib, http.client, email and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def timing_enabled() -> bool:
@@ -112,13 +117,13 @@ def write_line_plot(path: str, series: dict[str, list[tuple[float, float]]],
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="18" text-anchor="middle" font-size="14">{escape(title)}</text>',
+        f'<text x="{_W // 2}" y="18" text-anchor="middle" font-size="14">{_escape(title)}</text>',
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
         f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 8}" text-anchor="middle" '
-        f'font-size="12">{escape(x_label)}</text>',
+        f'font-size="12">{_escape(x_label)}</text>',
         f'<text x="14" y="{(_MT + _H - _MB) // 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {(_MT + _H - _MB) // 2})">{escape(y_label)}</text>',
+        f'transform="rotate(-90 14 {(_MT + _H - _MB) // 2})">{_escape(y_label)}</text>',
     ]
     for tick in range(5):
         xv = x_lo + tick * (x_hi - x_lo) / 4 if x_hi > x_lo else x_lo
@@ -137,7 +142,7 @@ def write_line_plot(path: str, series: dict[str, list[tuple[float, float]]],
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly - 4}" x2="{_W - _MR - 126}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W - _MR - 120}" y="{ly}" font-size="11">{escape(name)}</text>')
+        parts.append(f'<text x="{_W - _MR - 120}" y="{ly}" font-size="11">{_escape(name)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -105,6 +105,31 @@ def test_cross_entropy_closed_forms():
                - 10.000090795737467) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(5,), (1, 3), (7, 5)])
+def test_cross_entropy_matches_the_eager_softmax_formula(shape):
+    """The adjoint builds softmax(z) only when it runs; values and gradients
+    keep the bits of the formula that built it in the forward."""
+    rng = SeededRng(17)
+    z = rng.normals(math.prod(shape), 0.0, 4.0).reshape(shape)
+    rows = 1 if len(shape) == 1 else shape[0]
+    target = np.arange(rows) * 2 % shape[-1]
+    weights = rng.normals(rows)
+    with Tape() as tape:
+        x = tape.leaf(z)
+        loss = ad.cross_entropy_loss(x, target)
+        tape.backward(ad.mean_all(ad.multiply(loss, ad.constant(weights))))
+    z2 = np.atleast_2d(z)
+    at = np.arange(rows)
+    m = z2.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z2 - m).sum(axis=1, keepdims=True))
+    p = np.exp(z2 - lse)
+    d = p.copy()
+    d[at, target] -= 1.0
+    np.testing.assert_array_equal(loss.data, lse[:, 0] - z2[at, target])
+    np.testing.assert_array_equal(tape.grad(x), (d * tape.grad(loss)[:, None]).reshape(shape))
+    np.testing.assert_array_equal(ad.cross_entropy_loss(ad.constant(z), target).data, loss.data)
+
+
 def test_cross_entropy_target_range():
     with pytest.raises(IndexError):
         ad.cross_entropy_loss(ad.constant([0.0, 0.0]), 2)

@@ -1,6 +1,8 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsetok.rng import SeededRng, mix64, mix_words
+from sparsetok.rng import SeededRng, mix64, mix_words, mix_words_array
 
 
 def test_identical_seed_stream_sequence_is_bit_identical():
@@ -71,3 +73,55 @@ def test_mix64_scalar_matches_vector_path():
 
 def test_mix_words_order_sensitive():
     assert mix_words(1, 2) != mix_words(2, 1)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**64 - 1), min_size=1, max_size=4),
+       st.integers(-2**63, 2**63 - 1))
+def test_mix_words_array_matches_mix_words(words, varying):
+    column = np.array([varying, 0, -1], dtype=np.int64)
+    mixed = mix_words_array(*words, column, *words)
+    for w, m in zip(column.tolist(), mixed):
+        assert int(m) == mix_words(*words, w, *words)
+
+
+_int64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+       st.lists(_int64, min_size=1, max_size=5), st.lists(_int64, max_size=3),
+       st.integers(0, 9), st.floats(-5, 5), st.floats(0, 5), st.integers(1, 7))
+def test_streams_draw_what_each_split_stream_draws(seed, stream_id, ids, labels, count,
+                                                   mean, stddev, bound):
+    root = SeededRng(seed, stream_id)
+    batch = root.streams(5, np.array(ids, dtype=np.int64), *labels)
+    alone = [root.split(5, i, *labels) for i in ids]
+    assert len(batch) == len(ids)
+
+    def each(draw):
+        return np.stack([draw(rng) for rng in alone])
+
+    assert _same_bits(batch.uniforms(count), each(lambda r: r.uniforms(count)))
+    for k in (count, count + 1):  # an odd and an even count
+        assert _same_bits(batch.normals(k, mean, stddev),
+                          each(lambda r: r.normals(k, mean, stddev)))
+    assert _same_bits(batch.normals(count), each(lambda r: r.normals(count)))
+    assert _same_bits(batch.permutations(count + 1), each(lambda r: r.permutation(count + 1)))
+    assert _same_bits(batch.integers(bound), np.array([r.integer(bound) for r in alone]))
+    children = batch.split(*labels, 8)
+    assert _same_bits(children.normals(count + 2),
+                      each(lambda r: r.split(*labels, 8).normals(count + 2)))
+    # the parents' counters went on independently of their children
+    assert _same_bits(batch.uniforms(3), each(lambda r: r.uniforms(3)))
+
+
+def test_scalar_labels_give_one_stream():
+    batch = SeededRng(3).streams(4, 9)
+    assert len(batch) == 1
+    assert _same_bits(batch.uniforms(5)[0], SeededRng(3).split(4, 9).uniforms(5))
