@@ -10,19 +10,22 @@ alone can beat 50% accuracy while both together determine the label.
 """
 from __future__ import annotations
 
-import functools
-import itertools
+import base64
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
 from .rng import SeededRng, SeededStreams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PROTOTYPE_MAX_COSINE = 0.3
+# prototype draws before make_prototypes gives up: about 90x the most that a
+# separable spec took over 16 seeds (1,108: 10 classes in d=16), and about
+# 0.2 s of block draws at 8 classes in d=2
+PROTOTYPE_DRAWS = 100_000
 
 DISTRACTOR_MODES = ("pure_noise", "decoy_prototypes")
 # random values in one array draw of NeedleGenerator; bounds a chunk's memory
@@ -67,14 +70,26 @@ def make_prototypes(rng: SeededRng, num_classes: int, d: int,
                     max_cosine: float = PROTOTYPE_MAX_COSINE) -> np.ndarray:
     """Unit-norm class prototypes with pairwise cosine <= max_cosine.
 
-    Redrawn as a whole until separated; deterministic given the stream.
+    The first separated set among the stream's successive
+    normals(num_classes * d) draws; deterministic given the stream. Draws are
+    made in growing blocks, so the stream is left past the returned draw.
+    Raises SchemaError when none of PROTOTYPE_DRAWS draws is separated.
     """
-    while True:
-        p = rng.normals(num_classes * d).reshape(num_classes, d)
-        p /= np.linalg.norm(p, axis=1, keepdims=True)
-        cos = p @ p.T
-        if cos[~np.eye(num_classes, dtype=bool)].max() <= max_cosine:
-            return p
+    off_diagonal = ~np.eye(num_classes, dtype=bool)
+    most = max(1, _CHUNK_VALUES // (num_classes * d))
+    drawn, block = 0, 1
+    while drawn < PROTOTYPE_DRAWS:
+        block = min(block, PROTOTYPE_DRAWS - drawn)
+        p = rng.normal_rows(block, num_classes * d).reshape(block, num_classes, d)
+        p /= np.linalg.norm(p, axis=2, keepdims=True)
+        separated = (p @ p.transpose(0, 2, 1))[:, off_diagonal].max(axis=1) <= max_cosine
+        if separated.any():
+            return p[np.argmax(separated)]
+        drawn += block
+        block = min(2 * block, most)
+    raise SchemaError(f"no {num_classes} class prototypes in d={d} have pairwise cosine "
+                      f"<= {max_cosine} in {PROTOTYPE_DRAWS} draws; use fewer classes "
+                      "or a larger d")
 
 
 class NeedleGenerator:
@@ -164,42 +179,50 @@ def nearest_prototype_oracle(example: Example, prototypes: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# line-delimited decimal serialization (JSON records, 17 significant digits)
-
-@functools.lru_cache(maxsize=8)
-def _matrix_template(rows: int, cols: int) -> str:
-    """printf template of a [rows, cols] matrix in JSON, one "%.17g" a value."""
-    row = "[" + ",".join(["%.17g"] * cols) + "]"
-    return "[" + ",".join([row] * rows) + "]"
-
-
-def _fmt_matrix(m: np.ndarray) -> str:
-    """JSON text of a 2-D float matrix, every value as format(x, ".17g")."""
-    return _matrix_template(*m.shape) % tuple(m.ravel().tolist())
-
+# JSON Lines: a header, then one record per example whose token matrices are
+# base64 strings of their little-endian float64 values, row-major
 
 def _fmt_indices(idx: np.ndarray) -> str:
     return "[" + ",".join(str(int(i)) for i in idx) + "]"
 
 
+def _b64_matrix(m: np.ndarray) -> str:
+    return base64.b64encode(m.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _check_examples(examples: list[Example], spec: NeedleSpec) -> None:
+    shape = (spec.n, spec.d)
+    for ex in examples:
+        if ex.tokens.shape != shape:
+            raise SchemaError(f"example {ex.id}: tokens have shape {ex.tokens.shape}, "
+                              f"not the spec's (n, d) = {shape}")
+        if not spec.multimodal:
+            continue
+        if ex.textual_tokens is None or ex.textual_informative_indices is None:
+            raise SchemaError(f"example {ex.id} has no textual tokens for a multimodal spec")
+        if ex.textual_tokens.shape != shape:
+            raise SchemaError(f"example {ex.id}: textual_tokens have shape "
+                              f"{ex.textual_tokens.shape}, not the spec's (n, d) = {shape}")
+
+
 def write_dataset(examples: list[Example], path: str, spec: NeedleSpec, seed: int) -> None:
+    """Write the examples of spec; raises SchemaError before writing anything
+    when an example does not fit the spec."""
+    _check_examples(examples, spec)
     header = {"format_version": FORMAT_VERSION, "n": spec.n, "d": spec.d,
               "num_classes": spec.num_classes, "multimodal": spec.multimodal,
-              "seed": seed}
+              "seed": seed, "count": len(examples), **asdict(spec)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for ex in examples:
             parts = [f'"id":{ex.id}', f'"label":{ex.label}',
                      f'"informative_indices":{_fmt_indices(ex.informative_indices)}',
-                     f'"tokens":{_fmt_matrix(ex.tokens)}']
+                     f'"tokens":"{_b64_matrix(ex.tokens)}"']
             if spec.multimodal:
                 parts.append('"textual_informative_indices":'
                              f"{_fmt_indices(ex.textual_informative_indices)}")
-                parts.append(f'"textual_tokens":{_fmt_matrix(ex.textual_tokens)}')
+                parts.append(f'"textual_tokens":"{_b64_matrix(ex.textual_tokens)}"')
             fh.write("{" + ",".join(parts) + "}\n")
-
-
-_NUMBER_TYPES = frozenset((float, int))  # type(True) is bool, so booleans are left out
 
 
 def _json_int(value, line_no: int, fieldname: str) -> int:
@@ -215,23 +238,20 @@ def _index_list(raw, line_no: int, fieldname: str) -> list:
 
 
 def _fill_matrix(out: np.ndarray, raw, line_no: int, fieldname: str) -> None:
-    """Copy a JSON [n, d] matrix of numbers into out, whose shape is [n, d].
-    The element types are collected in C, not checked one value at a time."""
-    n, d = out.shape
+    """Decode a base64 string of out.size float64 values into out."""
+    if type(raw) is not str:
+        raise SchemaError(f"line {line_no}: {fieldname} is not a JSON string of base64 "
+                          "float64 values")
     try:
-        kinds = set(map(type, itertools.chain.from_iterable(raw)))
-        shaped = type(raw) is list and len(raw) == n and set(map(len, raw)) <= {d}
-    except TypeError:  # raw, or one of its rows, is a number
-        kinds, shaped = set(), False
-    if not kinds <= _NUMBER_TYPES:
-        raise SchemaError(f"line {line_no}: {fieldname} must hold JSON numbers only")
-    if not shaped:
-        raise SchemaError(f"line {line_no}: {fieldname} is not an [n, d] matrix with the "
-                          f"header's (n={n}, d={d})")
-    try:
-        out[...] = raw
-    except OverflowError:  # an integer beyond the float range
-        raise SchemaError(f"line {line_no}: {fieldname} holds a non-finite value") from None
+        buf = base64.b64decode(raw, validate=True)
+    except ValueError as e:  # binascii.Error, or a character beyond ASCII
+        raise SchemaError(f"line {line_no}: {fieldname} is not valid base64: {e}") from None
+    if len(buf) != out.nbytes:
+        n, d = out.shape
+        raise SchemaError(f"line {line_no}: {fieldname} holds {len(buf)} bytes, not the "
+                          f"{out.nbytes} of an [n, d] float64 matrix with the header's "
+                          f"(n={n}, d={d})")
+    out[...] = np.frombuffer(buf, dtype="<f8").reshape(out.shape)
 
 
 _LOAD_CACHE: dict = {}
@@ -254,10 +274,11 @@ def load_dataset(path: str) -> tuple[list[Example], dict]:
     return list(examples), dict(header)
 
 
-def _header_field(header: dict, key: str, kind: type) -> None:
+def _header_field(header: dict, key: str, kind: type, least: int = 1) -> None:
     value = header[key]
-    if type(value) is not kind or (kind is int and value <= 0):
-        want = "a positive JSON integer" if kind is int else "a JSON boolean"
+    if type(value) is not kind or (kind is int and value < least):
+        want = ("a JSON boolean" if kind is bool else
+                "a positive JSON integer" if least else "a non-negative JSON integer")
         raise SchemaError(f"line 1: header {key!r} must be {want}, got {value!r}")
 
 
@@ -275,18 +296,26 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
             raise ParseError(f"line 1: {e}") from None
         if type(header) is not dict:
             raise SchemaError("line 1: header is not a JSON object")
-        for key in ("format_version", "n", "d", "num_classes", "multimodal", "seed"):
+        version = header.get("format_version")
+        if version == 1:
+            raise SchemaError("line 1: format_version 1 (decimal tokens) is no longer read; "
+                              "regenerate the file with `sparsetok gen-data`")
+        for key in ("format_version", "n", "d", "num_classes", "multimodal", "seed", "count"):
             if key not in header:
                 raise SchemaError(f"line 1: header missing {key!r}")
-        if header["format_version"] != FORMAT_VERSION:
-            raise SchemaError(f"line 1: unsupported format_version {header['format_version']}")
+        if version != FORMAT_VERSION:
+            raise SchemaError(f"line 1: unsupported format_version {version}")
         for key in ("n", "d", "num_classes"):
             _header_field(header, key, int)
         _header_field(header, "multimodal", bool)
+        _header_field(header, "count", int, least=0)
         n, d, c = header["n"], header["d"], header["num_classes"]
         multimodal = header["multimodal"]
 
         count = sum(1 for line in fh if line.strip())
+        if count != header["count"]:
+            raise SchemaError(f"line 1: header 'count' is {header['count']}, but the file "
+                              f"holds {count} records")
         fh.seek(0)
         fh.readline()
         channels = 2 if multimodal else 1

@@ -82,12 +82,15 @@ class _CounterDraws:
 
     def normals(self, count: int, mean: float = 0.0, stddev: float = 1.0) -> np.ndarray:
         """count Box-Muller normal draws with the given mean and stddev."""
-        pairs = (count + 1) // 2
-        u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
-        theta = (2.0 * math.pi) * u[..., pairs:]
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
-        return mean + stddev * z
+        return mean + stddev * _box_muller(self.uniforms(2 * ((count + 1) // 2)), count)
+
+
+def _box_muller(u: np.ndarray, count: int) -> np.ndarray:
+    """count standard normals from each row of 2 * ceil(count / 2) uniforms."""
+    pairs = (count + 1) // 2
+    r = np.sqrt(-2.0 * np.log(u[..., :pairs]))
+    theta = (2.0 * math.pi) * u[..., pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :count]
 
 
 class SeededRng(_CounterDraws):
@@ -126,6 +129,11 @@ class SeededRng(_CounterDraws):
     def integer(self, bound: int) -> int:
         """One integer in [0, bound); exactly unbiased when bound divides 2^53."""
         return min(int(self.uniform() * bound), bound - 1)
+
+    def normal_rows(self, rows: int, count: int) -> np.ndarray:
+        """rows successive `normals(count)` draws as one [rows, count] array."""
+        u = self.uniforms(rows * 2 * ((count + 1) // 2)).reshape(rows, -1)
+        return _box_muller(u, count)
 
     def permutation(self, n: int) -> np.ndarray:
         return np.argsort(self.uniforms(n), kind="stable")

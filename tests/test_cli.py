@@ -48,7 +48,7 @@ def test_gen_data_defaults_echoed_in_header(tmp_path):
     path = str(tmp_path / "default.jsonl")
     assert main(["gen-data", "--out", path, "--seed", "1", "--count", "2"]) == 0
     with open(path) as fh:
-        assert fh.readline().startswith('{"format_version":1,"n":32,"d":16,"num_classes":4')
+        assert fh.readline().startswith('{"format_version":2,"n":32,"d":16,"num_classes":4')
 
 
 def test_train_writes_metrics_and_checkpoint(tmp_path, dataset):

@@ -56,6 +56,15 @@ def test_normals_moments():
     assert abs(z.std() - 3.0) < 0.05
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 33))
+def test_normal_rows_are_successive_normals(seed, rows, count):
+    a, b = SeededRng(seed), SeededRng(seed)
+    want = np.stack([a.normals(count) for _ in range(rows)])
+    assert b.normal_rows(rows, count).tobytes() == want.tobytes()
+    assert np.array_equal(a.uniforms(3), b.uniforms(3))  # both left at the same counter
+
+
 def test_permutation_is_a_permutation():
     p = SeededRng(4).permutation(257)
     assert np.array_equal(np.sort(p), np.arange(257))
