@@ -42,12 +42,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .rng import SeededRng
 
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
@@ -211,36 +210,6 @@ def active_tape() -> Tape | None:
 
 # ---------------------------------------------------------------------------
 # construction
-
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0 or any(s < 1 for s in shape):
-        raise ShapeError(f"invalid tensor shape {list(shape)}")
-    return shape
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor(np.zeros(_check_shape(shape)))
-
-
-def full(shape: Sequence[int], value: float) -> Tensor:
-    return Tensor(np.full(_check_shape(shape), float(value)))
-
-
-def from_values(values: Iterable[float], shape: Sequence[int]) -> Tensor:
-    shape = _check_shape(shape)
-    data = np.asarray(list(values), dtype=np.float64)
-    if data.size != math.prod(shape):
-        raise ShapeError(f"{data.size} values cannot fill shape {list(shape)}")
-    return Tensor(data.reshape(shape))
-
-
-def random_normal(shape: Sequence[int], mean: float, stddev: float, rng: SeededRng) -> Tensor:
-    shape = _check_shape(shape)
-    if stddev < 0:
-        raise DomainError("stddev must be non-negative")
-    return Tensor(rng.normals(math.prod(shape), mean, stddev).reshape(shape))
-
 
 def constant(array_like) -> Tensor:
     """Wrap a value as an off-tape constant tensor."""

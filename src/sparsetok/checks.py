@@ -233,8 +233,7 @@ def frozen_selector(select: Selector) -> Selector:
             base.append(mask)
         keep = base[0].hard > 0
         hard = np.where(keep, mask.soft.data + (1.0 - base[0].soft.data), 0.0)
-        return SelectionMask(hard, mask.soft, base[0].kept_indices, mask.strategy_tag,
-                             mask.valid_count)
+        return SelectionMask(hard, mask.soft, base[0].kept_indices)
 
     return select_frozen
 
@@ -258,11 +257,11 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants.
 
     A quadratic loss reads the tokens `apply_ste` compacts, so the check runs
-    through the straight-through op training uses.
+    through the straight-through op training uses, on a batch of one.
     """
     rng = SeededRng(seed)
     d, n = 6, 8
-    tokens = ad.constant(_rand(rng.split(0), (n, d)))
+    tokens = ad.constant(_rand(rng.split(0), (1, n, d)))
     quad_w = _rand(rng.split(1), (n, d))
     # large init keeps every gradient above the finite-difference noise floor
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
@@ -278,7 +277,8 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
 
         def loss_on(tape: Tape) -> Tensor:
             mask = select(compute_keep_probabilities(tape, tokens, scorer))
-            return _scalarize(ad.square(apply_ste(tokens, mask)), quad_w[mask.kept_indices])
+            kept = apply_ste(tokens, mask).tokens
+            return _scalarize(ad.square(kept), quad_w[mask.kept_indices])
 
         with Tape() as tape:
             tape.backward(loss_on(tape))

@@ -152,33 +152,21 @@ class TaskPerformer:
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
 
-    def forward(self, tape: ad.Tape, kept_tokens, positional_rows: Tensor) -> Tensor:
-        """Class logits for compacted sequences.
+    def forward(self, tape: ad.Tape, kept_tokens: KeptTokens, positional_rows: Tensor) -> Tensor:
+        """Class logits [B, C] for compacted sequences: KeptTokens [B, L, d_in]
+        with positional rows [B, L, d_model].
 
-        kept_tokens is one sequence [K', d_in] with positional rows
-        [K', d_model], giving logits [C] (a batch of one), or KeptTokens
-        [B, L, d_in] with positional rows [B, L, d_model], giving [B, C].
         A sequence with no kept token falls back to the learned null token at
-        positional row 0, so an empty selection still produces finite,
-        trainable logits.
+        its row 0, so an empty selection still produces finite, trainable
+        logits.
         """
         c = self.config
-        if isinstance(kept_tokens, KeptTokens):
-            valid = kept_tokens.valid
-            batch, length = valid.shape
-            x_in = ad.reshape(kept_tokens.tokens, (batch * length, c.d_in))
-            positions = ad.reshape(positional_rows, (batch * length, c.d_model))
-        else:
-            valid = np.ones((1, kept_tokens.shape[0]), dtype=bool)
-            batch, length = valid.shape
-            x_in, positions = kept_tokens, positional_rows
+        valid = kept_tokens.valid
+        batch, length = valid.shape
         if length > c.max_len:
             raise CapacityError(f"sequence of {length} exceeds max_len {c.max_len}")
-        if length == 0:  # one empty sequence: a single padded row to hold the null token
-            valid = np.zeros((1, 1), dtype=bool)
-            length = 1
-            x_in = ad.constant(np.zeros((1, c.d_in)))
-            positions = ad.gather_rows(tape.param(self.pos_table), np.array([0]))
+        x_in = ad.reshape(kept_tokens.tokens, (batch * length, c.d_in))
+        positions = ad.reshape(positional_rows, (batch * length, c.d_model))
         empty = ~valid.any(axis=1)
         if empty.any():  # row 0 of an empty sequence becomes the null token
             slot = np.zeros((batch * length, 1))
@@ -198,10 +186,7 @@ class TaskPerformer:
         pooled = ad.batched_matmul(ad.constant(weights[:, None, :]),
                                    ad.reshape(x, (batch, length, c.d_model)))
         pooled = ad.reshape(pooled, (batch, c.d_model))
-        logits = ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
-        if isinstance(kept_tokens, KeptTokens):
-            return logits
-        return ad.reshape(logits, (c.num_classes,))
+        return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
 
 
 def init_parameters(config: TaskPerformerConfig, rng: SeededRng,

@@ -55,13 +55,14 @@ def _batched_step(pipeline, examples, rng):
 
 
 def _summed_steps(pipeline, examples, rng):
-    """Sum over batch-of-one forward_example steps drawing from one stream."""
+    """Sum over batch-of-one forward_batch steps drawing from one stream."""
     total = 0.0
     grads = {p.name: np.zeros_like(p.value) for p in pipeline.parameters()}
     for ex in examples:
         with Tape() as tape:
-            logits, mask = pipeline.forward_example(tape, ex, rng)
-            loss = _loss(logits, ex.label, mask, pipeline.cfg.strategy)
+            logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens([ex]),
+                                                  pipeline.sampler(rng))
+            loss = _loss(logits, np.array([ex.label]), mask, pipeline.cfg.strategy)
             tape.backward(loss)
             for p in pipeline.parameters():
                 grads[p.name] += tape.grad(p)
@@ -106,12 +107,8 @@ def test_batched_step_equals_sum_of_single_example_steps(case):
     assert any(np.abs(g).max() > 0 for g in grads_s.values())
 
 
-def _padded_scores(rng: SeededRng, batch: int, n: int):
-    s = np.clip(rng.uniforms(batch * n).reshape(batch, n), 0.05, 0.95)
-    valid = np.ones((batch, n), dtype=bool)
-    for b in range(batch):
-        valid[b, n - b % 3:] = False  # rows with 0, 1 and 2 padded slots
-    return s, valid
+def _keep_probabilities(rng: SeededRng, batch: int, n: int) -> np.ndarray:
+    return np.clip(rng.uniforms(batch * n).reshape(batch, n), 0.05, 0.95)
 
 
 @pytest.mark.parametrize("select", [
@@ -120,37 +117,34 @@ def _padded_scores(rng: SeededRng, batch: int, n: int):
     lambda scores, rng: deterministic_topk_select(scores, 2),
 ], ids=["gumbel_topk", "ratio_controlled", "deterministic_topk"])
 def test_batched_selector_matches_draws_in_order(select):
-    s, valid = _padded_scores(SeededRng(3), 7, 6)
-    batched = select(keep_scores_from_values(Tape(), s, valid), SeededRng(21))
+    """A batch draws what its examples would draw as batches of one, in order."""
+    s = _keep_probabilities(SeededRng(3), 7, 6)
+    batched = select(keep_scores_from_values(Tape(), s), SeededRng(21))
     stream = SeededRng(21)
     for b in range(s.shape[0]):
-        single = select(keep_scores_from_values(Tape(), s[b], valid[b]), stream)
-        assert np.array_equal(batched.hard[b], single.hard)
-        assert np.array_equal(batched.kept_in(b), single.kept_indices)
-        assert np.allclose(batched.soft.data[b], single.soft.data, rtol=0, atol=1e-15)
-        assert batched.valid_count[b] == single.valid_count
+        single = select(keep_scores_from_values(Tape(), s[b:b + 1]), stream)
+        assert np.array_equal(batched.hard[b:b + 1], single.hard)
+        assert np.array_equal(batched.kept_in(b), single.kept_in(0))
+        assert np.allclose(batched.soft.data[b:b + 1], single.soft.data, rtol=0, atol=1e-15)
+        assert batched.keep_ratio[b] == single.keep_ratio[0]
 
 
 def test_ratio_gate_takes_keep_noise_then_drop_noise():
-    """Per sequence, the first nv Gumbel draws perturb the keep logits and the
-    next nv the drop logits (nv = valid tokens)."""
-    s, valid = _padded_scores(SeededRng(6), 3, 6)
-    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s, valid), 0.4,
-                                   SeededRng(8))
+    """Per sequence, the first n Gumbel draws perturb the keep logits and the
+    next n the drop logits."""
+    n = 6
+    s = _keep_probabilities(SeededRng(6), 3, n)
+    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s), 0.4, SeededRng(8))
     stream = SeededRng(8)
     for b in range(3):
-        nv = int(valid[b].sum())
-        g = sample_standard_gumbel(stream, 2 * nv).values
-        sv = s[b, :nv]
-        expected = np.log(sv + 1e-300) + g[:nv] > np.log(1.0 - sv + 1e-300) + g[nv:]
-        assert np.array_equal(mask.hard[b, :nv], expected.astype(float))
-        assert not mask.hard[b, nv:].any()
+        g = sample_standard_gumbel(stream, 2 * n).values
+        expected = np.log(s[b] + 1e-300) + g[:n] > np.log(1.0 - s[b] + 1e-300) + g[n:]
+        assert np.array_equal(mask.hard[b], expected.astype(float))
 
 
 def test_batched_mask_pads_kept_indices_with_zero():
-    s, valid = _padded_scores(SeededRng(4), 5, 6)
-    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s, valid), 0.4,
-                                   SeededRng(2))
+    s = _keep_probabilities(SeededRng(4), 5, 6)
+    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s), 0.4, SeededRng(2))
     counts = mask.kept_count
     assert mask.kept_indices.shape == (5, max(1, counts.max()))
     for b, c in enumerate(counts):

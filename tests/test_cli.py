@@ -1,6 +1,7 @@
 import os
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,7 @@ def test_gen_data_is_byte_deterministic(tmp_path, dataset):
     rc = main(["gen-data", "--out", other, "--seed", "5", "--count", "80",
                "--n", "8", "--d", "6", "--num-informative", "2", "--noise-std", "0.3"])
     assert rc == 0
-    assert open(dataset, "rb").read() == open(other, "rb").read()
+    assert Path(dataset).read_bytes() == Path(other).read_bytes()
 
 
 def test_gen_data_multimodal_flag(tmp_path):
@@ -65,9 +66,7 @@ def test_train_rerun_byte_identical(tmp_path, dataset):
     assert run_train(dataset, out1) == 0
     assert run_train(dataset, out2) == 0
     for name in ("metrics.csv", "checkpoint.stkn"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
-        assert b1 == b2, name
+        assert (Path(out1) / name).read_bytes() == (Path(out2) / name).read_bytes(), name
 
 
 def test_config_file_and_flag_precedence(tmp_path, dataset):

@@ -8,9 +8,21 @@ from sparsetok.model import (CHECKPOINT_VERSION, MultiHeadAttention, TaskPerform
                              TaskPerformerConfig, init_parameters, load_checkpoint,
                              restore_parameters, save_checkpoint)
 from sparsetok.rng import SeededRng
+from sparsetok.selection import KeptTokens
 
 SMALL = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=1, max_len=10,
                             num_classes=3, ff_mult=2)
+
+
+def one_sequence(tokens: ad.Tensor) -> KeptTokens:
+    """A batch of one sequence of [L, d_in] tokens, every row kept."""
+    length = tokens.shape[0]
+    return KeptTokens(ad.reshape(tokens, (1,) + tokens.shape), np.ones((1, length), dtype=bool))
+
+
+def leading_positions(tape: Tape, model: TaskPerformer, length: int) -> ad.Tensor:
+    """Positional rows 0..length-1 of a batch of one, [1, length, d_model]."""
+    return ad.gather_rows(tape.param(model.pos_table), np.arange(length)[None])
 
 
 def test_init_deterministic_under_seed():
@@ -29,10 +41,10 @@ def test_zero_head_gives_uniform_logits_and_ln4_loss():
     model.head_b.value[:] = 0.0
     with Tape() as tape:
         tokens = ad.constant(SeededRng(2).normals(12).reshape(3, 4))
-        pos = ad.gather_rows(tape.param(model.pos_table), np.arange(3))
-        logits = model.forward(tape, tokens, pos)
+        logits = model.forward(tape, one_sequence(tokens), leading_positions(tape, model, 3))
         loss = ad.cross_entropy_loss(logits, 0)
-    assert np.allclose(logits.data, logits.data[0])
+    assert logits.shape == (1, 4)
+    assert np.allclose(logits.data, logits.data[0, 0])
     assert abs(loss.item() - 1.3862943611198906) < 1e-12
 
 
@@ -54,9 +66,8 @@ def test_forward_is_deterministic():
 
     def run():
         with Tape() as tape:
-            tokens = ad.constant(tokens_np)
-            pos = ad.gather_rows(tape.param(model.pos_table), np.arange(4))
-            return model.forward(tape, tokens, pos).data.copy()
+            tokens = one_sequence(ad.constant(tokens_np))
+            return model.forward(tape, tokens, leading_positions(tape, model, 4)).data.copy()
 
     assert np.array_equal(run(), run())
 
@@ -68,27 +79,29 @@ def test_positional_sensitivity():
 
     def logits_for(tok):
         with Tape() as tape:
-            pos = ad.gather_rows(tape.param(model.pos_table), np.arange(4))
-            return model.forward(tape, ad.constant(tok), pos).data.copy()
+            return model.forward(tape, one_sequence(ad.constant(tok)),
+                                 leading_positions(tape, model, 4)).data.copy()
 
     assert not np.allclose(logits_for(tokens_np), logits_for(tokens_np[perm]))
+
+
+def empty_sequence() -> KeptTokens:
+    """A batch of one example that kept nothing: one padded row."""
+    return KeptTokens(ad.constant(np.zeros((1, 1, 5))), np.zeros((1, 1), dtype=bool))
 
 
 def test_empty_selection_uses_null_token():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        empty = ad.Tensor(np.zeros((0, 5)))
-        pos = ad.Tensor(np.zeros((0, 8)))
-        logits = model.forward(tape, empty, pos)
-    assert logits.shape == (3,)
+        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 1))
+    assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits.data))
 
 
 def test_null_token_is_trainable_through_empty_path():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        logits = model.forward(tape, ad.Tensor(np.zeros((0, 5))),
-                               ad.Tensor(np.zeros((0, 8))))
+        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 1))
         tape.backward(ad.cross_entropy_loss(logits, 1))
         assert np.abs(tape.grad(model.null_token)).max() > 0
 
@@ -96,8 +109,8 @@ def test_null_token_is_trainable_through_empty_path():
 def test_capacity_error():
     model = init_parameters(SMALL, SeededRng(9))
     with Tape() as tape:
-        tokens = ad.constant(np.zeros((11, 5)))
-        pos = ad.constant(np.zeros((11, 8)))
+        tokens = one_sequence(ad.constant(np.zeros((11, 5))))
+        pos = ad.constant(np.zeros((1, 11, 8)))
         with pytest.raises(CapacityError):
             model.forward(tape, tokens, pos)
 
@@ -108,8 +121,8 @@ def test_input_token_gradient_matches_finite_differences():
 
     def build(x):
         tape = ad.active_tape() or Tape()
-        pos = ad.gather_rows(tape.param(model.pos_table), np.arange(3))
-        return ad.cross_entropy_loss(model.forward(tape, x, pos), 2)
+        logits = model.forward(tape, one_sequence(x), leading_positions(tape, model, 3))
+        return ad.cross_entropy_loss(logits, 2)
 
     assert ad.finite_difference_check(build, point, 1e-5) <= 1e-4
 

@@ -3,7 +3,7 @@ import pytest
 
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
-from sparsetok.errors import CapacityError, ContractError
+from sparsetok.errors import CapacityError, ContractError, ShapeError
 from sparsetok.rng import SeededRng
 from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
                                  apply_ste, compute_keep_probabilities, index_grid,
@@ -14,8 +14,9 @@ from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfi
                                  uniform_fixed_select)
 
 
-def scores_for(s_values, valid=None, tape=None):
-    return keep_scores_from_values(tape or Tape(), np.asarray(s_values, float), valid)
+def scores_for(s_values, tape=None):
+    """Keep scores of a batch of one sequence with keep probabilities s_values."""
+    return keep_scores_from_values(tape or Tape(), [s_values])
 
 
 def rigged_predictor(d, logit0, logit1):
@@ -48,13 +49,13 @@ class TestStrategyConfig:
 class TestKeepProbabilities:
     def test_symmetric_logits_give_half(self):
         with Tape() as tape:
-            tokens = ad.constant(SeededRng(1).normals(12).reshape(4, 3))
+            tokens = ad.constant(SeededRng(1).normals(12).reshape(1, 4, 3))
             scores = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 0.0, 0.0))
         assert np.allclose(scores.s.data, 0.5, atol=1e-15)
 
     def test_unit_logit_gap_closed_form(self):
         with Tape() as tape:
-            tokens = ad.constant(np.zeros((2, 3)))
+            tokens = ad.constant(np.zeros((1, 2, 3)))
             scores = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 1.0, 0.0))
         assert np.allclose(scores.s.data, 0.7310585786300049, atol=1e-12)
 
@@ -62,31 +63,33 @@ class TestKeepProbabilities:
         rng = SeededRng(9)
         pred = KeepProbPredictor(5).init(rng, stddev=0.7)
         with Tape() as tape:
-            tokens = ad.constant(rng.normals(40).reshape(8, 5))
+            tokens = ad.constant(rng.normals(40).reshape(2, 4, 5))
             scores = compute_keep_probabilities(tape, tokens, pred)
         gap = scores.logits.data[:, 0] - scores.logits.data[:, 1]
         sigmoid = 1.0 / (1.0 + np.exp(-gap))
-        assert np.abs(scores.s.data - sigmoid).max() < 1e-12
+        assert scores.s.shape == (2, 4)
+        assert np.abs(scores.s.data.reshape(-1) - sigmoid).max() < 1e-12
 
-    def test_padding_forces_zero(self):
-        valid = np.array([True, True, False])
-        with Tape() as tape:
-            tokens = ad.constant(np.ones((3, 2)))
-            scores = compute_keep_probabilities(tape, tokens, rigged_predictor(2, 2.0, 0.0),
-                                                valid)
-        assert scores.s.data[2] == 0.0
-        assert scores.valid_count == 2
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 4, 2), (2, 1, 4, 3)])
+    def test_predictor_takes_only_batches_of_full_width(self, shape):
+        with pytest.raises(ShapeError):
+            rigged_predictor(3, 0.0, 0.0).logits(Tape(), ad.constant(np.zeros(shape)))
+
+    @pytest.mark.parametrize("s", [[0.5, 0.5], [[[0.5]]]])
+    def test_keep_scores_from_values_take_only_batches(self, s):
+        with pytest.raises(ShapeError):
+            keep_scores_from_values(Tape(), s)
 
 
 class TestGumbelTopK:
     def test_frozen_noise_orders_by_score(self, frozen_rng):
         mask = gumbel_topk_select(scores_for([0.9, 0.1, 0.5, 0.7]), 2, 0.1, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [0, 3])
-        assert np.array_equal(mask.hard, [1, 0, 0, 1])
+        assert np.array_equal(mask.kept_indices, [[0, 3]])
+        assert np.array_equal(mask.hard, [[1, 0, 0, 1]])
 
     def test_keep_all(self, frozen_rng):
         mask = gumbel_topk_select(scores_for([0.2, 0.4, 0.6]), 3, 0.1, frozen_rng)
-        assert np.array_equal(mask.hard, [1, 1, 1])
+        assert np.array_equal(mask.hard, [[1, 1, 1]])
 
     def test_k_out_of_range(self, frozen_rng):
         with pytest.raises(ContractError):
@@ -95,11 +98,11 @@ class TestGumbelTopK:
             gumbel_topk_select(scores_for([0.5, 0.5]), 0, 0.1, frozen_rng)
 
     def test_soft_weights_sum_to_one_over_valid(self):
-        valid = np.array([True] * 5 + [False] * 2)
-        mask = gumbel_topk_select(scores_for([0.5] * 7, valid), 3, 0.5, SeededRng(3))
-        assert abs(mask.soft.data.sum() - 1.0) < 1e-9
-        assert np.all(mask.soft.data[5:] == 0.0)
-        assert np.all(mask.kept_indices < 5)
+        """Every token of a row is valid: each row's soft weights sum to 1."""
+        s = np.clip(SeededRng(3).uniforms(21).reshape(3, 7), 0.05, 0.95)
+        mask = gumbel_topk_select(keep_scores_from_values(Tape(), s), 3, 0.5, SeededRng(3))
+        assert np.abs(mask.soft.data.sum(axis=1) - 1.0).max() < 1e-9
+        assert mask.kept_count.tolist() == [3, 3, 3]
 
     def test_k1_frequencies_match_normalized_scores(self):
         s = np.array([0.18, 0.27, 0.45])
@@ -109,7 +112,7 @@ class TestGumbelTopK:
         counts = np.zeros(3)
         n = 20_000
         for i in range(n):
-            counts[gumbel_topk_select(scores, 1, 0.1, rng.split(i)).kept_indices[0]] += 1
+            counts[gumbel_topk_select(scores, 1, 0.1, rng.split(i)).kept_indices[0, 0]] += 1
         assert np.abs(counts / n - target).max() < 0.02
 
     def test_mask_invariants_random_inputs(self):
@@ -119,9 +122,9 @@ class TestGumbelTopK:
             k = 1 + trial % n
             s = np.clip(rng.uniforms(n), 0.05, 0.95)
             mask = gumbel_topk_select(scores_for(s), k, 0.3, rng.split(trial))
-            assert mask.kept_count == k
-            assert np.all(np.diff(mask.kept_indices) > 0)
-            assert np.array_equal(np.where(mask.hard == 1)[0], mask.kept_indices)
+            assert mask.kept_count.tolist() == [k]
+            assert np.all(np.diff(mask.kept_in(0)) > 0)
+            assert np.array_equal(np.flatnonzero(mask.hard[0] == 1), mask.kept_in(0))
             assert np.all((mask.soft.data >= 0) & (mask.soft.data <= 1))
 
 
@@ -129,50 +132,43 @@ class TestRatioControlled:
     def test_symmetric_noise_is_strictly_dropped(self, frozen_rng):
         mask = ratio_controlled_select(scores_for([0.5, 0.5]), 1.0, frozen_rng)
         assert np.allclose(mask.soft.data, 0.5)
-        assert mask.kept_count == 0  # strict > 0.5
+        assert mask.kept_count.tolist() == [0]  # strict > 0.5
 
     def test_frozen_noise_keeps_above_half(self, frozen_rng):
         mask = ratio_controlled_select(scores_for([0.9, 0.1]), 1.0, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [0])
-        assert np.allclose(mask.soft.data, [0.9, 0.1], atol=1e-9)
+        assert np.array_equal(mask.kept_indices, [[0]])
+        assert np.allclose(mask.soft.data, [[0.9, 0.1]], atol=1e-9)
 
     def test_all_confident_all_kept(self, frozen_rng):
         mask = ratio_controlled_select(scores_for([0.999, 0.999, 0.999]), 1.0, frozen_rng)
-        assert mask.kept_count == 3
-
-    def test_padding_never_kept(self):
-        valid = np.array([True, False, True])
-        mask = ratio_controlled_select(scores_for([0.99, 0.99, 0.99], valid), 0.1,
-                                       SeededRng(2))
-        assert 1 not in mask.kept_indices
-        assert mask.soft.data[1] == 0.0
+        assert mask.kept_count.tolist() == [3]
 
     def test_threshold_matches_scores_with_zero_noise(self, frozen_rng):
         s = np.array([0.2, 0.500000001, 0.8, 0.4999999])
         mask = ratio_controlled_select(scores_for(s), 1.0, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [1, 2])
+        assert np.array_equal(mask.kept_indices, [[1, 2]])
 
 
 class TestDeterministicTopK:
     def test_direct_ordering(self):
         mask = deterministic_topk_select(scores_for([0.9, 0.1, 0.5, 0.7]), 2)
-        assert np.array_equal(mask.kept_indices, [0, 3])
+        assert np.array_equal(mask.kept_indices, [[0, 3]])
 
     def test_tie_breaks_to_lower_index(self):
         mask = deterministic_topk_select(scores_for([0.5, 0.5]), 1)
-        assert np.array_equal(mask.kept_indices, [0])
+        assert np.array_equal(mask.kept_indices, [[0]])
 
     def test_identity_when_k_equals_n(self):
         mask = deterministic_topk_select(scores_for([0.3, 0.6, 0.2]), 3)
-        assert np.array_equal(mask.kept_indices, [0, 1, 2])
+        assert np.array_equal(mask.kept_indices, [[0, 1, 2]])
 
     def test_argmax_invariance_under_positive_logit_scaling(self):
         rng = SeededRng(31)
         gaps = rng.normals(6)
         for scale in (0.5, 2.0, 17.0):
             with Tape() as tape:
-                base = keep_scores_from_values(tape, 1 / (1 + np.exp(-gaps)))
-                scaled = keep_scores_from_values(tape, 1 / (1 + np.exp(-scale * gaps)))
+                base = scores_for(1 / (1 + np.exp(-gaps)), tape)
+                scaled = scores_for(1 / (1 + np.exp(-scale * gaps)), tape)
             m1 = deterministic_topk_select(base, 2)
             m2 = deterministic_topk_select(scaled, 2)
             assert np.array_equal(m1.kept_indices, m2.kept_indices)
@@ -183,58 +179,62 @@ class TestDeterministicTopK:
 
 class TestUniformFixed:
     def test_full_coverage(self):
-        assert np.array_equal(uniform_fixed_select(10, 10).kept_indices, np.arange(10))
+        assert np.array_equal(uniform_fixed_select(10, 10, 1).kept_indices, [np.arange(10)])
 
     def test_single_point_is_first(self):
-        assert np.array_equal(uniform_fixed_select(10, 1).kept_indices, [0])
+        assert np.array_equal(uniform_fixed_select(10, 1, 1).kept_indices, [[0]])
 
     def test_rounded_grid(self):
-        assert np.array_equal(uniform_fixed_select(8, 4).kept_indices, [0, 2, 5, 7])
+        """Every example of a batch gets the same grid."""
+        assert np.array_equal(uniform_fixed_select(8, 4, 3).kept_indices, [[0, 2, 5, 7]] * 3)
 
     def test_backfill_keeps_exactly_k(self):
         for n in range(2, 20):
             for k in range(1, n + 1):
-                mask = uniform_fixed_select(n, k)
-                assert mask.kept_count == k
-                assert np.all(np.diff(mask.kept_indices) > 0)
+                mask = uniform_fixed_select(n, k, 1)
+                assert mask.kept_count.tolist() == [k]
+                assert np.all(np.diff(mask.kept_in(0)) > 0)
 
     def test_out_of_range(self):
         with pytest.raises(ContractError):
-            uniform_fixed_select(5, 6)
+            uniform_fixed_select(5, 6, 1)
 
 
 class TestApplySte:
     def test_hard_path_forwards_tokens_exactly(self, frozen_rng):
-        tokens = ad.constant([[2.0], [3.0]])
-        mask = SelectionMask(np.array([1.0, 0.0]), ad.constant([0.3, 0.7]),
-                             np.array([0]), "test", 2)
+        tokens = ad.constant([[[2.0], [3.0]]])
+        mask = SelectionMask(np.array([[1.0, 0.0]]), ad.constant([[0.3, 0.7]]),
+                             np.array([[0]]))
         out = apply_ste(tokens, mask)
-        assert out.shape == (1, 1)
-        assert out.data[0, 0] == 2.0  # soft must not scale the forward value
+        assert out.tokens.shape == (1, 1, 1)
+        assert out.tokens.data[0, 0, 0] == 2.0  # soft must not scale the forward value
+        assert out.valid.tolist() == [[True]]
 
     def test_empty_selection_yields_zero_rows(self):
-        tokens = ad.constant(np.ones((3, 2)))
-        mask = SelectionMask(np.zeros(3), ad.constant(np.zeros(3)),
-                             np.array([], dtype=np.int64), "test", 3)
-        assert apply_ste(tokens, mask).shape == (0, 2)
+        """An example that keeps nothing gets one padded row of zeros."""
+        tokens = ad.constant(np.ones((1, 3, 2)))
+        mask = SelectionMask(np.zeros((1, 3)), ad.constant(np.zeros((1, 3))),
+                             np.zeros((1, 1), dtype=np.int64))
+        out = apply_ste(tokens, mask)
+        assert out.valid.tolist() == [[False]]
+        assert np.array_equal(out.tokens.data, np.zeros((1, 1, 2)))
 
     def test_length_mismatch(self):
-        tokens = ad.constant(np.ones((3, 2)))
-        mask = SelectionMask(np.zeros(2), ad.constant(np.zeros(2)),
-                             np.array([], dtype=np.int64), "test", 2)
+        tokens = ad.constant(np.ones((1, 3, 2)))
+        mask = SelectionMask(np.zeros((1, 2)), ad.constant(np.zeros((1, 2))),
+                             np.zeros((1, 1), dtype=np.int64))
         with pytest.raises(ContractError):
             apply_ste(tokens, mask)
 
     def test_gradient_flows_through_soft_not_hard(self):
-        tokens_np = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        tokens_np = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
         with Tape() as tape:
-            s_leaf = tape.leaf(np.array([0.6, 0.3, 0.8]))
-            mask = SelectionMask(np.array([1.0, 0.0, 1.0]), s_leaf,
-                                 np.array([0, 2]), "test", 3)
+            s_leaf = tape.leaf(np.array([[0.6, 0.3, 0.8]]))
+            mask = SelectionMask(np.array([[1.0, 0.0, 1.0]]), s_leaf, np.array([[0, 2]]))
             out = apply_ste(ad.constant(tokens_np), mask)
-            loss = ad.mean_all(ad.square(out))
+            loss = ad.mean_all(ad.square(out.tokens))
             tape.backward(loss)
-            grad = tape.grad(s_leaf)
+            grad = tape.grad(s_leaf)[0]
         # dropped token's soft weight gets no direct task gradient
         assert grad[1] == 0.0
         assert grad[0] != 0.0 and grad[2] != 0.0
@@ -244,7 +244,7 @@ class TestApplySte:
         scorer gradient; the straight-through path keeps it alive."""
         rng = SeededRng(4)
         pred = KeepProbPredictor(3).init(rng, stddev=0.3)
-        tokens_np = rng.normals(12).reshape(4, 3)
+        tokens_np = rng.normals(12).reshape(1, 4, 3)
 
         def run(soft_path: bool) -> float:
             with Tape() as tape:
@@ -252,7 +252,7 @@ class TestApplySte:
                 scores = compute_keep_probabilities(tape, tokens, pred)
                 mask = gumbel_topk_select(scores, 2, 0.5, SeededRng(99))
                 if soft_path:
-                    kept = apply_ste(tokens, mask)
+                    kept = apply_ste(tokens, mask).tokens
                 else:
                     kept = ad.gather_rows(tokens, mask.kept_indices)
                 loss = ad.mean_all(ad.square(kept))
@@ -266,36 +266,38 @@ class TestApplySte:
 class TestReencodePositions:
     def test_compacted_rows(self):
         table = ad.constant(np.arange(20.0).reshape(10, 2))
-        mask = SelectionMask(np.zeros(8), ad.constant(np.zeros(8)),
-                             np.array([2, 5, 7]), "test", 8)
+        hard = np.zeros((1, 8))
+        hard[0, [2, 5, 7]] = 1.0
+        mask = SelectionMask(hard, ad.constant(hard), np.array([[2, 5, 7]]))
         rows = reencode_positions(mask, table)
-        assert np.array_equal(rows.data, table.data[:3])
+        assert np.array_equal(rows.data, [table.data[:3]])
 
     def test_identity_when_all_kept(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
-        mask = SelectionMask(np.ones(4), ad.constant(np.ones(4)),
-                             np.arange(4), "test", 4)
-        assert np.array_equal(reencode_positions(mask, table).data, table.data)
+        mask = SelectionMask(np.ones((1, 4)), ad.constant(np.ones((1, 4))),
+                             np.arange(4)[None])
+        assert np.array_equal(reencode_positions(mask, table).data, [table.data])
 
     def test_single_token_gets_row_zero(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
-        mask = SelectionMask(np.zeros(4), ad.constant(np.zeros(4)),
-                             np.array([3]), "test", 4)
-        assert np.array_equal(reencode_positions(mask, table).data, table.data[:1])
+        mask = SelectionMask(np.array([[0.0, 0.0, 0.0, 1.0]]),
+                             ad.constant([[0.0, 0.0, 0.0, 1.0]]), np.array([[3]]))
+        assert np.array_equal(reencode_positions(mask, table).data, [table.data[:1]])
 
     def test_capacity_error(self):
         table = ad.constant(np.zeros((2, 2)))
-        mask = SelectionMask(np.ones(3), ad.constant(np.ones(3)),
-                             np.arange(3), "test", 3)
+        mask = SelectionMask(np.ones((1, 3)), ad.constant(np.ones((1, 3))),
+                             np.arange(3)[None])
         with pytest.raises(CapacityError):
             reencode_positions(mask, table)
 
 
 def mask_with_ratio(n, kept_count, soft_value=0.5):
-    kept = np.arange(kept_count)
-    hard = np.zeros(n)
-    hard[kept] = 1.0
-    return SelectionMask(hard, ad.constant(np.full(n, soft_value)), kept, "test", n)
+    """A batch-of-one mask keeping the first kept_count of n tokens."""
+    hard = np.zeros((1, n))
+    hard[0, :kept_count] = 1.0
+    return SelectionMask(hard, ad.constant(np.full((1, n), soft_value)),
+                         np.arange(kept_count)[None])
 
 
 class TestSelectionLoss:
@@ -312,8 +314,7 @@ class TestSelectionLoss:
         hard[0, :2] = 1.0
         hard[1, :6] = 1.0
         kept = np.array([[0, 1, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5]])
-        batch = SelectionMask(hard, ad.constant(np.full((2, 10), 0.5)), kept, "test",
-                              np.array([10, 10]))
+        batch = SelectionMask(hard, ad.constant(np.full((2, 10), 0.5)), kept)
         assert abs(selection_loss(batch, 0.4).item() - 0.04) < 1e-15
 
     def test_permutation_invariance(self):
@@ -323,21 +324,20 @@ class TestSelectionLoss:
         soft = rng.uniforms(n)
         hard = np.zeros(n)
         hard[kept] = 1.0
-        base = SelectionMask(hard, ad.constant(soft), kept, "t", n)
+        base = SelectionMask(hard[None], ad.constant([soft]), kept[None])
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
         kept_p = np.sort(inv[kept])
         hard_p = np.zeros(n)
         hard_p[kept_p] = 1.0
-        permuted = SelectionMask(hard_p, ad.constant(soft[perm]), kept_p, "t", n)
+        permuted = SelectionMask(hard_p[None], ad.constant([soft[perm]]), kept_p[None])
         assert selection_loss(base, 0.3).item() == selection_loss(permuted, 0.3).item()
 
     def test_gradient_uses_soft_path(self):
         with Tape() as tape:
-            soft = tape.leaf(np.full(4, 0.5))
-            mask = SelectionMask(np.array([1.0, 1.0, 0, 0]), soft,
-                                 np.array([0, 1]), "t", 4)
+            soft = tape.leaf(np.full((1, 4), 0.5))
+            mask = SelectionMask(np.array([[1.0, 1.0, 0, 0]]), soft, np.array([[0, 1]]))
             loss = selection_loss(mask, 0.25)
             tape.backward(loss)
             grad = tape.grad(soft)
@@ -373,7 +373,7 @@ class TestInference:
 
     def test_direct_ordering(self):
         mask = inference_rank_topk(scores_for([0.1, 0.8, 0.3]), 2)
-        assert np.array_equal(mask.kept_indices, [1, 2])
+        assert np.array_equal(mask.kept_indices, [[1, 2]])
 
     def test_ratio_inference_k_rounding(self):
         cfg = StrategyConfig("ratio_controlled", target_ratio=0.3)

@@ -8,7 +8,7 @@ from sparsetok.errors import ConfigError
 from sparsetok.metrics import read_metrics_csv
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
-from sparsetok.selection import StrategyConfig
+from sparsetok.selection import KeptTokens, StrategyConfig
 from sparsetok.train import (Pipeline, RunConfig, k_for_fraction, retain_heap, train_run,
                              train_step)
 
@@ -80,9 +80,10 @@ def test_uniform_full_matches_no_selection_baseline(tiny_dataset):
     logits_pipeline, mask = pipeline.forward_example(tape, ex, noise_rng=None)
     assert mask.kept_count == 8
 
-    pos = ad.gather_rows(tape.param(pipeline.task.pos_table), np.arange(8))
-    logits_direct = pipeline.task.forward(tape, ad.constant(ex.tokens), pos)
-    assert np.array_equal(logits_pipeline.data, logits_direct.data)
+    kept = KeptTokens(ad.constant(ex.tokens[None]), np.ones((1, 8), dtype=bool))
+    pos = ad.gather_rows(tape.param(pipeline.task.pos_table), np.arange(8)[None])
+    logits_direct = pipeline.task.forward(tape, kept, pos)
+    assert np.array_equal(logits_pipeline.data, logits_direct.data[0])
 
 
 def test_lambda_zero_total_equals_task_loss(tiny_dataset):
