@@ -93,6 +93,64 @@ def test_unknown_config_key_is_usage_error(tmp_path, dataset):
                  "--dataset", dataset]) == 1
 
 
+def test_config_file_numbers_are_typed_like_flags(tmp_path, dataset):
+    """int keys (epochs, seed) and float keys (tau, lambda) read from a file
+    give the bytes of the same values given as flags."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"dataset={dataset}\nstrategy=ratio_controlled\ntarget-ratio=0.5\n"
+                    "epochs=2\nseed=4\ntau=0.5\nlambda=0.25\nbatch-size=16\n")
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(["train", "--config", str(conf), "--out", str(from_file)]) == 0
+    assert main(["train", "--dataset", dataset, "--out", str(from_flags),
+                 "--strategy", "ratio_controlled", "--target-ratio", "0.5", "--epochs", "2",
+                 "--seed", "4", "--tau", "0.5", "--lambda", "0.25", "--batch-size", "16"]) == 0
+    for name in ("metrics.csv", "checkpoint.stkn"):
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes(), name
+    rows, config = read_metrics_csv(str(from_file / "metrics.csv"))
+    assert len(rows) == 2
+    assert (config["seed"], config["tau"], config["lambda"]) == ("4", "0.5", "0.25")
+
+
+@pytest.mark.parametrize("lines, flags", [
+    ("multimodal=true\n", ["--multimodal"]),
+    ("multimodal=false\n", []),
+    ("distractor-mode=decoy_prototypes\n", ["--distractor-mode", "decoy_prototypes"]),
+])
+def test_gen_data_config_file_matches_flags(tmp_path, lines, flags):
+    conf = tmp_path / "data.conf"
+    conf.write_text("count=4\nn=8\nd=6\nnum-informative=2\n" + lines)
+    from_file, from_flags = tmp_path / "file.jsonl", tmp_path / "flags.jsonl"
+    assert main(["gen-data", "--config", str(conf), "--out", str(from_file)]) == 0
+    assert main(["gen-data", "--out", str(from_flags), "--count", "4", "--n", "8",
+                 "--d", "6", "--num-informative", "2", *flags]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    header = from_file.read_text().splitlines()[0]
+    assert f'"multimodal":{"true" if "--multimodal" in flags else "false"}' in header
+
+
+def test_sweep_config_file_grid_and_strategies(tmp_path, dataset):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(f"dataset={dataset}\ngrid=0.25,1.0\nstrategies=gumbel_topk,uniform_fixed\n"
+                    "epochs=1\nbatch-size=16\ntau=0.5\n")
+    from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+    assert main(["sweep", "--config", str(conf), "--out", str(from_file)]) == 0
+    assert main(["sweep", "--dataset", dataset, "--out", str(from_flags), "--grid", "0.25,1.0",
+                 "--strategies", "gumbel_topk,uniform_fixed", "--epochs", "1",
+                 "--batch-size", "16", "--tau", "0.5"]) == 0
+    for name in ("sweep_sparsity.csv", "sweep_sparsity.svg"):
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes(), name
+    rows, _ = read_metrics_csv(str(from_file / "sweep_sparsity.csv"))
+    assert [(r["strategy"], r["keep_fraction"]) for r in rows] == [
+        ("gumbel_topk", "0.25"), ("uniform_fixed", "0.25"),
+        ("gumbel_topk", "1"), ("uniform_fixed", "1")]
+
+
+def test_config_key_of_another_command_is_accepted(tmp_path, dataset):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"dataset={dataset}\ncount=80\nepochs=1\nbatch-size=16\n")
+    assert main(["train", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+
+
 def test_missing_dataset_is_usage_error(tmp_path):
     assert main(["train", "--out", str(tmp_path / "x")]) == 1
 
