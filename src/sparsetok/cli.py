@@ -1,8 +1,8 @@
 """Command-line harness: gen-data, train, sweep, gradcheck, sample-check.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure, 3 I/O
-error. Flags override values from a `--config key=value` file, which in turn
-overrides the built-in defaults. STKN_THREADS caps sweep parallelism.
+error. Each flag declares its type and default. Flags override values from a
+`--config key=value` file, which in turn override the defaults.
 """
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ import math
 import sys
 
 from .checks import format_sample_report, run_gradcheck, run_sample_check
-from .data import NeedleSpec, generate_dataset, load_dataset, write_dataset
+from .data import DISTRACTOR_MODES, NeedleSpec, generate_dataset, load_dataset, write_dataset
 from .errors import ConfigError, ParseError, SchemaError
 from .selection import STRATEGY_KINDS, StrategyConfig
 from .sweep import CURVE_STRATEGIES, SWEEP_AXES, X_COLUMNS, run_sweep
-from .train import RunConfig, k_for_fraction, train_run
+from .train import CHANNELS, POSITION_MODES, RunConfig, train_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
 
@@ -31,75 +31,75 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
+def float_list(raw: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers."""
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _strategy_list(raw: str) -> tuple[str, ...]:
+    """A comma-separated subset of STRATEGY_KINDS."""
+    kinds = tuple(raw.split(","))
+    unknown = set(kinds) - set(STRATEGY_KINDS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown strategies {sorted(unknown)}")
+    return kinds
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser, and the subcommands that read a config file."""
     parser = _Parser(prog="sparsetok",
                      description="Token sparsification benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out")
 
     g = sub.add_parser("gen-data", help="generate a needle dataset file")
     common(g)
-    g.add_argument("--count", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--classes", type=int)
-    g.add_argument("--noise-std", type=float)
-    g.add_argument("--decoy-scale", type=float)
-    g.add_argument("--num-informative", type=int)
-    g.add_argument("--multimodal", action="store_true", default=None)
-    g.add_argument("--distractor-mode", choices=("pure_noise", "decoy_prototypes"))
+    g.add_argument("--count", type=int, default=2000)
+    g.add_argument("--n", type=int, default=NeedleSpec.n)
+    g.add_argument("--d", type=int, default=NeedleSpec.d)
+    g.add_argument("--classes", type=int, default=NeedleSpec.num_classes)
+    g.add_argument("--noise-std", type=float, default=NeedleSpec.noise_std)
+    g.add_argument("--decoy-scale", type=float, default=NeedleSpec.decoy_scale)
+    g.add_argument("--num-informative", type=int, default=NeedleSpec.num_informative)
+    g.add_argument("--multimodal", action="store_true")
+    g.add_argument("--distractor-mode", choices=DISTRACTOR_MODES,
+                   default=NeedleSpec.distractor_mode)
 
     def training_flags(p):
         common(p)
         p.add_argument("--dataset")
-        p.add_argument("--strategy", choices=STRATEGY_KINDS)
-        p.add_argument("--keep-fraction", type=float)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
+        p.add_argument("--strategy", choices=STRATEGY_KINDS, default="gumbel_topk")
+        p.add_argument("--keep-fraction", type=float, default=0.3)
+        p.add_argument("--tau", type=float, default=StrategyConfig.tau)
+        p.add_argument("--lambda", dest="lam", type=float, default=StrategyConfig.lam)
         p.add_argument("--target-ratio", type=float)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--eval-fraction", type=float)
-        p.add_argument("--channel", choices=("both", "visual", "textual"))
-        p.add_argument("--positions", choices=("compact", "original"))
+        p.add_argument("--epochs", type=int, default=RunConfig.epochs)
+        p.add_argument("--lr", type=float, default=RunConfig.lr)
+        p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
+        p.add_argument("--eval-fraction", type=float, default=RunConfig.eval_fraction)
+        p.add_argument("--channel", choices=CHANNELS, default=RunConfig.channel)
+        p.add_argument("--positions", choices=POSITION_MODES, default=RunConfig.positions)
 
     t = sub.add_parser("train", help="train one run, write metrics + checkpoint")
     training_flags(t)
 
     s = sub.add_parser("sweep", help="run a grid and plot the accuracy curve")
     training_flags(s)
-    s.add_argument("--axis", choices=SWEEP_AXES)
-    s.add_argument("--grid", help="comma-separated grid values")
-    s.add_argument("--seeds", type=int, help="replicates per cell")
-    s.add_argument("--strategies", help="comma-separated strategy subset (sparsity axis)")
+    s.add_argument("--axis", choices=SWEEP_AXES, default="sparsity")
+    s.add_argument("--grid", type=float_list, help="comma-separated grid values")
+    s.add_argument("--seeds", type=int, default=1, help="replicates per cell")
+    s.add_argument("--strategies", type=_strategy_list, default=CURVE_STRATEGIES,
+                   help="comma-separated strategy subset (sparsity axis)")
 
     c = sub.add_parser("gradcheck", help="finite-difference verification suites")
     c.add_argument("--corrupt-op", help=argparse.SUPPRESS)  # negative-control hook
 
     sub.add_parser("sample-check", help="Monte-Carlo sampling verification")
-    return parser
-
-
-_DEFAULTS = {
-    "seed": 1, "count": 2000, "n": 32, "d": 16, "classes": 4, "noise_std": 0.5,
-    "decoy_scale": 0.3, "num_informative": 3, "multimodal": False,
-    "distractor_mode": "pure_noise", "strategy": "gumbel_topk",
-    "keep_fraction": 0.3, "tau": 0.1, "lam": 1.0, "target_ratio": None,
-    "epochs": 30, "lr": 0.1, "batch_size": 32, "eval_fraction": 0.2,
-    "channel": "both", "positions": "compact", "axis": "sparsity",
-    "grid": None, "seeds": 1, "strategies": None, "out": None, "dataset": None,
-}
-
-_BOOL_KEYS = {"multimodal"}
-_INT_KEYS = {"seed", "count", "n", "d", "classes", "num_informative", "epochs",
-             "batch_size", "seeds"}
-_FLOAT_KEYS = {"noise_std", "decoy_scale", "keep_fraction", "tau", "lam",
-               "target_ratio", "lr", "eval_fraction"}
+    return parser, {"gen-data": g, "train": t, "sweep": s}
 
 
 def _load_config_file(path: str) -> dict:
@@ -122,80 +122,70 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, raw):
-    if not isinstance(raw, str):
-        return raw
-    if key in _BOOL_KEYS:
-        return raw.lower() in ("1", "true", "yes")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """defaults < config file < explicit flags.
 
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, raw in _load_config_file(config_path).items():
-            if key not in merged:
+    A config file's values become the subcommand's defaults, and argparse
+    parses again, converting each string default with its flag's type. A
+    file may name any flag of gen-data, train or sweep; flags of other
+    subcommands are ignored. A switch (`multimodal`) reads 1, true or yes,
+    in any case, as set.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        flags = {a.dest: a for p in commands.values() for a in p._actions
+                 if a.dest not in ("help", "config")}
+        own = {a.dest for a in commands[args.command]._actions}
+        defaults = {}
+        for key, raw in _load_config_file(args.config).items():
+            if key not in flags:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, raw)
-    for key, value in vars(args).items():
-        if key in merged and value is not None:
-            merged[key] = value
-    return merged
+            if key in own:
+                switch = flags[key].nargs == 0  # a flag without a value
+                defaults[key] = raw.lower() in ("1", "true", "yes") if switch else raw
+        commands[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
+    return args
 
 
-def _spec_from(opt: dict) -> NeedleSpec:
-    return NeedleSpec(n=opt["n"], d=opt["d"], num_informative=opt["num_informative"],
-                      num_classes=opt["classes"], noise_std=opt["noise_std"],
-                      distractor_mode=opt["distractor_mode"],
-                      decoy_scale=opt["decoy_scale"], multimodal=opt["multimodal"])
+def _spec_from(args) -> NeedleSpec:
+    return NeedleSpec(n=args.n, d=args.d, num_informative=args.num_informative,
+                      num_classes=args.classes, noise_std=args.noise_std,
+                      distractor_mode=args.distractor_mode,
+                      decoy_scale=args.decoy_scale, multimodal=args.multimodal)
 
 
-def _strategy_from(opt: dict, n_tokens: int) -> StrategyConfig:
-    kind = opt["strategy"]
-    if kind == "ratio_controlled":
-        ratio = opt["target_ratio"]
-        if ratio is None:
-            ratio = opt["keep_fraction"]
-        return StrategyConfig(kind, target_ratio=ratio, tau=opt["tau"], lam=opt["lam"])
-    return StrategyConfig(kind, k=k_for_fraction(opt["keep_fraction"], n_tokens),
-                          tau=opt["tau"], lam=opt["lam"])
-
-
-def _run_config(opt: dict) -> tuple[RunConfig, int]:
-    if not opt["dataset"]:
+def _run_config(args) -> tuple[RunConfig, int]:
+    if not args.dataset:
         raise ConfigError("--dataset is required")
-    _, header = load_dataset(opt["dataset"])
+    _, header = load_dataset(args.dataset)
     n_tokens = header["n"]
-    cfg = RunConfig(dataset=opt["dataset"], strategy=_strategy_from(opt, n_tokens),
-                    lr=opt["lr"], epochs=opt["epochs"], batch_size=opt["batch_size"],
-                    seed=opt["seed"], eval_fraction=opt["eval_fraction"],
-                    out_dir=opt["out"], channel=opt["channel"],
-                    positions=opt["positions"])
+    fraction = args.keep_fraction
+    if args.strategy == "ratio_controlled" and args.target_ratio is not None:
+        fraction = args.target_ratio
+    strategy = StrategyConfig.for_fraction(args.strategy, fraction, n_tokens, args.tau, args.lam)
+    cfg = RunConfig(dataset=args.dataset, strategy=strategy, lr=args.lr, epochs=args.epochs,
+                    batch_size=args.batch_size, seed=args.seed,
+                    eval_fraction=args.eval_fraction, out_dir=args.out,
+                    channel=args.channel, positions=args.positions)
     return cfg, n_tokens
 
 
 def _cmd_gen_data(args) -> int:
-    opt = _resolve(args)
-    if not opt["out"]:
+    if not args.out:
         raise ConfigError("--out is required")
-    spec = _spec_from(opt)
-    examples = generate_dataset(spec, opt["count"], opt["seed"])
-    write_dataset(examples, opt["out"], spec, opt["seed"])
-    print(f"wrote {len(examples)} examples to {opt['out']}")
+    spec = _spec_from(args)
+    examples = generate_dataset(spec, args.count, args.seed)
+    write_dataset(examples, args.out, spec, args.seed)
+    print(f"wrote {len(examples)} examples to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    opt = _resolve(args)
-    if not opt["out"]:
+    if not args.out:
         raise ConfigError("--out is required")
-    cfg, _ = _run_config(opt)
+    cfg, _ = _run_config(args)
     result = train_run(cfg)
     diverged = [row for row in result.rows if not math.isfinite(row.train_loss)]
     if diverged:
@@ -217,23 +207,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    opt = _resolve(args)
-    if not opt["out"]:
+    if not args.out:
         raise ConfigError("--out is required")
-    cfg, n_tokens = _run_config(opt)
-    cfg.out_dir = None
-    grid = None
-    if opt["grid"]:
-        grid = tuple(float(v) for v in str(opt["grid"]).split(","))
-    strategies = CURVE_STRATEGIES
-    if opt["strategies"]:
-        strategies = tuple(str(opt["strategies"]).split(","))
-        unknown = set(strategies) - set(STRATEGY_KINDS)
-        if unknown:
-            raise ConfigError(f"unknown strategies {sorted(unknown)}")
-    axis = opt["axis"]
-    rows, csv_path, svg_path = run_sweep(axis, cfg, n_tokens, opt["seeds"],
-                                         opt["out"], grid, strategies)
+    cfg, n_tokens = _run_config(args)
+    axis = args.axis
+    rows, csv_path, svg_path = run_sweep(axis, cfg, n_tokens, args.seeds, args.out,
+                                         args.grid, args.strategies)
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"curve -> {svg_path}")
 
@@ -272,11 +251,10 @@ def _cmd_sample_check(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"gen-data": _cmd_gen_data, "train": _cmd_train, "sweep": _cmd_sweep,
                 "gradcheck": _cmd_gradcheck, "sample-check": _cmd_sample_check}
     try:
+        args = _parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, SchemaError, ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

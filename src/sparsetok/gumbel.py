@@ -1,8 +1,6 @@
 """Standard Gumbel noise and the Gumbel-max categorical sampling primitive."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDistributionError
@@ -13,28 +11,18 @@ _U_LO = 1e-12
 _U_HI = 1.0 - 1e-12
 
 
-@dataclass
-class GumbelDraw:
-    """Gumbel(0,1) samples plus the uniforms that produced them (for replay)."""
-
-    values: np.ndarray
-    source_uniforms: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     """Inverse-transform g = -ln(-ln u) with clamped u."""
     u = np.clip(np.asarray(u, dtype=np.float64), _U_LO, _U_HI)
     return -np.log(-np.log(u))
 
 
-def sample_standard_gumbel(rng: SeededRng, count: int) -> GumbelDraw:
+def sample_standard_gumbel(rng: SeededRng, count: int) -> np.ndarray:
+    """`count` Gumbel(0,1) samples: the stream's next `count` uniforms
+    through `gumbel_from_uniform`."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    u = np.clip(rng.uniforms(count), _U_LO, _U_HI)
-    return GumbelDraw(values=-np.log(-np.log(u)), source_uniforms=u)
+    return gumbel_from_uniform(rng.uniforms(count))
 
 
 def gumbel_max_sample(probabilities, rng: SeededRng):
@@ -53,7 +41,7 @@ def gumbel_max_sample(probabilities, rng: SeededRng):
         raise DegenerateDistributionError("all-zero probability vector")
     if np.any(np.abs(total - 1.0) > 1e-9):
         raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
-    g = sample_standard_gumbel(rng, p.size).values.reshape(p.shape)
+    g = sample_standard_gumbel(rng, p.size).reshape(p.shape)
     with np.errstate(divide="ignore"):
         scores = np.where(p > 0, np.log(np.maximum(p, 1e-300)) + g, -np.inf)
     picks = np.argmax(scores, axis=-1)

@@ -56,6 +56,22 @@ class StrategyConfig:
             if self.k < 1:
                 raise ContractError("K must be positive")
 
+    @classmethod
+    def for_fraction(cls, kind: str, fraction: float, n: int, tau: float,
+                     lam: float) -> "StrategyConfig":
+        """The strategy that keeps `fraction` of n tokens: ratio_controlled
+        targets that ratio, the others keep K = k_for_fraction(fraction, n)."""
+        if not 0 < fraction <= 1:
+            raise ContractError(f"keep fraction must lie in (0, 1], got {fraction:g}")
+        if kind == "ratio_controlled":
+            return cls(kind, target_ratio=fraction, tau=tau, lam=lam)
+        return cls(kind, k=k_for_fraction(fraction, n), tau=tau, lam=lam)
+
+
+def k_for_fraction(fraction: float, n: int) -> int:
+    """Keep-fraction to token budget: K = max(1, round(fraction * n)), at most n."""
+    return max(1, min(n, round(fraction * n)))
+
 
 class KeepProbPredictor:
     """Two-layer scorer f: R^d -> R^2 whose softmax yields keep probabilities."""
@@ -200,7 +216,7 @@ def gumbel_topk_select(scores: KeepScores, k: int, tau: float, rng: SeededRng) -
     sees the values it would see if the examples ran one at a time.
     """
     _check_k(k, scores.n)
-    g = sample_standard_gumbel(rng, scores.s.data.size).values.reshape(scores.s.shape)
+    g = sample_standard_gumbel(rng, scores.s.data.size).reshape(scores.s.shape)
     keep = _top_k_keep(np.log(np.maximum(scores.s.data, _TINY)) + g, k)
     perturbed = ad.add(_log_s(scores), ad.constant(g))
     soft = ad.softmax_with_temperature(perturbed, axis=-1, tau=tau)
@@ -216,7 +232,7 @@ def ratio_controlled_select(scores: KeepScores, tau: float, rng: SeededRng) -> S
     """
     shape = scores.s.shape
     size = scores.s.data.size
-    g = sample_standard_gumbel(rng, 2 * size).values.reshape(shape[0], 2, shape[1])
+    g = sample_standard_gumbel(rng, 2 * size).reshape(shape[0], 2, shape[1])
     g0, g1 = g[:, 0], g[:, 1]
 
     keep_logit = ad.add(_log_s(scores), ad.constant(g0))
@@ -259,9 +275,9 @@ def inference_rank_topk(scores: KeepScores, k: int) -> SelectionMask:
 
 
 def inference_k_for(strategy: StrategyConfig, n: int) -> int:
-    """K used at inference: the trained K, or round(p*n) for ratio control."""
+    """K used at inference: the trained K, or k_for_fraction(p, n) for ratio control."""
     if strategy.kind == "ratio_controlled":
-        return min(max(1, round(strategy.target_ratio * n)), n)
+        return k_for_fraction(strategy.target_ratio, n)
     return strategy.k
 
 

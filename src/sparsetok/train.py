@@ -234,14 +234,10 @@ def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]
 
 
 def keep_fraction_of(strategy: StrategyConfig, n: int) -> float:
+    """The fraction of n tokens a strategy keeps: its target ratio, or K / n."""
     if strategy.kind == "ratio_controlled":
         return strategy.target_ratio
     return strategy.k / n
-
-
-def k_for_fraction(fraction: float, n: int) -> int:
-    """Keep-fraction to token budget: K = max(1, round(fraction * n))."""
-    return max(1, min(n, round(fraction * n)))
 
 
 def train_step(pipeline: Pipeline, params: list[Parameter], batch: list[Example],

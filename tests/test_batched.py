@@ -137,7 +137,7 @@ def test_ratio_gate_takes_keep_noise_then_drop_noise():
     mask = ratio_controlled_select(keep_scores_from_values(Tape(), s), 0.4, SeededRng(8))
     stream = SeededRng(8)
     for b in range(3):
-        g = sample_standard_gumbel(stream, 2 * n).values
+        g = sample_standard_gumbel(stream, 2 * n)
         expected = np.log(s[b] + 1e-300) + g[:n] > np.log(1.0 - s[b] + 1e-300) + g[n:]
         assert np.array_equal(mask.hard[b], expected.astype(float))
 

@@ -145,6 +145,16 @@ def test_sweep_config_file_grid_and_strategies(tmp_path, dataset):
         ("gumbel_topk", "1"), ("uniform_fixed", "1")]
 
 
+def test_config_value_is_read_with_its_flags_type(tmp_path, dataset, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"dataset={dataset}\nepochs=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(conf), "--out", str(tmp_path / "run")])
+    assert exc.value.code == 1
+    assert "argument --epochs: invalid int value: 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_key_of_another_command_is_accepted(tmp_path, dataset):
     conf = tmp_path / "run.conf"
     conf.write_text(f"dataset={dataset}\ncount=80\nepochs=1\nbatch-size=16\n")
@@ -310,15 +320,38 @@ class TestSweep:
         assert os.path.exists(os.path.join(out, "sweep_sparsity.svg"))
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_stkn_threads_must_be_a_positive_integer(tmp_path, dataset, capsys, monkeypatch, value):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["train", "--strategy", "deterministic_topk", "--keep-fraction", "-3"],
+                 "keep fraction must lie in (0, 1], got -3", id="negative-keep-fraction"),
+    pytest.param(["train", "--strategy", "ratio_controlled", "--target-ratio", "1.5"],
+                 "keep fraction must lie in (0, 1], got 1.5", id="target-ratio-above-1"),
+    pytest.param(["sweep", "--grid=-0.5,0.25"], "keep fraction must lie in (0, 1], got -0.5",
+                 id="negative-grid-value"),
+    pytest.param(["sweep", "--grid=0.25,1.5"], "keep fraction must lie in (0, 1], got 1.5",
+                 id="grid-value-above-1"),
+    pytest.param(["sweep", "--seeds", "0"], "a sweep needs at least one seed, got 0",
+                 id="zero-seeds"),
+])
+def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--dataset", dataset, "--out", str(out), "--epochs", "1"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
-    monkeypatch.setattr("sparsetok.sweep.ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("STKN_THREADS", value)
-    rc = main(["sweep", "--dataset", dataset, "--out", str(tmp_path / "sweep"),
-               "--axis", "variant", "--epochs", "1"])
-    assert rc == 1
-    assert "STKN_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "sweep").exists()
+
+def test_sweep_runs_cells_in_order_then_seeds(tmp_path, dataset, monkeypatch):
+    """Each cell's seeds run before the next cell, through `sweep.train_run`."""
+    import sparsetok.sweep as sweep
+
+    seeds = []
+
+    def recording(cfg):
+        seeds.append(cfg.seed)
+        return train_run(cfg)
+
+    train_run = sweep.train_run
+    monkeypatch.setattr(sweep, "train_run", recording)
+    assert main(["sweep", "--dataset", dataset, "--out", str(tmp_path / "sweep"),
+                 "--axis", "variant", "--keep-fraction", "0.25", "--epochs", "1",
+                 "--seeds", "2", "--seed", "3"]) == 0
+    assert seeds == [sweep.cell_seed(3, cell, s) for cell in range(2) for s in range(2)]

@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses.
+it never uses, and the package reads the process environment in one place.
 
 The scan reads each file's syntax tree, so it needs no import of the module.
 A package `__init__.py` is exempt: its imports are the public re-exports.
@@ -12,6 +12,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in (ROOT / "src" / "sparsetok", ROOT / "tests")
                  for path in folder.glob("*.py") if path.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "sparsetok").glob("*.py"))
+# the one environment knob, STKN_TIMING, and the function that reads it
+ENVIRONMENT_READERS = {"metrics.py": ["timing_enabled"]}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,3 +51,38 @@ def test_scan_finds_unused_imports():
 def test_modules_are_found():
     names = {path.name for path in MODULES}
     assert {"selection.py", "model.py", "test_hygiene.py"} <= names
+
+
+def environment_readers(source: str) -> list[str]:
+    """Functions of `source` that read the process environment through
+    `os.environ` or `os.getenv`, or that import either from os; code outside
+    any function counts as "<module>"."""
+    readers: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                readers.add(scope)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(readers)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_timing_enabled_reads_the_environment(path):
+    assert environment_readers(path.read_text(encoding="utf-8")) == (
+        ENVIRONMENT_READERS.get(path.name, []))
+
+
+def test_scan_finds_environment_reads():
+    source = ("import os\nfrom os import getenv\nWORKERS = os.environ.get('N')\n"
+              "def knob():\n    return os.getenv('K')\n"
+              "def path():\n    return os.path.join('a', 'b')\n")
+    assert environment_readers(source) == ["<module>", "knob"]

@@ -45,6 +45,19 @@ class TestStrategyConfig:
         StrategyConfig("deterministic_topk", k=3)
         StrategyConfig("ratio_controlled", target_ratio=0.3)
 
+    def test_for_fraction_sets_the_budget_its_kind_reads(self):
+        assert StrategyConfig.for_fraction("gumbel_topk", 0.25, 32, tau=0.5, lam=2.0) == (
+            StrategyConfig("gumbel_topk", k=8, tau=0.5, lam=2.0))
+        assert StrategyConfig.for_fraction("uniform_fixed", 0.01, 32, 0.1, 1.0).k == 1
+        assert StrategyConfig.for_fraction("ratio_controlled", 0.3, 32, 0.1, 1.0) == (
+            StrategyConfig("ratio_controlled", target_ratio=0.3))
+
+    @pytest.mark.parametrize("fraction", [-3.0, 0.0, 1.5, float("nan")])
+    def test_for_fraction_refuses_fractions_outside_0_1(self, fraction):
+        for kind in ("deterministic_topk", "ratio_controlled"):
+            with pytest.raises(ContractError, match="keep fraction must lie in"):
+                StrategyConfig.for_fraction(kind, fraction, 32, 0.1, 1.0)
+
 
 class TestKeepProbabilities:
     def test_symmetric_logits_give_half(self):

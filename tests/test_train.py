@@ -8,9 +8,8 @@ from sparsetok.errors import ConfigError
 from sparsetok.metrics import read_metrics_csv
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
-from sparsetok.selection import KeptTokens, StrategyConfig
-from sparsetok.train import (Pipeline, RunConfig, k_for_fraction, retain_heap, train_run,
-                             train_step)
+from sparsetok.selection import KeptTokens, StrategyConfig, k_for_fraction
+from sparsetok.train import Pipeline, RunConfig, retain_heap, train_run, train_step
 
 TINY_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
                                  ff_mult=2, init_std=0.2)
