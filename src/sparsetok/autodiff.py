@@ -42,7 +42,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.node_id is not None
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -135,11 +131,8 @@ class Tape:
         self._nodes.append((kind, input_ids, vjp))
         return len(self._nodes) - 1
 
-    def leaf(self, value: np.ndarray, requires_grad: bool = True) -> Tensor:
-        value = np.asarray(value, dtype=np.float64)
-        if not requires_grad:
-            return Tensor(value)
-        return Tensor(value, self._append("leaf", (), None))
+    def leaf(self, value: np.ndarray) -> Tensor:
+        return Tensor(np.asarray(value, dtype=np.float64), self._append("leaf", (), None))
 
     def param(self, p: Parameter) -> Tensor:
         """Fetch the tape tensor for a parameter, registering it on first use.
@@ -152,7 +145,7 @@ class Tape:
             return Tensor(p.value)
         t = self._param_nodes.get(id(p))
         if t is None:
-            t = self.leaf(p.value, requires_grad=True)
+            t = self.leaf(p.value)
             self._param_nodes[id(p)] = t
         return t
 
@@ -633,20 +626,25 @@ def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def central_difference_check(loss_at: Callable[[], float], arrays: Sequence[np.ndarray],
-                             analytic: Sequence[np.ndarray],
-                             step: float = 1e-5) -> tuple[float, int, int]:
+# one central-difference case: (name, loss_at, array, analytic gradient)
+Case = tuple[str, Callable[[], float], np.ndarray, np.ndarray]
+
+
+def central_difference_check(cases: Iterable[Case], step: float = 1e-5) -> tuple[float, str]:
     """Worst relative error between analytic gradients and central differences.
 
-    Each coordinate of each array is moved by +-step in place and `loss_at()`
-    re-evaluated, so `loss_at` must read the arrays themselves (parameter
-    values, token arrays) and be deterministic: freeze any noise first. The
+    Each case is (name, loss_at, array, analytic): every coordinate of the
+    array is moved by +-step in place and `loss_at()` re-evaluated, so
+    `loss_at` must read the array itself (a parameter value, a token array)
+    and be deterministic: freeze any noise first. Cases are consumed one at
+    a time, so a generator may build each just before it is checked. The
     relative error denominator is max(|analytic|, |numeric|, 1e-8) per
-    coordinate. Returns (error, array index, flat coordinate) of the worst
-    coordinate; the first one wins a tie, and a NaN error beats any number.
+    coordinate. Returns the worst error over all coordinates of all cases
+    and where it is, "name[flat coordinate]"; the first one wins a tie, and
+    a NaN error beats any number.
     """
-    worst, where = 0.0, (0, 0)
-    for a, (array, grad) in enumerate(zip(arrays, analytic)):
+    worst, where = -math.inf, ""
+    for name, loss_at, array, grad in cases:
         if array.dtype != np.float64 or not array.flags.c_contiguous:
             raise ContractError("finite differences perturb contiguous float64 arrays in place")
         flat = array.reshape(-1)
@@ -663,22 +661,27 @@ def central_difference_check(loss_at: Callable[[], float], arrays: Sequence[np.n
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
         err = np.abs(grad - numeric) / denom
         i = int(np.argmax(err))  # argmax ranks a NaN first, and a NaN fails any tolerance
-        if err[i] > worst or (np.isnan(err[i]) and not np.isnan(worst)):
-            worst, where = float(err[i]), (a, i)
-    return worst, where[0], where[1]
+        if not np.isnan(worst) and not worst >= err[i]:
+            worst, where = float(err[i]), f"{name}[{i}]"
+    return worst, where
+
+
+def leaf_case(name: str, build_scalar: Callable[[Tensor], Tensor], point: np.ndarray) -> Case:
+    """The `central_difference_check` case of `build_scalar`, which maps a
+    leaf tensor to a scalar loss using tape operations and must be
+    deterministic: the tape gradient at a copy of point, and the loss of
+    that copy."""
+    point = np.array(point, dtype=np.float64)
+    with Tape() as tape:
+        x = tape.leaf(point)
+        tape.backward(build_scalar(x))
+        analytic = tape.grad(x)
+    return name, lambda: build_scalar(Tensor(point)).item(), point, analytic
 
 
 def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
                             point: np.ndarray,
                             step: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences of
-    `build_scalar`, which maps a leaf tensor to a scalar loss using tape
-    operations and must be deterministic (freeze any noise before calling)."""
-    point = np.array(point, dtype=np.float64)
-    with Tape() as tape:
-        x = tape.leaf(point)
-        loss = build_scalar(x)
-        tape.backward(loss)
-        analytic = tape.grad(x)
-    return central_difference_check(lambda: build_scalar(Tensor(point)).item(),
-                                    [point], [analytic], step)[0]
+    `build_scalar` at point: `central_difference_check` of one `leaf_case`."""
+    return central_difference_check([leaf_case("x", build_scalar, point)], step)[0]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, central_difference_check, finite_difference_check
+from .autodiff import Tape, Tensor, central_difference_check, leaf_case
 from .errors import ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
@@ -205,14 +205,10 @@ def _long_attention_cases(r):
 
 def check_catalog(repeats: int = 3, seed: int = 2024) -> SuiteReport:
     """Finite differences vs tape gradients for every catalog primitive."""
-    worst, worst_op = 0.0, ""
-    for rep in range(repeats):
-        rng = SeededRng(seed).split(rep)
-        for name, point, build in _catalog_cases(rng):
-            err = finite_difference_check(build, point, FD_STEP)
-            if err > worst:
-                worst, worst_op = err, name
-    return SuiteReport("autodiff_catalog", worst, worst <= GRAD_TOLERANCE, worst_op)
+    worst, where = central_difference_check(
+        (leaf_case(name, build, point) for rep in range(repeats)
+         for name, point, build in _catalog_cases(SeededRng(seed).split(rep))), FD_STEP)
+    return SuiteReport("autodiff_catalog", worst, worst <= GRAD_TOLERANCE, where)
 
 
 def frozen_selector(select: Selector) -> Selector:
@@ -239,20 +235,6 @@ def frozen_selector(select: Selector) -> Selector:
     return select_frozen
 
 
-def _worst_coordinate(groups) -> tuple[float, str]:
-    """Central differences over groups `(loss_at, [(name, array), ...],
-    analytic)`, each group perturbing its arrays under its own loss: the
-    worst error and "name[i]". An earlier group wins a tie and a NaN beats
-    any number, as within one group.
-    """
-    for g, (loss_at, named_arrays, analytic) in enumerate(groups):
-        err, a, i = central_difference_check(loss_at, [arr for _, arr in named_arrays],
-                                             analytic, FD_STEP)
-        if g == 0 or err > worst or (np.isnan(err) and not np.isnan(worst)):
-            worst, worst_name = err, f"{named_arrays[a][0]}[{i}]"
-    return worst, worst_name
-
-
 def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     """STE gradients wrt scorer parameters vs finite differences of the
     frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants.
@@ -266,14 +248,13 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     quad_w = _rand(rng.split(1), (n, d))
     # large init keeps every gradient above the finite-difference noise floor
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
-    params = [(p.name, p.value) for p in scorer.parameters()]
-    worst, worst_name = 0.0, ""
 
     variants = [
         ("gumbel_topk", lambda scores: gumbel_topk_select(scores, 3, 0.5, SeededRng(99))),
         ("ratio_controlled", lambda scores: ratio_controlled_select(scores, 0.5, SeededRng(99))),
     ]
-    for vname, selector in variants:
+
+    def cases(vname: str, selector: Selector) -> list[ad.Case]:
         select = frozen_selector(selector)
 
         def loss_on(tape: Tape) -> Tensor:
@@ -284,10 +265,12 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
         with Tape() as tape:
             tape.backward(loss_on(tape))
             analytic = [tape.grad(p) for p in scorer.parameters()]
-        err, name = _worst_coordinate([(lambda: loss_on(Tape()).item(), params, analytic)])
-        if err > worst or np.isnan(err):
-            worst, worst_name = err, f"{vname}:{name}"
-    return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, worst_name)
+        return [(f"{vname}:{p.name}", lambda: loss_on(Tape()).item(), p.value, g)
+                for p, g in zip(scorer.parameters(), analytic)]
+
+    worst, where = central_difference_check(
+        (case for variant in variants for case in cases(*variant)), FD_STEP)
+    return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, where)
 
 
 def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
@@ -329,20 +312,20 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
             raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
         tape.backward(loss_of(logits))
         task_grads = [tape.grad(p) for p in task_params]
-        selection_grads = [tape.grad(p) for p in selection_params] + [tape.grad(visual_t)]
+        selection_grads = [tape.grad(p) for p in selection_params]
+        visual_grad = tape.grad(visual_t)
 
     # the pipeline reads parameter values and `visual` themselves, so the
     # in-place perturbations reach it; no tape is entered, nothing is recorded
     kept, mask = pipeline.sparsify(Tape(), ad.constant(visual), textual, select)
-    worst, worst_name = _worst_coordinate([
-        (lambda: loss_of(pipeline.classify(Tape(), kept, mask)[0]).item(),
-         [(p.name, p.value) for p in task_params], task_grads),
-        (lambda: loss_of(pipeline.forward_batch(Tape(), ad.constant(visual), textual,
-                                                select)[0]).item(),
-         [(p.name, p.value) for p in selection_params] + [("visual_tokens", visual)],
-         selection_grads),
-    ])
-    return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, worst_name)
+    classify_loss = lambda: loss_of(pipeline.classify(Tape(), kept, mask)[0]).item()
+    pipeline_loss = lambda: loss_of(pipeline.forward_batch(Tape(), ad.constant(visual), textual,
+                                                           select)[0]).item()
+    worst, where = central_difference_check(
+        [(p.name, classify_loss, p.value, g) for p, g in zip(task_params, task_grads)]
+        + [(p.name, pipeline_loss, p.value, g) for p, g in zip(selection_params, selection_grads)]
+        + [("visual_tokens", pipeline_loss, visual, visual_grad)], FD_STEP)
+    return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, where)
 
 
 def run_gradcheck(corrupt_op: str | None = None) -> tuple[list[SuiteReport], bool]:

@@ -56,7 +56,7 @@ class NeedleSpec:
             raise SchemaError("multimodal signal splitting needs an even class count")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Example:
     id: int
     tokens: np.ndarray                    # [n, d]
@@ -261,7 +261,8 @@ def load_dataset(path: str) -> tuple[list[Example], dict]:
     """Parse a dataset file; returns (examples, header).
 
     Parsed files are cached by (path, mtime, size) since sweeps reload the
-    same dataset once per cell; treat the returned examples as read-only.
+    same dataset once per cell, so every load of a file shares its examples:
+    they are frozen, and their arrays read-only.
     """
     stat = os.stat(path)
     key = (os.path.abspath(path), stat.st_mtime_ns, stat.st_size)
@@ -358,6 +359,9 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
         if bad.any():
             problems.append((int(lines[np.argmax(bad)]), message))
 
+    # every load of the file shares the examples and the arrays they view
+    # (`_LOAD_CACHE`), so the arrays are read-only
+    tokens.flags.writeable = False
     infos = []
     for ch in range(channels):
         check(~np.isfinite(tokens[ch]).all(axis=(1, 2)), line_nos,
@@ -366,6 +370,7 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
             idx = np.array(indices[ch], dtype=np.int64)
         except OverflowError:  # beyond int64 is out of range too; clip to keep it so
             idx = np.array([min(max(v, -1), n) for v in indices[ch]], dtype=np.int64)
+        idx.flags.writeable = False
         starts = np.cumsum(lengths[ch]) - lengths[ch]
         rises = np.diff(idx, prepend=-1) > 0
         rises[starts[lengths[ch] > 0]] = True  # each record's first index starts afresh

@@ -5,10 +5,10 @@ documented hash, so a cell is reproducible in isolation.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
+from .data import load_dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, write_line_plot, write_metrics_csv
 from .rng import mix_words
@@ -76,15 +76,15 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
 
 @dataclass
 class SweepRow(MetricsRow):
-    """A cell's final-epoch row plus its run's first-epoch train loss, which
-    the divergence check reads and the CSV leaves out."""
-    first_train_loss: float = math.nan
+    """A cell's final-epoch row plus its run's `TrainResult.problem`, which
+    the CSV leaves out."""
+    problem: str | None = None
 
 
 def _run_cell(cell: SweepCell, seed_index: int, master_seed: int) -> SweepRow:
     cfg = replace(cell.cfg, seed=cell_seed(master_seed, cell.index, seed_index))
-    rows = train_run(cfg).rows
-    return SweepRow(**vars(rows[-1]), first_train_loss=rows[0].train_loss)
+    result = train_run(cfg)
+    return SweepRow(**vars(result.final), problem=result.problem)
 
 
 def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
@@ -109,7 +109,8 @@ def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"sweep_{axis}.csv")
     svg_path = os.path.join(out_dir, f"sweep_{axis}.svg")
-    config = base.config_dict()
+    _, header = load_dataset(base.dataset)  # parsed by the cells' runs already
+    config = base.config_dict(header["num_classes"])
     config.update({"axis": axis, "num_seeds": num_seeds,
                    "grid": ",".join(str(c.x_value) for c in cells)})
     write_metrics_csv(csv_path, rows, config)

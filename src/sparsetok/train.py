@@ -8,6 +8,7 @@ batched forward pass.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -41,6 +42,10 @@ _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
 _heap_policy: bool | None = None
 
+# a run has diverged when its last epoch's train loss exceeds the first
+# epoch's by more than this factor
+DIVERGENCE_FACTOR = 10.0
+
 CHANNELS = ("both", "visual", "textual")
 POSITION_MODES = ("compact", "original")
 
@@ -71,7 +76,9 @@ class RunConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
 
-    def config_dict(self) -> dict:
+    def config_dict(self, num_classes: int) -> dict:
+        """The run's settings for a CSV config block; num_classes is the
+        dataset's, which the task head is built for."""
         s, m = self.strategy, self.model
         return {
             "dataset": self.dataset, "strategy": s.kind, "k": s.k,
@@ -80,7 +87,7 @@ class RunConfig:
             "seed": self.seed, "eval_fraction": self.eval_fraction,
             "channel": self.channel, "positions": self.positions,
             "d_model": m.d_model, "heads": m.heads, "layers": m.layers,
-            "max_len": m.max_len, "num_classes": m.num_classes, "ff_mult": m.ff_mult,
+            "max_len": m.max_len, "num_classes": num_classes, "ff_mult": m.ff_mult,
         }
 
 
@@ -195,6 +202,21 @@ class TrainResult:
     @property
     def final(self) -> MetricsRow:
         return self.rows[-1]
+
+    @property
+    def problem(self) -> str | None:
+        """What is wrong with the run's train losses, or None: the first
+        non-finite epoch, or else a last epoch more than DIVERGENCE_FACTOR
+        times the first."""
+        for row in self.rows:
+            if not math.isfinite(row.train_loss):
+                return f"train loss is {row.train_loss} at epoch {row.epoch}"
+        first, final = self.rows[0], self.final
+        if final.train_loss > DIVERGENCE_FACTOR * first.train_loss:
+            return (f"train loss diverged from {first.train_loss:.6g} at epoch {first.epoch} "
+                    f"to {final.train_loss:.6g} at epoch {final.epoch}, more than "
+                    f"{DIVERGENCE_FACTOR:g}x")
+        return None
 
 
 def _recall(ex: Example, kept: np.ndarray, channel: str, multimodal_run: bool) -> float:
@@ -347,6 +369,6 @@ def train_run(cfg: RunConfig) -> TrainResult:
         os.makedirs(cfg.out_dir, exist_ok=True)
         result.metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
         result.checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.stkn")
-        write_metrics_csv(result.metrics_path, rows, cfg.config_dict())
+        write_metrics_csv(result.metrics_path, rows, cfg.config_dict(header["num_classes"]))
         save_checkpoint(result.checkpoint_path, params)
     return result

@@ -219,13 +219,29 @@ def test_central_difference_check_locates_the_worst_coordinate():
     def loss_at():
         return float(a.sum() + (b * b).sum())
 
-    err, array, coord = ad.central_difference_check(loss_at, [a, b],
-                                                    [np.ones(2), np.array([6.0, 7.0])])
-    assert (array, coord) == (1, 1)
+    err, where = ad.central_difference_check([("a", loss_at, a, np.ones(2)),
+                                              ("b", loss_at, b, np.array([6.0, 7.0]))])
+    assert where == "b[1]"
     assert abs(err - 1 / 8) < 1e-6  # |7 - 8| / 8
     assert np.array_equal(b, [3.0, 4.0])  # every perturbation undone
-    err, _, _ = ad.central_difference_check(loss_at, [a], [np.array([1.0, np.nan])])
+    err, _ = ad.central_difference_check([("a", loss_at, a, np.array([1.0, np.nan]))])
     assert np.isnan(err)
+
+
+def test_central_difference_check_keeps_the_first_worst_case():
+    """A tie keeps the first case, and the first NaN beats any number."""
+    a = np.array([2.0])
+
+    def loss_at():
+        return float(a[0] ** 2)  # gradient 4
+
+    def case(name, analytic):
+        return name, loss_at, a, np.array([analytic])
+
+    assert ad.central_difference_check([case("p", 5.0), case("q", 5.0)])[1] == "p[0]"
+    err, where = ad.central_difference_check(
+        [case("p", 5.0), case("q", np.nan), case("r", np.nan), case("s", 1e9)])
+    assert np.isnan(err) and where == "q[0]"
 
 
 def test_tape_replay_determinism():

@@ -1,6 +1,13 @@
-from sparsetok.checks import (check_gumbel_max_frequencies, check_gumbel_mean,
+import math
+
+import pytest
+
+import sparsetok.autodiff as ad
+from sparsetok.checks import (check_catalog, check_gumbel_max_frequencies, check_gumbel_mean,
+                              check_multimodal_end_to_end, check_ste_soft_path,
                               check_topk_selection_frequencies, format_sample_report,
                               run_gradcheck, run_sample_check)
+from sparsetok.errors import ContractError
 
 
 def test_gradcheck_all_suites_pass():
@@ -52,6 +59,40 @@ def test_corrupted_matmul_still_fails_every_suite():
     assert [r.name for r in reports if not r.ok] == [
         "autodiff_catalog", "ste_soft_path", "multimodal_end_to_end"]
     assert "matmul" in reports[0].detail
+
+
+@pytest.mark.parametrize("suite, op", [
+    pytest.param(check_catalog, "exp", id="catalog-exp"),
+    pytest.param(check_catalog, "gelu", id="catalog-gelu"),
+    pytest.param(check_ste_soft_path, "gelu", id="ste_soft_path-gelu"),
+    pytest.param(check_multimodal_end_to_end, "gelu", id="multimodal_end_to_end-gelu"),
+])
+def test_nan_adjoint_fails_the_suite(suite, op):
+    """A NaN gradient must fail, however small the other errors are."""
+    with ad.corrupt_adjoint(op, float("nan")):
+        report = suite()
+    assert math.isnan(report.worst) and not report.ok, report.line()
+
+
+# ROADMAP item 2: a 1e-5 step rounds to about 1e-4 relative error on a
+# coordinate whose gradient is about 1e-7 (1.449e-4 at seed 3, 2.837e-4 at 7)
+_ROUNDING_FLOOR = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: central-difference "
+                                    "rounding at FD_STEP on a tiny gradient")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, pytest.param(3, marks=_ROUNDING_FLOOR), 4, 5,
+                                  pytest.param(7, marks=_ROUNDING_FLOOR), 8, 10, 11, 12])
+def test_multimodal_end_to_end_over_seeds(seed):
+    report = check_multimodal_end_to_end(seed)
+    assert report.ok, report.line()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [6, 9])
+def test_multimodal_end_to_end_refuses_equal_kept_counts(seed):
+    with pytest.raises(ContractError, match="must differ and be non-zero"):
+        check_multimodal_end_to_end(seed)
 
 
 def test_gradcheck_is_deterministic():

@@ -161,6 +161,22 @@ def test_config_key_of_another_command_is_accepted(tmp_path, dataset):
     assert main(["train", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
 
 
+def test_config_block_names_the_dataset_class_count(tmp_path):
+    """The task head has the dataset's class count, and so does the CSV
+    config block of `train` and of `sweep`."""
+    path = str(tmp_path / "six.jsonl")
+    assert main(["gen-data", "--out", path, "--seed", "1", "--count", "60", "--n", "8",
+                 "--d", "6", "--num-informative", "2", "--classes", "6"]) == 0
+    flags = ["--dataset", path, "--epochs", "1", "--batch-size", "16"]
+    assert main(["train", *flags, "--out", str(tmp_path / "run")]) == 0
+    _, config = read_metrics_csv(str(tmp_path / "run" / "metrics.csv"))
+    assert config["num_classes"] == "6"
+    assert main(["sweep", *flags, "--grid", "0.5", "--strategies", "uniform_fixed",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    _, config = read_metrics_csv(str(tmp_path / "sweep" / "sweep_sparsity.csv"))
+    assert config["num_classes"] == "6"
+
+
 def test_missing_dataset_is_usage_error(tmp_path):
     assert main(["train", "--out", str(tmp_path / "x")]) == 1
 
@@ -297,7 +313,7 @@ class TestSweep:
                        "--grid", "0.5", "--strategies", "gumbel_topk", "--epochs", "1",
                        "--batch-size", "16", "--lr", "1e200"])
         assert rc == 2
-        assert "train loss is nan in the gumbel_topk cell at keep_fraction 0.5" in (
+        assert "train loss is nan at epoch 0 in the gumbel_topk cell at keep_fraction 0.5" in (
             capsys.readouterr().err)
         rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
         assert [r["train_loss"] for r in rows] == ["nan"]  # still written for inspection
@@ -310,8 +326,8 @@ class TestSweep:
                    "--batch-size", "16", "--seed", "2"])
         assert rc == 2
         err = capsys.readouterr().err
-        named = re.search(r"diverged from (\S+) in the first epoch to (\S+) in the last, "
-                          r"more than 10x, in the gumbel_topk cell at keep_fraction 0.25", err)
+        named = re.search(r"diverged from (\S+) at epoch 0 to (\S+) at epoch 1, "
+                          r"more than 10x in the gumbel_topk cell at keep_fraction 0.25", err)
         assert named, err
         rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
         last = float(rows[0]["train_loss"])  # the CSV keeps only the last epoch

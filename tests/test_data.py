@@ -1,5 +1,6 @@
 import base64
 import collections
+import dataclasses
 import itertools
 import os
 import re
@@ -298,6 +299,27 @@ class TestRoundTrip:
         write_dataset(examples, str(p2), spec, 3)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_examples_cannot_be_written(self, tmp_path):
+        """Every load of a file shares one parse, so a write to a loaded
+        example is refused and a reload still returns the file's values."""
+        spec = NeedleSpec(n=6, d=3, multimodal=True)
+        path = str(tmp_path / "data.jsonl")
+        examples = generate_dataset(spec, 4, seed=2)
+        write_dataset(examples, path, spec, 2)
+        first, _ = load_dataset(path)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0].tokens[0, 0] = 99.0
+        for field in ("textual_tokens", "informative_indices", "textual_informative_indices"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(first[0], field)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[1].label = 3
+        again, _ = load_dataset(path)
+        for a, b in zip(again, examples, strict=True):
+            assert a.label == b.label
+            assert a.tokens.tobytes() == b.tokens.tobytes()
+            assert a.textual_tokens.tobytes() == b.textual_tokens.tobytes()
+
     def test_empty_dataset_with_header(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_dataset([], str(path), NeedleSpec(), 1)
@@ -336,7 +358,8 @@ class TestWriterChecks:
     def test_textual_token_shape_other_than_the_spec_is_refused(self, tmp_path):
         spec = NeedleSpec(multimodal=True)
         examples = generate_dataset(spec, 3, seed=1)
-        examples[2].textual_tokens = examples[2].textual_tokens[:, :4]
+        examples[2] = dataclasses.replace(examples[2],
+                                          textual_tokens=examples[2].textual_tokens[:, :4])
         path = tmp_path / "d.jsonl"
         with pytest.raises(SchemaError, match=re.escape(
                 "example 2: textual_tokens have shape (32, 4), not the spec's (n, d)")):

@@ -106,6 +106,25 @@ def test_metrics_csv_embeds_config(tiny_dataset, tmp_path):
     assert float(rows[0]["wall_seconds"]) == 0.0  # deterministic placeholder
 
 
+def test_timing_fills_only_wall_seconds(tiny_dataset, tmp_path, monkeypatch):
+    """STKN_TIMING=1 writes each epoch's measured time; every other column
+    keeps the bytes of the untimed run."""
+    def rows_of(out):
+        train_run(tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5),
+                           out_dir=str(out)))
+        return read_metrics_csv(str(out / "metrics.csv"))
+
+    untimed, untimed_config = rows_of(tmp_path / "untimed")
+    monkeypatch.setenv("STKN_TIMING", "1")
+    timed, timed_config = rows_of(tmp_path / "timed")
+    assert timed_config == untimed_config
+    assert len(timed) == len(untimed) == 2
+    for t, u in zip(timed, untimed):
+        assert float(t.pop("wall_seconds")) > 0.0
+        assert float(u.pop("wall_seconds")) == 0.0
+        assert t == u
+
+
 def test_multimodal_run_and_channels(tiny_mm_dataset):
     res = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5)))
     assert res.pipeline.multimodal
