@@ -54,18 +54,32 @@ _LN_EPS = 1e-5
 
 _TAPE_STACK: list["Tape"] = []
 
-# test instrumentation: ("op_kind", factor) scales that op's input gradients,
-# letting the gradient checker prove it detects a wrong adjoint
-_CORRUPT_VJP: tuple[str, float] | None = None
+
+class AdjointCorruption:
+    """Test instrumentation: scales the input gradients of every adjoint of
+    one op kind by `factor`, letting the gradient checker prove it detects a
+    wrong adjoint. `count` is the number of adjoints it has scaled."""
+
+    def __init__(self, kind: str, factor: float):
+        self.kind = kind
+        self.factor = factor
+        self.count = 0
+
+
+_CORRUPT_VJP: AdjointCorruption | None = None
 
 
 @contextlib.contextmanager
 def corrupt_adjoint(kind: str, factor: float = 1.01):
-    """Deliberately break one op's adjoint inside the context (tests only)."""
+    """Deliberately break one op's adjoint inside the context (tests only).
+
+    Yields the AdjointCorruption, whose `count` stays 0 when no adjoint of
+    `kind` ran: a kind no op records under corrupts nothing.
+    """
     global _CORRUPT_VJP
-    _CORRUPT_VJP = (kind, factor)
+    _CORRUPT_VJP = corruption = AdjointCorruption(kind, factor)
     try:
-        yield
+        yield corruption
     finally:
         _CORRUPT_VJP = None
 
@@ -174,9 +188,10 @@ class Tape:
                 continue
             self._nodes[nid] = (kind, input_ids, None)
             input_grads = vjp(g)
-            if _CORRUPT_VJP is not None and kind == _CORRUPT_VJP[0]:
+            if _CORRUPT_VJP is not None and kind == _CORRUPT_VJP.kind:
+                _CORRUPT_VJP.count += 1
                 input_grads = tuple(
-                    None if ig is None else ig * _CORRUPT_VJP[1] for ig in input_grads
+                    None if ig is None else ig * _CORRUPT_VJP.factor for ig in input_grads
                 )
             for iid, ig in zip(input_ids, input_grads):
                 if iid is None or ig is None:

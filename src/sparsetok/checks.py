@@ -5,13 +5,16 @@ worst deviation, so a fresh build can prove its own wiring.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from .autodiff import Tape, Tensor, central_difference_check, leaf_case
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
 from .rng import SeededRng
@@ -330,10 +333,18 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
 
 def run_gradcheck(corrupt_op: str | None = None) -> tuple[list[SuiteReport], bool]:
     """All finite-difference suites; corrupt_op breaks one adjoint on purpose
-    so tests can prove the checker catches it."""
+    so tests can prove the checker catches it.
+
+    A corrupt_op no suite ran an adjoint of (the tape records `log` as
+    `natural_log`, say) is a ConfigError: its suites would pass having
+    corrupted nothing.
+    """
     with (ad.corrupt_adjoint(corrupt_op) if corrupt_op is not None
-          else contextlib.nullcontext()):
+          else contextlib.nullcontext()) as corruption:
         reports = [check_catalog(), check_ste_soft_path(), check_multimodal_end_to_end()]
+    if corruption is not None and corruption.count == 0:
+        raise ConfigError(f"corrupt op {corrupt_op!r} corrupts nothing: "
+                          "no suite ran an adjoint of that tape op kind")
     return reports, all(r.ok for r in reports)
 
 
@@ -341,40 +352,93 @@ def run_gradcheck(corrupt_op: str | None = None) -> tuple[list[SuiteReport], boo
 # Monte-Carlo sampling oracles
 
 EULER_GAMMA = 0.5772156649015329
+# bound on |Monte-Carlo mean - exact value| of every sampling suite
+SAMPLE_TOLERANCE = 0.01
 _MC_SEED = 0xC0FFEE
 
 
+def monte_carlo_mean(n: int, values_per_trial: int, stream_id: int,
+                     chunk_sums: Callable[[SeededRng, int], np.ndarray]) -> np.ndarray:
+    """The mean over n trials of a suite's per-trial vector.
+
+    chunk_sums(rng, m) draws the next m trials from rng and returns the
+    column sums of their vectors. The trials come in chunks of at most
+    `data._CHUNK_VALUES` random values, at values_per_trial each, so memory
+    is bounded by one chunk whatever n is. Every chunk continues the one
+    stream SeededRng(_MC_SEED, stream_id), so the draws are those of all n
+    trials made as one batch.
+    """
+    rng = SeededRng(_MC_SEED, stream_id)
+    per_chunk = max(1, data._CHUNK_VALUES // values_per_trial)
+    return sum(chunk_sums(rng, min(per_chunk, n - start))
+               for start in range(0, n, per_chunk)) / n
+
+
+def _sample_report(name: str, estimate, exact) -> SuiteReport:
+    dev = float(np.abs(estimate - exact).max())
+    return SuiteReport(name, dev, dev <= SAMPLE_TOLERANCE)
+
+
 def check_gumbel_mean(n: int = 1_000_000) -> SuiteReport:
-    draws = sample_standard_gumbel(SeededRng(_MC_SEED, 1), n)
-    dev = abs(float(draws.mean()) - EULER_GAMMA)
-    return SuiteReport("gumbel_mean_dev", dev, dev <= 0.01)
+    mean = monte_carlo_mean(n, 1, 1, lambda rng, m: sample_standard_gumbel(rng, m).sum())
+    return _sample_report("gumbel_mean_dev", mean, EULER_GAMMA)
 
 
 def check_gumbel_max_frequencies(n: int = 100_000) -> SuiteReport:
-    """n Gumbel-max draws from one categorical, sampled as one [n, 3] call."""
+    """n Gumbel-max draws from one categorical, each chunk one [m, 3] call."""
     p = np.array([0.2, 0.3, 0.5])
-    picks = gumbel_max_sample(np.tile(p, (n, 1)), SeededRng(_MC_SEED, 2))
-    counts = np.bincount(picks, minlength=p.size)
-    dev = float(np.abs(counts / n - p).max())
-    return SuiteReport("gumbel_max_freq_dev", dev, dev <= 0.01)
+    freq = monte_carlo_mean(n, p.size, 2, lambda rng, m: np.bincount(
+        gumbel_max_sample(np.tile(p, (m, 1)), rng), minlength=p.size))
+    return _sample_report("gumbel_max_freq_dev", freq, p)
+
+
+def plackett_luce_inclusion(s: np.ndarray, k: int) -> np.ndarray:
+    """P(i is among the first k) of a Plackett-Luce order with weights s,
+    the law of Gumbel top-k on log s.
+
+    Sums over every ordered k-prefix, whose probability is
+    prod_j s_{i_j} / (S - s_{i_1} - ... - s_{i_{j-1}}), S = sum(s).
+    """
+    inclusion, total = np.zeros(s.size), s.sum()
+    for prefix in itertools.permutations(range(s.size), k):
+        p, rest = 1.0, total
+        for i in prefix:
+            p *= s[i] / rest
+            rest -= s[i]
+        inclusion[list(prefix)] += p
+    return inclusion
+
+
+def _topk_inclusion_report(name: str, n: int, s: np.ndarray, k: int,
+                           stream_id: int) -> SuiteReport:
+    """n trials of Gumbel top-k on keep scores s, each chunk one batch through
+    the batched selector training uses, against the exact inclusion law."""
+    scores: dict[int, KeepScores] = {}  # every full chunk scores the same [m, n] batch
+
+    def chunk_sums(rng: SeededRng, m: int) -> np.ndarray:
+        if m not in scores:
+            scores[m] = keep_scores_from_values(Tape(), np.tile(s, (m, 1)))
+        return gumbel_topk_select(scores[m], k, 0.1, rng).hard.sum(axis=0)
+
+    freq = monte_carlo_mean(n, s.size, stream_id, chunk_sums)
+    return _sample_report(name, freq, plackett_luce_inclusion(s, k))
 
 
 def check_topk_selection_frequencies(n: int = 100_000) -> SuiteReport:
-    """K=1 Gumbel top-K must sample index i with probability s_i / sum(s).
+    """K=1 Gumbel top-K must sample index i with probability s_i / sum(s)."""
+    return _topk_inclusion_report("topk_k1_freq_dev", n, np.array([0.18, 0.27, 0.45]), 1, 3)
 
-    The n trials are one batch through the batched selector training uses.
-    """
-    s = np.array([0.18, 0.27, 0.45])
-    target = s / s.sum()
-    scores = keep_scores_from_values(Tape(), np.tile(s, (n, 1)))
-    mask = gumbel_topk_select(scores, 1, 0.1, SeededRng(_MC_SEED, 3))
-    dev = float(np.abs(mask.hard.sum(axis=0) / n - target).max())
-    return SuiteReport("topk_k1_freq_dev", dev, dev <= 0.01)
+
+def check_topk_inclusion_frequencies(n: int = 100_000) -> SuiteReport:
+    """K=2 Gumbel top-K keeps i with its Plackett-Luce inclusion probability,
+    [0.2345, 0.4413, 0.6083, 0.7159] on these scores, not K s_i / sum(s)."""
+    return _topk_inclusion_report("topk_k2_inclusion_dev", n,
+                                  np.array([0.1, 0.2, 0.3, 0.4]), 2, 4)
 
 
 def run_sample_check() -> tuple[list[SuiteReport], bool]:
     reports = [check_gumbel_mean(), check_gumbel_max_frequencies(),
-               check_topk_selection_frequencies()]
+               check_topk_selection_frequencies(), check_topk_inclusion_frequencies()]
     return reports, all(r.ok for r in reports)
 
 

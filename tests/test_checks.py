@@ -1,13 +1,21 @@
+import inspect
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import sparsetok.autodiff as ad
-from sparsetok.checks import (check_catalog, check_gumbel_max_frequencies, check_gumbel_mean,
+import sparsetok.checks as checks
+import sparsetok.data as data
+from sparsetok.checks import (SAMPLE_TOLERANCE, SuiteReport, check_catalog,
+                              check_gumbel_max_frequencies, check_gumbel_mean,
                               check_multimodal_end_to_end, check_ste_soft_path,
-                              check_topk_selection_frequencies, format_sample_report,
-                              run_gradcheck, run_sample_check)
+                              check_topk_inclusion_frequencies, check_topk_selection_frequencies,
+                              format_sample_report, plackett_luce_inclusion, run_gradcheck,
+                              run_sample_check)
 from sparsetok.errors import ContractError
+from sparsetok.selection import deterministic_topk_select
 
 
 def test_gradcheck_all_suites_pass():
@@ -112,3 +120,92 @@ def test_sample_check_report_deterministic():
     r2, ok2 = run_sample_check()
     assert ok1 and ok2
     assert format_sample_report(r1) == format_sample_report(r2)
+
+
+def test_every_check_suite_runs_in_the_cli():
+    """Each `check_*` suite is called, through the module's globals, by
+    run_gradcheck or run_sample_check, so none is defined and left out."""
+    suites = [name for name, fn in vars(checks).items()
+              if name.startswith("check_") and inspect.isfunction(fn)
+              and fn.__module__ == checks.__name__]
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in suites:
+            mp.setattr(checks, name, lambda *a, name=name: ran.append(name)
+                       or SuiteReport(name, 0.0, True))
+        run_gradcheck()
+        run_sample_check()
+    assert len(suites) >= 7
+    assert sorted(ran) == sorted(suites)
+
+
+def test_topk_inclusion_suite_individually():
+    assert check_topk_inclusion_frequencies(20_000).ok
+
+
+def test_plackett_luce_inclusion_closed_forms():
+    s = np.array([0.1, 0.2, 0.3, 0.4])
+    assert plackett_luce_inclusion(s, 1) == pytest.approx(s / s.sum(), abs=1e-15)
+    assert plackett_luce_inclusion(s, 2) == pytest.approx([0.2345, 0.4413, 0.6083, 0.7159],
+                                                          abs=5e-5)
+    assert plackett_luce_inclusion(s, 4) == pytest.approx(np.ones(4), abs=1e-15)
+    # every order keeps exactly k items
+    assert plackett_luce_inclusion(s, 3).sum() == pytest.approx(3.0, abs=1e-14)
+
+
+def test_topk_inclusion_oracle_has_power():
+    """The naive K s_i / sum(s) is off by more than the bound, and a
+    selector that keeps the top K without noise fails the suite."""
+    s = np.array([0.1, 0.2, 0.3, 0.4])
+    naive_dev = np.abs(plackett_luce_inclusion(s, 2) - 2 * s / s.sum()).max()
+    assert naive_dev == pytest.approx(0.084, abs=5e-4)
+    assert naive_dev > SAMPLE_TOLERANCE
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "gumbel_topk_select",
+                   lambda scores, k, tau, rng: deterministic_topk_select(scores, k))
+        report = check_topk_inclusion_frequencies(2_000)
+    assert not report.ok, report.line()
+
+
+# traced peak allocation at the default trial count, MiB: about twice the
+# chunked driver's peaks (1.50, 2.23, 4.24, 4.20 MiB with 2^16-value chunks)
+# and below the peaks of one batch of all trials (22.89, 10.21, 19.36 MiB for
+# the first three suites)
+_PEAK_BOUNDS_MIB = {
+    check_gumbel_mean: 3.0,
+    check_gumbel_max_frequencies: 4.5,
+    check_topk_selection_frequencies: 8.5,
+    check_topk_inclusion_frequencies: 8.5,
+}
+
+
+@pytest.mark.parametrize("suite", _PEAK_BOUNDS_MIB, ids=lambda suite: suite.__name__)
+def test_sampling_suite_memory_is_bounded(suite):
+    tracemalloc.start()
+    try:
+        report = suite()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.line()
+    assert peak / 2**20 < _PEAK_BOUNDS_MIB[suite]
+
+
+@pytest.mark.parametrize("suite, n", [
+    (check_gumbel_mean, 200_000),
+    (check_gumbel_max_frequencies, 20_000),
+    (check_topk_selection_frequencies, 20_000),
+    (check_topk_inclusion_frequencies, 20_000),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_chunk_bound_does_not_change_the_draws(suite, n, monkeypatch):
+    """Chunks continue one stream: an odd chunk bound, the default one and
+    one batch of all trials give the same frequencies, and means within
+    summation-order rounding."""
+    devs = []
+    for chunk_values in (1001, data._CHUNK_VALUES, 4 * n):
+        monkeypatch.setattr(data, "_CHUNK_VALUES", chunk_values)
+        devs.append(suite(n).worst)
+    if suite is check_gumbel_mean:
+        assert devs == pytest.approx([devs[-1]] * 3, abs=1e-15, rel=0)
+    else:
+        assert devs == [devs[-1]] * 3

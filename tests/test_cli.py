@@ -236,11 +236,21 @@ def test_gradcheck_negative_control_names_op(capsys):
     assert "fail" in out and "matmul" in out
 
 
+@pytest.mark.parametrize("kind", ["log", "nosuchop"])
+def test_gradcheck_corrupt_op_that_corrupts_nothing_is_usage_error(kind, capsys):
+    """The tape records `log` as `natural_log`: corrupting `log` breaks no
+    adjoint, so its suites would pass and prove nothing."""
+    assert main(["gradcheck", "--corrupt-op", kind]) == 1
+    captured = capsys.readouterr()
+    assert repr(kind) in captured.err
+    assert "pass" not in captured.out
+
+
 def test_sample_check_report_format(capsys):
     assert main(["sample-check"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.strip().splitlines()]
-    assert len(lines) == 3
+    assert len(lines) == 4
     for line in lines:
         name, value, verdict = line.split()
         float(value)
