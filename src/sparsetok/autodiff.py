@@ -74,14 +74,16 @@ def corrupt_adjoint(kind: str, factor: float = 1.01):
     """Deliberately break one op's adjoint inside the context (tests only).
 
     Yields the AdjointCorruption, whose `count` stays 0 when no adjoint of
-    `kind` ran: a kind no op records under corrupts nothing.
+    `kind` ran: a kind no op records under corrupts nothing. On exit the
+    corruption it replaced, if any, is in force again.
     """
     global _CORRUPT_VJP
+    outer = _CORRUPT_VJP
     _CORRUPT_VJP = corruption = AdjointCorruption(kind, factor)
     try:
         yield corruption
     finally:
-        _CORRUPT_VJP = None
+        _CORRUPT_VJP = outer
 
 
 class Tensor:

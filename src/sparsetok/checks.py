@@ -309,7 +309,7 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     selection_params = pipeline.scorer.parameters() + pipeline.context.parameters()
     with Tape() as tape:
         visual_t = tape.leaf(visual)
-        logits, mask = pipeline.forward_batch(tape, visual_t, textual, select)
+        logits, mask = pipeline.forward_batch(tape, [visual_t, textual], select)
         counts = mask.kept_count
         if counts[0] == counts[1] or counts.min() == 0:
             raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
@@ -320,9 +320,9 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
 
     # the pipeline reads parameter values and `visual` themselves, so the
     # in-place perturbations reach it; no tape is entered, nothing is recorded
-    kept, mask = pipeline.sparsify(Tape(), ad.constant(visual), textual, select)
+    kept, mask = pipeline.sparsify(Tape(), [ad.constant(visual), textual], select)
     classify_loss = lambda: loss_of(pipeline.classify(Tape(), kept, mask)[0]).item()
-    pipeline_loss = lambda: loss_of(pipeline.forward_batch(Tape(), ad.constant(visual), textual,
+    pipeline_loss = lambda: loss_of(pipeline.forward_batch(Tape(), [ad.constant(visual), textual],
                                                            select)[0]).item()
     worst, where = central_difference_check(
         [(p.name, classify_loss, p.value, g) for p, g in zip(task_params, task_grads)]

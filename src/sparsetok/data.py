@@ -28,6 +28,10 @@ PROTOTYPE_MAX_COSINE = 0.3
 PROTOTYPE_DRAWS = 100_000
 
 DISTRACTOR_MODES = ("pure_noise", "decoy_prototypes")
+# the (token field, informative-index field) of each stream of an Example,
+# visual first; a unimodal dataset holds only the first
+STREAMS = (("tokens", "informative_indices"),
+           ("textual_tokens", "textual_informative_indices"))
 # random values in one array draw of NeedleGenerator; bounds a chunk's memory
 _CHUNK_VALUES = 1 << 16
 
@@ -193,16 +197,14 @@ def _b64_matrix(m: np.ndarray) -> str:
 def _check_examples(examples: list[Example], spec: NeedleSpec) -> None:
     shape = (spec.n, spec.d)
     for ex in examples:
-        if ex.tokens.shape != shape:
-            raise SchemaError(f"example {ex.id}: tokens have shape {ex.tokens.shape}, "
-                              f"not the spec's (n, d) = {shape}")
-        if not spec.multimodal:
-            continue
-        if ex.textual_tokens is None or ex.textual_informative_indices is None:
-            raise SchemaError(f"example {ex.id} has no textual tokens for a multimodal spec")
-        if ex.textual_tokens.shape != shape:
-            raise SchemaError(f"example {ex.id}: textual_tokens have shape "
-                              f"{ex.textual_tokens.shape}, not the spec's (n, d) = {shape}")
+        for field, index_field in STREAMS[:2 if spec.multimodal else 1]:
+            tokens = getattr(ex, field)
+            if tokens is None or getattr(ex, index_field) is None:
+                raise SchemaError(f"example {ex.id} has no {field.replace('_', ' ')} "
+                                  "for a multimodal spec")
+            if tokens.shape != shape:
+                raise SchemaError(f"example {ex.id}: {field} have shape {tokens.shape}, "
+                                  f"not the spec's (n, d) = {shape}")
 
 
 def write_dataset(examples: list[Example], path: str, spec: NeedleSpec, seed: int) -> None:
@@ -215,13 +217,10 @@ def write_dataset(examples: list[Example], path: str, spec: NeedleSpec, seed: in
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
         for ex in examples:
-            parts = [f'"id":{ex.id}', f'"label":{ex.label}',
-                     f'"informative_indices":{_fmt_indices(ex.informative_indices)}',
-                     f'"tokens":"{_b64_matrix(ex.tokens)}"']
-            if spec.multimodal:
-                parts.append('"textual_informative_indices":'
-                             f"{_fmt_indices(ex.textual_informative_indices)}")
-                parts.append(f'"textual_tokens":"{_b64_matrix(ex.textual_tokens)}"')
+            parts = [f'"id":{ex.id}', f'"label":{ex.label}']
+            for field, index_field in STREAMS[:2 if spec.multimodal else 1]:
+                parts.append(f'"{index_field}":{_fmt_indices(getattr(ex, index_field))}')
+                parts.append(f'"{field}":"{_b64_matrix(getattr(ex, field))}"')
             fh.write("{" + ",".join(parts) + "}\n")
 
 
@@ -311,7 +310,7 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
         _header_field(header, "multimodal", bool)
         _header_field(header, "count", int, least=0)
         n, d, c = header["n"], header["d"], header["num_classes"]
-        multimodal = header["multimodal"]
+        token_fields, index_fields = zip(*STREAMS[:2 if header["multimodal"] else 1])
 
         count = sum(1 for line in fh if line.strip())
         if count != header["count"]:
@@ -319,14 +318,12 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
                               f"holds {count} records")
         fh.seek(0)
         fh.readline()
-        channels = 2 if multimodal else 1
+        channels = len(token_fields)
         tokens = np.empty((channels, count, n, d))
         ids, labels = [], []
         line_nos = np.empty(count, dtype=np.int64)
         indices: list[list] = [[] for _ in range(channels)]
         lengths = np.empty((channels, count), dtype=np.int64)
-        index_fields = ("informative_indices", "textual_informative_indices")[:channels]
-        token_fields = ("tokens", "textual_tokens")[:channels]
         i = 0
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
@@ -339,7 +336,7 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
                 raise SchemaError(f"line {line_no}: record is not a JSON object")
             for key in ("id", "label") + index_fields + token_fields:
                 if key not in rec:
-                    kind = "multimodal record" if key.startswith("textual") else "record"
+                    kind = "record" if key in ("id", "label") + STREAMS[0] else "multimodal record"
                     raise SchemaError(f"line {line_no}: {kind} missing {key!r}")
             ids.append(_json_int(rec["id"], line_no, "id"))
             labels.append(_json_int(rec["label"], line_no, "label"))
@@ -381,7 +378,7 @@ def _parse_dataset(path: str) -> tuple[list[Example], dict]:
         line_no, message = min(problems)
         raise SchemaError(f"line {line_no}: {message}")
 
-    textual, textual_info = (tokens[1], infos[1]) if multimodal else ([None] * count,) * 2
-    examples = [Example(e, t, y, v, tt, w) for e, t, y, v, tt, w
-                in zip(ids, tokens[0], labels, infos[0], textual, textual_info)]
+    columns = {**dict(zip(token_fields, tokens)), **dict(zip(index_fields, infos))}
+    examples = [Example(e, label=y, **{field: column[i] for field, column in columns.items()})
+                for i, (e, y) in enumerate(zip(ids, labels))]
     return examples, header

@@ -8,6 +8,7 @@ batched forward pass.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
-from .data import Example, load_dataset
+from .data import STREAMS, Example, load_dataset
 from .errors import ConfigError
 from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformerConfig, init_parameters, save_checkpoint
@@ -93,12 +94,17 @@ class RunConfig:
 
 class Pipeline:
     """The trainable pieces of one run: task model, and if the strategy is
-    learnable, the scorer (plus, in multimodal runs, the context model that
-    feeds it)."""
+    learnable, the scorer (plus, when the run reads two streams, the context
+    model that feeds it). `streams` holds the `data.STREAMS` entries the run
+    reads: both of a multimodal dataset under channel "both", else the one
+    the channel names (visual, for "both" on a unimodal dataset)."""
 
     def __init__(self, cfg: RunConfig, header: dict):
+        if cfg.channel == "textual" and not header["multimodal"]:
+            raise ConfigError("channel=textual requires a multimodal dataset")
         d = header["d"]
-        self.multimodal = bool(header["multimodal"]) and cfg.channel == "both"
+        self.streams = {"both": STREAMS[:2 if header["multimodal"] else 1],
+                        "visual": STREAMS[:1], "textual": STREAMS[1:]}[cfg.channel]
         self.cfg = cfg
         model_cfg = replace(cfg.model, d_in=d, num_classes=header["num_classes"])
         rng = SeededRng(cfg.seed)
@@ -108,7 +114,7 @@ class Pipeline:
         self.scorer = (KeepProbPredictor(d).init(rng.split(_L_INIT_SCORER), stddev=std)
                        if self.needs_scorer else None)
         self.context = (ContextModel(d).init(rng.split(_L_INIT_CONTEXT), stddev=std)
-                        if self.multimodal and self.needs_scorer else None)
+                        if len(self.streams) == 2 and self.needs_scorer else None)
 
     def parameters(self) -> list[Parameter]:
         out = list(self.task.parameters())
@@ -124,17 +130,10 @@ class Pipeline:
             return reencode_positions(mask, table)
         return ad.gather_rows(table, mask.kept_indices)  # naive: keep original rows
 
-    def batch_tokens(self, examples: list[Example]) -> tuple[Tensor, Tensor | None]:
-        """Constant token tensors [B, n, d] of a batch: the run's channel, and
-        in a multimodal run also the textual stream (None otherwise)."""
-        if self.multimodal:
-            return (ad.constant(np.stack([ex.tokens for ex in examples])),
-                    ad.constant(np.stack([ex.textual_tokens for ex in examples])))
-        if self.cfg.channel == "textual":
-            if any(ex.textual_tokens is None for ex in examples):
-                raise ConfigError("channel=textual requires a multimodal dataset")
-            return ad.constant(np.stack([ex.textual_tokens for ex in examples])), None
-        return ad.constant(np.stack([ex.tokens for ex in examples])), None
+    def batch_tokens(self, examples: list[Example]) -> list[Tensor]:
+        """One constant token tensor [B, n, d] of a batch per stream of the run."""
+        return [ad.constant(np.stack([getattr(ex, field) for ex in examples]))
+                for field, _ in self.streams]
 
     def sampler(self, noise_rng: SeededRng) -> Selector:
         """The training selector: the run's strategy drawing from noise_rng."""
@@ -145,50 +144,47 @@ class Pipeline:
         strategy = self.cfg.strategy
         return lambda scores: inference_rank_topk(scores, inference_k_for(strategy, scores.n))
 
-    def sparsify(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
+    def sparsify(self, tape: Tape, streams: list[Tensor],
                  select: Selector) -> tuple[KeptTokens, SelectionMask]:
-        """The first stage: the kept tokens [B, L, d] (both streams' rows,
-        example by example, in a multimodal run) and the batch's selection
-        mask.
+        """The first stage: the kept tokens [B, L, d] (every stream's rows,
+        example by example) and the batch's selection mask, which all
+        streams share.
 
-        tokens (and textual, in a multimodal run) are [B, n, d]; `select`
-        turns the batch's keep scores into its mask (unused by uniform_fixed,
-        which has no scorer). Every input sequence has the dataset's full
-        length n, so only the kept sequences need padding. Reads no task
-        parameter.
+        streams are [B, n, d], one per stream of the run; `select` turns the
+        batch's keep scores into its mask (unused by uniform_fixed, which has
+        no scorer). Every input sequence has the dataset's full length n, so
+        only the kept sequences need padding. Reads no task parameter.
         """
+        batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
             from .selection import uniform_fixed_select
-            mask = uniform_fixed_select(tokens.shape[1], self.cfg.strategy.k, tokens.shape[0])
+            mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
-            u = self.context.fuse(tape, tokens, textual) if self.multimodal else tokens
+            u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
             mask = select(compute_keep_probabilities(tape, u, self.scorer))
-        kept = apply_ste(tokens, mask)
-        if self.multimodal:
-            kept = kept.concat(apply_ste(textual, mask))
-        return kept, mask
+        kept = [apply_ste(tokens, mask) for tokens in streams]
+        return functools.reduce(KeptTokens.concat, kept), mask
 
     def classify(self, tape: Tape, kept: KeptTokens,
                  mask: SelectionMask) -> tuple[Tensor, SelectionMask]:
         """The second stage: class logits [B, C] of the kept tokens, and the
         mask passed through. Reads only task parameters."""
-        pos = self._positions(tape, mask)
-        if self.multimodal:
-            pos = ad.concat_rows(pos, pos)  # shared table, per-stream re-encoding
+        # one table, each stream's rows re-encoded alike
+        pos = functools.reduce(ad.concat_rows, [self._positions(tape, mask)] * len(self.streams))
         return self.task.forward(tape, kept, pos), mask
 
-    def forward_batch(self, tape: Tape, tokens: Tensor, textual: Tensor | None,
+    def forward_batch(self, tape: Tape, streams: list[Tensor],
                       select: Selector) -> tuple[Tensor, SelectionMask]:
         """Class logits [B, C] and the batch's selection mask: `sparsify`,
         then `classify`."""
-        return self.classify(tape, *self.sparsify(tape, tokens, textual, select))
+        return self.classify(tape, *self.sparsify(tape, streams, select))
 
     def forward_example(self, tape: Tape, ex: Example,
                         noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
         """Class logits [C] and the selection mask of one example: the batched
         forward on a batch of one; noise_rng None = inference path."""
         select = self.ranker() if noise_rng is None else self.sampler(noise_rng)
-        logits, mask = self.forward_batch(tape, *self.batch_tokens([ex]), select)
+        logits, mask = self.forward_batch(tape, self.batch_tokens([ex]), select)
         return ad.reshape(logits, (logits.shape[1],)), mask.squeeze()
 
 
@@ -219,14 +215,10 @@ class TrainResult:
         return None
 
 
-def _recall(ex: Example, kept: np.ndarray, channel: str, multimodal_run: bool) -> float:
-    if multimodal_run:
-        truth = set(ex.informative_indices.tolist())
-        truth |= set(ex.textual_informative_indices.tolist())
-    elif channel == "textual":
-        truth = set(ex.textual_informative_indices.tolist())
-    else:
-        truth = set(ex.informative_indices.tolist())
+def _recall(ex: Example, kept: np.ndarray, streams: tuple[tuple[str, str], ...]) -> float:
+    """The share of ex's informative indices, over the given streams, that
+    kept holds; 1 when there are none."""
+    truth = set().union(*(getattr(ex, index_field).tolist() for _, index_field in streams))
     if not truth:
         return 1.0
     return len(truth & set(kept.tolist())) / len(truth)
@@ -246,12 +238,11 @@ def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]
     chunk = pipeline.cfg.batch_size
     for start in range(0, len(examples), chunk):
         part = examples[start:start + chunk]
-        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(part), select)
+        logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens(part), select)
         predicted = np.argmax(logits.data, axis=1)
         for b, ex in enumerate(part):
             correct += int(predicted[b] == ex.label)
-            recall_sum += _recall(ex, mask.kept_in(b), pipeline.cfg.channel,
-                                  pipeline.multimodal)
+            recall_sum += _recall(ex, mask.kept_in(b), pipeline.streams)
     return correct / len(examples), recall_sum / len(examples)
 
 
@@ -269,7 +260,7 @@ def train_step(pipeline: Pipeline, params: list[Parameter], batch: list[Example]
     the update of params. Returns the batch's mean loss and its mask."""
     strategy, lr = pipeline.cfg.strategy, pipeline.cfg.lr
     with Tape() as tape:
-        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(batch),
+        logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens(batch),
                                               pipeline.sampler(noise_rng))
         labels = np.array([ex.label for ex in batch])
         loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
@@ -318,12 +309,13 @@ def train_run(cfg: RunConfig) -> TrainResult:
     examples, header = load_dataset(cfg.dataset)
     if not examples:
         raise ConfigError(f"dataset {cfg.dataset} has no examples")
-    if cfg.channel == "textual" and not header["multimodal"]:
-        raise ConfigError("channel=textual requires a multimodal dataset")
     n_tokens = header["n"]
     strategy = cfg.strategy
     if strategy.k is not None and strategy.k > n_tokens:
         raise ConfigError(f"K={strategy.k} exceeds sequence length {n_tokens}")
+    if cfg.positions == "original" and n_tokens > cfg.model.max_len:
+        raise ConfigError(f"positions=original reads the positional table at each token's "
+                          f"index, so n={n_tokens} must not exceed max_len={cfg.model.max_len}")
 
     pipeline = Pipeline(cfg, header)
     params = pipeline.parameters()

@@ -45,7 +45,7 @@ def _batched_step(pipeline, examples, rng):
     """B times the batch-mean loss and its gradients, with the kept counts."""
     b = len(examples)
     with Tape() as tape:
-        logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens(examples),
+        logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens(examples),
                                               pipeline.sampler(rng))
         loss = _loss(logits, np.array([ex.label for ex in examples]), mask,
                      pipeline.cfg.strategy)
@@ -60,7 +60,7 @@ def _summed_steps(pipeline, examples, rng):
     grads = {p.name: np.zeros_like(p.value) for p in pipeline.parameters()}
     for ex in examples:
         with Tape() as tape:
-            logits, mask = pipeline.forward_batch(tape, *pipeline.batch_tokens([ex]),
+            logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens([ex]),
                                                   pipeline.sampler(rng))
             loss = _loss(logits, np.array([ex.label]), mask, pipeline.cfg.strategy)
             tape.backward(loss)

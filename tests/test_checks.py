@@ -35,6 +35,15 @@ def test_gradcheck_detects_injected_bad_adjoint():
     assert any("gelu" in r.detail for r in failing)
 
 
+def test_nested_corruption_hands_the_outer_one_back():
+    with ad.corrupt_adjoint("gelu") as outer:
+        with ad.corrupt_adjoint("exp"):
+            pass
+        report = check_catalog()
+    assert not report.ok and "gelu" in report.detail, report.line()
+    assert outer.count > 0
+
+
 def test_corrupted_straight_through_fails_both_ste_suites():
     reports, ok = run_gradcheck(corrupt_op="straight_through")
     assert not ok

@@ -213,6 +213,18 @@ def test_finite_divergence_is_verification_failure(tmp_path, dataset, capsys):
     assert os.path.exists(os.path.join(out, "checkpoint.stkn"))
 
 
+def test_original_positions_beyond_max_len_is_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "long.jsonl")
+    assert main(["gen-data", "--out", path, "--count", "64", "--n", "80"]) == 0
+    rc = main(["train", "--dataset", path, "--out", str(tmp_path / "run"),
+               "--keep-fraction", "0.25", "--positions", "original", "--epochs", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: positions=original reads the positional table at each token's index, "
+        "so n=80 must not exceed max_len=64\n")
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_unreadable_dataset_is_io_error(tmp_path):
     rc = main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "x")])
@@ -331,9 +343,10 @@ class TestSweep:
 
     def test_finite_cell_divergence_is_verification_failure(self, tmp_path, dataset, capsys):
         out = str(tmp_path / "sweep6")
-        rc = main(["sweep", "--dataset", dataset, "--out", out, "--lr", "5", "--epochs", "2",
-                   "--grid", "0.25", "--strategies", "gumbel_topk", "--tau", "0.5",
-                   "--batch-size", "16", "--seed", "2"])
+        with pytest.warns(RuntimeWarning):  # the divergent lr overflows float64
+            rc = main(["sweep", "--dataset", dataset, "--out", out, "--lr", "5",
+                       "--epochs", "2", "--grid", "0.25", "--strategies", "gumbel_topk",
+                       "--tau", "0.5", "--batch-size", "16", "--seed", "2"])
         assert rc == 2
         err = capsys.readouterr().err
         named = re.search(r"diverged from (\S+) at epoch 0 to (\S+) at epoch 1, "

@@ -66,7 +66,7 @@ class TestSparsifyPairs:
     def test_shared_mask_keeps_aligned_pairs(self):
         pipeline, fed = multimodal_pipeline()
         v, w = rand((1, 4, D), 1), rand((1, 4, D), 2)
-        _, mask = pipeline.forward_batch(Tape(), ad.constant(v), ad.constant(w),
+        _, mask = pipeline.forward_batch(Tape(), [ad.constant(v), ad.constant(w)],
                                          fixed_selector(np.array([[0.9, 0.1, 0.5, 0.7]]), 2))
         assert np.array_equal(mask.kept_indices, [[0, 3]])
         assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0, [0, 3]],
@@ -75,15 +75,15 @@ class TestSparsifyPairs:
     def test_keep_all_is_identity(self):
         pipeline, fed = multimodal_pipeline()
         v, w = rand((1, 2, D), 3), rand((1, 2, D), 4)
-        pipeline.forward_batch(Tape(), ad.constant(v), ad.constant(w),
+        pipeline.forward_batch(Tape(), [ad.constant(v), ad.constant(w)],
                                fixed_selector(np.array([[0.5, 0.5]]), 2))
         assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0], w[0]]))
 
     def test_length_mismatch(self):
         pipeline, _ = multimodal_pipeline()
         with pytest.raises(ShapeError):
-            pipeline.forward_batch(Tape(), ad.constant(rand((1, 4, D))),
-                                   ad.constant(rand((1, 3, D))),
+            pipeline.forward_batch(Tape(), [ad.constant(rand((1, 4, D))),
+                                            ad.constant(rand((1, 3, D)))],
                                    fixed_selector(np.array([[0.5] * 4]), 2))
 
 
@@ -97,11 +97,11 @@ def ratio_pipeline():
                                               ff_mult=2, init_std=0.5))
     pipeline = Pipeline(cfg, {"d": D, "multimodal": True, "num_classes": 3})
     visual, textual = ad.constant(rand((3, 5, D), 11)), ad.constant(rand((3, 5, D), 12))
-    return pipeline, visual, textual, lambda scores: pipeline.sampler(SeededRng(55))(scores)
+    return pipeline, [visual, textual], lambda scores: pipeline.sampler(SeededRng(55))(scores)
 
 
-def sparsified(pipeline, visual, textual, select):
-    kept, mask = pipeline.sparsify(Tape(), visual, textual, select)
+def sparsified(pipeline, streams, select):
+    kept, mask = pipeline.sparsify(Tape(), streams, select)
     return (kept.tokens.data.tobytes(), kept.valid.tobytes(), mask.hard.tobytes(),
             mask.soft.data.tobytes(), mask.kept_indices.tobytes())
 
@@ -111,37 +111,37 @@ class TestStages:
     task parameters: what lets gradcheck cache the first stage."""
 
     def test_task_parameters_do_not_reach_sparsify(self):
-        pipeline, visual, textual, select = ratio_pipeline()
-        kept, _ = pipeline.sparsify(Tape(), visual, textual, select)
+        pipeline, streams, select = ratio_pipeline()
+        kept, _ = pipeline.sparsify(Tape(), streams, select)
         assert not kept.valid.all()  # padded rows sit inside the check
-        base = sparsified(pipeline, visual, textual, select)
+        base = sparsified(pipeline, streams, select)
         rng = SeededRng(13)
         for p in pipeline.task.parameters():
             p.value = p.value + rng.normals(p.value.size).reshape(p.value.shape)
-        assert sparsified(pipeline, visual, textual, select) == base
+        assert sparsified(pipeline, streams, select) == base
 
     def test_forward_batch_off_tape_records_nothing(self):
-        pipeline, visual, textual, select = ratio_pipeline()
+        pipeline, streams, select = ratio_pipeline()
         tape = Tape()
-        logits, _ = pipeline.forward_batch(tape, visual, textual, select)
+        logits, _ = pipeline.forward_batch(tape, streams, select)
         assert len(tape) == 0
         with Tape() as active:
-            taped, _ = pipeline.forward_batch(active, visual, textual, select)
+            taped, _ = pipeline.forward_batch(active, streams, select)
         assert len(active) > 0
         assert np.array_equal(logits.data, taped.data)
 
     def test_classify_on_cached_prefix_equals_forward_batch(self):
-        pipeline, visual, textual, select = ratio_pipeline()
+        pipeline, streams, select = ratio_pipeline()
         labels = np.array([0, 2, 1])
 
         def loss(logits):
             return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
 
-        kept, mask = pipeline.sparsify(Tape(), visual, textual, select)
+        kept, mask = pipeline.sparsify(Tape(), streams, select)
         base = loss(pipeline.classify(Tape(), kept, mask)[0])
         w1 = {p.name: p for p in pipeline.task.parameters()}["task.block0.ff.w1"]
         w1.value.reshape(-1)[5] += 1e-5  # in place, as gradcheck moves a coordinate
-        full = loss(pipeline.forward_batch(Tape(), visual, textual, select)[0])
+        full = loss(pipeline.forward_batch(Tape(), streams, select)[0])
         assert full != base
         assert loss(pipeline.classify(Tape(), kept, mask)[0]) == full
 
@@ -159,9 +159,10 @@ def test_multimodal_end_to_end_gradients(monkeypatch):
         method = getattr(Pipeline, stage)
 
         def run(self, tape, *args):
-            if not inside:  # tokens [B, n, d] for the first stage, KeptTokens for classify
+            if not inside:  # streams of [B, n, d] for the first stage, KeptTokens for classify
+                visual = args[0][0] if isinstance(args[0], list) else None
                 calls.append((stage, ad.active_tape() is not None,
-                              getattr(args[0], "shape", None)))
+                              getattr(visual, "shape", None)))
             inside.append(stage)
             try:
                 return method(self, tape, *args)

@@ -3,13 +3,14 @@ import pytest
 
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
-from sparsetok.data import NeedleSpec, generate_dataset, write_dataset
+from sparsetok.data import STREAMS, NeedleSpec, generate_dataset, write_dataset
 from sparsetok.errors import ConfigError
 from sparsetok.metrics import read_metrics_csv
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
 from sparsetok.selection import KeptTokens, StrategyConfig, k_for_fraction
-from sparsetok.train import Pipeline, RunConfig, retain_heap, train_run, train_step
+from sparsetok.train import (Pipeline, RunConfig, evaluate, retain_heap, train_run,
+                             train_step)
 
 TINY_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
                                  ff_mult=2, init_std=0.2)
@@ -127,19 +128,19 @@ def test_timing_fills_only_wall_seconds(tiny_dataset, tmp_path, monkeypatch):
 
 def test_multimodal_run_and_channels(tiny_mm_dataset):
     res = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5)))
-    assert res.pipeline.multimodal
+    assert res.pipeline.streams == STREAMS
     res_v = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5),
                                channel="visual"))
-    assert not res_v.pipeline.multimodal
+    assert res_v.pipeline.streams == STREAMS[:1]
     res_t = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5),
                                channel="textual"))
-    assert not res_t.pipeline.multimodal
+    assert res_t.pipeline.streams == STREAMS[1:]
     assert res.final.eval_accuracy != res_v.final.eval_accuracy or True  # both valid runs
 
 
 def test_uniform_fixed_keeps_the_same_grid_in_both_streams(tiny_mm_dataset):
     res = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("uniform_fixed", k=4)))
-    assert res.pipeline.multimodal and res.pipeline.context is None
+    assert res.pipeline.streams == STREAMS and res.pipeline.context is None
     assert res.final.mean_keep_ratio == 0.5
 
 
@@ -147,6 +148,26 @@ def test_textual_channel_requires_multimodal(tiny_dataset):
     with pytest.raises(ConfigError):
         train_run(tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=2, tau=0.5),
                            channel="textual"))
+
+
+@pytest.mark.parametrize("channel", ["both", "visual", "textual"])
+def test_recall_counts_the_needles_of_the_channels_read(tiny_mm_dataset, channel):
+    """evaluate's selection recall against sets built by hand: each example's
+    kept indices on the inference path, and the needles of the streams the
+    channel reads (both streams' under "both")."""
+    from sparsetok.data import load_dataset
+    examples, header = load_dataset(tiny_mm_dataset)
+    pipeline = Pipeline(tiny_cfg(tiny_mm_dataset, StrategyConfig("gumbel_topk", k=3, tau=0.5),
+                                 channel=channel), header)
+    _, recall = evaluate(pipeline, examples)
+    shares = []
+    for ex in examples:
+        visual = set(ex.informative_indices.tolist())
+        textual = set(ex.textual_informative_indices.tolist())
+        needles = {"both": visual | textual, "visual": visual, "textual": textual}[channel]
+        _, mask = pipeline.forward_example(Tape(), ex, noise_rng=None)
+        shares.append(len(needles & set(mask.kept_indices.tolist())) / len(needles))
+    assert recall == pytest.approx(sum(shares) / len(shares), rel=1e-12)
 
 
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -1), ("batch_size", 0)])
