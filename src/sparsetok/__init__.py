@@ -7,12 +7,10 @@ from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformer, TaskPerformerConfig, init_parameters
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
-                        apply_ste, compute_keep_probabilities,
-                        deterministic_topk_select, gumbel_topk_select,
-                        inference_rank_topk, ratio_controlled_select,
-                        reencode_positions, selection_loss, total_loss,
-                        uniform_fixed_select)
+from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
+                        compute_keep_probabilities, deterministic_topk_select,
+                        gumbel_topk_select, inference_rank_topk, ratio_controlled_select,
+                        reencode_positions, selection_loss, total_loss, uniform_fixed_select)
 from .train import RunConfig, train_run
 
 __version__ = "0.1.0"

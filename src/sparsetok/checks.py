@@ -18,9 +18,9 @@ from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeepScores, SelectionMask, StrategyConfig,
-                        apply_ste, compute_keep_probabilities, gumbel_topk_select,
-                        keep_scores_from_values, ratio_controlled_select, run_strategy)
+from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
+                        compute_keep_probabilities, gumbel_topk_select,
+                        ratio_controlled_select, run_strategy)
 from .train import Pipeline, RunConfig, Selector
 
 GRAD_TOLERANCE = 1e-4
@@ -227,8 +227,8 @@ def frozen_selector(select: Selector) -> Selector:
     """
     base: list[SelectionMask] = []
 
-    def select_frozen(scores: KeepScores) -> SelectionMask:
-        mask = select(scores)
+    def select_frozen(s: Tensor) -> SelectionMask:
+        mask = select(s)
         if not base:
             base.append(mask)
         keep = base[0].hard > 0
@@ -253,8 +253,8 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
 
     variants = [
-        ("gumbel_topk", lambda scores: gumbel_topk_select(scores, 3, 0.5, SeededRng(99))),
-        ("ratio_controlled", lambda scores: ratio_controlled_select(scores, 0.5, SeededRng(99))),
+        ("gumbel_topk", lambda s: gumbel_topk_select(s, 3, 0.5, SeededRng(99))),
+        ("ratio_controlled", lambda s: ratio_controlled_select(s, 0.5, SeededRng(99))),
     ]
 
     def cases(vname: str, selector: Selector) -> list[ad.Case]:
@@ -300,7 +300,7 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     visual = _rand(rng.split(0), (2, n, d))
     textual = ad.constant(_rand(rng.split(1), (2, n, d)))
     labels = np.array([1, 2])
-    select = frozen_selector(lambda scores: run_strategy(scores, strategy, SeededRng(55)))
+    select = frozen_selector(lambda s: run_strategy(s, strategy, SeededRng(55)))
 
     def loss_of(logits: Tensor) -> Tensor:
         return ad.mean_all(ad.cross_entropy_loss(logits, labels))
@@ -413,12 +413,12 @@ def _topk_inclusion_report(name: str, n: int, s: np.ndarray, k: int,
                            stream_id: int) -> SuiteReport:
     """n trials of Gumbel top-k on keep scores s, each chunk one batch through
     the batched selector training uses, against the exact inclusion law."""
-    scores: dict[int, KeepScores] = {}  # every full chunk scores the same [m, n] batch
+    batches: dict[int, Tensor] = {}  # every full chunk scores the same [m, n] batch
 
     def chunk_sums(rng: SeededRng, m: int) -> np.ndarray:
-        if m not in scores:
-            scores[m] = keep_scores_from_values(Tape(), np.tile(s, (m, 1)))
-        return gumbel_topk_select(scores[m], k, 0.1, rng).hard.sum(axis=0)
+        if m not in batches:
+            batches[m] = ad.constant(np.tile(s, (m, 1)))
+        return gumbel_topk_select(batches[m], k, 0.1, rng).hard.sum(axis=0)
 
     freq = monte_carlo_mean(n, s.size, stream_id, chunk_sums)
     return _sample_report(name, freq, plackett_luce_inclusion(s, k))

@@ -71,7 +71,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--keep-fraction", type=float, default=0.3)
         p.add_argument("--tau", type=float, default=StrategyConfig.tau)
         p.add_argument("--lambda", dest="lam", type=float, default=StrategyConfig.lam)
-        p.add_argument("--target-ratio", type=float)
         p.add_argument("--epochs", type=int, default=RunConfig.epochs)
         p.add_argument("--lr", type=float, default=RunConfig.lr)
         p.add_argument("--batch-size", type=int, default=RunConfig.batch_size)
@@ -85,10 +84,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     s = sub.add_parser("sweep", help="run a grid and plot the accuracy curve")
     training_flags(s)
     s.add_argument("--axis", choices=SWEEP_AXES, default="sparsity")
-    s.add_argument("--grid", type=float_list, help="comma-separated grid values")
+    s.add_argument("--grid", type=float_list,
+                   help="comma-separated grid values (not on the variant axis)")
     s.add_argument("--seeds", type=int, default=1, help="replicates per cell")
-    s.add_argument("--strategies", type=_strategy_list, default=CURVE_STRATEGIES,
-                   help="comma-separated strategy subset (sparsity axis)")
+    s.add_argument("--strategies", type=_strategy_list,
+                   help="comma-separated strategy subset (sparsity axis; default "
+                        f"{','.join(CURVE_STRATEGIES)})")
 
     c = sub.add_parser("gradcheck", help="finite-difference verification suites")
     c.add_argument("--corrupt-op", help=argparse.SUPPRESS)  # negative-control hook
@@ -156,10 +157,8 @@ def _run_config(args) -> tuple[RunConfig, int]:
         raise ConfigError("--dataset is required")
     _, header = load_dataset(args.dataset)
     n_tokens = header["n"]
-    fraction = args.keep_fraction
-    if args.strategy == "ratio_controlled" and args.target_ratio is not None:
-        fraction = args.target_ratio
-    strategy = StrategyConfig.for_fraction(args.strategy, fraction, n_tokens, args.tau, args.lam)
+    strategy = StrategyConfig.for_fraction(args.strategy, args.keep_fraction, n_tokens,
+                                           args.tau, args.lam)
     cfg = RunConfig(dataset=args.dataset, strategy=strategy, lr=args.lr, epochs=args.epochs,
                     batch_size=args.batch_size, seed=args.seed,
                     eval_fraction=args.eval_fraction, out_dir=args.out,

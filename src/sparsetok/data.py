@@ -70,9 +70,8 @@ class Example:
     textual_informative_indices: np.ndarray | None = None
 
 
-def make_prototypes(rng: SeededRng, num_classes: int, d: int,
-                    max_cosine: float = PROTOTYPE_MAX_COSINE) -> np.ndarray:
-    """Unit-norm class prototypes with pairwise cosine <= max_cosine.
+def make_prototypes(rng: SeededRng, num_classes: int, d: int) -> np.ndarray:
+    """Unit-norm class prototypes with pairwise cosine <= PROTOTYPE_MAX_COSINE.
 
     The first separated set among the stream's successive
     normals(num_classes * d) draws; deterministic given the stream. Draws are
@@ -86,13 +85,13 @@ def make_prototypes(rng: SeededRng, num_classes: int, d: int,
         block = min(block, PROTOTYPE_DRAWS - drawn)
         p = rng.normal_rows(block, num_classes * d).reshape(block, num_classes, d)
         p /= np.linalg.norm(p, axis=2, keepdims=True)
-        separated = (p @ p.transpose(0, 2, 1))[:, off_diagonal].max(axis=1) <= max_cosine
+        separated = (p @ p.transpose(0, 2, 1))[:, off_diagonal].max(axis=1) <= PROTOTYPE_MAX_COSINE
         if separated.any():
             return p[np.argmax(separated)]
         drawn += block
         block = min(2 * block, most)
     raise SchemaError(f"no {num_classes} class prototypes in d={d} have pairwise cosine "
-                      f"<= {max_cosine} in {PROTOTYPE_DRAWS} draws; use fewer classes "
+                      f"<= {PROTOTYPE_MAX_COSINE} in {PROTOTYPE_DRAWS} draws; use fewer classes "
                       "or a larger d")
 
 

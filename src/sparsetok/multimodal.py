@@ -24,9 +24,9 @@ class ContextModel:
     is visible instead of silently passing inputs through.
     """
 
-    def __init__(self, d: int, heads: int = 2, prefix: str = "context"):
+    def __init__(self, d: int):
         self.d = d
-        self.attn = MultiHeadAttention(prefix, d, heads)
+        self.attn = MultiHeadAttention("context", d, heads=2)
 
     def parameters(self) -> list[Parameter]:
         return self.attn.parameters()

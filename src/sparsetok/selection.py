@@ -3,8 +3,9 @@
 The selectors come in four flavors: two learnable stochastic ones (top-K over
 Gumbel-perturbed scores, and a per-token ratio-controlled gate), plus the two
 baselines they are measured against (noise-free top-K and a fixed uniform
-grid). All of them emit a SelectionMask whose `soft` tensor carries the
-gradient path; `apply_ste` wires value-from-hard / derivative-from-soft.
+grid); all but the grid read the keep probabilities s [B, n]. All of them
+emit a SelectionMask whose `soft` tensor carries the gradient path;
+`apply_ste` wires value-from-hard / derivative-from-soft.
 """
 from __future__ import annotations
 
@@ -76,12 +77,12 @@ def k_for_fraction(fraction: float, n: int) -> int:
 class KeepProbPredictor:
     """Two-layer scorer f: R^d -> R^2 whose softmax yields keep probabilities."""
 
-    def __init__(self, d: int, hidden: int | None = None):
+    def __init__(self, d: int):
         self.d = d
-        self.hidden = hidden if hidden is not None else 2 * d
-        self.w1 = Parameter("scorer.w1", np.zeros((d, self.hidden)))
-        self.b1 = Parameter("scorer.b1", np.zeros(self.hidden))
-        self.w2 = Parameter("scorer.w2", np.zeros((self.hidden, 2)))
+        hidden = 2 * d
+        self.w1 = Parameter("scorer.w1", np.zeros((d, hidden)))
+        self.b1 = Parameter("scorer.b1", np.zeros(hidden))
+        self.w2 = Parameter("scorer.w2", np.zeros((hidden, 2)))
         self.b2 = Parameter("scorer.b2", np.zeros(2))
 
     def init(self, rng: SeededRng, stddev: float = 0.02) -> "KeepProbPredictor":
@@ -101,18 +102,6 @@ class KeepProbPredictor:
         tokens = ad.reshape(tokens, (tokens.data.size // self.d, self.d))
         h = ad.gelu(ad.linear(tokens, tape.param(self.w1), tape.param(self.b1)))
         return ad.linear(h, tape.param(self.w2), tape.param(self.b2))
-
-
-@dataclass
-class KeepScores:
-    """Per-token keep probabilities [B, n] with their 2-dim predictor logits."""
-
-    logits: Tensor  # [B*n, 2], rows example-major
-    s: Tensor       # [B, n]
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[-1]
 
 
 @dataclass
@@ -163,30 +152,25 @@ def _mask_from_keep(keep: np.ndarray, soft: Tensor) -> SelectionMask:
     return SelectionMask(keep.astype(np.float64), soft, kept)
 
 
+def _keep_entry(logits: Tensor, tau: float, shape: tuple) -> Tensor:
+    """Entry 0 of each row's softmax at temperature tau, rows [R, 2]
+    reshaped to `shape`."""
+    probs = ad.softmax_with_temperature(logits, axis=1, tau=tau)
+    return ad.reshape(ad.matmul(probs, ad.constant(_KEEP_COLUMN)), shape)
+
+
 def compute_keep_probabilities(tape: ad.Tape, tokens: Tensor,
-                               predictor: KeepProbPredictor) -> KeepScores:
-    """Score every token of [B, n, d]: softmax the 2-dim predictor output,
-    keep entry 0."""
-    return _scores_from_logits(predictor.logits(tape, tokens), tokens.shape[:-1])
+                               predictor: KeepProbPredictor) -> Tensor:
+    """Keep probabilities s [B, n] of tokens [B, n, d]: softmax the 2-dim
+    predictor output, keep entry 0."""
+    return _keep_entry(predictor.logits(tape, tokens), 1.0, tokens.shape[:-1])
 
 
-def _scores_from_logits(logits: Tensor, shape: tuple) -> KeepScores:
-    probs = ad.softmax_with_temperature(logits, axis=1, tau=1.0)
-    return KeepScores(logits, ad.reshape(ad.matmul(probs, ad.constant(_KEEP_COLUMN)), shape))
-
-
-def keep_scores_from_values(tape: ad.Tape, s_values) -> KeepScores:
-    """Build KeepScores around given keep probabilities [B, n] (tests and
-    oracles).
-
-    Logits (log s, log(1-s)) reproduce s exactly through the softmax path.
-    """
-    s = np.asarray(s_values, dtype=np.float64)
-    if s.ndim != 2:
+def _width(s: Tensor) -> int:
+    """n of keep probabilities s [B, n]; a ShapeError for any other shape."""
+    if s.data.ndim != 2:
         raise ShapeError(f"keep probabilities must be [B, n], got {s.shape}")
-    safe = np.clip(s, 1e-15, 1 - 1e-15).reshape(-1)
-    logits = tape.leaf(np.stack([np.log(safe), np.log(1 - safe)], axis=1))
-    return _scores_from_logits(logits, s.shape)
+    return s.shape[1]
 
 
 def _top_k_keep(values: np.ndarray, k: int) -> np.ndarray:
@@ -203,11 +187,11 @@ def _check_k(k: int, n: int) -> None:
         raise ContractError(f"K={k} out of range for {n} tokens")
 
 
-def _log_s(scores: KeepScores) -> Tensor:
-    return ad.log(ad.add(scores.s, ad.constant(np.full(scores.s.shape, _TINY))))
+def _log_s(s: Tensor) -> Tensor:
+    return ad.log(ad.add(s, ad.constant(np.full(s.shape, _TINY))))
 
 
-def gumbel_topk_select(scores: KeepScores, k: int, tau: float, rng: SeededRng) -> SelectionMask:
+def gumbel_topk_select(s: Tensor, k: int, tau: float, rng: SeededRng) -> SelectionMask:
     """Variant 1: keep the K tokens with the largest Gumbel-perturbed scores.
 
     The hard mask ranks log s_i + g_i; the soft path is the sequence-level
@@ -215,41 +199,44 @@ def gumbel_topk_select(scores: KeepScores, k: int, tau: float, rng: SeededRng) -
     draws its noise in one call, example by example in order, so example b
     sees the values it would see if the examples ran one at a time.
     """
-    _check_k(k, scores.n)
-    g = sample_standard_gumbel(rng, scores.s.data.size).reshape(scores.s.shape)
-    keep = _top_k_keep(np.log(np.maximum(scores.s.data, _TINY)) + g, k)
-    perturbed = ad.add(_log_s(scores), ad.constant(g))
+    _check_k(k, _width(s))
+    g = sample_standard_gumbel(rng, s.data.size).reshape(s.shape)
+    keep = _top_k_keep(np.log(np.maximum(s.data, _TINY)) + g, k)
+    perturbed = ad.add(_log_s(s), ad.constant(g))
     soft = ad.softmax_with_temperature(perturbed, axis=-1, tau=tau)
     return _mask_from_keep(keep, soft)
 
 
-def ratio_controlled_select(scores: KeepScores, tau: float, rng: SeededRng) -> SelectionMask:
+def ratio_controlled_select(s: Tensor, tau: float, rng: SeededRng) -> SelectionMask:
     """Variant 2: per-token binary Gumbel gate, kept when s_i^g > 0.5 (strict).
 
     One draw holds, example by example, that example's n keep-logit values
     and then its n drop-logit values, the order of one-example-at-a-time
     draws.
     """
-    shape = scores.s.shape
-    size = scores.s.data.size
+    _width(s)
+    shape, size = s.shape, s.data.size
     g = sample_standard_gumbel(rng, 2 * size).reshape(shape[0], 2, shape[1])
     g0, g1 = g[:, 0], g[:, 1]
 
-    keep_logit = ad.add(_log_s(scores), ad.constant(g0))
-    one_minus = ad.add(ad.subtract(ad.constant(np.ones(shape)), scores.s),
+    keep_logit = ad.add(_log_s(s), ad.constant(g0))
+    one_minus = ad.add(ad.subtract(ad.constant(np.ones(shape)), s),
                        ad.constant(np.full(shape, _TINY)))
     drop_logit = ad.add(ad.log(one_minus), ad.constant(g1))
     stacked = ad.transpose(ad.concat_rows(ad.reshape(keep_logit, (1, size)),
                                           ad.reshape(drop_logit, (1, size))))
-    relaxed = ad.softmax_with_temperature(stacked, axis=1, tau=tau)
-    soft = ad.reshape(ad.matmul(relaxed, ad.constant(_KEEP_COLUMN)), shape)
+    soft = _keep_entry(stacked, tau, shape)
     return _mask_from_keep(soft.data > 0.5, soft)
 
 
-def deterministic_topk_select(scores: KeepScores, k: int) -> SelectionMask:
+def deterministic_topk_select(s: Tensor, k: int) -> SelectionMask:
     """Baseline: top-K of the raw keep probabilities, no noise; soft = s."""
-    _check_k(k, scores.n)
-    return _mask_from_keep(_top_k_keep(scores.s.data, k), scores.s)
+    _check_k(k, _width(s))
+    return _mask_from_keep(_top_k_keep(s.data, k), s)
+
+
+# the inference path: rank keep probabilities and take the top K, noise-free
+inference_rank_topk = deterministic_topk_select
 
 
 def uniform_fixed_select(n: int, k: int, batch: int) -> SelectionMask:
@@ -269,11 +256,6 @@ def uniform_fixed_select(n: int, k: int, batch: int) -> SelectionMask:
     return _mask_from_keep(keep, ad.constant(keep.astype(np.float64)))
 
 
-def inference_rank_topk(scores: KeepScores, k: int) -> SelectionMask:
-    """Inference path: rank keep probabilities and take the top K, noise-free."""
-    return deterministic_topk_select(scores, k)
-
-
 def inference_k_for(strategy: StrategyConfig, n: int) -> int:
     """K used at inference: the trained K, or k_for_fraction(p, n) for ratio control."""
     if strategy.kind == "ratio_controlled":
@@ -281,14 +263,16 @@ def inference_k_for(strategy: StrategyConfig, n: int) -> int:
     return strategy.k
 
 
-def run_strategy(scores: KeepScores, strategy: StrategyConfig, rng: SeededRng) -> SelectionMask:
+def run_strategy(s: Tensor, strategy: StrategyConfig, rng: SeededRng) -> SelectionMask:
+    """The training mask of keep probabilities s [B, n] under a strategy that
+    reads them; uniform_fixed reads none and has `uniform_fixed_select`."""
     if strategy.kind == "gumbel_topk":
-        return gumbel_topk_select(scores, strategy.k, strategy.tau, rng)
+        return gumbel_topk_select(s, strategy.k, strategy.tau, rng)
     if strategy.kind == "ratio_controlled":
-        return ratio_controlled_select(scores, strategy.tau, rng)
+        return ratio_controlled_select(s, strategy.tau, rng)
     if strategy.kind == "deterministic_topk":
-        return deterministic_topk_select(scores, strategy.k)
-    return uniform_fixed_select(scores.n, strategy.k, scores.s.shape[0])
+        return deterministic_topk_select(s, strategy.k)
+    raise ContractError(f"{strategy.kind} reads no keep probabilities")
 
 
 @dataclass

@@ -40,11 +40,18 @@ class SweepCell:
 
 def build_cells(axis: str, base: RunConfig, n_tokens: int,
                 grid: tuple[float, ...] | None = None,
-                strategies: tuple[str, ...] = CURVE_STRATEGIES) -> list[SweepCell]:
+                strategies: tuple[str, ...] | None = None) -> list[SweepCell]:
     """Cells in deterministic order; the 1.0 sparsity cell is shared across
-    strategies (one full-input run reported once per strategy)."""
+    strategies (one full-input run reported once per strategy). None means
+    the axis's default grid and CURVE_STRATEGIES; a setting the axis would
+    ignore (a variant grid, strategies off the sparsity axis) is a ConfigError."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    if axis == "variant" and grid is not None:
+        raise ConfigError("the variant axis takes no grid: it runs both variants "
+                          "at the run's keep fraction")
+    if axis != "sparsity" and strategies is not None:
+        raise ConfigError(f"only the sparsity axis takes strategies, not the {axis} axis")
     tau, lam = base.strategy.tau, base.strategy.lam
     base_fraction = keep_fraction_of(base.strategy, n_tokens)
     cells: list[SweepCell] = []
@@ -56,6 +63,7 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
         cells.append(SweepCell(len(cells), x_value, cfg, emit_as))
 
     if axis == "sparsity":
+        strategies = strategies or CURVE_STRATEGIES
         for fraction in grid or SPARSITY_GRID:
             if fraction == 1.0:
                 push(1.0, "uniform_fixed", 1.0, tau, lam, tuple(strategies))
@@ -89,7 +97,7 @@ def _run_cell(cell: SweepCell, seed_index: int, master_seed: int) -> SweepRow:
 
 def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
               out_dir: str, grid: tuple[float, ...] | None = None,
-              strategies: tuple[str, ...] = CURVE_STRATEGIES,
+              strategies: tuple[str, ...] | None = None,
               ) -> tuple[list[SweepRow], str, str]:
     """Run the grid cell by cell, num_seeds runs a cell, and write the
     combined CSV and the accuracy curve SVG."""

@@ -25,8 +25,8 @@ from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformerConfig, init_parameters, save_checkpoint
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeepScores, KeptTokens, SelectionMask,
-                        StrategyConfig, apply_ste, compute_keep_probabilities, inference_k_for,
+from .selection import (KeepProbPredictor, KeptTokens, SelectionMask, StrategyConfig,
+                        apply_ste, compute_keep_probabilities, inference_k_for,
                         inference_rank_topk, reencode_positions, run_strategy,
                         selection_loss, total_loss)
 
@@ -34,8 +34,9 @@ from .selection import (KeepProbPredictor, KeepScores, KeptTokens, SelectionMask
 _L_INIT_TASK, _L_INIT_SCORER, _L_INIT_CONTEXT = 0, 1, 2
 _L_SPLIT, _L_SHUFFLE, _L_NOISE = 3, 4, 5
 
-# the one hook of the forward pass: keep scores of a batch -> its selection mask
-Selector = Callable[[KeepScores], SelectionMask]
+# the one hook of the forward pass: keep probabilities s [B, n] of a batch ->
+# its selection mask
+Selector = Callable[[Tensor], SelectionMask]
 
 # glibc mallopt parameters (malloc.h) and the heap policy of `retain_heap`
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -137,12 +138,12 @@ class Pipeline:
 
     def sampler(self, noise_rng: SeededRng) -> Selector:
         """The training selector: the run's strategy drawing from noise_rng."""
-        return lambda scores: run_strategy(scores, self.cfg.strategy, noise_rng)
+        return lambda s: run_strategy(s, self.cfg.strategy, noise_rng)
 
     def ranker(self) -> Selector:
         """The inference selector: rank keep probabilities, no noise."""
         strategy = self.cfg.strategy
-        return lambda scores: inference_rank_topk(scores, inference_k_for(strategy, scores.n))
+        return lambda s: inference_rank_topk(s, inference_k_for(strategy, s.shape[1]))
 
     def sparsify(self, tape: Tape, streams: list[Tensor],
                  select: Selector) -> tuple[KeptTokens, SelectionMask]:
@@ -151,9 +152,10 @@ class Pipeline:
         streams share.
 
         streams are [B, n, d], one per stream of the run; `select` turns the
-        batch's keep scores into its mask (unused by uniform_fixed, which has
-        no scorer). Every input sequence has the dataset's full length n, so
-        only the kept sequences need padding. Reads no task parameter.
+        batch's keep probabilities into its mask (unused by uniform_fixed,
+        which has no scorer). Every input sequence has the dataset's full
+        length n, so only the kept sequences need padding. Reads no task
+        parameter.
         """
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":

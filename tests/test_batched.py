@@ -14,8 +14,7 @@ from sparsetok.errors import ContractError
 from sparsetok.gumbel import gumbel_max_sample, sample_standard_gumbel
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
-from sparsetok.selection import (StrategyConfig, deterministic_topk_select,
-                                 gumbel_topk_select, keep_scores_from_values,
+from sparsetok.selection import (StrategyConfig, deterministic_topk_select, gumbel_topk_select,
                                  ratio_controlled_select, selection_loss, total_loss)
 from sparsetok.train import Pipeline, RunConfig
 
@@ -119,10 +118,10 @@ def _keep_probabilities(rng: SeededRng, batch: int, n: int) -> np.ndarray:
 def test_batched_selector_matches_draws_in_order(select):
     """A batch draws what its examples would draw as batches of one, in order."""
     s = _keep_probabilities(SeededRng(3), 7, 6)
-    batched = select(keep_scores_from_values(Tape(), s), SeededRng(21))
+    batched = select(ad.constant(s), SeededRng(21))
     stream = SeededRng(21)
     for b in range(s.shape[0]):
-        single = select(keep_scores_from_values(Tape(), s[b:b + 1]), stream)
+        single = select(ad.constant(s[b:b + 1]), stream)
         assert np.array_equal(batched.hard[b:b + 1], single.hard)
         assert np.array_equal(batched.kept_in(b), single.kept_in(0))
         assert np.allclose(batched.soft.data[b:b + 1], single.soft.data, rtol=0, atol=1e-15)
@@ -134,7 +133,7 @@ def test_ratio_gate_takes_keep_noise_then_drop_noise():
     next n the drop logits."""
     n = 6
     s = _keep_probabilities(SeededRng(6), 3, n)
-    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s), 0.4, SeededRng(8))
+    mask = ratio_controlled_select(ad.constant(s), 0.4, SeededRng(8))
     stream = SeededRng(8)
     for b in range(3):
         g = sample_standard_gumbel(stream, 2 * n)
@@ -144,7 +143,7 @@ def test_ratio_gate_takes_keep_noise_then_drop_noise():
 
 def test_batched_mask_pads_kept_indices_with_zero():
     s = _keep_probabilities(SeededRng(4), 5, 6)
-    mask = ratio_controlled_select(keep_scores_from_values(Tape(), s), 0.4, SeededRng(2))
+    mask = ratio_controlled_select(ad.constant(s), 0.4, SeededRng(2))
     counts = mask.kept_count
     assert mask.kept_indices.shape == (5, max(1, counts.max()))
     for b, c in enumerate(counts):

@@ -97,18 +97,27 @@ def test_config_file_numbers_are_typed_like_flags(tmp_path, dataset):
     """int keys (epochs, seed) and float keys (tau, lambda) read from a file
     give the bytes of the same values given as flags."""
     conf = tmp_path / "run.conf"
-    conf.write_text(f"dataset={dataset}\nstrategy=ratio_controlled\ntarget-ratio=0.5\n"
+    conf.write_text(f"dataset={dataset}\nstrategy=ratio_controlled\nkeep-fraction=0.5\n"
                     "epochs=2\nseed=4\ntau=0.5\nlambda=0.25\nbatch-size=16\n")
     from_file, from_flags = tmp_path / "file", tmp_path / "flags"
     assert main(["train", "--config", str(conf), "--out", str(from_file)]) == 0
     assert main(["train", "--dataset", dataset, "--out", str(from_flags),
-                 "--strategy", "ratio_controlled", "--target-ratio", "0.5", "--epochs", "2",
+                 "--strategy", "ratio_controlled", "--keep-fraction", "0.5", "--epochs", "2",
                  "--seed", "4", "--tau", "0.5", "--lambda", "0.25", "--batch-size", "16"]) == 0
     for name in ("metrics.csv", "checkpoint.stkn"):
         assert (from_file / name).read_bytes() == (from_flags / name).read_bytes(), name
     rows, config = read_metrics_csv(str(from_file / "metrics.csv"))
     assert len(rows) == 2
     assert (config["seed"], config["tau"], config["lambda"]) == ("4", "0.5", "0.25")
+    assert config["target_ratio"] == "0.5"  # the keep fraction is ratio control's target
+
+
+def test_keep_fraction_is_the_one_budget_flag(tmp_path, dataset, capsys):
+    """No second budget flag that a strategy could silently ignore."""
+    with pytest.raises(SystemExit) as exc:
+        run_train(dataset, str(tmp_path / "run"), "--target-ratio", "0.9")
+    assert exc.value.code == 1
+    assert "--target-ratio" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines, flags", [
@@ -362,7 +371,7 @@ class TestSweep:
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["train", "--strategy", "deterministic_topk", "--keep-fraction", "-3"],
                  "keep fraction must lie in (0, 1], got -3", id="negative-keep-fraction"),
-    pytest.param(["train", "--strategy", "ratio_controlled", "--target-ratio", "1.5"],
+    pytest.param(["train", "--strategy", "ratio_controlled", "--keep-fraction", "1.5"],
                  "keep fraction must lie in (0, 1], got 1.5", id="target-ratio-above-1"),
     pytest.param(["sweep", "--grid=-0.5,0.25"], "keep fraction must lie in (0, 1], got -0.5",
                  id="negative-grid-value"),
@@ -374,6 +383,26 @@ class TestSweep:
 def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, argv, message):
     out = tmp_path / "out"
     assert main([*argv, "--dataset", dataset, "--out", str(out), "--epochs", "1"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--axis", "variant", "--grid", "0.1,0.9"], "the variant axis takes no grid",
+                 id="grid-on-variant"),
+    pytest.param(["--axis", "tau", "--strategies", "uniform_fixed"],
+                 "only the sparsity axis takes strategies, not the tau axis",
+                 id="strategies-on-tau"),
+    pytest.param(["--axis", "lambda", "--strategies", "gumbel_topk"],
+                 "only the sparsity axis takes strategies, not the lambda axis",
+                 id="strategies-on-lambda"),
+    pytest.param(["--axis", "variant", "--strategies", "gumbel_topk,ratio_controlled"],
+                 "only the sparsity axis takes strategies, not the variant axis",
+                 id="strategies-on-variant"),
+])
+def test_sweep_flag_the_axis_ignores_is_usage_error(tmp_path, dataset, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["sweep", *argv, "--dataset", dataset, "--out", str(out), "--epochs", "1"]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -1,10 +1,12 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses, and the package reads the process environment in one place.
+it never uses, the package reads the process environment in one place, and
+every function, class and method the package defines is named somewhere.
 
 The scan reads each file's syntax tree, so it needs no import of the module.
 A package `__init__.py` is exempt: its imports are the public re-exports.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,10 @@ MODULES = sorted(path for folder in (ROOT / "src" / "sparsetok", ROOT / "tests")
 PACKAGE = sorted((ROOT / "src" / "sparsetok").glob("*.py"))
 # the one environment knob, STKN_TIMING, and the function that reads it
 ENVIRONMENT_READERS = {"metrics.py": ["timing_enabled"]}
+# the code whose names count as uses of a package definition
+CORPUS = sorted(path for folder in ("src", "tests", "perfbench")
+                for path in (ROOT / folder).rglob("*.py"))
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +92,56 @@ def test_scan_finds_environment_reads():
               "def knob():\n    return os.getenv('K')\n"
               "def path():\n    return os.path.join('a', 'b')\n")
     assert environment_readers(source) == ["<module>", "knob"]
+
+
+def definitions(source: str) -> list[str]:
+    """Names of the functions, classes and methods `source` defines, at any
+    depth; dunder methods are left out."""
+    return sorted({node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))})
+
+
+def named(source: str) -> set[str]:
+    """Names `source` uses: names and attributes in expressions, imported
+    names, and string constants that are one identifier (a name handed to
+    getattr or to a patcher). A def or class line, a docstring and a comment
+    name nothing."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _IDENTIFIER.match(node.value):
+                names.add(node.value)
+    return names
+
+
+def unnamed_definitions(defining: str, corpus: list[str]) -> list[str]:
+    """Definitions of `defining` that no source of `corpus` names."""
+    used = set().union(*map(named, corpus))
+    return [name for name in definitions(defining) if name not in used]
+
+
+def test_every_package_definition_is_named_somewhere():
+    """Dead code cannot stay: each definition of the package is called,
+    patched or imported by the package, its tests or the benchmark."""
+    corpus = [path.read_text(encoding="utf-8") for path in CORPUS]
+    unnamed = [f"{path.name}: {name}" for path in PACKAGE
+               for name in unnamed_definitions(path.read_text(encoding="utf-8"), corpus)]
+    assert unnamed == []
+
+
+def test_scan_finds_unnamed_definitions():
+    source = ("class Used:\n    def __init__(self):\n        self.x = 1\n"
+              "    def dead(self):\n        \"\"\"dead helper\"\"\"\n        return 1\n"
+              "def helper():  # helper\n    return Used()\n"
+              "def patched():\n    def inner():\n        pass\n    return inner\n"
+              "setattr(Used, 'patched', None)\n")
+    assert definitions(source) == ["Used", "dead", "helper", "inner", "patched"]
+    assert unnamed_definitions(source, [source]) == ["dead", "helper"]
+    assert unnamed_definitions(source, [source, "Used().dead()\n"]) == ["helper"]

@@ -7,8 +7,7 @@ from sparsetok.errors import ShapeError
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.multimodal import ContextModel
 from sparsetok.rng import SeededRng
-from sparsetok.selection import (StrategyConfig, deterministic_topk_select,
-                                 keep_scores_from_values)
+from sparsetok.selection import StrategyConfig, deterministic_topk_select
 from sparsetok.train import Pipeline, RunConfig
 
 D = 6
@@ -56,8 +55,9 @@ def multimodal_pipeline():
 
 
 def fixed_selector(s, k):
-    """Selector that ignores the scores and keeps the top-k of s."""
-    return lambda scores: deterministic_topk_select(keep_scores_from_values(Tape(), s), k)
+    """Selector that ignores the keep probabilities it gets and keeps the
+    top-k of s."""
+    return lambda _: deterministic_topk_select(ad.constant(s), k)
 
 
 class TestSparsifyPairs:

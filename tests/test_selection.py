@@ -9,14 +9,14 @@ from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfi
                                  apply_ste, compute_keep_probabilities, index_grid,
                                  deterministic_topk_select, gumbel_topk_select,
                                  inference_k_for, inference_rank_topk,
-                                 keep_scores_from_values, ratio_controlled_select,
-                                 reencode_positions, selection_loss, total_loss,
+                                 ratio_controlled_select, reencode_positions,
+                                 run_strategy, selection_loss, total_loss,
                                  uniform_fixed_select)
 
 
-def scores_for(s_values, tape=None):
-    """Keep scores of a batch of one sequence with keep probabilities s_values."""
-    return keep_scores_from_values(tape or Tape(), [s_values])
+def scores_for(s_values):
+    """Keep probabilities [1, n] of a batch of one sequence."""
+    return ad.constant([s_values])
 
 
 def rigged_predictor(d, logit0, logit1):
@@ -63,25 +63,26 @@ class TestKeepProbabilities:
     def test_symmetric_logits_give_half(self):
         with Tape() as tape:
             tokens = ad.constant(SeededRng(1).normals(12).reshape(1, 4, 3))
-            scores = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 0.0, 0.0))
-        assert np.allclose(scores.s.data, 0.5, atol=1e-15)
+            s = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 0.0, 0.0))
+        assert np.allclose(s.data, 0.5, atol=1e-15)
 
     def test_unit_logit_gap_closed_form(self):
         with Tape() as tape:
             tokens = ad.constant(np.zeros((1, 2, 3)))
-            scores = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 1.0, 0.0))
-        assert np.allclose(scores.s.data, 0.7310585786300049, atol=1e-12)
+            s = compute_keep_probabilities(tape, tokens, rigged_predictor(3, 1.0, 0.0))
+        assert np.allclose(s.data, 0.7310585786300049, atol=1e-12)
 
     def test_softmax_matches_sigmoid_identity(self):
         rng = SeededRng(9)
         pred = KeepProbPredictor(5).init(rng, stddev=0.7)
         with Tape() as tape:
             tokens = ad.constant(rng.normals(40).reshape(2, 4, 5))
-            scores = compute_keep_probabilities(tape, tokens, pred)
-        gap = scores.logits.data[:, 0] - scores.logits.data[:, 1]
+            logits = pred.logits(tape, tokens)
+            s = compute_keep_probabilities(tape, tokens, pred)
+        gap = logits.data[:, 0] - logits.data[:, 1]
         sigmoid = 1.0 / (1.0 + np.exp(-gap))
-        assert scores.s.shape == (2, 4)
-        assert np.abs(scores.s.data.reshape(-1) - sigmoid).max() < 1e-12
+        assert s.shape == (2, 4)
+        assert np.abs(s.data.reshape(-1) - sigmoid).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [(4, 3), (1, 4, 2), (2, 1, 4, 3)])
     def test_predictor_takes_only_batches_of_full_width(self, shape):
@@ -89,9 +90,18 @@ class TestKeepProbabilities:
             rigged_predictor(3, 0.0, 0.0).logits(Tape(), ad.constant(np.zeros(shape)))
 
     @pytest.mark.parametrize("s", [[0.5, 0.5], [[[0.5]]]])
-    def test_keep_scores_from_values_take_only_batches(self, s):
-        with pytest.raises(ShapeError):
-            keep_scores_from_values(Tape(), s)
+    def test_selectors_take_only_batches(self, s, frozen_rng):
+        """Every selector that reads keep probabilities takes them [B, n]."""
+        selectors = [
+            lambda s: gumbel_topk_select(s, 1, 0.1, frozen_rng),
+            lambda s: ratio_controlled_select(s, 0.1, frozen_rng),
+            lambda s: deterministic_topk_select(s, 1),
+            lambda s: inference_rank_topk(s, 1),
+            lambda s: run_strategy(s, StrategyConfig("gumbel_topk", k=1), frozen_rng),
+        ]
+        for select in selectors:
+            with pytest.raises(ShapeError, match=r"keep probabilities must be \[B, n\]"):
+                select(ad.constant(s))
 
 
 class TestGumbelTopK:
@@ -113,7 +123,7 @@ class TestGumbelTopK:
     def test_soft_weights_sum_to_one_over_valid(self):
         """Every token of a row is valid: each row's soft weights sum to 1."""
         s = np.clip(SeededRng(3).uniforms(21).reshape(3, 7), 0.05, 0.95)
-        mask = gumbel_topk_select(keep_scores_from_values(Tape(), s), 3, 0.5, SeededRng(3))
+        mask = gumbel_topk_select(ad.constant(s), 3, 0.5, SeededRng(3))
         assert np.abs(mask.soft.data.sum(axis=1) - 1.0).max() < 1e-9
         assert mask.kept_count.tolist() == [3, 3, 3]
 
@@ -179,9 +189,8 @@ class TestDeterministicTopK:
         rng = SeededRng(31)
         gaps = rng.normals(6)
         for scale in (0.5, 2.0, 17.0):
-            with Tape() as tape:
-                base = scores_for(1 / (1 + np.exp(-gaps)), tape)
-                scaled = scores_for(1 / (1 + np.exp(-scale * gaps)), tape)
+            base = scores_for(1 / (1 + np.exp(-gaps)))
+            scaled = scores_for(1 / (1 + np.exp(-scale * gaps)))
             m1 = deterministic_topk_select(base, 2)
             m2 = deterministic_topk_select(scaled, 2)
             assert np.array_equal(m1.kept_indices, m2.kept_indices)
