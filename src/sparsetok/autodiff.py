@@ -21,14 +21,15 @@ whole minibatch, not one per example:
   ops, `gather_rows` / `scale_rows` / `concat_rows` (rows are the
   second-to-last axis), `transpose` (last two axes) and `cross_entropy_loss`
   ([B, C] logits give [B] losses).
-- `matmul` stays 2-D: weight projections run on the flattened [B*K, d]
-  activations, and `linear` is a biased projection x @ w + b as one node.
-  `batched_matmul` covers the per-example products [B, m, k] @ [B, k, n] of
-  the mean pool. `attention` is all heads of self-attention in
-  one node: [B*K, 3d] projected q | k | v rows in, [B*K, d] contexts out.
-- Sequences of unequal length are padded to the longest one. Padded keys get
-  a large negative additive bias before the attention softmax, so they
-  receive exactly zero weight, and padded rows are left out of pooling.
+- `matmul` stays 2-D: weight projections run on flattened [R, d] rows, and
+  `linear` is a biased projection x @ w + b as one node. `batched_matmul`
+  covers per-example products [B, m, k] @ [B, k, n]. `attention` is all
+  heads of self-attention in one node: [R, 3d] projected q | k | v rows in,
+  [R, d] contexts out.
+- Sequences of unequal length are packed, not padded: their R rows follow
+  one another, example by example, so every row-wise op works on real rows
+  only. `attention` alone sees sequences; it takes their lengths, pads them
+  to the longest inside the op and gives padded keys exactly zero weight.
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
@@ -467,7 +468,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         out = np.bincount(cells, weights=g.reshape(-1), minlength=src.size)
         return (out.reshape(shape),)
 
-    return _record("gather_rows", src[flat], (x,), vjp)
+    return _record("gather_rows", src.take(flat, axis=0), (x,), vjp)
 
 
 def mask_multiply(x: Tensor, mask) -> Tensor:
@@ -541,15 +542,39 @@ def softmax_with_temperature(x: Tensor, axis: int, tau: float) -> Tensor:
     return _record("softmax", y, (x,), vjp)
 
 
-def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
+@functools.lru_cache(maxsize=8)
+def _padding(lengths: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """How `attention` pads sequences of these lengths to the longest one, L:
+    L, the padded row of each packed row (row j of sequence b sits at
+    b*L + j) and the [B, L] key bias, 0 on a real key and -inf on a padded
+    one. None when every length is L, so nothing is padded. The arrays are
+    read-only and kept for the few most recent length tuples."""
+    length = max(lengths)
+    if min(lengths) == length:
+        return None
+    real = np.arange(length) < np.asarray(lengths, dtype=np.int64)[:, None]
+    rows = np.flatnonzero(real)
+    key_bias = np.where(real, 0.0, -np.inf)
+    rows.flags.writeable = key_bias.flags.writeable = False
+    return length, rows, key_bias
+
+
+def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention as one tape node.
 
-    qkv is [B*L, 3d]: rows example-major (B = batch sequences of L rows),
-    columns q | k | v, each of the three head-major (head h owns columns
-    h*dk .. (h+1)*dk - 1 of its block, dk = d / heads). key_bias, a
-    constant [B, L], is added to every logit of the key it indexes; a large
-    negative value masks the key out. Returns the heads' contexts [B*L, d],
-    head-major columns.
+    qkv is [R, 3d]: the rows of B sequences packed one after another, row
+    counts `lengths` (each at least 1, R their sum), columns q | k | v, each
+    of the three head-major (head h owns columns h*dk .. (h+1)*dk - 1 of its
+    block, dk = d / heads). Each row attends to the rows of its own sequence.
+    Returns the heads' contexts [R, d], packed alike, head-major columns.
+
+    Sequences shorter than the longest, L, are padded to it inside the op:
+    the packed rows are written into a zeroed [B*L, 3d] buffer by one indexed
+    assignment, padded keys get a -inf logit, so their softmax weight is
+    exactly 0, and the contexts and the adjoint's input gradient are read
+    back from the packed rows. A padded query's output gradient is 0, so
+    padded rows contribute nothing to any gradient. With equal lengths the
+    rows are used as they are, no copy made.
 
     The logits are laid out key-major, [B, heads, key, query] = k @ q^T, so
     the softmax's max and sum reduce across rows of the contiguous query
@@ -559,22 +584,25 @@ def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
     buffer forward and one backward, whatever the head count.
     """
     qkv = _as_tensor(qkv)
+    lengths = tuple(map(int, lengths))
     rows, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
-    if batch < 1 or heads < 1 or rows < batch or rows % batch or width % (3 * heads):
-        raise ShapeError(f"attention: qkv {qkv.shape} does not split into {batch} "
-                         f"sequences of q | k | v over {heads} heads")
-    d = width // 3
-    dk, length = d // heads, rows // batch
-    if key_bias is not None:
-        key_bias = np.asarray(key_bias, dtype=np.float64)
-        if key_bias.shape != (batch, length):
-            raise ShapeError(f"attention: key bias {key_bias.shape} is not "
-                             f"[{batch}, {length}]")
+    if (not lengths or min(lengths) < 1 or sum(lengths) != rows or heads < 1
+            or width % (3 * heads)):
+        raise ShapeError(f"attention: qkv {qkv.shape} does not split into sequences of "
+                         f"{list(lengths)} rows of q | k | v over {heads} heads")
+    d, batch = width // 3, len(lengths)
+    dk = d // heads
+    padding = _padding(lengths)
+    x, length = qkv.data, rows // batch
+    if padding is not None:
+        length, packed, key_bias = padding
+        x = np.zeros((batch * length, width))
+        x[packed] = qkv.data
     scale = 1.0 / math.sqrt(dk)
     # [3, B, H, L, dk] views of q, k and v; every [L, dk] slice stays BLAS-ready
-    q, k, v = qkv.data.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    q, k, v = x.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
     probs = k @ (q * scale).transpose(0, 1, 3, 2)
-    if key_bias is not None:
+    if padding is not None:
         probs += key_bias[:, None, :, None]
     probs -= probs.max(axis=-2, keepdims=True)
     np.exp(probs, out=probs)
@@ -582,9 +610,12 @@ def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
     # the contexts are written straight into the [B*L, d] output's head blocks
     out = np.empty((batch, length, heads, dk))
     np.matmul(probs.transpose(0, 1, 3, 2), v, out=out.transpose(0, 2, 1, 3))
-    out = out.reshape(rows, d)
+    out = out.reshape(batch * length, d)
 
     def vjp(g):
+        if padding is not None:
+            g_rows, g = g, np.zeros((batch * length, d))
+            g[packed] = g_rows
         g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
         grad = np.empty((batch, length, 3, heads, dk))
         g_q, g_k, g_v = grad.transpose(2, 0, 3, 1, 4)
@@ -601,9 +632,11 @@ def attention(qkv: Tensor, batch: int, heads: int, key_bias=None) -> Tensor:
         g_logits *= scale
         np.matmul(g_logits, q, out=g_k)
         np.matmul(g_logits.transpose(0, 1, 3, 2), k, out=g_q)
-        return (grad.reshape(rows, width),)
+        grad = grad.reshape(batch * length, width)
+        return (grad if padding is None else grad.take(packed, axis=0),)
 
-    return _record("attention", out, (qkv,), vjp)
+    return _record("attention", out if padding is None else out.take(packed, axis=0),
+                   (qkv,), vjp)
 
 
 def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:

@@ -172,14 +172,13 @@ def _batched_cases(r):
 
 
 def _attention_cases(r):
-    """The fused attention op: one head on one sequence, and two heads on a
-    batch of two with one masked key each."""
+    """The fused attention op: one head on one sequence, and two heads on two
+    packed sequences of 2 and 4 rows, so the first is padded by two keys."""
     w32, w64 = r((3, 2)), r((6, 4))
-    key_bias = np.array([[0.0, 0.0, -1e9], [-1e9, 0.0, 0.0]])
     return [
-        ("attention_1head", r((3, 6)), lambda x: _scalarize(ad.attention(x, 1, 1), w32)),
-        ("attention_2heads_masked_keys", r((6, 12)),
-         lambda x: _scalarize(ad.attention(x, 2, 2, key_bias), w64)),
+        ("attention_1head", r((3, 6)), lambda x: _scalarize(ad.attention(x, (3,), 1), w32)),
+        ("attention_2heads_unequal_lengths", r((6, 12)),
+         lambda x: _scalarize(ad.attention(x, (2, 4), 2), w64)),
     ]
 
 
@@ -196,13 +195,11 @@ def _linear_cases(r):
 
 def _long_attention_cases(r):
     """Attention whose sequences are longer than its head width: two heads
-    of width 1 on a batch of two length-5 sequences, one masked key each."""
+    of width 1 on two packed sequences of 4 and 6 rows."""
     w = r((10, 2))
-    key_bias = np.zeros((2, 5))
-    key_bias[0, 4] = key_bias[1, 1] = -1e9
     return [
-        ("attention_2heads_length5", r((10, 6)),
-         lambda x: _scalarize(ad.attention(x, 2, 2, key_bias), w)),
+        ("attention_2heads_length4_6", r((10, 6)),
+         lambda x: _scalarize(ad.attention(x, (4, 6), 2), w)),
     ]
 
 
@@ -281,8 +278,9 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
     and the visual tokens, noise and kept sets frozen, on a batch of two.
 
-    The two examples keep different, non-zero token counts, so padded rows
-    in the kept batch and the task model's key mask sit inside the check.
+    The two examples keep different, non-zero token counts, so the task
+    model's packing of the padded kept batch and the padding inside its
+    attention sit inside the check.
     Task parameters are read only by the second stage, `Pipeline.classify`,
     so their coordinates re-run it alone on the base point's `sparsify`
     output; the context and scorer parameters and the visual tokens re-run

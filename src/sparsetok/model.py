@@ -4,14 +4,19 @@ Pre-norm encoder blocks, learnable positional embeddings assigned to the
 compacted sequence, mean-pool head. Deterministic: no dropout — the only
 training noise in the whole pipeline lives in the Gumbel selection.
 
-The model runs a whole batch at once: activations are [B*L, d] rows,
-example-major, and sequences shorter than L are padded, with their padded
-rows masked out of attention keys and of the mean pool.
+The model runs a whole batch at once on packed rows: the kept batch arrives
+padded to its longest sequence, [B, L, d], and its real rows are gathered
+into [R, d] activations, example by example, R = sum of the kept counts. So
+every projection, norm and the mean pool pays for the rows kept, not for
+B*L; only `attention` pads, inside the op. When every example keeps L rows
+the packing is the identity: the rows are used as they are.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +28,6 @@ from .selection import KeptTokens
 
 CHECKPOINT_MAGIC = b"STKN"
 CHECKPOINT_VERSION = 2
-
-# additive attention logit of a padded key: its softmax weight is exactly 0
-_MASKED_KEY = -1e9
-
 
 @dataclass
 class TaskPerformerConfig:
@@ -78,15 +79,11 @@ class MultiHeadAttention:
         self.wqkv.value = np.concatenate([block(i, (d, dk)) for i in range(3 * heads)], axis=1)
         self.wo.value = np.concatenate([block(3 * heads + h, (dk, d)) for h in range(heads)])
 
-    def forward(self, tape: ad.Tape, x: Tensor, batch: int = 1,
-                pad_keys: np.ndarray | None = None) -> Tensor:
-        """Attention within each of `batch` sequences of x [batch*L, d] (rows
-        example-major); pad_keys, bool [batch, L], marks keys to mask out."""
-        key_bias = None
-        if pad_keys is not None and pad_keys.any():
-            key_bias = np.where(pad_keys, _MASKED_KEY, 0.0)
+    def forward(self, tape: ad.Tape, x: Tensor, lengths: tuple[int, ...]) -> Tensor:
+        """Attention within each sequence of x [R, d], whose rows are
+        sequences of `lengths` rows packed one after another."""
         qkv = ad.matmul(x, tape.param(self.wqkv))
-        context = ad.attention(qkv, batch, self.heads, key_bias)
+        context = ad.attention(qkv, lengths, self.heads)
         return ad.linear(context, tape.param(self.wo), tape.param(self.bo))
 
 
@@ -116,10 +113,10 @@ class AttentionBlock:
         for i, w in enumerate((self.ff_w1, self.ff_w2)):
             w.value = rng.split(1, i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
 
-    def forward(self, tape: ad.Tape, x: Tensor, batch: int = 1,
-                pad_keys: np.ndarray | None = None) -> Tensor:
+    def forward(self, tape: ad.Tape, x: Tensor, lengths: tuple[int, ...]) -> Tensor:
+        """The block on packed rows x [R, d] of sequences of `lengths` rows."""
         h = ad.layer_norm(x, tape.param(self.ln1_g), tape.param(self.ln1_b))
-        x = ad.add(x, self.attn.forward(tape, h, batch, pad_keys))
+        x = ad.add(x, self.attn.forward(tape, h, lengths))
         h = ad.layer_norm(x, tape.param(self.ln2_g), tape.param(self.ln2_b))
         h = ad.gelu(ad.linear(h, tape.param(self.ff_w1), tape.param(self.ff_b1)))
         return ad.add(x, ad.linear(h, tape.param(self.ff_w2), tape.param(self.ff_b2)))
@@ -156,37 +153,72 @@ class TaskPerformer:
         """Class logits [B, C] for compacted sequences: KeptTokens [B, L, d_in]
         with positional rows [B, L, d_model].
 
-        A sequence with no kept token falls back to the learned null token at
-        its row 0, so an empty selection still produces finite, trainable
+        Only the valid rows of the two are read, packed example by example;
+        the values in padded rows never reach the logits or the gradients.
+        A sequence with no kept token falls back to the learned null token
+        at its row 0, so an empty selection still produces finite, trainable
         logits.
         """
         c = self.config
-        valid = kept_tokens.valid
+        valid = np.asarray(kept_tokens.valid, dtype=bool)
         batch, length = valid.shape
         if length > c.max_len:
             raise CapacityError(f"sequence of {length} exceeds max_len {c.max_len}")
+        pack = _packing(valid.shape, valid.tobytes())
         x_in = ad.reshape(kept_tokens.tokens, (batch * length, c.d_in))
         positions = ad.reshape(positional_rows, (batch * length, c.d_model))
-        empty = ~valid.any(axis=1)
-        if empty.any():  # row 0 of an empty sequence becomes the null token
-            slot = np.zeros((batch * length, 1))
-            slot[np.flatnonzero(empty) * length] = 1.0
-            null_rows = ad.matmul(ad.constant(slot),
-                                  ad.reshape(tape.param(self.null_token), (1, c.d_in)))
-            x_in = ad.add(ad.mask_multiply(x_in, np.repeat(1.0 - slot, c.d_in, axis=1)),
-                          null_rows)
-            valid = valid | (slot.reshape(batch, length) > 0)
-        pad_keys = None if valid.all() else ~valid
+        if pack.rows is not None:
+            token_rows = pack.rows
+            if pack.null_rows is not None:  # the null token: the row after the padded ones
+                x_in = ad.concat_rows(x_in, ad.reshape(tape.param(self.null_token), (1, c.d_in)))
+                token_rows = pack.null_rows
+            x_in = ad.gather_rows(x_in, token_rows)
+            positions = ad.gather_rows(positions, pack.rows)
         x = ad.add(ad.linear(x_in, tape.param(self.in_w), tape.param(self.in_b)), positions)
         for block in self.blocks:
-            x = block.forward(tape, x, batch, pad_keys)
+            x = block.forward(tape, x, pack.lengths)
         x = ad.layer_norm(x, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
-        # mean over each sequence's valid rows
-        weights = valid / valid.sum(axis=1, keepdims=True)
-        pooled = ad.batched_matmul(ad.constant(weights[:, None, :]),
-                                   ad.reshape(x, (batch, length, c.d_model)))
-        pooled = ad.reshape(pooled, (batch, c.d_model))
+        pooled = ad.matmul(ad.constant(pack.pool), x)
         return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
+
+
+class _Packing(NamedTuple):
+    """How `TaskPerformer.forward` packs a padded [B, L] batch into rows."""
+
+    lengths: tuple[int, ...]      # rows of each example, at least 1
+    rows: np.ndarray | None       # the padded row (b*L + j) of each packed row;
+                                  # None when every row is real: packing is the identity
+    null_rows: np.ndarray | None  # rows with B*L, the null token, as an empty
+                                  # example's one row; None when no example is empty
+    pool: np.ndarray              # [B, R] mean-pool weights, 1/L_b on example b's rows
+
+
+@functools.lru_cache(maxsize=2)
+def _packing(shape: tuple[int, int], valid_bytes: bytes) -> _Packing:
+    """The packing of the bool validity mask of `shape` whose bytes are
+    given. Its arrays are read-only and kept for the two most recent masks:
+    a gradient check, an evaluation and a fixed-K training run reuse a mask,
+    while ratio-controlled training makes a new one every step, and the
+    [B, R] pool weights of a kept entry stay in memory."""
+    batch, length = shape
+    valid = np.frombuffer(valid_bytes, dtype=bool).reshape(shape)
+    empty = ~valid.any(axis=1)
+    slots = valid.copy()
+    slots[empty, 0] = True  # an empty example's one row: its row 0
+    lengths = slots.sum(axis=1)
+    example = np.repeat(np.arange(batch), lengths)  # the example of each packed row
+    pool = np.zeros((batch, example.size))
+    pool[example, np.arange(example.size)] = 1.0 / lengths[example]
+    rows = null_rows = None
+    if not valid.all():
+        rows = np.flatnonzero(slots)
+        rows.flags.writeable = False
+    if empty.any():
+        null_rows = rows.copy()
+        null_rows[(np.cumsum(lengths) - lengths)[empty]] = batch * length
+        null_rows.flags.writeable = False
+    pool.flags.writeable = False
+    return _Packing(tuple(lengths.tolist()), rows, null_rows, pool)
 
 
 def init_parameters(config: TaskPerformerConfig, rng: SeededRng,

@@ -45,7 +45,7 @@ class ContextModel:
             raise ShapeError(f"context model expects width {self.d}, got {visual.shape[-1]}")
         batch, n, d = visual.shape
         joint = ad.concat_rows(visual, textual)
-        out = self.attn.forward(tape, ad.reshape(joint, (batch * 2 * n, d)), batch)
+        out = self.attn.forward(tape, ad.reshape(joint, (batch * 2 * n, d)), (2 * n,) * batch)
         out = ad.reshape(out, joint.shape)
         return ad.add(ad.gather_rows(out, index_grid((batch, n))),
                       ad.gather_rows(out, index_grid((batch, n), n)))

@@ -280,7 +280,7 @@ class KeptTokens:
     """A batch of compacted sequences padded to a common length L.
 
     tokens is [B, L, d]; valid[b, j] is False where row j of example b is
-    padding, which the task model masks out of attention keys and pooling.
+    padding, which the task model never reads: it packs the valid rows.
     """
 
     tokens: Tensor

@@ -82,6 +82,18 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
     return cells
 
 
+def _cells_config(configs: list[dict]) -> dict:
+    """The config block of a sweep, from its cells' run settings: a setting
+    every cell shares is written once, one the cells vary as its values in
+    cell order, as the grid is; so the block records what the cells ran,
+    never a flag the axis overrides."""
+    out = {}
+    for key in configs[0]:
+        values = [str(c[key]) for c in configs]
+        out[key] = values[0] if len(set(values)) == 1 else ",".join(values)
+    return out
+
+
 @dataclass
 class SweepRow(MetricsRow):
     """A cell's final-epoch row plus its run's `TrainResult.problem`, which
@@ -118,7 +130,7 @@ def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
     csv_path = os.path.join(out_dir, f"sweep_{axis}.csv")
     svg_path = os.path.join(out_dir, f"sweep_{axis}.svg")
     _, header = load_dataset(base.dataset)  # parsed by the cells' runs already
-    config = base.config_dict(header["num_classes"])
+    config = _cells_config([c.cfg.config_dict(header["num_classes"]) for c in cells])
     config.update({"axis": axis, "num_seeds": num_seeds,
                    "grid": ",".join(str(c.x_value) for c in cells)})
     write_metrics_csv(csv_path, rows, config)

@@ -143,11 +143,11 @@ def test_param_on_an_inactive_tape_records_nothing():
 
 def test_attention_rejects_shapes_that_do_not_split():
     with pytest.raises(ShapeError):
-        ad.attention(ad.constant(np.zeros((6, 12))), 4, 2)  # 6 rows, 4 sequences
+        ad.attention(ad.constant(np.zeros((6, 12))), (2, 2), 2)  # 6 rows, lengths sum to 4
     with pytest.raises(ShapeError):
-        ad.attention(ad.constant(np.zeros((6, 12))), 2, 3)  # d = 4 over 3 heads
+        ad.attention(ad.constant(np.zeros((6, 12))), (3, 3), 3)  # d = 4 over 3 heads
     with pytest.raises(ShapeError):
-        ad.attention(ad.constant(np.zeros((6, 12))), 2, 2, np.zeros((2, 2)))
+        ad.attention(ad.constant(np.zeros((6, 12))), (6, 0), 2)  # a sequence with no row
 
 
 def test_backward_requires_scalar():
@@ -447,21 +447,25 @@ def test_layer_norm_agrees_with_row_reductions(length, d):
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("length", [1, 3, 8, 64])
 def test_attention_agrees_with_the_query_major_form(length, heads, padded):
-    """Three sequences of 16-wide rows; with padding, the second one masks
-    its second half of keys and the third keeps only key 0."""
+    """Three sequences of 16-wide rows; with padding, the second one keeps
+    the first half of its rows and the third only row 0, packed after one
+    another. The reference runs the padded [3*L] rows with the dropped keys
+    masked and no gradient on the dropped queries; the packed op must give
+    its values and gradients on the kept rows."""
     batch, d = 3, 16
     rng = SeededRng(length * 10 + heads)
     qkv = rng.normals(batch * length * 3 * d).reshape(batch * length, 3 * d)
     g = rng.normals(batch * length * d).reshape(batch * length, d)
-    key_bias = np.zeros((batch, length))
-    if padded:
-        key_bias[1, (length + 1) // 2:] = -1e9
-        key_bias[2, 1:] = -1e9
+    lengths = (length, (length + 1) // 2, 1) if padded else (length,) * batch
+    kept = np.arange(length) < np.array(lengths)[:, None]
+    rows = np.flatnonzero(kept)
     value, (grad,) = _value_and_adjoint(
-        lambda x: ad.attention(x, batch, heads, key_bias if padded else None), [qkv], g)
-    ref_value, ref_grad = _attention_query_major(qkv, batch, heads, key_bias, g)
-    _assert_close(value, ref_value)
-    _assert_close(grad, ref_grad)
+        lambda x: ad.attention(x, lengths, heads), [qkv[rows]], g[rows])
+    key_bias = np.where(kept, 0.0, -1e9)
+    ref_value, ref_grad = _attention_query_major(qkv, batch, heads, key_bias,
+                                                 g * kept.reshape(-1, 1))
+    _assert_close(value, ref_value[rows])
+    _assert_close(grad, ref_grad[rows])
 
 
 def test_gelu_is_finite_and_silent_at_large_magnitudes():

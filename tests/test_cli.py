@@ -407,6 +407,29 @@ def test_sweep_flag_the_axis_ignores_is_usage_error(tmp_path, dataset, capsys, a
     assert not out.exists()
 
 
+def test_sweep_config_block_records_what_the_tau_cells_ran(tmp_path, dataset):
+    """The tau axis runs gumbel_topk at the run's keep fraction whatever
+    --strategy says; the block names that, and each cell's tau in order."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", dataset, "--out", str(out), "--axis", "tau",
+                 "--strategy", "ratio_controlled", "--grid", "0.1,0.5", "--epochs", "1",
+                 "--batch-size", "16"]) == 0
+    _, config = read_metrics_csv(str(out / "sweep_tau.csv"))
+    assert (config["strategy"], config["k"], config["target_ratio"]) == ("gumbel_topk", "2", "None")
+    assert config["tau"] == config["grid"] == "0.1,0.5"
+
+
+def test_sweep_config_block_records_the_k_the_sparsity_cells_ran(tmp_path, dataset):
+    """The sparsity axis takes its budgets from the grid, not --keep-fraction."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", dataset, "--out", str(out), "--keep-fraction", "0.9",
+                 "--grid", "0.25", "--strategies", "gumbel_topk", "--epochs", "1",
+                 "--batch-size", "16"]) == 0
+    rows, config = read_metrics_csv(str(out / "sweep_sparsity.csv"))
+    assert (config["strategy"], config["k"]) == ("gumbel_topk", "2")  # 0.25 of 8 tokens
+    assert [r["mean_keep_ratio"] for r in rows] == ["0.25"]
+
+
 def test_sweep_runs_cells_in_order_then_seeds(tmp_path, dataset, monkeypatch):
     """Each cell's seeds run before the next cell, through `sweep.train_run`."""
     import sparsetok.sweep as sweep

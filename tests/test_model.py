@@ -106,6 +106,85 @@ def test_null_token_is_trainable_through_empty_path():
         assert np.abs(tape.grad(model.null_token)).max() > 0
 
 
+PACKED = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=2, max_len=10,
+                             num_classes=3, ff_mult=2)
+
+
+def forward_and_gradients(model, tokens, valid, pos_index, labels, weights):
+    """Logits [B, C] of a padded batch, and the gradients of
+    mean_b(weights[b] * loss_b) wrt every parameter and the tokens, with the
+    positional rows read from the table at pos_index [B, L]."""
+    with Tape() as tape:
+        x = tape.leaf(tokens)
+        positions = ad.gather_rows(tape.param(model.pos_table), pos_index)
+        logits = model.forward(tape, KeptTokens(x, valid), positions)
+        losses = ad.cross_entropy_loss(logits, labels)
+        tape.backward(ad.mean_all(ad.mask_multiply(losses, weights)))
+        return logits.data, [tape.grad(p) for p in model.parameters()], tape.grad(x)
+
+
+def assert_relative(got, want, tol=1e-12):
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("counts", [(5, 2, 0, 3), (3, 3, 3, 3)], ids=["unequal", "equal"])
+def test_packed_forward_matches_each_example_alone(counts):
+    """A batch whose examples keep different counts, one of them none (the
+    null token), and a batch of equal counts: the batch's logits, parameter
+    gradients and token gradients are those of each example run alone as a
+    batch of one, summed over the examples for the parameters."""
+    model = init_parameters(PACKED, SeededRng(30), stddev=0.5)
+    batch, length = len(counts), max(counts)
+    rng = SeededRng(31)
+    tokens = rng.normals(batch * length * 5).reshape(batch, length, 5)
+    valid = np.arange(length) < np.array(counts)[:, None]
+    labels, weights = np.array([0, 2, 1, 2]), np.array([0.7, 1.3, 0.4, 1.1])
+    grid = np.tile(np.arange(length), (batch, 1))
+    logits, param_grads, token_grad = forward_and_gradients(
+        model, tokens, valid, grid, labels, weights)
+
+    summed = [np.zeros_like(g) for g in param_grads]
+    for b, count in enumerate(counts):
+        rows = max(count, 1)  # an empty example is one padded row
+        alone_logits, alone_grads, alone_token_grad = forward_and_gradients(
+            model, tokens[b:b + 1, :rows], valid[b:b + 1, :rows], grid[:1, :rows],
+            labels[b:b + 1], weights[b:b + 1] / batch)
+        assert_relative(logits[b], alone_logits[0])
+        if count:
+            assert_relative(token_grad[b, :count], alone_token_grad[0, :count])
+        assert not token_grad[b, count:].any()  # padded rows get no gradient
+        summed = [s + g for s, g in zip(summed, alone_grads)]
+    for p, got, want in zip(model.parameters(), param_grads, summed):
+        if p is model.null_token and 0 not in counts:
+            assert not got.any()
+        else:
+            assert want.any(), p.name
+            assert_relative(got, want)
+
+
+def test_padded_row_values_never_reach_logits_or_gradients():
+    """New values in the padded rows of the tokens, and in the padded
+    positional rows but the empty example's row 0, which carries its null
+    token's position, leave the logits and every gradient bit-identical."""
+    model = init_parameters(PACKED, SeededRng(32), stddev=0.5)
+    counts = np.array([4, 1, 0, 2])
+    valid = np.arange(4) < counts[:, None]
+    rng = SeededRng(33)
+    tokens = rng.normals(4 * 4 * 5).reshape(4, 4, 5)
+    grid = np.tile(np.arange(4), (4, 1))
+    labels, weights = np.array([1, 0, 2, 1]), np.ones(4)
+    base = forward_and_gradients(model, tokens, valid, grid, labels, weights)
+    other_tokens = np.where(valid[..., None], tokens, rng.normals(tokens.size).reshape(tokens.shape))
+    null_slot = (counts == 0)[:, None] & (grid == 0)
+    other_grid = np.where(valid | null_slot, grid, 9 - grid)
+    moved = forward_and_gradients(model, other_tokens, valid, other_grid, labels, weights)
+    assert not np.array_equal(other_tokens, tokens)
+    assert np.array_equal(moved[0], base[0])
+    for got, want in zip(moved[1], base[1]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(moved[2], base[2])
+
+
 def test_capacity_error():
     model = init_parameters(SMALL, SeededRng(9))
     with Tape() as tape:
@@ -127,21 +206,21 @@ def test_input_token_gradient_matches_finite_differences():
     assert ad.finite_difference_check(build, point, 1e-5) <= 1e-4
 
 
-def per_head_attention(attn, x, batch, pad_keys):
+def per_head_attention(attn, x, lengths):
     """Numpy reference: each example and head on its own, from the head's
-    column slices of wqkv (q | k | v blocks) and row slice of wo."""
+    column slices of wqkv (q | k | v blocks) and row slice of wo; x holds
+    sequences of `lengths` rows packed one after another."""
     d, heads = attn.d, attn.heads
-    dk, length = d // heads, x.shape[0] // batch
+    dk = d // heads
     wqkv, wo = attn.wqkv.value, attn.wo.value
     out = np.tile(attn.bo.value, (x.shape[0], 1))
-    for b in range(batch):
-        rows = slice(b * length, (b + 1) * length)
+    ends = np.cumsum(lengths)
+    for end, length in zip(ends, lengths):
+        rows = slice(end - length, end)
         for h in range(heads):
             q, k, v = (x[rows] @ wqkv[:, role * d + h * dk: role * d + (h + 1) * dk]
                        for role in range(3))
             logits = q @ k.T / np.sqrt(dk)
-            if pad_keys is not None:
-                logits[:, pad_keys[b]] = -np.inf
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             probs /= probs.sum(axis=1, keepdims=True)
             out[rows] += probs @ v @ wo[h * dk:(h + 1) * dk]
@@ -150,17 +229,16 @@ def per_head_attention(attn, x, batch, pad_keys):
 
 @pytest.mark.parametrize("padded", [False, True])
 def test_fused_attention_matches_per_head_reference(padded):
+    """Three sequences of five rows, or with padding of three, five and one
+    row, packed one after another."""
     attn = MultiHeadAttention("attn", 8, 2)
     attn.init(SeededRng(20), 0.5)
     attn.bo.value = SeededRng(21).normals(8)
     x = SeededRng(22).normals(3 * 5 * 8).reshape(15, 8)
-    pad_keys = None
-    if padded:
-        pad_keys = np.zeros((3, 5), dtype=bool)
-        pad_keys[0, 3:] = True
-        pad_keys[2, 1:] = True
-    out = attn.forward(Tape(), ad.constant(x), 3, pad_keys).data
-    expected = per_head_attention(attn, x, 3, pad_keys)
+    lengths = (3, 5, 1) if padded else (5, 5, 5)
+    x = x[np.flatnonzero(np.arange(5) < np.array(lengths)[:, None])]
+    out = attn.forward(Tape(), ad.constant(x), lengths).data
+    expected = per_head_attention(attn, x, lengths)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -185,9 +263,8 @@ def test_fused_init_keeps_the_per_head_draws():
 def test_attention_is_three_tape_ops_whatever_the_head_count():
     for heads in (1, 2, 4):
         attn = MultiHeadAttention("attn", 8, heads)
-        pad_keys = np.array([[False, False, True], [False, False, False]])
         with Tape() as tape:
-            attn.forward(tape, tape.leaf(np.ones((6, 8))), 2, pad_keys)
+            attn.forward(tape, tape.leaf(np.ones((5, 8))), (2, 3))
         # x, wqkv, wo, bias leaves + matmul, attention, linear
         ops = [kind for kind, _, _ in tape._nodes if kind != "leaf"]
         assert ops == ["matmul", "attention", "linear"]

@@ -66,6 +66,26 @@ def test_rerun_is_bit_identical(tiny_dataset, tmp_path):
     assert (out1 / "checkpoint.stkn").read_bytes() == (out2 / "checkpoint.stkn").read_bytes()
 
 
+def test_multimodal_rerun_is_bit_identical(tiny_mm_dataset, tmp_path, monkeypatch):
+    """Two streams under ratio control: the kept batches are padded, so the
+    task model runs its packed rows, and a rerun writes the same bytes."""
+    padded = []
+    classify = Pipeline.classify
+
+    def recording(self, tape, kept, mask):
+        padded.append(not kept.valid.all())
+        return classify(self, tape, kept, mask)
+
+    monkeypatch.setattr(Pipeline, "classify", recording)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("ratio_controlled", target_ratio=0.4),
+                           out_dir=str(out)))
+    assert any(padded)
+    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+    assert (out1 / "checkpoint.stkn").read_bytes() == (out2 / "checkpoint.stkn").read_bytes()
+
+
 def test_uniform_full_matches_no_selection_baseline(tiny_dataset):
     """uniform_fixed with K = n must equal a manually assembled run with the
     selection stage removed, loss for loss."""
