@@ -28,8 +28,9 @@ whole minibatch, not one per example:
   [R, d] contexts out.
 - Sequences of unequal length are packed, not padded: their R rows follow
   one another, example by example, so every row-wise op works on real rows
-  only. `attention` alone sees sequences; it takes their lengths, pads them
-  to the longest inside the op and gives padded keys exactly zero weight.
+  only. Two ops see sequences and take their lengths: `attention`, which
+  pads them to the longest inside the op and gives padded keys exactly zero
+  weight, and `segment_mean`, the mean of each sequence's rows.
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -517,6 +518,25 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
                    lambda g: (g * wd[..., None], (g * xd).sum(axis=-1)))
 
 
+def segment_mean(x: Tensor, lengths: Sequence[int]) -> Tensor:
+    """The mean of each sequence's rows: x [R, d] holds B sequences of
+    `lengths` rows (each at least 1, R their sum) packed one after another,
+    and the result is [B, d]. Forward one `np.add.reduceat` over the rows,
+    adjoint one `np.repeat` of g / length: R*d work each way, whatever B."""
+    x = _as_tensor(x)
+    counts = np.array(lengths, dtype=np.int64)
+    if counts.ndim != 1 or not counts.size or counts.min() < 1:
+        raise ShapeError(f"segment_mean: lengths {list(lengths)} are not sequences of rows")
+    if x.data.ndim != 2 or x.shape[0] != counts.sum():
+        raise ShapeError(f"segment_mean: rows {x.shape} do not split into sequences of "
+                         f"{list(lengths)} rows")
+    sizes = counts[:, None].astype(np.float64)
+    out = np.add.reduceat(x.data, np.cumsum(counts) - counts, axis=0)
+    out /= sizes
+    return _record("segment_mean", out, (x,),
+                   lambda g: (np.repeat(g / sizes, counts, axis=0),))
+
+
 def straight_through(soft: Tensor, hard_values) -> Tensor:
     """Forward the hard values exactly; route gradients to the soft relaxation."""
     soft = _as_tensor(soft)
@@ -676,17 +696,73 @@ def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # finite differences
 
-# one central-difference case: (name, loss_at, array, analytic gradient)
-Case = tuple[str, Callable[[], float], np.ndarray, np.ndarray]
+# one finite-difference case: (name, numeric derivative, analytic gradient),
+# the two derivatives of one array's coordinates
+Case = tuple[str, np.ndarray, np.ndarray]
 
 
-def central_difference_check(cases: Iterable[Case], step: float = 1e-5) -> tuple[float, str]:
-    """Worst relative error between analytic gradients and central differences.
+class Stencil(NamedTuple):
+    """A symmetric finite-difference rule: the losses at value + offset *
+    step, one per offset, weighted by `weights` and divided by divisor *
+    step, estimate the derivative."""
 
-    Each case is (name, loss_at, array, analytic): every coordinate of the
-    array is moved by +-step in place and `loss_at()` re-evaluated, so
+    offsets: tuple[int, ...]
+    weights: tuple[int, ...]
+    divisor: int
+
+
+# (f(+h) - f(-h)) / 2h: truncation error h^2 f^(3) / 6
+CENTRAL = Stencil((1, -1), (1, -1), 2)
+# (-f(+2h) + 8 f(+h) - 8 f(-h) + f(-2h)) / 12h: truncation error h^4 f^(5) / 30,
+# so it is as accurate as a central difference at a far larger step, whose
+# rounding error, about eps |f| / h, is that much smaller
+FOURTH_ORDER = Stencil((2, 1, -1, -2), (-1, 8, -8, 1), 12)
+
+
+def perturb_each(array: np.ndarray, step: float,
+                 stencil: Stencil = CENTRAL) -> Iterator[None]:
+    """Move each coordinate of `array` in place to each of the stencil's
+    offsets times step from its value in turn (+step, then -step, for a
+    central difference), yielding after each move; the value is put back
+    before the next coordinate, and on exit. The losses seen at the yields,
+    in order, are what `difference_quotients` reduces. `array` must be
+    contiguous float64, and whatever reads it must read it in place."""
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise ContractError("finite differences perturb contiguous float64 arrays in place")
+    flat = array.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        try:
+            for offset in stencil.offsets:
+                flat[i] = orig + offset * step
+                yield
+        finally:
+            flat[i] = orig
+
+
+def difference_quotients(losses, step: float, stencil: Stencil = CENTRAL) -> np.ndarray:
+    """The stencil's derivative estimates, one per coordinate, of the losses
+    at the points `perturb_each` visits, in its order."""
+    points = np.asarray(losses, dtype=np.float64).reshape(-1, len(stencil.offsets))
+    return points @ np.array(stencil.weights, dtype=np.float64) / (stencil.divisor * step)
+
+
+def central_differences(loss_at: Callable[[], float], array: np.ndarray, step: float,
+                        stencil: Stencil = CENTRAL) -> np.ndarray:
+    """The finite-difference derivative of `loss_at()` along each
+    coordinate of `array`, one evaluation per stencil offset and coordinate:
     `loss_at` must read the array itself (a parameter value, a token array)
-    and be deterministic: freeze any noise first. Cases are consumed one at
+    and be deterministic, so freeze any noise first."""
+    return difference_quotients([loss_at() for _ in perturb_each(array, step, stencil)],
+                                step, stencil)
+
+
+def central_difference_check(cases: Iterable[Case]) -> tuple[float, str]:
+    """Worst relative error between analytic gradients and finite differences.
+
+    Each case is (name, numeric, analytic), both derivatives of one array,
+    however the case evaluated its numeric one: coordinate by coordinate
+    (`central_differences`) or in stacked batches, with either stencil. Cases are consumed one at
     a time, so a generator may build each just before it is checked. The
     relative error denominator is max(|analytic|, |numeric|, 1e-8) per
     coordinate. Returns the worst error over all coordinates of all cases
@@ -694,19 +770,8 @@ def central_difference_check(cases: Iterable[Case], step: float = 1e-5) -> tuple
     a NaN error beats any number.
     """
     worst, where = -math.inf, ""
-    for name, loss_at, array, grad in cases:
-        if array.dtype != np.float64 or not array.flags.c_contiguous:
-            raise ContractError("finite differences perturb contiguous float64 arrays in place")
-        flat = array.reshape(-1)
-        numeric = np.zeros(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_at()
-            flat[i] = orig - step
-            down = loss_at()
-            flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * step)
+    for name, numeric, grad in cases:
+        numeric = np.asarray(numeric, dtype=np.float64).reshape(-1)
         grad = np.asarray(grad, dtype=np.float64).reshape(-1)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
         err = np.abs(grad - numeric) / denom
@@ -716,17 +781,19 @@ def central_difference_check(cases: Iterable[Case], step: float = 1e-5) -> tuple
     return worst, where
 
 
-def leaf_case(name: str, build_scalar: Callable[[Tensor], Tensor], point: np.ndarray) -> Case:
+def leaf_case(name: str, build_scalar: Callable[[Tensor], Tensor], point: np.ndarray,
+              step: float) -> Case:
     """The `central_difference_check` case of `build_scalar`, which maps a
     leaf tensor to a scalar loss using tape operations and must be
-    deterministic: the tape gradient at a copy of point, and the loss of
-    that copy."""
+    deterministic: the central differences and the tape gradient at a copy
+    of point."""
     point = np.array(point, dtype=np.float64)
     with Tape() as tape:
         x = tape.leaf(point)
         tape.backward(build_scalar(x))
         analytic = tape.grad(x)
-    return name, lambda: build_scalar(Tensor(point)).item(), point, analytic
+    return name, central_differences(lambda: build_scalar(Tensor(point)).item(), point,
+                                     step), analytic
 
 
 def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
@@ -734,4 +801,4 @@ def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
                             step: float = 1e-5) -> float:
     """Max relative error between tape gradients and central differences of
     `build_scalar` at point: `central_difference_check` of one `leaf_case`."""
-    return central_difference_check([leaf_case("x", build_scalar, point)], step)[0]
+    return central_difference_check([leaf_case("x", build_scalar, point, step)])[0]

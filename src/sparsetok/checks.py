@@ -7,24 +7,33 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data
-from .autodiff import Tape, Tensor, central_difference_check, leaf_case
+from .autodiff import (FOURTH_ORDER, Tape, Tensor, central_difference_check,
+                       central_differences, difference_quotients, leaf_case, perturb_each)
 from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
-from .model import TaskPerformerConfig
+from .model import Packed, Stage, TaskPerformerConfig
 from .rng import SeededRng
 from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
                         compute_keep_probabilities, gumbel_topk_select,
-                        ratio_controlled_select, run_strategy)
+                        ratio_controlled_gate, ratio_controlled_select)
 from .train import Pipeline, RunConfig, Selector
 
 GRAD_TOLERANCE = 1e-4
-FD_STEP = 1e-5
+FD_STEP = 1e-5  # the central differences of the catalog and the straight-through suite
+# The multimodal suite's finite differences. Some of its gradients are about
+# 1e-7, where a central difference at FD_STEP rounds to about 1e-4 relative
+# error (up to 2.8e-4, at seed 7). The fourth-order stencil is
+# as accurate at a hundred times the step, and rounds a hundred times less.
+MULTIMODAL_STENCIL, MULTIMODAL_STEP = FOURTH_ORDER, 1e-3
+# the most perturbed points the multimodal suite stacks into one batch: the
+# suite's traced peak is 1.2 MiB at 64, 5.5 MiB with no bound
+STACK_REPLICAS = 64
 
 
 @dataclass
@@ -103,7 +112,7 @@ def _catalog_cases(rng: SeededRng):
     ]
     # appended cases come last, so the earlier ones keep their draws
     return (cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
-            + _long_attention_cases(r))
+            + _long_attention_cases(r) + _segment_mean_cases(r))
 
 
 def _batched_cases(r):
@@ -203,11 +212,21 @@ def _long_attention_cases(r):
     ]
 
 
+def _segment_mean_cases(r):
+    """The mean of each packed sequence's rows, on sequences of 1, 3 and 2
+    rows: a one-row mean is the row itself."""
+    w = r((3, 4))
+    return [
+        ("segment_mean_lengths1_3_2", r((6, 4)),
+         lambda x: _scalarize(ad.segment_mean(x, (1, 3, 2)), w)),
+    ]
+
+
 def check_catalog(repeats: int = 3, seed: int = 2024) -> SuiteReport:
     """Finite differences vs tape gradients for every catalog primitive."""
     worst, where = central_difference_check(
-        (leaf_case(name, build, point) for rep in range(repeats)
-         for name, point, build in _catalog_cases(SeededRng(seed).split(rep))), FD_STEP)
+        leaf_case(name, build, point, FD_STEP) for rep in range(repeats)
+        for name, point, build in _catalog_cases(SeededRng(seed).split(rep)))
     return SuiteReport("autodiff_catalog", worst, worst <= GRAD_TOLERANCE, where)
 
 
@@ -220,17 +239,24 @@ def frozen_selector(select: Selector) -> Selector:
     hard value is soft + (1 - soft0), soft0 being the base point's soft
     weights: exactly 1 at the base point, so the tape's straight-through
     gradient is the one of the base mask, and away from it a smooth function
-    whose derivative equals that gradient.
+    whose derivative equals that gradient. A batch of several copies of the
+    base batch, stacked, keeps the base set in each copy; `select` must then
+    give each copy the base batch's noise.
     """
     base: list[SelectionMask] = []
 
     def select_frozen(s: Tensor) -> SelectionMask:
+        if base and s.shape[0] % base[0].hard.shape[0]:
+            raise ContractError(f"a batch of {s.shape[0]} does not stack copies of the base "
+                                f"batch of {base[0].hard.shape[0]}")
         mask = select(s)
         if not base:
             base.append(mask)
-        keep = base[0].hard > 0
-        hard = np.where(keep, mask.soft.data + (1.0 - base[0].soft.data), 0.0)
-        return SelectionMask(hard, mask.soft, base[0].kept_indices)
+        copies = s.shape[0] // base[0].hard.shape[0]
+        tiled = lambda a: np.tile(a, (copies, 1))
+        keep = tiled(base[0].hard > 0)
+        hard = np.where(keep, mask.soft.data + (1.0 - tiled(base[0].soft.data)), 0.0)
+        return SelectionMask(hard, mask.soft, tiled(base[0].kept_indices))
 
     return select_frozen
 
@@ -265,27 +291,24 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
         with Tape() as tape:
             tape.backward(loss_on(tape))
             analytic = [tape.grad(p) for p in scorer.parameters()]
-        return [(f"{vname}:{p.name}", lambda: loss_on(Tape()).item(), p.value, g)
+        return [(f"{vname}:{p.name}",
+                 central_differences(lambda: loss_on(Tape()).item(), p.value, FD_STEP), g)
                 for p, g in zip(scorer.parameters(), analytic)]
 
     worst, where = central_difference_check(
-        (case for variant in variants for case in cases(*variant)), FD_STEP)
+        case for variant in variants for case in cases(*variant))
     return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, where)
 
 
-def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
-    """Gradient of the training pipeline's loss (fuse -> score -> select ->
-    STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
-    and the visual tokens, noise and kept sets frozen, on a batch of two.
+def multimodal_point(seed: int) -> tuple[Pipeline, list[Tensor], np.ndarray, Selector]:
+    """The multimodal suite's base point at `seed`: a two-stream
+    ratio-controlled pipeline, its constant streams [visual, textual] of a
+    batch of two, the labels and the frozen selector, whose first call fixes
+    the kept set. The suite perturbs the visual array in place.
 
-    The two examples keep different, non-zero token counts, so the task
-    model's packing of the padded kept batch and the padding inside its
-    attention sit inside the check.
-    Task parameters are read only by the second stage, `Pipeline.classify`,
-    so their coordinates re-run it alone on the base point's `sparsify`
-    output; the context and scorer parameters and the visual tokens re-run
-    the whole pipeline.
-    """
+    The selector is the ratio-controlled gate at the noise a fresh
+    SeededRng(55) draws for the batch, given again to every copy of the
+    batch in a stack (`frozen_selector`)."""
     rng = SeededRng(seed)
     d, n = 6, 5
     model = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_mult=2,
@@ -295,37 +318,130 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     strategy = StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5)
     pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=model, seed=seed),
                         {"d": d, "multimodal": True, "num_classes": 3})
-    visual = _rand(rng.split(0), (2, n, d))
-    textual = ad.constant(_rand(rng.split(1), (2, n, d)))
-    labels = np.array([1, 2])
-    select = frozen_selector(lambda s: run_strategy(s, strategy, SeededRng(55)))
+    streams = [ad.constant(_rand(rng.split(0), (2, n, d))),
+               ad.constant(_rand(rng.split(1), (2, n, d)))]
+    noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * n).reshape(2, 2, n)
+    select = frozen_selector(lambda s: ratio_controlled_gate(
+        s, np.tile(noise, (s.shape[0] // 2, 1, 1)), strategy.tau))
+    return pipeline, streams, np.array([1, 2]), select
 
-    def loss_of(logits: Tensor) -> Tensor:
-        return ad.mean_all(ad.cross_entropy_loss(logits, labels))
 
-    task_params = pipeline.task.parameters()
-    selection_params = pipeline.scorer.parameters() + pipeline.context.parameters()
+def multimodal_arrays(pipeline: Pipeline, streams: list[Tensor]) -> list[tuple[str, np.ndarray]]:
+    """What the multimodal suite differentiates, in order: every pipeline
+    parameter (task, scorer, context), then the visual tokens."""
+    return [(p.name, p.value) for p in pipeline.parameters()] + [("visual_tokens",
+                                                                   streams[0].data)]
+
+
+def multimodal_gradients(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
+                         select: Selector) -> list[np.ndarray]:
+    """The tape gradients of the pipeline's loss at the base point, in
+    `multimodal_arrays` order. The first call of the frozen selector, so it
+    fixes the kept set, which must keep different, non-zero counts."""
     with Tape() as tape:
-        visual_t = tape.leaf(visual)
-        logits, mask = pipeline.forward_batch(tape, [visual_t, textual], select)
+        visual = tape.leaf(streams[0].data)
+        logits, mask = pipeline.forward_batch(tape, [visual, *streams[1:]], select)
         counts = mask.kept_count
         if counts[0] == counts[1] or counts.min() == 0:
             raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
-        tape.backward(loss_of(logits))
-        task_grads = [tape.grad(p) for p in task_params]
-        selection_grads = [tape.grad(p) for p in selection_params]
-        visual_grad = tape.grad(visual_t)
+        tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
+        return [tape.grad(p) for p in pipeline.parameters()] + [tape.grad(visual)]
 
-    # the pipeline reads parameter values and `visual` themselves, so the
-    # in-place perturbations reach it; no tape is entered, nothing is recorded
-    kept, mask = pipeline.sparsify(Tape(), [ad.constant(visual), textual], select)
-    classify_loss = lambda: loss_of(pipeline.classify(Tape(), kept, mask)[0]).item()
-    pipeline_loss = lambda: loss_of(pipeline.forward_batch(Tape(), [ad.constant(visual), textual],
-                                                           select)[0]).item()
-    worst, where = central_difference_check(
-        [(p.name, classify_loss, p.value, g) for p, g in zip(task_params, task_grads)]
-        + [(p.name, pipeline_loss, p.value, g) for p, g in zip(selection_params, selection_grads)]
-        + [("visual_tokens", pipeline_loss, visual, visual_grad)], FD_STEP)
+
+def stack(states: list) -> "Packed | Tensor":
+    """The outputs of one stage for several batches as one batch: packed
+    states end to end with their lengths in turn, or logits row blocks."""
+    if isinstance(states[0], Packed):
+        return Packed(ad.constant(np.concatenate([s.rows.data for s in states])),
+                      sum((s.lengths for s in states), ()))
+    return ad.constant(np.concatenate([s.data for s in states]))
+
+
+def replica_losses(stages: list[Stage], state, labels: np.ndarray) -> np.ndarray:
+    """The loss of each of the batches stacked in `state` (`stack`), all of
+    whose examples follow `labels`: one run of `stages` on the stack, then
+    each batch's mean cross-entropy over its own examples."""
+    for stage in stages:
+        state = stage.run(Tape(), state)
+    copies = state.shape[0] // labels.size
+    losses = ad.cross_entropy_loss(state, np.tile(labels, copies)).data
+    return losses.reshape(copies, labels.size).mean(axis=1)
+
+
+def stacked_central_differences(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
+                                select: Selector) -> Iterator[np.ndarray]:
+    """The finite differences (`MULTIMODAL_STENCIL`) of the pipeline's loss
+    wrt each of `multimodal_arrays`, in order, after the selector's kept set
+    is fixed.
+
+    Each perturbed point of an array runs only the first stage that reads
+    the array; the points' outputs are stacked along the batch axis and the
+    later stages run once on the stack. A task parameter's first stage is
+    the task-model stage that names it (`TaskPerformer.stages`), run on the
+    base point's state. The context and scorer parameters and the visual
+    tokens are read first by `Pipeline.keep_probabilities`; the stack of
+    each point's keep probabilities and visual tokens is then selected,
+    compacted and embedded at once, and the frozen selector keeps the base
+    point's rows in every copy. Nothing is recorded: the pipeline reads the
+    parameter values and the visual array themselves, so the in-place
+    perturbations reach it.
+    """
+    kept, mask = pipeline.sparsify(Tape(), streams, select)
+    stages = pipeline.task.stages()
+
+    def model_input(kept, mask):  # read again at each point: pos_table may be perturbed
+        return kept, pipeline.positions(Tape(), mask)
+
+    base = [model_input(kept, mask)]  # the base point's state entering each stage
+    for stage in stages[:-1]:
+        base.append(stage.run(Tape(), base[-1]))
+
+    def embedded(points: list[tuple[Tensor, np.ndarray]]) -> Packed:
+        """embed's output for the stack of points, each its keep
+        probabilities and visual tokens."""
+        copies = len(points)
+        s = ad.constant(np.concatenate([scores.data for scores, _ in points]))
+        tokens = [ad.constant(np.concatenate([visual for _, visual in points]))]
+        tokens += [ad.constant(np.tile(t.data, (copies, 1, 1))) for t in streams[1:]]
+        mask = select(s)
+        state = stages[0].run(Tape(), model_input(pipeline.compact(tokens, mask), mask))
+        if state.lengths != base[1].lengths * copies:
+            raise ContractError(f"perturbed points keep rows {state.lengths}, "
+                                f"the base point {base[1].lengths} each")
+        return state
+
+    def numeric(array: np.ndarray, point: Callable, first: int, stacked: Callable) -> np.ndarray:
+        points = [point() for _ in perturb_each(array, MULTIMODAL_STEP, MULTIMODAL_STENCIL)]
+        losses = [replica_losses(stages[first + 1:], stacked(points[i:i + STACK_REPLICAS]),
+                                 labels) for i in range(0, len(points), STACK_REPLICAS)]
+        return difference_quotients(np.concatenate(losses), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
+
+    task = pipeline.task.parameters()
+    for p in task:
+        first = next(i for i, stage in enumerate(stages) if p in stage.parameters)
+        yield numeric(p.value, lambda: stages[first].run(
+            Tape(), model_input(kept, mask) if first == 0 else base[first]), first, stack)
+    for _, array in multimodal_arrays(pipeline, streams)[len(task):]:
+        yield numeric(array, lambda: (pipeline.keep_probabilities(Tape(), streams),
+                                      streams[0].data.copy()), 0, embedded)
+
+
+def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
+    """Gradient of the training pipeline's loss (fuse -> score -> select ->
+    STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
+    and the visual tokens, noise and kept sets frozen, on a batch of two,
+    against stacked fourth-order finite differences
+    (`stacked_central_differences`).
+
+    The two examples keep different, non-zero token counts, so the task
+    model's packing of the padded kept batch and the padding inside its
+    attention sit inside the check.
+    """
+    pipeline, streams, labels, select = multimodal_point(seed)
+    analytic = multimodal_gradients(pipeline, streams, labels, select)
+    names = [name for name, _ in multimodal_arrays(pipeline, streams)]
+    worst, where = central_difference_check(zip(
+        names, stacked_central_differences(pipeline, streams, labels, select), analytic))
     return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, where)
 
 

@@ -10,13 +10,21 @@ into [R, d] activations, example by example, R = sum of the kept counts. So
 every projection, norm and the mean pool pays for the rows kept, not for
 B*L; only `attention` pads, inside the op. When every example keeps L rows
 the packing is the identity: the rows are used as they are.
+
+The forward is a chain of stages (`TaskPerformer.stages`): embed, then an
+attention and a feed-forward sublayer per block, then the head. Each stage
+names the parameters it reads, and every stage after embed maps a `Packed`
+state, the rows and the lengths of its sequences, to the next. No stage
+mixes sequences, so the states of many batches can be stacked end to end
+and run through the later stages at once: the multimodal gradient check
+runs each parameter's perturbed states that way.
 """
 from __future__ import annotations
 
 import functools
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +52,23 @@ class TaskPerformerConfig:
     def __post_init__(self):
         if self.d_model % self.heads != 0:
             raise ContractError("d_model must be divisible by heads")
+
+
+class Packed(NamedTuple):
+    """The rows of B sequences packed one after another, example by example:
+    rows [R, d_model], R = sum(lengths), each length at least 1."""
+
+    rows: Tensor
+    lengths: tuple[int, ...]
+
+
+class Stage(NamedTuple):
+    """One step of `TaskPerformer.forward`: run(tape, state) is the next
+    state, reading no model parameter but `parameters`."""
+
+    name: str
+    parameters: tuple[Parameter, ...]
+    run: Callable
 
 
 class MultiHeadAttention:
@@ -88,11 +113,13 @@ class MultiHeadAttention:
 
 
 class AttentionBlock:
-    """One pre-norm encoder block: multi-head self-attention + feed-forward."""
+    """One pre-norm encoder block: multi-head self-attention + feed-forward,
+    two stages of the task model."""
 
     def __init__(self, prefix: str, d: int, heads: int, ff_mult: int):
         ff = ff_mult * d
         p = Parameter
+        self.prefix = prefix
         self.ln1_g = p(f"{prefix}.ln1.gain", np.ones(d))
         self.ln1_b = p(f"{prefix}.ln1.bias", np.zeros(d))
         self.attn = MultiHeadAttention(f"{prefix}.attn", d, heads)
@@ -103,23 +130,33 @@ class AttentionBlock:
         self.ff_w2 = p(f"{prefix}.ff.w2", np.zeros((ff, d)))
         self.ff_b2 = p(f"{prefix}.ff.b2", np.zeros(d))
 
+    def stages(self) -> list[Stage]:
+        return [Stage(f"{self.prefix}.attention",
+                      (self.ln1_g, self.ln1_b, *self.attn.parameters()), self.attend),
+                Stage(f"{self.prefix}.feed_forward",
+                      (self.ln2_g, self.ln2_b, self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2),
+                      self.feed_forward)]
+
     def parameters(self) -> list[Parameter]:
-        return ([self.ln1_g, self.ln1_b] + self.attn.parameters()
-                + [self.ln2_g, self.ln2_b,
-                   self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2])
+        return [p for stage in self.stages() for p in stage.parameters]
 
     def init(self, rng: SeededRng, stddev: float) -> None:
         self.attn.init(rng.split(0), stddev)
         for i, w in enumerate((self.ff_w1, self.ff_w2)):
             w.value = rng.split(1, i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
 
-    def forward(self, tape: ad.Tape, x: Tensor, lengths: tuple[int, ...]) -> Tensor:
-        """The block on packed rows x [R, d] of sequences of `lengths` rows."""
-        h = ad.layer_norm(x, tape.param(self.ln1_g), tape.param(self.ln1_b))
-        x = ad.add(x, self.attn.forward(tape, h, lengths))
-        h = ad.layer_norm(x, tape.param(self.ln2_g), tape.param(self.ln2_b))
+    def attend(self, tape: ad.Tape, state: Packed) -> Packed:
+        """The attention sublayer with its residual, within each sequence."""
+        h = ad.layer_norm(state.rows, tape.param(self.ln1_g), tape.param(self.ln1_b))
+        return Packed(ad.add(state.rows, self.attn.forward(tape, h, state.lengths)),
+                      state.lengths)
+
+    def feed_forward(self, tape: ad.Tape, state: Packed) -> Packed:
+        """The feed-forward sublayer with its residual, row by row."""
+        h = ad.layer_norm(state.rows, tape.param(self.ln2_g), tape.param(self.ln2_b))
         h = ad.gelu(ad.linear(h, tape.param(self.ff_w1), tape.param(self.ff_b1)))
-        return ad.add(x, ad.linear(h, tape.param(self.ff_w2), tape.param(self.ff_b2)))
+        return Packed(ad.add(state.rows, ad.linear(h, tape.param(self.ff_w2),
+                                                   tape.param(self.ff_b2))), state.lengths)
 
 
 class TaskPerformer:
@@ -140,25 +177,39 @@ class TaskPerformer:
         self.head_b = Parameter("task.head.b", np.zeros(c.num_classes))
 
     def parameters(self) -> list[Parameter]:
-        out = [self.in_w, self.in_b, self.pos_table, self.null_token]
-        for b in self.blocks:
-            out.extend(b.parameters())
-        out += [self.ln_f_g, self.ln_f_b, self.head_w, self.head_b]
-        return out
+        return [p for stage in self.stages() for p in stage.parameters]
 
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
+    def stages(self) -> list[Stage]:
+        """The forward in order: embed, each block's two sublayers, head.
+        Embed takes (KeptTokens, positional rows) and the head gives the
+        [B, C] logits; the states between are `Packed`. Embed names
+        pos_table too: its positional rows are rows of that table."""
+        out = [Stage("embed", (self.in_w, self.in_b, self.pos_table, self.null_token),
+                     self.embed)]
+        for block in self.blocks:
+            out += block.stages()
+        out.append(Stage("head", (self.ln_f_g, self.ln_f_b, self.head_w, self.head_b),
+                         self.head))
+        return out
 
     def forward(self, tape: ad.Tape, kept_tokens: KeptTokens, positional_rows: Tensor) -> Tensor:
         """Class logits [B, C] for compacted sequences: KeptTokens [B, L, d_in]
-        with positional rows [B, L, d_model].
+        with positional rows [B, L, d_model]; every stage in turn."""
+        state = (kept_tokens, positional_rows)
+        for stage in self.stages():
+            state = stage.run(tape, state)
+        return state
 
-        Only the valid rows of the two are read, packed example by example;
-        the values in padded rows never reach the logits or the gradients.
-        A sequence with no kept token falls back to the learned null token
-        at its row 0, so an empty selection still produces finite, trainable
-        logits.
+    def embed(self, tape: ad.Tape, inputs: tuple[KeptTokens, Tensor]) -> Packed:
+        """The packed rows of the input projection plus the positions.
+
+        Only the valid rows of the kept tokens and of the positional rows
+        are read, packed example by example; the values in padded rows never
+        reach the logits or the gradients. A sequence with no kept token
+        falls back to the learned null token at its row 0, so an empty
+        selection still produces finite, trainable logits.
         """
+        kept_tokens, positional_rows = inputs
         c = self.config
         valid = np.asarray(kept_tokens.valid, dtype=bool)
         batch, length = valid.shape
@@ -174,23 +225,24 @@ class TaskPerformer:
                 token_rows = pack.null_rows
             x_in = ad.gather_rows(x_in, token_rows)
             positions = ad.gather_rows(positions, pack.rows)
-        x = ad.add(ad.linear(x_in, tape.param(self.in_w), tape.param(self.in_b)), positions)
-        for block in self.blocks:
-            x = block.forward(tape, x, pack.lengths)
-        x = ad.layer_norm(x, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
-        pooled = ad.matmul(ad.constant(pack.pool), x)
+        rows = ad.add(ad.linear(x_in, tape.param(self.in_w), tape.param(self.in_b)), positions)
+        return Packed(rows, pack.lengths)
+
+    def head(self, tape: ad.Tape, state: Packed) -> Tensor:
+        """Logits [B, C]: final norm, the mean of each sequence's rows, linear."""
+        x = ad.layer_norm(state.rows, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
+        pooled = ad.segment_mean(x, state.lengths)
         return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
 
 
 class _Packing(NamedTuple):
-    """How `TaskPerformer.forward` packs a padded [B, L] batch into rows."""
+    """How `TaskPerformer.embed` packs a padded [B, L] batch into rows."""
 
     lengths: tuple[int, ...]      # rows of each example, at least 1
     rows: np.ndarray | None       # the padded row (b*L + j) of each packed row;
                                   # None when every row is real: packing is the identity
     null_rows: np.ndarray | None  # rows with B*L, the null token, as an empty
                                   # example's one row; None when no example is empty
-    pool: np.ndarray              # [B, R] mean-pool weights, 1/L_b on example b's rows
 
 
 @functools.lru_cache(maxsize=2)
@@ -198,17 +250,13 @@ def _packing(shape: tuple[int, int], valid_bytes: bytes) -> _Packing:
     """The packing of the bool validity mask of `shape` whose bytes are
     given. Its arrays are read-only and kept for the two most recent masks:
     a gradient check, an evaluation and a fixed-K training run reuse a mask,
-    while ratio-controlled training makes a new one every step, and the
-    [B, R] pool weights of a kept entry stay in memory."""
+    while ratio-controlled training makes a new one every step."""
     batch, length = shape
     valid = np.frombuffer(valid_bytes, dtype=bool).reshape(shape)
     empty = ~valid.any(axis=1)
     slots = valid.copy()
     slots[empty, 0] = True  # an empty example's one row: its row 0
     lengths = slots.sum(axis=1)
-    example = np.repeat(np.arange(batch), lengths)  # the example of each packed row
-    pool = np.zeros((batch, example.size))
-    pool[example, np.arange(example.size)] = 1.0 / lengths[example]
     rows = null_rows = None
     if not valid.all():
         rows = np.flatnonzero(slots)
@@ -217,8 +265,7 @@ def _packing(shape: tuple[int, int], valid_bytes: bytes) -> _Packing:
         null_rows = rows.copy()
         null_rows[(np.cumsum(lengths) - lengths)[empty]] = batch * length
         null_rows.flags.writeable = False
-    pool.flags.writeable = False
-    return _Packing(tuple(lengths.tolist()), rows, null_rows, pool)
+    return _Packing(tuple(lengths.tolist()), rows, null_rows)
 
 
 def init_parameters(config: TaskPerformerConfig, rng: SeededRng,

@@ -215,8 +215,16 @@ def ratio_controlled_select(s: Tensor, tau: float, rng: SeededRng) -> SelectionM
     draws.
     """
     _width(s)
+    g = sample_standard_gumbel(rng, 2 * s.data.size).reshape(s.shape[0], 2, s.shape[1])
+    return ratio_controlled_gate(s, g, tau)
+
+
+def ratio_controlled_gate(s: Tensor, g: np.ndarray, tau: float) -> SelectionMask:
+    """`ratio_controlled_select`'s gate at given noise: g [B, 2, n] holds
+    each example's keep-logit noise, then its drop-logit noise."""
     shape, size = s.shape, s.data.size
-    g = sample_standard_gumbel(rng, 2 * size).reshape(shape[0], 2, shape[1])
+    if g.shape != (shape[0], 2, _width(s)):
+        raise ShapeError(f"gate noise {g.shape} does not pair with keep probabilities {shape}")
     g0, g1 = g[:, 0], g[:, 1]
 
     keep_logit = ad.add(_log_s(s), ad.constant(g0))

@@ -125,11 +125,15 @@ class Pipeline:
             out += self.context.parameters()
         return out
 
-    def _positions(self, tape: Tape, mask: SelectionMask) -> Tensor:
+    def positions(self, tape: Tape, mask: SelectionMask) -> Tensor:
+        """The positional rows [B, L, d_model] of the kept tokens, every
+        stream's rows re-encoded alike from the one table."""
         table = tape.param(self.task.pos_table)
         if self.cfg.positions == "compact":
-            return reencode_positions(mask, table)
-        return ad.gather_rows(table, mask.kept_indices)  # naive: keep original rows
+            rows = reencode_positions(mask, table)
+        else:
+            rows = ad.gather_rows(table, mask.kept_indices)  # naive: keep original rows
+        return functools.reduce(ad.concat_rows, [rows] * len(self.streams))
 
     def batch_tokens(self, examples: list[Example]) -> list[Tensor]:
         """One constant token tensor [B, n, d] of a batch per stream of the run."""
@@ -162,18 +166,27 @@ class Pipeline:
             from .selection import uniform_fixed_select
             mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
-            u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
-            mask = select(compute_keep_probabilities(tape, u, self.scorer))
-        kept = [apply_ste(tokens, mask) for tokens in streams]
-        return functools.reduce(KeptTokens.concat, kept), mask
+            mask = select(self.keep_probabilities(tape, streams))
+        return self.compact(streams, mask), mask
+
+    def keep_probabilities(self, tape: Tape, streams: list[Tensor]) -> Tensor:
+        """The scorer's keep probabilities s [B, n] of the context model's
+        fusion of the streams, or of the one stream of a run without one."""
+        u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
+        return compute_keep_probabilities(tape, u, self.scorer)
+
+    @staticmethod
+    def compact(streams: list[Tensor], mask: SelectionMask) -> KeptTokens:
+        """Every stream's kept tokens under the one mask (`apply_ste`), the
+        streams' rows one after another within each example."""
+        return functools.reduce(KeptTokens.concat, [apply_ste(tokens, mask)
+                                                    for tokens in streams])
 
     def classify(self, tape: Tape, kept: KeptTokens,
                  mask: SelectionMask) -> tuple[Tensor, SelectionMask]:
         """The second stage: class logits [B, C] of the kept tokens, and the
         mask passed through. Reads only task parameters."""
-        # one table, each stream's rows re-encoded alike
-        pos = functools.reduce(ad.concat_rows, [self._positions(tape, mask)] * len(self.streams))
-        return self.task.forward(tape, kept, pos), mask
+        return self.task.forward(tape, kept, self.positions(tape, mask)), mask
 
     def forward_batch(self, tape: Tape, streams: list[Tensor],
                       select: Selector) -> tuple[Tensor, SelectionMask]:

@@ -150,6 +150,54 @@ def test_attention_rejects_shapes_that_do_not_split():
         ad.attention(ad.constant(np.zeros((6, 12))), (6, 0), 2)  # a sequence with no row
 
 
+def test_segment_mean_is_the_mean_of_each_sequence():
+    """Sequences of 1, 4 and 2 rows: each output row is its sequence's mean,
+    and each input row's gradient is its sequence's output gradient over
+    the sequence's length."""
+    x = SeededRng(21).normals(21).reshape(7, 3)
+    g = SeededRng(22).normals(9).reshape(3, 3)
+    with Tape() as tape:
+        leaf = tape.leaf(x)
+        out = ad.segment_mean(leaf, (1, 4, 2))
+        tape.backward(ad.scale(ad.mean_all(ad.mask_multiply(out, g)), g.size))  # sum(out * g)
+        grad = tape.grad(leaf)
+    expected = np.stack([x[:1].mean(axis=0), x[1:5].mean(axis=0), x[5:].mean(axis=0)])
+    np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(out.data[0], x[0])  # a one-row mean is the row itself
+    np.testing.assert_allclose(grad, np.repeat(g / [[1.0], [4.0], [2.0]], [1, 4, 2], axis=0),
+                               rtol=0, atol=1e-15)
+
+
+def test_segment_mean_matches_the_dense_pool():
+    """Forward and adjoint agree with a dense [B, R] matrix of 1/L_b weights
+    times the rows, the pool the model ran before."""
+    lengths = (5, 1, 3, 8)
+    x = SeededRng(23).normals(17 * 4).reshape(17, 4)
+    example = np.repeat(np.arange(4), lengths)
+    pool = np.zeros((4, 17))
+    pool[example, np.arange(17)] = 1.0 / np.asarray(lengths)[example]
+    weights = SeededRng(24).normals(16).reshape(4, 4)
+    grads = []
+    for pooled in (lambda t: ad.segment_mean(t, lengths),
+                   lambda t: ad.matmul(ad.constant(pool), t)):
+        with Tape() as tape:
+            leaf = tape.leaf(x)
+            out = pooled(leaf)
+            tape.backward(ad.mean_all(ad.mask_multiply(out, weights)))
+            grads.append((out.data, tape.grad(leaf)))
+    for segment, dense in zip(*grads):
+        np.testing.assert_allclose(segment, dense, rtol=0, atol=1e-15)
+
+
+def test_segment_mean_rejects_rows_that_do_not_split():
+    x = ad.constant(np.zeros((6, 2)))
+    for lengths in [(2, 2), (6, 0), (), (3, 4)]:
+        with pytest.raises(ShapeError):
+            ad.segment_mean(x, lengths)
+    with pytest.raises(ShapeError):
+        ad.segment_mean(ad.constant(np.zeros((2, 3, 2))), (1, 1))  # rows must be 2-D
+
+
 def test_backward_requires_scalar():
     with Tape() as tape:
         x = tape.leaf(np.array([1.0, 2.0]))
@@ -219,13 +267,36 @@ def test_central_difference_check_locates_the_worst_coordinate():
     def loss_at():
         return float(a.sum() + (b * b).sum())
 
-    err, where = ad.central_difference_check([("a", loss_at, a, np.ones(2)),
-                                              ("b", loss_at, b, np.array([6.0, 7.0]))])
+    def numeric(array):
+        return ad.central_differences(loss_at, array, 1e-5)
+
+    err, where = ad.central_difference_check([("a", numeric(a), np.ones(2)),
+                                              ("b", numeric(b), np.array([6.0, 7.0]))])
     assert where == "b[1]"
     assert abs(err - 1 / 8) < 1e-6  # |7 - 8| / 8
     assert np.array_equal(b, [3.0, 4.0])  # every perturbation undone
-    err, _ = ad.central_difference_check([("a", loss_at, a, np.array([1.0, np.nan]))])
+    err, _ = ad.central_difference_check([("a", numeric(a), np.array([1.0, np.nan]))])
     assert np.isnan(err)
+
+
+def test_fourth_order_stencil_is_exact_on_a_quartic():
+    """The fourth-order stencil visits +2h, +h, -h and -2h, undoes each
+    move, and has no truncation error on a quartic, where a central
+    difference is off by h^2 f'''(x) / 6 = 4 x h^2."""
+    a, h = np.array([0.7, -1.3]), 1e-2
+    seen = []
+
+    def loss_at():
+        seen.append(a.copy())
+        return float((a ** 4).sum())
+
+    fourth = ad.central_differences(loss_at, a, h, ad.FOURTH_ORDER)
+    np.testing.assert_allclose(fourth, 4 * a ** 3, rtol=1e-10)
+    assert np.array_equal(a, [0.7, -1.3])
+    assert [p[0] - 0.7 for p in seen[:4]] == pytest.approx([2 * h, h, -h, -2 * h], abs=1e-15)
+    assert [p[1] for p in seen[:4]] == [-1.3] * 4
+    central = ad.central_differences(loss_at, a, h)
+    np.testing.assert_allclose(central - 4 * a ** 3, 4 * a * h * h, rtol=1e-6)
 
 
 def test_central_difference_check_keeps_the_first_worst_case():
@@ -236,7 +307,7 @@ def test_central_difference_check_keeps_the_first_worst_case():
         return float(a[0] ** 2)  # gradient 4
 
     def case(name, analytic):
-        return name, loss_at, a, np.array([analytic])
+        return name, ad.central_differences(loss_at, a, 1e-5), np.array([analytic])
 
     assert ad.central_difference_check([case("p", 5.0), case("q", 5.0)])[1] == "p[0]"
     err, where = ad.central_difference_check(

@@ -57,7 +57,7 @@ def test_default_parameter_count_is_frozen():
                  + 2 * 32        # ln2
                  + 32 * 128 + 128 + 128 * 32 + 32)  # feed-forward
     expected = (16 * 32 + 32) + 64 * 32 + 16 + 2 * per_block + 2 * 32 + (32 * 4 + 4)
-    assert model.parameter_count() == expected == 28020
+    assert sum(p.value.size for p in model.parameters()) == expected == 28020
 
 
 def test_forward_is_deterministic():
@@ -183,6 +183,45 @@ def test_padded_row_values_never_reach_logits_or_gradients():
     for got, want in zip(moved[1], base[1]):
         assert np.array_equal(got, want)
     assert np.array_equal(moved[2], base[2])
+
+
+def test_each_stage_reads_only_the_parameters_it_names():
+    """The stages name every parameter once, in `parameters()` order, and new
+    values in every parameter a stage does not name leave its output
+    bit-identical: what the stacked gradient check relies on. The batch keeps
+    counts 4, 1, 0, 2, so embed packs rows and reads the null token."""
+    model = init_parameters(PACKED, SeededRng(34), stddev=0.5)
+    stages = model.stages()
+    assert [stage.name for stage in stages] == [
+        "embed", "task.block0.attention", "task.block0.feed_forward",
+        "task.block1.attention", "task.block1.feed_forward", "head"]
+    named = [p for stage in stages for p in stage.parameters]
+    assert [p.name for p in named] == [p.name for p in model.parameters()]
+    assert len({id(p) for p in named}) == len(named)
+    counts = np.array([4, 1, 0, 2])
+    valid = np.arange(4) < counts[:, None]
+    tokens = ad.constant(SeededRng(35).normals(4 * 4 * 5).reshape(4, 4, 5))
+    positions = ad.constant(SeededRng(36).normals(4 * 4 * 8).reshape(4, 4, 8))
+    state = (KeptTokens(tokens, valid), positions)
+    for stage in stages:
+        out = stage.run(Tape(), state)
+        others = [p for p in model.parameters() if p not in stage.parameters]
+        saved = [p.value for p in others]
+        for p in others:
+            p.value = p.value + 1.0
+        moved = stage.run(Tape(), state)
+        for p, value in zip(others, saved):
+            p.value = value
+        if stage.name == "head":
+            assert out.shape == (4, 3)
+            assert np.array_equal(moved.data, out.data)
+        else:
+            assert out.lengths == moved.lengths == (4, 1, 1, 2)
+            assert np.array_equal(moved.rows.data, out.rows.data), stage.name
+        state = out
+    with Tape() as tape:
+        assert np.array_equal(model.forward(tape, KeptTokens(tokens, valid), positions).data,
+                              state.data)
 
 
 def test_capacity_error():

@@ -4,7 +4,7 @@ import pytest
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.errors import ShapeError
-from sparsetok.model import TaskPerformerConfig
+from sparsetok.model import TaskPerformer, TaskPerformerConfig
 from sparsetok.multimodal import ContextModel
 from sparsetok.rng import SeededRng
 from sparsetok.selection import StrategyConfig, deterministic_topk_select
@@ -148,18 +148,23 @@ class TestStages:
 
 def test_multimodal_end_to_end_gradients(monkeypatch):
     """The suite passes and runs the training pipeline itself: one taped
-    pass, two full passes per context or scorer parameter coordinate and per
-    visual token, and two classify-only passes per task parameter
-    coordinate, on the one sparsify output of the base point."""
-    from sparsetok.checks import check_multimodal_end_to_end
+    pass, then off the tape one `sparsify` of the base point, one
+    `keep_probabilities` per point of the stencil of each context or scorer
+    coordinate and visual token, and the task model's own stages, whose head
+    runs once per stack of at most `STACK_REPLICAS` points of each array it
+    does not read and once per point of the stencil of each of the head's
+    own coordinates."""
+    from sparsetok.checks import (MULTIMODAL_STENCIL, STACK_REPLICAS,
+                                  check_multimodal_end_to_end, multimodal_arrays,
+                                  multimodal_point)
     calls = []
     inside = []
 
-    def counted(stage):
-        method = getattr(Pipeline, stage)
+    def counted(owner, stage):
+        method = getattr(owner, stage)
 
         def run(self, tape, *args):
-            if not inside:  # streams of [B, n, d] for the first stage, KeptTokens for classify
+            if not inside:  # streams of [B, n, d] for the first stage
                 visual = args[0][0] if isinstance(args[0], list) else None
                 calls.append((stage, ad.active_tape() is not None,
                               getattr(visual, "shape", None)))
@@ -170,13 +175,27 @@ def test_multimodal_end_to_end_gradients(monkeypatch):
                 inside.pop()
         return run
 
-    for stage in ("forward_batch", "sparsify", "classify"):
-        monkeypatch.setattr(Pipeline, stage, counted(stage))
+    for stage in ("forward_batch", "sparsify", "keep_probabilities", "classify"):
+        monkeypatch.setattr(Pipeline, stage, counted(Pipeline, stage))
+    monkeypatch.setattr(TaskPerformer, "head", counted(TaskPerformer, "head"))
     report = check_multimodal_end_to_end()
     assert report.ok, report.line()
-    task, selection, visual = 777, 260, 2 * 5 * 6  # visual tokens [2, 5, 6]
+    points = len(MULTIMODAL_STENCIL.offsets)
+    selection, visual = 260, 2 * 5 * 6  # visual tokens [2, 5, 6]
+    pipeline, streams, _, _ = multimodal_point(8)
+    sizes = {name: a.size for name, a in multimodal_arrays(pipeline, streams)}
+    head = {p.name for p in pipeline.task.stages()[-1].parameters}
+    # 19 task parameters, 4 of them the head's with 8 + 8 + 8 * 3 + 3
+    # coordinates; 4 scorer and 3 context parameters
+    assert len(sizes) == 19 + 4 + 3 + 1 and len(head) == 4
+    head_coordinates = sum(sizes[name] for name in head)
+    assert head_coordinates == 43
+    stacks = sum(-(-points * size // STACK_REPLICAS)
+                 for name, size in sizes.items() if name not in head)
     assert calls.count(("forward_batch", True, (2, 5, 6))) == 1
-    assert calls.count(("forward_batch", False, (2, 5, 6))) == 2 * (selection + visual)
     assert calls.count(("sparsify", False, (2, 5, 6))) == 1
-    assert calls.count(("classify", False, None)) == 2 * task
-    assert len(calls) == 1 + 2 * (selection + visual) + 1 + 2 * task
+    assert (calls.count(("keep_probabilities", False, (2, 5, 6)))
+            == points * (selection + visual))
+    assert calls.count(("head", False, None)) == stacks + points * head_coordinates
+    assert len(calls) == (1 + 1 + points * (selection + visual) + stacks
+                          + points * head_coordinates)

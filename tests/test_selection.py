@@ -9,7 +9,8 @@ from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfi
                                  apply_ste, compute_keep_probabilities, index_grid,
                                  deterministic_topk_select, gumbel_topk_select,
                                  inference_k_for, inference_rank_topk,
-                                 ratio_controlled_select, reencode_positions,
+                                 ratio_controlled_gate, ratio_controlled_select,
+                                 reencode_positions,
                                  run_strategy, selection_loss, total_loss,
                                  uniform_fixed_select)
 
@@ -170,6 +171,12 @@ class TestRatioControlled:
         s = np.array([0.2, 0.500000001, 0.8, 0.4999999])
         mask = ratio_controlled_select(scores_for(s), 1.0, frozen_rng)
         assert np.array_equal(mask.kept_indices, [[1, 2]])
+
+    def test_gate_refuses_noise_of_another_shape(self):
+        s = ad.constant(np.full((2, 5), 0.5))
+        assert ratio_controlled_gate(s, np.zeros((2, 2, 5)), 1.0).kept_count.tolist() == [0, 0]
+        with pytest.raises(ShapeError, match="gate noise"):
+            ratio_controlled_gate(s, np.zeros((1, 2, 5)), 1.0)
 
 
 class TestDeterministicTopK:
