@@ -8,7 +8,7 @@ not to be fast on real workloads.
 
 Gradient-stopping is expressed structurally: tensors without a node id are
 constants, and `gather_rows` indices / `mask_multiply` masks never receive
-gradients. `matmul`, `linear` and `batched_matmul` skip the adjoint product
+gradients. `matmul` and `linear` skip the adjoint product
 of a constant operand and return None for it. Gradient flow through discrete
 selection is routed explicitly by `straight_through`.
 
@@ -22,8 +22,7 @@ whole minibatch, not one per example:
   second-to-last axis), `transpose` (last two axes) and `cross_entropy_loss`
   ([B, C] logits give [B] losses).
 - `matmul` stays 2-D: weight projections run on flattened [R, d] rows, and
-  `linear` is a biased projection x @ w + b as one node. `batched_matmul`
-  covers per-example products [B, m, k] @ [B, k, n]. `attention` is all
+  `linear` is a biased projection x @ w + b as one node. `attention` is all
   heads of self-attention in one node: [R, 3d] projected q | k | v rows in,
   [R, d] contexts out.
 - Sequences of unequal length are packed, not padded: their R rows follow
@@ -316,18 +315,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                    lambda g: (None if x.node_id is None else g @ wd.T,
                               None if w.node_id is None else xd.T @ g,
                               None if b.node_id is None else _column_sums(g)))
-
-
-def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """One product per example: [B, m, k] @ [B, k, n] -> [B, m, n]."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise ShapeError(f"batched_matmul: shapes {a.shape} and {b.shape} do not conform")
-    ad, bd = a.data, b.data
-    return _record("batched_matmul", ad @ bd, (a, b),
-                   lambda g: (None if a.node_id is None else g @ bd.transpose(0, 2, 1),
-                              None if b.node_id is None else ad.transpose(0, 2, 1) @ g))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -684,13 +671,6 @@ def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
         return ((d * g[:, None]).reshape(shape),)
 
     return _record("cross_entropy", lse[:, 0] - z[at, t], (logits,), vjp)
-
-
-def mean_squared_error(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mean_squared_error: shapes {a.shape} and {b.shape} differ")
-    return mean_all(square(subtract(a, b)))
 
 
 # ---------------------------------------------------------------------------

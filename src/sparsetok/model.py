@@ -4,12 +4,10 @@ Pre-norm encoder blocks, learnable positional embeddings assigned to the
 compacted sequence, mean-pool head. Deterministic: no dropout — the only
 training noise in the whole pipeline lives in the Gumbel selection.
 
-The model runs a whole batch at once on packed rows: the kept batch arrives
-padded to its longest sequence, [B, L, d], and its real rows are gathered
-into [R, d] activations, example by example, R = sum of the kept counts. So
-every projection, norm and the mean pool pays for the rows kept, not for
-B*L; only `attention` pads, inside the op. When every example keeps L rows
-the packing is the identity: the rows are used as they are.
+The model runs a whole batch at once on packed rows: `apply_ste` hands it
+the kept tokens as [R, d] rows, example by example, R = sum of the kept
+counts. So every projection, norm and the mean pool pays for the rows kept;
+only `attention` pads, inside the op.
 
 The forward is a chain of stages (`TaskPerformer.stages`): embed, then an
 attention and a feed-forward sublayer per block, then the head. Each stage
@@ -21,7 +19,6 @@ runs each parameter's perturbed states that way.
 """
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import CapacityError, ContractError
 from .rng import SeededRng
-from .selection import KeptTokens
+from .selection import Packed
 
 CHECKPOINT_MAGIC = b"STKN"
 CHECKPOINT_VERSION = 2
@@ -52,14 +49,6 @@ class TaskPerformerConfig:
     def __post_init__(self):
         if self.d_model % self.heads != 0:
             raise ContractError("d_model must be divisible by heads")
-
-
-class Packed(NamedTuple):
-    """The rows of B sequences packed one after another, example by example:
-    rows [R, d_model], R = sum(lengths), each length at least 1."""
-
-    rows: Tensor
-    lengths: tuple[int, ...]
 
 
 class Stage(NamedTuple):
@@ -181,7 +170,7 @@ class TaskPerformer:
 
     def stages(self) -> list[Stage]:
         """The forward in order: embed, each block's two sublayers, head.
-        Embed takes (KeptTokens, positional rows) and the head gives the
+        Embed takes (kept tokens, positional rows) and the head gives the
         [B, C] logits; the states between are `Packed`. Embed names
         pos_table too: its positional rows are rows of that table."""
         out = [Stage("embed", (self.in_w, self.in_b, self.pos_table, self.null_token),
@@ -192,80 +181,39 @@ class TaskPerformer:
                          self.head))
         return out
 
-    def forward(self, tape: ad.Tape, kept_tokens: KeptTokens, positional_rows: Tensor) -> Tensor:
-        """Class logits [B, C] for compacted sequences: KeptTokens [B, L, d_in]
-        with positional rows [B, L, d_model]; every stage in turn."""
-        state = (kept_tokens, positional_rows)
+    def forward(self, tape: ad.Tape, kept: Packed, positional_rows: Tensor) -> Tensor:
+        """Class logits [B, C] for compacted sequences: the kept tokens
+        packed by `apply_ste`, rows [R, d_in], with their positional rows
+        [R, d_model]; every stage in turn."""
+        state = (kept, positional_rows)
         for stage in self.stages():
             state = stage.run(tape, state)
         return state
 
-    def embed(self, tape: ad.Tape, inputs: tuple[KeptTokens, Tensor]) -> Packed:
+    def embed(self, tape: ad.Tape, inputs: tuple[Packed, Tensor]) -> Packed:
         """The packed rows of the input projection plus the positions.
 
-        Only the valid rows of the kept tokens and of the positional rows
-        are read, packed example by example; the values in padded rows never
-        reach the logits or the gradients. A sequence with no kept token
-        falls back to the learned null token at its row 0, so an empty
-        selection still produces finite, trainable logits.
+        A sequence with no kept token gets one row: the learned null token
+        at positional table row 0, so an empty selection still produces
+        finite, trainable logits.
         """
-        kept_tokens, positional_rows = inputs
+        kept, positions = inputs
         c = self.config
-        valid = np.asarray(kept_tokens.valid, dtype=bool)
-        batch, length = valid.shape
-        if length > c.max_len:
-            raise CapacityError(f"sequence of {length} exceeds max_len {c.max_len}")
-        pack = _packing(valid.shape, valid.tobytes())
-        x_in = ad.reshape(kept_tokens.tokens, (batch * length, c.d_in))
-        positions = ad.reshape(positional_rows, (batch * length, c.d_model))
-        if pack.rows is not None:
-            token_rows = pack.rows
-            if pack.null_rows is not None:  # the null token: the row after the padded ones
-                x_in = ad.concat_rows(x_in, ad.reshape(tape.param(self.null_token), (1, c.d_in)))
-                token_rows = pack.null_rows
-            x_in = ad.gather_rows(x_in, token_rows)
-            positions = ad.gather_rows(positions, pack.rows)
-        rows = ad.add(ad.linear(x_in, tape.param(self.in_w), tape.param(self.in_b)), positions)
-        return Packed(rows, pack.lengths)
+        if max(kept.lengths) > c.max_len:
+            raise CapacityError(f"sequence of {max(kept.lengths)} exceeds max_len {c.max_len}")
+        if 0 in kept.lengths:
+            table_row0 = ad.gather_rows(tape.param(self.pos_table), np.zeros(1, dtype=np.int64))
+            positions = Packed(positions, kept.lengths).fill_empty(table_row0).rows
+            kept = kept.fill_empty(ad.reshape(tape.param(self.null_token), (1, c.d_in)))
+        rows = ad.add(ad.linear(kept.rows, tape.param(self.in_w), tape.param(self.in_b)),
+                      positions)
+        return Packed(rows, kept.lengths)
 
     def head(self, tape: ad.Tape, state: Packed) -> Tensor:
         """Logits [B, C]: final norm, the mean of each sequence's rows, linear."""
         x = ad.layer_norm(state.rows, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
         pooled = ad.segment_mean(x, state.lengths)
         return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
-
-
-class _Packing(NamedTuple):
-    """How `TaskPerformer.embed` packs a padded [B, L] batch into rows."""
-
-    lengths: tuple[int, ...]      # rows of each example, at least 1
-    rows: np.ndarray | None       # the padded row (b*L + j) of each packed row;
-                                  # None when every row is real: packing is the identity
-    null_rows: np.ndarray | None  # rows with B*L, the null token, as an empty
-                                  # example's one row; None when no example is empty
-
-
-@functools.lru_cache(maxsize=2)
-def _packing(shape: tuple[int, int], valid_bytes: bytes) -> _Packing:
-    """The packing of the bool validity mask of `shape` whose bytes are
-    given. Its arrays are read-only and kept for the two most recent masks:
-    a gradient check, an evaluation and a fixed-K training run reuse a mask,
-    while ratio-controlled training makes a new one every step."""
-    batch, length = shape
-    valid = np.frombuffer(valid_bytes, dtype=bool).reshape(shape)
-    empty = ~valid.any(axis=1)
-    slots = valid.copy()
-    slots[empty, 0] = True  # an empty example's one row: its row 0
-    lengths = slots.sum(axis=1)
-    rows = null_rows = None
-    if not valid.all():
-        rows = np.flatnonzero(slots)
-        rows.flags.writeable = False
-    if empty.any():
-        null_rows = rows.copy()
-        null_rows[(np.cumsum(lengths) - lengths)[empty]] = batch * length
-        null_rows.flags.writeable = False
-    return _Packing(tuple(lengths.tolist()), rows, null_rows)
 
 
 def init_parameters(config: TaskPerformerConfig, rng: SeededRng,

@@ -5,12 +5,14 @@ Gumbel-perturbed scores, and a per-token ratio-controlled gate), plus the two
 baselines they are measured against (noise-free top-K and a fixed uniform
 grid); all but the grid read the keep probabilities s [B, n]. All of them
 emit a SelectionMask whose `soft` tensor carries the gradient path;
-`apply_ste` wires value-from-hard / derivative-from-soft.
+`apply_ste` wires value-from-hard / derivative-from-soft and packs the kept
+tokens into the rows the task model reads.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,48 +285,72 @@ def run_strategy(s: Tensor, strategy: StrategyConfig, rng: SeededRng) -> Selecti
     raise ContractError(f"{strategy.kind} reads no keep probabilities")
 
 
-@dataclass
-class KeptTokens:
-    """A batch of compacted sequences padded to a common length L.
+class Packed(NamedTuple):
+    """The rows of B sequences packed one after another, example by example:
+    rows [R, d], R = sum(lengths)."""
 
-    tokens is [B, L, d]; valid[b, j] is False where row j of example b is
-    padding, which the task model never reads: it packs the valid rows.
+    rows: Tensor
+    lengths: tuple[int, ...]
+
+    def fill_empty(self, filler: Tensor) -> "Packed":
+        """The same sequences, each empty one given the one row `filler`
+        [1, d] in its place."""
+        counts = np.array(self.lengths)
+        at = (np.cumsum(counts) - counts)[counts == 0]
+        rows = np.insert(np.arange(self.rows.shape[0]), at, self.rows.shape[0])
+        return Packed(ad.gather_rows(ad.concat_rows(self.rows, filler), rows),
+                      tuple(np.maximum(counts, 1).tolist()))
+
+
+def _packed_keep(mask: SelectionMask, streams: int) -> np.ndarray:
+    """Which tokens of `streams` streams under the one mask are kept, [B, S, n].
+    Its True entries in row-major order are the packed rows, the one layout
+    of the kept tokens: example by example, stream 0 then stream 1, each
+    stream's kept tokens in their original order."""
+    return np.broadcast_to(mask.hard[:, None] != 0, (mask.hard.shape[0], streams, mask.n))
+
+
+def apply_ste(streams: list[Tensor], mask: SelectionMask) -> Packed:
+    """Pack every stream's kept tokens, values untouched, gradients through
+    `soft`.
+
+    streams are [B, n, d], all under the one mask. Each example's rows are
+    its kept tokens of stream 0, then of stream 1, in their original order,
+    so example b has S * k_b rows and one that keeps nothing has none.
+    Forward every row is exactly its token; backward behaves as if every
+    token had been scaled by its soft weight, so keep scores receive
+    task-loss gradients.
     """
-
-    tokens: Tensor
-    valid: np.ndarray  # bool [B, L]
-
-    def concat(self, other: "KeptTokens") -> "KeptTokens":
-        """Both batches' rows, example by example: [B, L1 + L2, d]."""
-        return KeptTokens(ad.concat_rows(self.tokens, other.tokens),
-                          np.concatenate([self.valid, other.valid], axis=1))
-
-
-def apply_ste(tokens: Tensor, mask: SelectionMask):
-    """Compact the kept tokens, values untouched, gradients through `soft`.
-
-    Forward output row j is exactly token kept_indices[j]; backward behaves as
-    if every token had been scaled by its soft weight, so keep scores receive
-    task-loss gradients. Tokens [B, n, d] give KeptTokens padded to the
-    largest kept count; an example that keeps nothing has only padded rows,
-    which the task model replaces with its null token.
-    """
-    if tokens.shape[:-1] != mask.hard.shape:
-        raise ContractError(f"mask shape {mask.hard.shape} != token shape {tokens.shape[:-1]}")
+    for tokens in streams:
+        if tokens.shape[:-1] != mask.hard.shape:
+            raise ContractError(f"mask shape {mask.hard.shape} != token shape {tokens.shape[:-1]}")
     gate = ad.straight_through(mask.soft, mask.hard)
-    kept = ad.gather_rows(ad.scale_rows(tokens, gate), mask.kept_indices)
-    width = mask.kept_indices.shape[1]
-    return KeptTokens(kept, np.arange(width) < mask.kept_count[:, None])
+    scaled = functools.reduce(ad.concat_rows, [ad.scale_rows(t, gate) for t in streams])
+    count, d = len(streams), streams[0].shape[-1]
+    rows = ad.gather_rows(ad.reshape(scaled, (scaled.data.size // d, d)),
+                          np.flatnonzero(_packed_keep(mask, count)))
+    return Packed(rows, tuple((count * mask.kept_count).tolist()))
 
 
-def reencode_positions(mask: SelectionMask, positional_table: Tensor) -> Tensor:
-    """Positional rows 0..L-1 for the kept tokens in their original order,
-    [B, L, d]."""
-    k = mask.kept_indices.shape[-1]
-    if k > positional_table.shape[0]:
-        raise CapacityError(f"{k} kept tokens exceed positional capacity "
+def reencode_positions(mask: SelectionMask, positional_table: Tensor, streams: int) -> Tensor:
+    """Positional rows for `apply_ste`'s packed rows of `streams` streams:
+    table row j for each example's j-th kept token, [R, d]."""
+    keep = _packed_keep(mask, streams)
+    return _positional_rows(positional_table, (np.cumsum(keep, axis=-1) - 1)[keep])
+
+
+def original_positions(mask: SelectionMask, positional_table: Tensor, streams: int) -> Tensor:
+    """Positional rows for `apply_ste`'s packed rows of `streams` streams:
+    each kept token's row at its original index, [R, d] (the naive
+    baseline to `reencode_positions`)."""
+    return _positional_rows(positional_table, np.nonzero(_packed_keep(mask, streams))[2])
+
+
+def _positional_rows(positional_table: Tensor, rows: np.ndarray) -> Tensor:
+    if rows.size and rows.max() >= positional_table.shape[0]:
+        raise CapacityError(f"position {rows.max()} exceeds positional capacity "
                             f"{positional_table.shape[0]}")
-    return ad.gather_rows(positional_table, index_grid(mask.kept_indices.shape))
+    return ad.gather_rows(positional_table, rows)
 
 
 @functools.lru_cache(maxsize=64)

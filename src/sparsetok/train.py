@@ -8,7 +8,6 @@ batched forward pass.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -25,9 +24,9 @@ from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformerConfig, init_parameters, save_checkpoint
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, KeptTokens, SelectionMask, StrategyConfig,
-                        apply_ste, compute_keep_probabilities, inference_k_for,
-                        inference_rank_topk, reencode_positions, run_strategy,
+from .selection import (KeepProbPredictor, Packed, SelectionMask, StrategyConfig, apply_ste,
+                        compute_keep_probabilities, inference_k_for, inference_rank_topk,
+                        original_positions, reencode_positions, run_strategy,
                         selection_loss, total_loss)
 
 # stream labels under the run seed
@@ -126,14 +125,11 @@ class Pipeline:
         return out
 
     def positions(self, tape: Tape, mask: SelectionMask) -> Tensor:
-        """The positional rows [B, L, d_model] of the kept tokens, every
-        stream's rows re-encoded alike from the one table."""
-        table = tape.param(self.task.pos_table)
-        if self.cfg.positions == "compact":
-            rows = reencode_positions(mask, table)
-        else:
-            rows = ad.gather_rows(table, mask.kept_indices)  # naive: keep original rows
-        return functools.reduce(ad.concat_rows, [rows] * len(self.streams))
+        """The positional rows [R, d_model] of the kept tokens, in
+        `apply_ste`'s packed order, every stream's rows encoded alike from
+        the one table."""
+        encode = reencode_positions if self.cfg.positions == "compact" else original_positions
+        return encode(mask, tape.param(self.task.pos_table), len(self.streams))
 
     def batch_tokens(self, examples: list[Example]) -> list[Tensor]:
         """One constant token tensor [B, n, d] of a batch per stream of the run."""
@@ -150,16 +146,14 @@ class Pipeline:
         return lambda s: inference_rank_topk(s, inference_k_for(strategy, s.shape[1]))
 
     def sparsify(self, tape: Tape, streams: list[Tensor],
-                 select: Selector) -> tuple[KeptTokens, SelectionMask]:
-        """The first stage: the kept tokens [B, L, d] (every stream's rows,
-        example by example) and the batch's selection mask, which all
-        streams share.
+                 select: Selector) -> tuple[Packed, SelectionMask]:
+        """The first stage: the kept tokens packed by `apply_ste` (every
+        stream's rows, example by example) and the batch's selection mask,
+        which all streams share.
 
         streams are [B, n, d], one per stream of the run; `select` turns the
         batch's keep probabilities into its mask (unused by uniform_fixed,
-        which has no scorer). Every input sequence has the dataset's full
-        length n, so only the kept sequences need padding. Reads no task
-        parameter.
+        which has no scorer). Reads no task parameter.
         """
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
@@ -167,7 +161,7 @@ class Pipeline:
             mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
             mask = select(self.keep_probabilities(tape, streams))
-        return self.compact(streams, mask), mask
+        return apply_ste(streams, mask), mask
 
     def keep_probabilities(self, tape: Tape, streams: list[Tensor]) -> Tensor:
         """The scorer's keep probabilities s [B, n] of the context model's
@@ -175,14 +169,7 @@ class Pipeline:
         u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
         return compute_keep_probabilities(tape, u, self.scorer)
 
-    @staticmethod
-    def compact(streams: list[Tensor], mask: SelectionMask) -> KeptTokens:
-        """Every stream's kept tokens under the one mask (`apply_ste`), the
-        streams' rows one after another within each example."""
-        return functools.reduce(KeptTokens.concat, [apply_ste(tokens, mask)
-                                                    for tokens in streams])
-
-    def classify(self, tape: Tape, kept: KeptTokens,
+    def classify(self, tape: Tape, kept: Packed,
                  mask: SelectionMask) -> tuple[Tensor, SelectionMask]:
         """The second stage: class logits [B, C] of the kept tokens, and the
         mask passed through. Reads only task parameters."""

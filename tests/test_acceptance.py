@@ -14,7 +14,7 @@ from sparsetok.autodiff import Tape
 from sparsetok.data import NeedleSpec, generate_dataset
 from sparsetok.model import TaskPerformerConfig, init_parameters
 from sparsetok.rng import SeededRng
-from sparsetok.selection import KeptTokens, StrategyConfig, index_grid
+from sparsetok.selection import SelectionMask, StrategyConfig, apply_ste, reencode_positions
 from sparsetok.train import Pipeline, RunConfig, retain_heap, train_step
 
 # median step time at K=8 over the median at K=32; ten runs on a 2-vCPU
@@ -49,7 +49,9 @@ def test_dropping_tokens_saves_task_model_compute():
 # one keeps 32, over the median where all 32 keep 32; ten runs on a 2-vCPU
 # Intel Xeon gave 0.483-0.508 with one BLAS thread and 0.493-0.522 with two,
 # and 1.025-1.043 (six runs, one thread) for a model that computed every
-# padded row
+# padded row; with `apply_ste` packing the rows inside the step, two runs on
+# the same host gave 0.557 and 0.572, where the step without it gave 0.532
+# and 0.559
 PACKED_RATIO_BOUND = 0.7
 
 
@@ -58,26 +60,32 @@ def test_task_model_step_pays_for_the_rows_kept():
     """A task-model training step (forward and backward, B=32, n=32, default
     model) on a batch where 31 examples keep 8 rows and one keeps all 32
     takes well under the time of one where all 32 keep 32: it pays for the
-    280 rows kept, not for 32 sequences of the longest kept length. The two
+    280 rows kept, not for 32 sequences of the longest kept length. The
+    step packs the kept rows with `apply_ste`, as training does. The two
     batches take turns, so drift in the host's speed hits both alike."""
     retain_heap()
     model = init_parameters(TaskPerformerConfig(), SeededRng(12))
     tokens = SeededRng(13).normals(32 * 32 * 16).reshape(32, 32, 16)
     labels = np.arange(32) % 4
     counts = {"mixed": np.where(np.arange(32) == 0, 32, 8), "full": np.full(32, 32)}
+    masks = {}
+    for name, kept_counts in counts.items():
+        keep = np.arange(32) < kept_counts[:, None]
+        masks[name] = SelectionMask(keep.astype(float), ad.constant(np.ones((32, 32))),
+                                    np.where(keep, np.arange(32), 0))
 
-    def step(kept_counts):
+    def step(mask):
         with Tape() as tape:
-            kept = KeptTokens(tape.leaf(tokens), np.arange(32) < kept_counts[:, None])
-            positions = ad.gather_rows(tape.param(model.pos_table), index_grid((32, 32)))
+            kept = apply_ste([tape.leaf(tokens)], mask)
+            positions = reencode_positions(mask, tape.param(model.pos_table), 1)
             logits = model.forward(tape, kept, positions)
             tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
 
     times = {name: [] for name in counts}
     for i in range(45):
-        for name, kept_counts in counts.items():
+        for name, mask in masks.items():
             t0 = time.perf_counter()
-            step(kept_counts)
+            step(mask)
             if i >= 5:  # the first steps grow the heap
                 times[name].append(time.perf_counter() - t0)
     ratio = statistics.median(times["mixed"]) / statistics.median(times["full"])

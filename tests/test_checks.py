@@ -19,9 +19,8 @@ from sparsetok.checks import (MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMPLE_TOLERA
                               run_gradcheck, run_sample_check, stack,
                               stacked_central_differences)
 from sparsetok.errors import ContractError
-from sparsetok.model import Packed
 from sparsetok.rng import SeededRng
-from sparsetok.selection import deterministic_topk_select
+from sparsetok.selection import Packed, deterministic_topk_select
 
 
 def test_gradcheck_all_suites_pass():

@@ -6,7 +6,10 @@ The scan reads each file's syntax tree, so it needs no import of the module.
 A package `__init__.py` is exempt: its imports are the public re-exports.
 """
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,14 @@ def test_scan_finds_unnamed_definitions():
     assert definitions(source) == ["Used", "dead", "helper", "inner", "patched"]
     assert unnamed_definitions(source, [source]) == ["dead", "helper"]
     assert unnamed_definitions(source, [source, "Used().dead()\n"]) == ["helper"]
+
+
+def test_one_test_file_runs_without_pythonpath():
+    """`python -m pytest tests/test_metrics.py` imports the package by
+    itself: the pytest configuration puts src on the path, not the caller's
+    PYTHONPATH or a test module collected earlier."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "tests/test_metrics.py"],
+                            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

@@ -8,21 +8,22 @@ from sparsetok.model import (CHECKPOINT_VERSION, MultiHeadAttention, TaskPerform
                              TaskPerformerConfig, init_parameters, load_checkpoint,
                              restore_parameters, save_checkpoint)
 from sparsetok.rng import SeededRng
-from sparsetok.selection import KeptTokens
+from sparsetok.selection import (Packed, SelectionMask, StrategyConfig, apply_ste,
+                                 original_positions, reencode_positions)
+from sparsetok.train import Pipeline, RunConfig
 
 SMALL = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=1, max_len=10,
                             num_classes=3, ff_mult=2)
 
 
-def one_sequence(tokens: ad.Tensor) -> KeptTokens:
+def one_sequence(tokens: ad.Tensor) -> Packed:
     """A batch of one sequence of [L, d_in] tokens, every row kept."""
-    length = tokens.shape[0]
-    return KeptTokens(ad.reshape(tokens, (1,) + tokens.shape), np.ones((1, length), dtype=bool))
+    return Packed(tokens, (tokens.shape[0],))
 
 
 def leading_positions(tape: Tape, model: TaskPerformer, length: int) -> ad.Tensor:
-    """Positional rows 0..length-1 of a batch of one, [1, length, d_model]."""
-    return ad.gather_rows(tape.param(model.pos_table), np.arange(length)[None])
+    """Positional rows 0..length-1 of a batch of one, [length, d_model]."""
+    return ad.gather_rows(tape.param(model.pos_table), np.arange(length))
 
 
 def test_init_deterministic_under_seed():
@@ -85,15 +86,15 @@ def test_positional_sensitivity():
     assert not np.allclose(logits_for(tokens_np), logits_for(tokens_np[perm]))
 
 
-def empty_sequence() -> KeptTokens:
-    """A batch of one example that kept nothing: one padded row."""
-    return KeptTokens(ad.constant(np.zeros((1, 1, 5))), np.zeros((1, 1), dtype=bool))
+def empty_sequence() -> Packed:
+    """A batch of one example that kept nothing: no rows."""
+    return Packed(ad.constant(np.zeros((0, 5))), (0,))
 
 
 def test_empty_selection_uses_null_token():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 1))
+        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 0))
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits.data))
 
@@ -101,7 +102,7 @@ def test_empty_selection_uses_null_token():
 def test_null_token_is_trainable_through_empty_path():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 1))
+        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 0))
         tape.backward(ad.cross_entropy_loss(logits, 1))
         assert np.abs(tape.grad(model.null_token)).max() > 0
 
@@ -110,14 +111,25 @@ PACKED = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=2, max_len=10,
                              num_classes=3, ff_mult=2)
 
 
-def forward_and_gradients(model, tokens, valid, pos_index, labels, weights):
-    """Logits [B, C] of a padded batch, and the gradients of
-    mean_b(weights[b] * loss_b) wrt every parameter and the tokens, with the
-    positional rows read from the table at pos_index [B, L]."""
+def leading_mask(counts, n: int, pad: int = 0) -> SelectionMask:
+    """The mask that keeps each example's first counts[b] of n tokens, soft
+    weights one, kept_indices padded with `pad`."""
+    counts = np.array(counts)
+    width = max(1, counts.max())
+    slots = np.arange(width) < counts[:, None]
+    keep = np.arange(n) < counts[:, None]
+    return SelectionMask(keep.astype(float), ad.constant(np.ones(keep.shape)),
+                         np.where(slots, np.arange(width), pad))
+
+
+def forward_and_gradients(model, tokens, mask, labels, weights, encode=reencode_positions):
+    """Logits [B, C] of the tokens [B, n, d_in] that `mask` keeps, packed by
+    `apply_ste` with their positional rows from `encode`, and the gradients
+    of mean_b(weights[b] * loss_b) wrt every parameter and the tokens."""
     with Tape() as tape:
         x = tape.leaf(tokens)
-        positions = ad.gather_rows(tape.param(model.pos_table), pos_index)
-        logits = model.forward(tape, KeptTokens(x, valid), positions)
+        positions = encode(mask, tape.param(model.pos_table), 1)
+        logits = model.forward(tape, apply_ste([x], mask), positions)
         losses = ad.cross_entropy_loss(logits, labels)
         tape.backward(ad.mean_all(ad.mask_multiply(losses, weights)))
         return logits.data, [tape.grad(p) for p in model.parameters()], tape.grad(x)
@@ -134,25 +146,22 @@ def test_packed_forward_matches_each_example_alone(counts):
     gradients and token gradients are those of each example run alone as a
     batch of one, summed over the examples for the parameters."""
     model = init_parameters(PACKED, SeededRng(30), stddev=0.5)
-    batch, length = len(counts), max(counts)
+    batch, n = len(counts), 6
     rng = SeededRng(31)
-    tokens = rng.normals(batch * length * 5).reshape(batch, length, 5)
-    valid = np.arange(length) < np.array(counts)[:, None]
+    tokens = rng.normals(batch * n * 5).reshape(batch, n, 5)
     labels, weights = np.array([0, 2, 1, 2]), np.array([0.7, 1.3, 0.4, 1.1])
-    grid = np.tile(np.arange(length), (batch, 1))
     logits, param_grads, token_grad = forward_and_gradients(
-        model, tokens, valid, grid, labels, weights)
+        model, tokens, leading_mask(counts, n), labels, weights)
 
     summed = [np.zeros_like(g) for g in param_grads]
     for b, count in enumerate(counts):
-        rows = max(count, 1)  # an empty example is one padded row
         alone_logits, alone_grads, alone_token_grad = forward_and_gradients(
-            model, tokens[b:b + 1, :rows], valid[b:b + 1, :rows], grid[:1, :rows],
-            labels[b:b + 1], weights[b:b + 1] / batch)
+            model, tokens[b:b + 1], leading_mask([count], n), labels[b:b + 1],
+            weights[b:b + 1] / batch)
         assert_relative(logits[b], alone_logits[0])
         if count:
             assert_relative(token_grad[b, :count], alone_token_grad[0, :count])
-        assert not token_grad[b, count:].any()  # padded rows get no gradient
+        assert not token_grad[b, count:].any()  # dropped tokens get no gradient
         summed = [s + g for s, g in zip(summed, alone_grads)]
     for p, got, want in zip(model.parameters(), param_grads, summed):
         if p is model.null_token and 0 not in counts:
@@ -163,26 +172,55 @@ def test_packed_forward_matches_each_example_alone(counts):
 
 
 def test_padded_row_values_never_reach_logits_or_gradients():
-    """New values in the padded rows of the tokens, and in the padded
-    positional rows but the empty example's row 0, which carries its null
-    token's position, leave the logits and every gradient bit-identical."""
+    """New values in the dropped tokens, and another padding of the mask's
+    kept_indices past each kept count, leave the logits and every gradient
+    bit-identical, under either positional encoding."""
     model = init_parameters(PACKED, SeededRng(32), stddev=0.5)
-    counts = np.array([4, 1, 0, 2])
-    valid = np.arange(4) < counts[:, None]
+    counts, n = [4, 1, 0, 2], 6
     rng = SeededRng(33)
-    tokens = rng.normals(4 * 4 * 5).reshape(4, 4, 5)
-    grid = np.tile(np.arange(4), (4, 1))
+    tokens = rng.normals(4 * n * 5).reshape(4, n, 5)
     labels, weights = np.array([1, 0, 2, 1]), np.ones(4)
-    base = forward_and_gradients(model, tokens, valid, grid, labels, weights)
-    other_tokens = np.where(valid[..., None], tokens, rng.normals(tokens.size).reshape(tokens.shape))
-    null_slot = (counts == 0)[:, None] & (grid == 0)
-    other_grid = np.where(valid | null_slot, grid, 9 - grid)
-    moved = forward_and_gradients(model, other_tokens, valid, other_grid, labels, weights)
+    mask = leading_mask(counts, n)
+    other_tokens = np.where(mask.hard[..., None] > 0, tokens,
+                            rng.normals(tokens.size).reshape(tokens.shape))
     assert not np.array_equal(other_tokens, tokens)
-    assert np.array_equal(moved[0], base[0])
-    for got, want in zip(moved[1], base[1]):
-        assert np.array_equal(got, want)
-    assert np.array_equal(moved[2], base[2])
+    for encode in (reencode_positions, original_positions):
+        base = forward_and_gradients(model, tokens, mask, labels, weights, encode)
+        moved = forward_and_gradients(model, other_tokens, leading_mask(counts, n, pad=n - 1),
+                                      labels, weights, encode)
+        assert np.array_equal(moved[0], base[0])
+        for got, want in zip(moved[1], base[1]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(moved[2], base[2])
+
+
+@pytest.mark.parametrize("positions", ["compact", "original"])
+def test_embed_gives_an_empty_example_the_null_token_at_table_row_0(positions):
+    """Two streams whose examples keep 2, 0, 0 and 1 of 4 tokens: each empty
+    example is one row of embed's output, the null token's projection plus
+    positional table row 0, in either positions mode; the other rows are
+    their kept tokens' projections plus their own positional rows."""
+    cfg = RunConfig(dataset="unused", strategy=StrategyConfig("uniform_fixed", k=1),
+                    model=PACKED, positions=positions)
+    pipeline = Pipeline(cfg, {"d": 5, "multimodal": True, "num_classes": 3})
+    task = pipeline.task
+    rng = SeededRng(37)
+    streams = [rng.split(i).normals(4 * 4 * 5).reshape(4, 4, 5) for i in range(2)]
+    hard = np.zeros((4, 4))
+    hard[0, [1, 3]] = hard[3, 2] = 1.0
+    mask = SelectionMask(hard, ad.constant(hard), np.array([[1, 3], [0, 0], [0, 0], [2, 0]]))
+    kept = apply_ste([ad.constant(x) for x in streams], mask)
+    state = task.embed(Tape(), (kept, pipeline.positions(Tape(), mask)))
+    assert kept.lengths == (4, 0, 0, 2)
+    assert state.lengths == (4, 1, 1, 2)
+    v, w = streams
+    null = task.null_token.value
+    inputs = [v[0, 1], v[0, 3], w[0, 1], w[0, 3], null, null, v[3, 2], w[3, 2]]
+    table_rows = ([0, 1, 0, 1] if positions == "compact" else [1, 3, 1, 3]) + [0, 0] + (
+        [0, 0] if positions == "compact" else [2, 2])
+    expected = np.stack(inputs) @ task.in_w.value + task.in_b.value + task.pos_table.value[
+        table_rows]
+    np.testing.assert_allclose(state.rows.data, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_each_stage_reads_only_the_parameters_it_names():
@@ -198,11 +236,9 @@ def test_each_stage_reads_only_the_parameters_it_names():
     named = [p for stage in stages for p in stage.parameters]
     assert [p.name for p in named] == [p.name for p in model.parameters()]
     assert len({id(p) for p in named}) == len(named)
-    counts = np.array([4, 1, 0, 2])
-    valid = np.arange(4) < counts[:, None]
-    tokens = ad.constant(SeededRng(35).normals(4 * 4 * 5).reshape(4, 4, 5))
-    positions = ad.constant(SeededRng(36).normals(4 * 4 * 8).reshape(4, 4, 8))
-    state = (KeptTokens(tokens, valid), positions)
+    kept = Packed(ad.constant(SeededRng(35).normals(7 * 5).reshape(7, 5)), (4, 1, 0, 2))
+    positions = ad.constant(SeededRng(36).normals(7 * 8).reshape(7, 8))
+    state = (kept, positions)
     for stage in stages:
         out = stage.run(Tape(), state)
         others = [p for p in model.parameters() if p not in stage.parameters]
@@ -220,7 +256,7 @@ def test_each_stage_reads_only_the_parameters_it_names():
             assert np.array_equal(moved.rows.data, out.rows.data), stage.name
         state = out
     with Tape() as tape:
-        assert np.array_equal(model.forward(tape, KeptTokens(tokens, valid), positions).data,
+        assert np.array_equal(model.forward(tape, kept, positions).data,
                               state.data)
 
 
@@ -228,7 +264,7 @@ def test_capacity_error():
     model = init_parameters(SMALL, SeededRng(9))
     with Tape() as tape:
         tokens = one_sequence(ad.constant(np.zeros((11, 5))))
-        pos = ad.constant(np.zeros((1, 11, 8)))
+        pos = ad.constant(np.zeros((11, 8)))
         with pytest.raises(CapacityError):
             model.forward(tape, tokens, pos)
 

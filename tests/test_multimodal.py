@@ -69,15 +69,16 @@ class TestSparsifyPairs:
         _, mask = pipeline.forward_batch(Tape(), [ad.constant(v), ad.constant(w)],
                                          fixed_selector(np.array([[0.9, 0.1, 0.5, 0.7]]), 2))
         assert np.array_equal(mask.kept_indices, [[0, 3]])
-        assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0, [0, 3]],
-                                                                     w[0, [0, 3]]]))
+        assert np.array_equal(fed[0].rows.data, np.concatenate([v[0, [0, 3]], w[0, [0, 3]]]))
+        assert fed[0].lengths == (4,)
 
     def test_keep_all_is_identity(self):
         pipeline, fed = multimodal_pipeline()
         v, w = rand((1, 2, D), 3), rand((1, 2, D), 4)
         pipeline.forward_batch(Tape(), [ad.constant(v), ad.constant(w)],
                                fixed_selector(np.array([[0.5, 0.5]]), 2))
-        assert np.array_equal(fed[0].tokens.data[0], np.concatenate([v[0], w[0]]))
+        assert np.array_equal(fed[0].rows.data, np.concatenate([v[0], w[0]]))
+        assert fed[0].lengths == (4,)
 
     def test_length_mismatch(self):
         pipeline, _ = multimodal_pipeline()
@@ -89,8 +90,8 @@ class TestSparsifyPairs:
 
 def ratio_pipeline():
     """A multimodal ratio_controlled pipeline, a batch of three and the
-    training selector with fixed noise: kept counts differ, so the kept batch
-    is padded."""
+    training selector with fixed noise: kept counts differ, so the packed
+    sequences have unequal lengths."""
     cfg = RunConfig(dataset="unused",
                     strategy=StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5),
                     model=TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
@@ -102,7 +103,7 @@ def ratio_pipeline():
 
 def sparsified(pipeline, streams, select):
     kept, mask = pipeline.sparsify(Tape(), streams, select)
-    return (kept.tokens.data.tobytes(), kept.valid.tobytes(), mask.hard.tobytes(),
+    return (kept.rows.data.tobytes(), kept.lengths, mask.hard.tobytes(),
             mask.soft.data.tobytes(), mask.kept_indices.tobytes())
 
 
@@ -113,7 +114,7 @@ class TestStages:
     def test_task_parameters_do_not_reach_sparsify(self):
         pipeline, streams, select = ratio_pipeline()
         kept, _ = pipeline.sparsify(Tape(), streams, select)
-        assert not kept.valid.all()  # padded rows sit inside the check
+        assert len(set(kept.lengths)) > 1  # unequal kept counts sit inside the check
         base = sparsified(pipeline, streams, select)
         rng = SeededRng(13)
         for p in pipeline.task.parameters():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfi
                                  apply_ste, compute_keep_probabilities, index_grid,
                                  deterministic_topk_select, gumbel_topk_select,
                                  inference_k_for, inference_rank_topk,
-                                 ratio_controlled_gate, ratio_controlled_select,
-                                 reencode_positions,
+                                 original_positions, ratio_controlled_gate,
+                                 ratio_controlled_select, reencode_positions,
                                  run_strategy, selection_loss, total_loss,
                                  uniform_fixed_select)
 
@@ -234,34 +236,36 @@ class TestApplySte:
         tokens = ad.constant([[[2.0], [3.0]]])
         mask = SelectionMask(np.array([[1.0, 0.0]]), ad.constant([[0.3, 0.7]]),
                              np.array([[0]]))
-        out = apply_ste(tokens, mask)
-        assert out.tokens.shape == (1, 1, 1)
-        assert out.tokens.data[0, 0, 0] == 2.0  # soft must not scale the forward value
-        assert out.valid.tolist() == [[True]]
+        out = apply_ste([tokens], mask)
+        assert out.rows.shape == (1, 1)
+        assert out.rows.data[0, 0] == 2.0  # soft must not scale the forward value
+        assert out.lengths == (1,)
 
     def test_empty_selection_yields_zero_rows(self):
-        """An example that keeps nothing gets one padded row of zeros."""
+        """An example that keeps nothing gets no rows."""
         tokens = ad.constant(np.ones((1, 3, 2)))
         mask = SelectionMask(np.zeros((1, 3)), ad.constant(np.zeros((1, 3))),
                              np.zeros((1, 1), dtype=np.int64))
-        out = apply_ste(tokens, mask)
-        assert out.valid.tolist() == [[False]]
-        assert np.array_equal(out.tokens.data, np.zeros((1, 1, 2)))
+        out = apply_ste([tokens], mask)
+        assert out.lengths == (0,)
+        assert out.rows.shape == (0, 2)
 
     def test_length_mismatch(self):
         tokens = ad.constant(np.ones((1, 3, 2)))
         mask = SelectionMask(np.zeros((1, 2)), ad.constant(np.zeros((1, 2))),
                              np.zeros((1, 1), dtype=np.int64))
         with pytest.raises(ContractError):
-            apply_ste(tokens, mask)
+            apply_ste([tokens], mask)
+        with pytest.raises(ContractError):  # every stream is checked, not just the first
+            apply_ste([ad.constant(np.ones((1, 2, 2))), tokens], mask)
 
     def test_gradient_flows_through_soft_not_hard(self):
         tokens_np = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
         with Tape() as tape:
             s_leaf = tape.leaf(np.array([[0.6, 0.3, 0.8]]))
             mask = SelectionMask(np.array([[1.0, 0.0, 1.0]]), s_leaf, np.array([[0, 2]]))
-            out = apply_ste(ad.constant(tokens_np), mask)
-            loss = ad.mean_all(ad.square(out.tokens))
+            out = apply_ste([ad.constant(tokens_np)], mask)
+            loss = ad.mean_all(ad.square(out.rows))
             tape.backward(loss)
             grad = tape.grad(s_leaf)[0]
         # dropped token's soft weight gets no direct task gradient
@@ -281,7 +285,7 @@ class TestApplySte:
                 scores = compute_keep_probabilities(tape, tokens, pred)
                 mask = gumbel_topk_select(scores, 2, 0.5, SeededRng(99))
                 if soft_path:
-                    kept = apply_ste(tokens, mask).tokens
+                    kept = apply_ste([tokens], mask).rows
                 else:
                     kept = ad.gather_rows(tokens, mask.kept_indices)
                 loss = ad.mean_all(ad.square(kept))
@@ -291,6 +295,60 @@ class TestApplySte:
         assert run(soft_path=False) == 0.0
         assert run(soft_path=True) > 0.0
 
+    @staticmethod
+    def two_streams():
+        """Two streams [3, 4, 2] under a mask whose examples keep 2, 0 and 3
+        tokens, soft weights a tape leaf."""
+        rng = SeededRng(40)
+        streams = [rng.split(i).normals(3 * 4 * 2).reshape(3, 4, 2) for i in range(2)]
+        hard = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=float)
+        soft = rng.split(2).uniforms(12).reshape(3, 4) + 0.5
+        kept = np.array([[1, 3, 0], [0, 0, 0], [0, 1, 3]])
+        return streams, hard, soft, kept
+
+    def test_two_streams_pack_example_by_example(self):
+        """Kept counts (2, 0, 3) of two streams give lengths (4, 0, 6): each
+        example's kept tokens of stream 0, then of stream 1, in their
+        original order, bit for bit."""
+        streams, hard, soft, kept = self.two_streams()
+        mask = SelectionMask(hard, ad.constant(soft), kept)
+        out = apply_ste([ad.constant(x) for x in streams], mask)
+        assert out.lengths == (4, 0, 6)
+        v, w = streams
+        expected = np.concatenate([v[0, [1, 3]], w[0, [1, 3]], v[2, [0, 1, 3]], w[2, [0, 1, 3]]])
+        assert np.array_equal(out.rows.data, expected)
+
+    def test_two_stream_soft_gradient_is_that_of_scaling_every_token(self):
+        """The soft weights' gradient through the packed rows equals the one
+        of scaling every token of both streams by its soft weight and
+        reading the kept ones; each kept token's own gradient is its packed
+        row's, unscaled, and a dropped token's is zero."""
+        streams, hard, soft, kept = self.two_streams()
+        weights = SeededRng(41).normals(10 * 2).reshape(10, 2)
+        with Tape() as tape:
+            s = tape.leaf(soft)
+            xs = [tape.leaf(x) for x in streams]
+            out = apply_ste(xs, SelectionMask(hard, s, kept))
+            tape.backward(ad.mean_all(ad.mask_multiply(out.rows, weights)))
+            soft_grad, token_grads = tape.grad(s), [tape.grad(x) for x in xs]
+        with Tape() as tape:
+            s = tape.leaf(soft)
+            scaled = [ad.reshape(ad.scale_rows(ad.constant(x), s), (12, 2)) for x in streams]
+            parts = [ad.gather_rows(scaled[stream], rows)
+                     for rows in (np.array([1, 3]), np.array([8, 9, 11])) for stream in (0, 1)]
+            tape.backward(ad.mean_all(ad.mask_multiply(
+                functools.reduce(ad.concat_rows, parts), weights)))
+            want = tape.grad(s)
+        assert want[0].any() and want[2].any() and not want[1].any()
+        np.testing.assert_allclose(soft_grad, want, rtol=1e-14, atol=0)
+        rows = iter(weights * (1.0 / weights.size))
+        for b, positions in ((0, [1, 3]), (2, [0, 1, 3])):
+            for g in token_grads:
+                for i in positions:
+                    assert np.array_equal(g[b, i], next(rows))
+        dropped = hard == 0
+        assert not any(g[dropped].any() for g in token_grads)
+
 
 class TestReencodePositions:
     def test_compacted_rows(self):
@@ -298,27 +356,44 @@ class TestReencodePositions:
         hard = np.zeros((1, 8))
         hard[0, [2, 5, 7]] = 1.0
         mask = SelectionMask(hard, ad.constant(hard), np.array([[2, 5, 7]]))
-        rows = reencode_positions(mask, table)
-        assert np.array_equal(rows.data, [table.data[:3]])
+        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:3])
+        assert np.array_equal(reencode_positions(mask, table, 2).data,
+                              np.concatenate([table.data[:3]] * 2))
+        assert np.array_equal(original_positions(mask, table, 2).data,
+                              np.concatenate([table.data[[2, 5, 7]]] * 2))
 
     def test_identity_when_all_kept(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
         mask = SelectionMask(np.ones((1, 4)), ad.constant(np.ones((1, 4))),
                              np.arange(4)[None])
-        assert np.array_equal(reencode_positions(mask, table).data, [table.data])
+        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data)
+        assert np.array_equal(original_positions(mask, table, 1).data, table.data)
 
     def test_single_token_gets_row_zero(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
         mask = SelectionMask(np.array([[0.0, 0.0, 0.0, 1.0]]),
                              ad.constant([[0.0, 0.0, 0.0, 1.0]]), np.array([[3]]))
-        assert np.array_equal(reencode_positions(mask, table).data, [table.data[:1]])
+        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:1])
+
+    def test_packed_order_of_unequal_counts(self):
+        """Kept counts (2, 0, 3) of two streams: each example's ranks
+        0..k-1 once per stream, in apply_ste's row order."""
+        table = ad.constant(np.arange(20.0).reshape(10, 2))
+        _, hard, soft, kept = TestApplySte.two_streams()
+        mask = SelectionMask(hard, ad.constant(soft), kept)
+        ranks = [0, 1, 0, 1, 0, 1, 2, 0, 1, 2]
+        assert np.array_equal(reencode_positions(mask, table, 2).data, table.data[ranks])
+        assert np.array_equal(original_positions(mask, table, 2).data,
+                              table.data[[1, 3, 1, 3, 0, 1, 3, 0, 1, 3]])
 
     def test_capacity_error(self):
         table = ad.constant(np.zeros((2, 2)))
         mask = SelectionMask(np.ones((1, 3)), ad.constant(np.ones((1, 3))),
                              np.arange(3)[None])
         with pytest.raises(CapacityError):
-            reencode_positions(mask, table)
+            reencode_positions(mask, table, 1)
+        with pytest.raises(CapacityError):
+            original_positions(mask, table, 1)
 
 
 def mask_with_ratio(n, kept_count, soft_value=0.5):

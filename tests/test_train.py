@@ -8,7 +8,7 @@ from sparsetok.errors import ConfigError
 from sparsetok.metrics import read_metrics_csv
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
-from sparsetok.selection import KeptTokens, StrategyConfig, k_for_fraction
+from sparsetok.selection import Packed, StrategyConfig, k_for_fraction
 from sparsetok.train import (Pipeline, RunConfig, evaluate, retain_heap, train_run,
                              train_step)
 
@@ -67,13 +67,13 @@ def test_rerun_is_bit_identical(tiny_dataset, tmp_path):
 
 
 def test_multimodal_rerun_is_bit_identical(tiny_mm_dataset, tmp_path, monkeypatch):
-    """Two streams under ratio control: the kept batches are padded, so the
-    task model runs its packed rows, and a rerun writes the same bytes."""
-    padded = []
+    """Two streams under ratio control: the packed kept sequences have
+    unequal lengths, and a rerun writes the same bytes."""
+    unequal = []
     classify = Pipeline.classify
 
     def recording(self, tape, kept, mask):
-        padded.append(not kept.valid.all())
+        unequal.append(len(set(kept.lengths)) > 1)
         return classify(self, tape, kept, mask)
 
     monkeypatch.setattr(Pipeline, "classify", recording)
@@ -81,7 +81,7 @@ def test_multimodal_rerun_is_bit_identical(tiny_mm_dataset, tmp_path, monkeypatc
     for out in (out1, out2):
         train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("ratio_controlled", target_ratio=0.4),
                            out_dir=str(out)))
-    assert any(padded)
+    assert any(unequal)
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     assert (out1 / "checkpoint.stkn").read_bytes() == (out2 / "checkpoint.stkn").read_bytes()
 
@@ -100,8 +100,8 @@ def test_uniform_full_matches_no_selection_baseline(tiny_dataset):
     logits_pipeline, mask = pipeline.forward_example(tape, ex, noise_rng=None)
     assert mask.kept_count == 8
 
-    kept = KeptTokens(ad.constant(ex.tokens[None]), np.ones((1, 8), dtype=bool))
-    pos = ad.gather_rows(tape.param(pipeline.task.pos_table), np.arange(8)[None])
+    kept = Packed(ad.constant(ex.tokens), (8,))
+    pos = ad.gather_rows(tape.param(pipeline.task.pos_table), np.arange(8))
     logits_direct = pipeline.task.forward(tape, kept, pos)
     assert np.array_equal(logits_pipeline.data, logits_direct.data[0])
 
