@@ -13,15 +13,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import data
-from .autodiff import (FOURTH_ORDER, Tape, Tensor, central_difference_check,
+from .autodiff import (FOURTH_ORDER, Parameter, Tape, Tensor, central_difference_check,
                        central_differences, difference_quotients, leaf_case, perturb_each)
 from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
-from .model import Stage, TaskPerformerConfig
+from .model import TaskPerformerConfig
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, Packed, SelectionMask, StrategyConfig, apply_ste,
-                        compute_keep_probabilities, gumbel_topk_select,
-                        ratio_controlled_gate, ratio_controlled_select)
+from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
+                        compute_keep_probabilities, gumbel_topk_gate, gumbel_topk_select,
+                        ratio_controlled_gate)
+from .stages import Packed, Stage, run_stages
 from .train import Pipeline, RunConfig, Selector
 
 GRAD_TOLERANCE = 1e-4
@@ -32,7 +33,8 @@ FD_STEP = 1e-5  # the central differences of the catalog and the straight-throug
 # as accurate at a hundred times the step, and rounds a hundred times less.
 MULTIMODAL_STENCIL, MULTIMODAL_STEP = FOURTH_ORDER, 1e-3
 # the most perturbed points the multimodal suite stacks into one batch: the
-# suite's traced peak is 1.2 MiB at 64, 5.5 MiB with no bound
+# suite's traced peak (tracemalloc) is 0.9 MiB at 64, 1.7 at 128, 3.3 at 256
+# and 8.9 MiB with no bound
 STACK_REPLICAS = 64
 
 
@@ -250,7 +252,7 @@ def frozen_selector(select: Selector) -> Selector:
         tiled = lambda a: np.tile(a, (copies, 1))
         keep = tiled(base[0].hard > 0)
         hard = np.where(keep, mask.soft.data + (1.0 - tiled(base[0].soft.data)), 0.0)
-        return SelectionMask(hard, mask.soft, tiled(base[0].kept_indices))
+        return SelectionMask(hard, mask.soft)
 
     return select_frozen
 
@@ -260,7 +262,9 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants.
 
     A quadratic loss reads the tokens `apply_ste` packs, so the check runs
-    through the straight-through op training uses, on a batch of one.
+    through the straight-through op training uses, on a batch of one. Each
+    variant's gate reads the noise a fresh SeededRng(99) draws for the
+    batch, drawn once.
     """
     rng = SeededRng(seed)
     d, n = 6, 8
@@ -269,9 +273,11 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
     # large init keeps every gradient above the finite-difference noise floor
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
 
+    topk_noise = sample_standard_gumbel(SeededRng(99), n).reshape(1, n)
+    gate_noise = sample_standard_gumbel(SeededRng(99), 2 * n).reshape(1, 2, n)
     variants = [
-        ("gumbel_topk", lambda s: gumbel_topk_select(s, 3, 0.5, SeededRng(99))),
-        ("ratio_controlled", lambda s: ratio_controlled_select(s, 0.5, SeededRng(99))),
+        ("gumbel_topk", lambda s: gumbel_topk_gate(s, topk_noise, 3, 0.5)),
+        ("ratio_controlled", lambda s: ratio_controlled_gate(s, gate_noise, 0.5)),
     ]
 
     def cases(vname: str, selector: Selector) -> list[ad.Case]:
@@ -342,12 +348,16 @@ def multimodal_gradients(pipeline: Pipeline, streams: list[Tensor], labels: np.n
         return [tape.grad(p) for p in pipeline.parameters()] + [tape.grad(visual)]
 
 
-def stack(states: list) -> "Packed | Tensor":
-    """The outputs of one stage for several batches as one batch: packed
-    states end to end with their lengths in turn, or logits row blocks."""
-    if isinstance(states[0], Packed):
+def stack(states: list):
+    """The states of several batches at one stage as one batch: packed rows
+    end to end with their lengths in turn, tensors along their first axis,
+    tuples and lists component by component."""
+    first = states[0]
+    if isinstance(first, Packed):
         return Packed(ad.constant(np.concatenate([s.rows.data for s in states])),
                       sum((s.lengths for s in states), ()))
+    if isinstance(first, (tuple, list)):
+        return type(first)(stack(list(parts)) for parts in zip(*states))
     return ad.constant(np.concatenate([s.data for s in states]))
 
 
@@ -362,62 +372,61 @@ def replica_losses(stages: list[Stage], state, labels: np.ndarray) -> np.ndarray
     return losses.reshape(copies, labels.size).mean(axis=1)
 
 
+def keeping_base_rows(select: Selector) -> Selector:
+    """`select`, refusing a stack of batches that does not keep, in every
+    copy, the rows its first call, the base batch, kept."""
+    base: list[np.ndarray] = []
+
+    def checked(s: Tensor) -> SelectionMask:
+        mask = select(s)
+        keep = mask.hard != 0
+        if not base:
+            base.append(keep)
+        elif not np.array_equal(keep, np.tile(base[0], (len(keep) // len(base[0]), 1))):
+            raise ContractError(f"perturbed points keep rows {mask.kept_count.tolist()}, "
+                                f"the base point {base[0].sum(axis=1).tolist()} each")
+        return mask
+
+    return checked
+
+
 def stacked_central_differences(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
                                 select: Selector) -> Iterator[np.ndarray]:
     """The finite differences (`MULTIMODAL_STENCIL`) of the pipeline's loss
     wrt each of `multimodal_arrays`, in order, after the selector's kept set
     is fixed.
 
-    Each perturbed point of an array runs only the first stage that reads
-    the array; the points' outputs are stacked along the batch axis and the
-    later stages run once on the stack. A task parameter's first stage is
-    the task-model stage that names it (`TaskPerformer.stages`), run on the
-    base point's state. The context and scorer parameters and the visual
-    tokens are read first by `Pipeline.keep_probabilities`; the stack of
-    each point's keep probabilities and visual tokens is then selected,
-    packed (`apply_ste`) and embedded at once, and the frozen selector keeps the base
-    point's rows in every copy. Nothing is recorded: the pipeline reads the
-    parameter values and the visual array themselves, so the in-place
-    perturbations reach it.
+    One loop serves every array: the pipeline's stages
+    (`Pipeline.stages`), after a first stage that reads the visual tokens,
+    run once at the base point; then each perturbed point of an array runs
+    only the stages from the first to the last that name it, from the base
+    point's state: for most arrays the one op that reads it. The points'
+    states are stacked along the batch axis (`stack`, at most
+    `STACK_REPLICAS` a stack) and the later stages run once on the stack;
+    the frozen selector keeps the base point's rows in every copy, and a
+    stack that keeps other rows is refused. Nothing is recorded: the stages
+    read the parameter values and the visual array themselves, so the
+    in-place perturbations reach them.
     """
-    kept, mask = pipeline.sparsify(Tape(), streams, select)
-    stages = pipeline.task.stages()
-
-    def model_input(kept, mask):  # read again at each point: pos_table may be perturbed
-        return kept, pipeline.positions(Tape(), mask)
-
-    base = [model_input(kept, mask)]  # the base point's state entering each stage
+    visual = Parameter("visual_tokens", streams[0].data)  # the very array perturbed
+    stages = [Stage("visual_tokens", (visual,), lambda tape, _: [
+                  ad.constant(visual.value.copy()), *streams[1:]]),
+              *pipeline.stages(keeping_base_rows(select))]
+    base = [None]  # the base point's state entering each stage
     for stage in stages[:-1]:
         base.append(stage.run(Tape(), base[-1]))
 
-    def embedded(points: list[tuple[Tensor, np.ndarray]]) -> Packed:
-        """embed's output for the stack of points, each its keep
-        probabilities and visual tokens."""
-        copies = len(points)
-        s = ad.constant(np.concatenate([scores.data for scores, _ in points]))
-        tokens = [ad.constant(np.concatenate([visual for _, visual in points]))]
-        tokens += [ad.constant(np.tile(t.data, (copies, 1, 1))) for t in streams[1:]]
-        mask = select(s)
-        state = stages[0].run(Tape(), model_input(apply_ste(tokens, mask), mask))
-        if state.lengths != base[1].lengths * copies:
-            raise ContractError(f"perturbed points keep rows {state.lengths}, "
-                                f"the base point {base[1].lengths} each")
-        return state
-
-    def numeric(array: np.ndarray, point: Callable, first: int, stacked: Callable) -> np.ndarray:
-        points = [point() for _ in perturb_each(array, MULTIMODAL_STEP, MULTIMODAL_STENCIL)]
-        losses = [replica_losses(stages[first + 1:], stacked(points[i:i + STACK_REPLICAS]),
-                                 labels) for i in range(0, len(points), STACK_REPLICAS)]
-        return difference_quotients(np.concatenate(losses), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
-
-    task = pipeline.task.parameters()
-    for p in task:
-        first = next(i for i, stage in enumerate(stages) if p in stage.parameters)
-        yield numeric(p.value, lambda: stages[first].run(
-            Tape(), model_input(kept, mask) if first == 0 else base[first]), first, stack)
-    for _, array in multimodal_arrays(pipeline, streams)[len(task):]:
-        yield numeric(array, lambda: (pipeline.keep_probabilities(Tape(), streams),
-                                      streams[0].data.copy()), 0, embedded)
+    for _, array in multimodal_arrays(pipeline, streams):
+        reading = [i for i, stage in enumerate(stages)
+                   if any(p.value is array for p in stage.parameters)]
+        first, end = reading[0], reading[-1] + 1
+        points = (run_stages(Tape(), stages[first:end], base[first])
+                  for _ in perturb_each(array, MULTIMODAL_STEP, MULTIMODAL_STENCIL))
+        # each stack runs as soon as it is full, while the array is still
+        # perturbed: the stages after `end` do not read it
+        losses = [replica_losses(stages[end:], stack(chunk), labels)
+                  for chunk in iter(lambda: list(itertools.islice(points, STACK_REPLICAS)), [])]
+        yield difference_quotients(np.concatenate(losses), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
 
 
 def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:

@@ -9,19 +9,21 @@ the kept tokens as [R, d] rows, example by example, R = sum of the kept
 counts. So every projection, norm and the mean pool pays for the rows kept;
 only `attention` pads, inside the op.
 
-The forward is a chain of stages (`TaskPerformer.stages`): embed, then an
-attention and a feed-forward sublayer per block, then the head. Each stage
-names the parameters it reads, and every stage after embed maps a `Packed`
-state, the rows and the lengths of its sequences, to the next. No stage
-mixes sequences, so the states of many batches can be stacked end to end
-and run through the later stages at once: the multimodal gradient check
-runs each parameter's perturbed states that way.
+The forward is a list of one-op stages (`TaskPerformer.stages`, see
+`stages`): embed (the null token's position and row for an example that
+keeps nothing, then the input projection plus the positions), per block a
+norm, the q | k | v projection, attention and the output projection with
+its residual add, then a norm, the two feed-forward projections with gelu
+between them and the residual add, and last the final norm, the mean pool
+and the head's projection. Each stage names the parameters its first op
+reads. No stage mixes sequences, so the states of many batches can be
+stacked end to end and run through the later stages at once: the
+multimodal gradient check runs each parameter's perturbed states that way.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import CapacityError, ContractError
 from .rng import SeededRng
-from .selection import Packed
+from .stages import (Packed, Stage, beside, branch, norm, projection, residual, rowwise,
+                     run_stages)
 
 CHECKPOINT_MAGIC = b"STKN"
 CHECKPOINT_VERSION = 2
@@ -51,25 +54,18 @@ class TaskPerformerConfig:
             raise ContractError("d_model must be divisible by heads")
 
 
-class Stage(NamedTuple):
-    """One step of `TaskPerformer.forward`: run(tape, state) is the next
-    state, reading no model parameter but `parameters`."""
-
-    name: str
-    parameters: tuple[Parameter, ...]
-    run: Callable
-
-
 class MultiHeadAttention:
     """Bidirectional multi-head self-attention with a learned output bias.
 
     All heads share one [d, 3d] projection to q | k | v (each block
     head-major) and one [d, d] output projection, whose row block h reads
     head h's context; the attention itself is the one `attention` tape op,
-    so a forward is three ops: `matmul`, `attention`, `linear`.
+    so a forward is three ops and three stages: `matmul`, `attention`,
+    `linear`.
     """
 
     def __init__(self, prefix: str, d: int, heads: int):
+        self.prefix = prefix
         self.d = d
         self.heads = heads
         self.wqkv = Parameter(f"{prefix}.wqkv", np.zeros((d, 3 * d)))
@@ -93,17 +89,23 @@ class MultiHeadAttention:
         self.wqkv.value = np.concatenate([block(i, (d, dk)) for i in range(3 * heads)], axis=1)
         self.wo.value = np.concatenate([block(3 * heads + h, (dk, d)) for h in range(heads)])
 
-    def forward(self, tape: ad.Tape, x: Tensor, lengths: tuple[int, ...]) -> Tensor:
-        """Attention within each sequence of x [R, d], whose rows are
-        sequences of `lengths` rows packed one after another."""
-        qkv = ad.matmul(x, tape.param(self.wqkv))
-        context = ad.attention(qkv, lengths, self.heads)
-        return ad.linear(context, tape.param(self.wo), tape.param(self.bo))
+    def stages(self) -> list[Stage]:
+        """Attention within each sequence of packed rows [R, d], to packed
+        rows [R, d]."""
+        return [Stage(f"{self.prefix}.qkv", (self.wqkv,), self.project),
+                Stage(f"{self.prefix}.attention", (), self.attend),
+                projection(f"{self.prefix}.out", self.wo, self.bo)]
+
+    def project(self, tape: ad.Tape, x: Packed) -> Packed:
+        return Packed(ad.matmul(x.rows, tape.param(self.wqkv)), x.lengths)
+
+    def attend(self, tape: ad.Tape, qkv: Packed) -> Packed:
+        return Packed(ad.attention(qkv.rows, qkv.lengths, self.heads), qkv.lengths)
 
 
 class AttentionBlock:
     """One pre-norm encoder block: multi-head self-attention + feed-forward,
-    two stages of the task model."""
+    each a residual sublayer."""
 
     def __init__(self, prefix: str, d: int, heads: int, ff_mult: int):
         ff = ff_mult * d
@@ -120,11 +122,17 @@ class AttentionBlock:
         self.ff_b2 = p(f"{prefix}.ff.b2", np.zeros(d))
 
     def stages(self) -> list[Stage]:
-        return [Stage(f"{self.prefix}.attention",
-                      (self.ln1_g, self.ln1_b, *self.attn.parameters()), self.attend),
-                Stage(f"{self.prefix}.feed_forward",
-                      (self.ln2_g, self.ln2_b, self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2),
-                      self.feed_forward)]
+        """The two sublayers on the packed stream: each norms the stream into
+        a branch beside it, runs the branch, and adds the branch's last
+        projection back to the stream."""
+        p = self.prefix
+        *attention, out = self.attn.stages()
+        return [branch(norm(f"{p}.ln1", self.ln1_g, self.ln1_b)),
+                *map(beside, attention), residual(out),
+                branch(norm(f"{p}.ln2", self.ln2_g, self.ln2_b)),
+                beside(projection(f"{p}.ff.w1", self.ff_w1, self.ff_b1)),
+                beside(rowwise(f"{p}.ff.gelu", ad.gelu)),
+                residual(projection(f"{p}.ff.w2", self.ff_w2, self.ff_b2))]
 
     def parameters(self) -> list[Parameter]:
         return [p for stage in self.stages() for p in stage.parameters]
@@ -133,19 +141,6 @@ class AttentionBlock:
         self.attn.init(rng.split(0), stddev)
         for i, w in enumerate((self.ff_w1, self.ff_w2)):
             w.value = rng.split(1, i).normals(w.value.size, 0.0, stddev).reshape(w.shape)
-
-    def attend(self, tape: ad.Tape, state: Packed) -> Packed:
-        """The attention sublayer with its residual, within each sequence."""
-        h = ad.layer_norm(state.rows, tape.param(self.ln1_g), tape.param(self.ln1_b))
-        return Packed(ad.add(state.rows, self.attn.forward(tape, h, state.lengths)),
-                      state.lengths)
-
-    def feed_forward(self, tape: ad.Tape, state: Packed) -> Packed:
-        """The feed-forward sublayer with its residual, row by row."""
-        h = ad.layer_norm(state.rows, tape.param(self.ln2_g), tape.param(self.ln2_b))
-        h = ad.gelu(ad.linear(h, tape.param(self.ff_w1), tape.param(self.ff_b1)))
-        return Packed(ad.add(state.rows, ad.linear(h, tape.param(self.ff_w2),
-                                                   tape.param(self.ff_b2))), state.lengths)
 
 
 class TaskPerformer:
@@ -164,55 +159,73 @@ class TaskPerformer:
         self.ln_f_b = Parameter("task.lnf.bias", np.zeros(c.d_model))
         self.head_w = Parameter("task.head.w", np.zeros((c.d_model, c.num_classes)))
         self.head_b = Parameter("task.head.b", np.zeros(c.num_classes))
+        # built once: the stages hold the Parameter objects, whose values
+        # change by assignment, and each forward runs them all
+        self._stages = self._build_stages()
 
     def parameters(self) -> list[Parameter]:
-        return [p for stage in self.stages() for p in stage.parameters]
+        return [self.in_w, self.in_b, self.pos_table, self.null_token,
+                *(p for block in self.blocks for p in block.parameters()),
+                self.ln_f_g, self.ln_f_b, self.head_w, self.head_b]
 
     def stages(self) -> list[Stage]:
-        """The forward in order: embed, each block's two sublayers, head.
-        Embed takes (kept tokens, positional rows) and the head gives the
-        [B, C] logits; the states between are `Packed`. Embed names
-        pos_table too: its positional rows are rows of that table."""
-        out = [Stage("embed", (self.in_w, self.in_b, self.pos_table, self.null_token),
-                     self.embed)]
+        """The forward in order, from (kept tokens, positional rows) to the
+        [B, C] logits: embed's three stages, each block's, and the head's
+        three. The states between are `Packed`, or a block's (stream,
+        branch). `Pipeline.positions` reads pos_table for the positional
+        rows; the null position names it again."""
+        return list(self._stages)
+
+    def _build_stages(self) -> list[Stage]:
+        out = [Stage("task.null_position", (self.pos_table,), self.null_position),
+               Stage("task.null_token", (self.null_token,), self.null_row),
+               Stage("task.in", (self.in_w, self.in_b), self.project_input)]
         for block in self.blocks:
             out += block.stages()
-        out.append(Stage("head", (self.ln_f_g, self.ln_f_b, self.head_w, self.head_b),
-                         self.head))
-        return out
+        return out + [norm("task.lnf", self.ln_f_g, self.ln_f_b),
+                      Stage("task.pool", (), lambda tape, x: ad.segment_mean(x.rows, x.lengths)),
+                      Stage("task.head", (self.head_w, self.head_b), self.head)]
 
     def forward(self, tape: ad.Tape, kept: Packed, positional_rows: Tensor) -> Tensor:
         """Class logits [B, C] for compacted sequences: the kept tokens
         packed by `apply_ste`, rows [R, d_in], with their positional rows
         [R, d_model]; every stage in turn."""
-        state = (kept, positional_rows)
-        for stage in self.stages():
-            state = stage.run(tape, state)
-        return state
+        return run_stages(tape, self._stages, (kept, positional_rows))
 
-    def embed(self, tape: ad.Tape, inputs: tuple[Packed, Tensor]) -> Packed:
-        """The packed rows of the input projection plus the positions.
+    # An example with no kept token gets one row: the learned null token at
+    # positional table row 0, so an empty selection still produces finite,
+    # trainable logits.
 
-        A sequence with no kept token gets one row: the learned null token
-        at positional table row 0, so an empty selection still produces
-        finite, trainable logits.
-        """
+    def null_position(self, tape: ad.Tape,
+                      inputs: tuple[Packed, Tensor]) -> tuple[Packed, Tensor]:
+        """Positional table row 0 inserted for each example that keeps
+        nothing."""
         kept, positions = inputs
-        c = self.config
-        if max(kept.lengths) > c.max_len:
-            raise CapacityError(f"sequence of {max(kept.lengths)} exceeds max_len {c.max_len}")
+        if max(kept.lengths) > self.config.max_len:
+            raise CapacityError(f"sequence of {max(kept.lengths)} exceeds max_len "
+                                f"{self.config.max_len}")
         if 0 in kept.lengths:
             table_row0 = ad.gather_rows(tape.param(self.pos_table), np.zeros(1, dtype=np.int64))
             positions = Packed(positions, kept.lengths).fill_empty(table_row0).rows
-            kept = kept.fill_empty(ad.reshape(tape.param(self.null_token), (1, c.d_in)))
+        return kept, positions
+
+    def null_row(self, tape: ad.Tape, inputs: tuple[Packed, Tensor]) -> tuple[Packed, Tensor]:
+        """The null token inserted for each example that keeps nothing."""
+        kept, positions = inputs
+        if 0 in kept.lengths:
+            kept = kept.fill_empty(ad.reshape(tape.param(self.null_token),
+                                              (1, self.config.d_in)))
+        return kept, positions
+
+    def project_input(self, tape: ad.Tape, inputs: tuple[Packed, Tensor]) -> Packed:
+        """The packed rows of the input projection plus the positions."""
+        kept, positions = inputs
         rows = ad.add(ad.linear(kept.rows, tape.param(self.in_w), tape.param(self.in_b)),
                       positions)
         return Packed(rows, kept.lengths)
 
-    def head(self, tape: ad.Tape, state: Packed) -> Tensor:
-        """Logits [B, C]: final norm, the mean of each sequence's rows, linear."""
-        x = ad.layer_norm(state.rows, tape.param(self.ln_f_g), tape.param(self.ln_f_b))
-        pooled = ad.segment_mean(x, state.lengths)
+    def head(self, tape: ad.Tape, pooled: Tensor) -> Tensor:
+        """Logits [B, C] of each sequence's pooled row, [B, d_model]."""
         return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
 
 

@@ -3,7 +3,8 @@
 A single attention block over the concatenated visual+textual sequence
 produces one unified vector per index (sum of the two slot outputs), which is
 scored exactly like a single-modality sequence; `train.Pipeline` applies the
-resulting mask to both streams so kept tokens stay time-aligned pairs.
+resulting mask to both streams so kept tokens stay time-aligned pairs. The
+fusion is a list of one-op stages (`ContextModel.stages`, see `stages`).
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .errors import ShapeError
 from .model import MultiHeadAttention
 from .rng import SeededRng
 from .selection import index_grid
+from .stages import Packed, Stage, run_stages
 
 
 class ContextModel:
@@ -35,9 +37,21 @@ class ContextModel:
         self.attn.init(rng, stddev)
         return self
 
+    def stages(self) -> list[Stage]:
+        """The fusion in order, from the streams (visual, textual) to u:
+        the joint sequences as packed rows, the attention's three stages,
+        then the sum of each index's two slots."""
+        return [Stage("context.join", (), self.join), *self.attn.stages(),
+                Stage("context.slots", (), self.slots)]
+
     def fuse(self, tape: ad.Tape, visual: Tensor, textual: Tensor) -> Tensor:
         """Unified u_1..u_n [B, n, d] from the concatenated (visual; textual)
         sequences, both [B, n, d]."""
+        return run_stages(tape, self.stages(), (visual, textual))
+
+    def join(self, tape: ad.Tape, streams: tuple[Tensor, Tensor]) -> Packed:
+        """The B sequences (visual; textual) of 2n rows each, packed."""
+        visual, textual = streams
         if visual.shape != textual.shape or visual.data.ndim != 3:
             raise ShapeError(f"context model pairs two [B, n, d] streams, got "
                              f"{visual.shape} and {textual.shape}")
@@ -45,7 +59,11 @@ class ContextModel:
             raise ShapeError(f"context model expects width {self.d}, got {visual.shape[-1]}")
         batch, n, d = visual.shape
         joint = ad.concat_rows(visual, textual)
-        out = self.attn.forward(tape, ad.reshape(joint, (batch * 2 * n, d)), (2 * n,) * batch)
-        out = ad.reshape(out, joint.shape)
-        return ad.add(ad.gather_rows(out, index_grid((batch, n))),
-                      ad.gather_rows(out, index_grid((batch, n), n)))
+        return Packed(ad.reshape(joint, (batch * 2 * n, d)), (2 * n,) * batch)
+
+    def slots(self, tape: ad.Tape, out: Packed) -> Tensor:
+        """u [B, n, d]: each index's visual slot plus its textual slot."""
+        batch, n = len(out.lengths), out.lengths[0] // 2
+        joint = ad.reshape(out.rows, (batch, 2 * n, self.d))
+        return ad.add(ad.gather_rows(joint, index_grid((batch, n))),
+                      ad.gather_rows(joint, index_grid((batch, n), n)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .autodiff import Parameter, Tensor
 from .errors import ContractError, CapacityError, ShapeError
 from .gumbel import sample_standard_gumbel
 from .rng import SeededRng
+from .stages import Packed, Stage, projection, rowwise, run_stages
 
 STRATEGY_KINDS = ("gumbel_topk", "ratio_controlled", "deterministic_topk", "uniform_fixed")
 
@@ -97,27 +97,33 @@ class KeepProbPredictor:
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def logits(self, tape: ad.Tape, tokens: Tensor) -> Tensor:
-        """[B*n, 2] logits for tokens [B, n, d] (rows example-major)."""
+    def stages(self) -> list[Stage]:
+        """Tokens [B, n, d] to keep probabilities s [B, n] (see `stages`):
+        the tokens as packed rows, n per example, the two layers with gelu
+        between them, giving [B*n, 2] logits, then the keep entry of each
+        row's softmax."""
+        return [Stage("scorer.rows", (), self.rows),
+                projection("scorer.hidden", self.w1, self.b1),
+                rowwise("scorer.gelu", ad.gelu),
+                projection("scorer.logits", self.w2, self.b2),
+                Stage("scorer.keep", (), lambda tape, logits: _keep_entry(
+                    logits.rows, 1.0, (len(logits.lengths), logits.lengths[0])))]
+
+    def rows(self, tape: ad.Tape, tokens: Tensor) -> Packed:
+        """Tokens [B, n, d] as B packed sequences of n rows."""
         if tokens.data.ndim != 3 or tokens.shape[-1] != self.d:
             raise ShapeError(f"predictor expects tokens [B, n, {self.d}], got {tokens.shape}")
-        tokens = ad.reshape(tokens, (tokens.data.size // self.d, self.d))
-        h = ad.gelu(ad.linear(tokens, tape.param(self.w1), tape.param(self.b1)))
-        return ad.linear(h, tape.param(self.w2), tape.param(self.b2))
+        batch, n, d = tokens.shape
+        return Packed(ad.reshape(tokens, (batch * n, d)), (n,) * batch)
 
 
 @dataclass
 class SelectionMask:
-    """Hard 0/1 selection with the relaxed weights that carry gradients.
+    """Hard 0/1 selection with the relaxed weights that carry gradients,
+    both [B, n]."""
 
-    hard and soft are [B, n], and row b of kept_indices [B, L] holds example
-    b's kept positions in increasing order, padded with 0 up to L, the largest
-    kept count in the batch (at least 1).
-    """
-
-    hard: np.ndarray          # float 0/1
+    hard: np.ndarray  # float 0/1
     soft: Tensor
-    kept_indices: np.ndarray  # int64
 
     @property
     def n(self) -> int:
@@ -125,7 +131,8 @@ class SelectionMask:
 
     @property
     def kept_count(self):
-        """Kept tokens per example, [B] (one count for a squeezed mask)."""
+        """Kept tokens per example, [B]; one count for the [n] mask of
+        `squeeze`."""
         return np.count_nonzero(self.hard, axis=-1)
 
     @property
@@ -134,24 +141,18 @@ class SelectionMask:
 
     def kept_in(self, b: int) -> np.ndarray:
         """Example b's kept positions, strictly increasing."""
-        return self.kept_indices[b, :self.kept_count[b]]
+        return np.flatnonzero(self.hard[b])
 
     def squeeze(self) -> "SelectionMask":
-        """The one-sequence mask of a batch of one: hard and soft [n],
-        kept_indices [K']."""
+        """The one-sequence mask of a batch of one: hard and soft [n]."""
         if self.hard.shape[0] != 1:
             raise ContractError(f"squeeze needs a batch of one, got {self.hard.shape[0]}")
-        return SelectionMask(self.hard[0], ad.reshape(self.soft, (self.n,)), self.kept_in(0))
+        return SelectionMask(self.hard[0], ad.reshape(self.soft, (self.n,)))
 
 
 def _mask_from_keep(keep: np.ndarray, soft: Tensor) -> SelectionMask:
     """SelectionMask from a boolean keep array [B, n]."""
-    counts = keep.sum(axis=1)
-    width = max(1, int(counts.max()))
-    # a stable sort of "not kept" lists each row's kept positions first, in order
-    kept = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-    kept[np.arange(width) >= counts[:, None]] = 0
-    return SelectionMask(keep.astype(np.float64), soft, kept)
+    return SelectionMask(keep.astype(np.float64), soft)
 
 
 def _keep_entry(logits: Tensor, tau: float, shape: tuple) -> Tensor:
@@ -164,8 +165,8 @@ def _keep_entry(logits: Tensor, tau: float, shape: tuple) -> Tensor:
 def compute_keep_probabilities(tape: ad.Tape, tokens: Tensor,
                                predictor: KeepProbPredictor) -> Tensor:
     """Keep probabilities s [B, n] of tokens [B, n, d]: softmax the 2-dim
-    predictor output, keep entry 0."""
-    return _keep_entry(predictor.logits(tape, tokens), 1.0, tokens.shape[:-1])
+    predictor output, keep entry 0; every stage of the predictor."""
+    return run_stages(tape, predictor.stages(), tokens)
 
 
 def _width(s: Tensor) -> int:
@@ -202,7 +203,14 @@ def gumbel_topk_select(s: Tensor, k: int, tau: float, rng: SeededRng) -> Selecti
     sees the values it would see if the examples ran one at a time.
     """
     _check_k(k, _width(s))
-    g = sample_standard_gumbel(rng, s.data.size).reshape(s.shape)
+    return gumbel_topk_gate(s, sample_standard_gumbel(rng, s.data.size).reshape(s.shape), k, tau)
+
+
+def gumbel_topk_gate(s: Tensor, g: np.ndarray, k: int, tau: float) -> SelectionMask:
+    """`gumbel_topk_select` at given noise g [B, n]."""
+    _check_k(k, _width(s))
+    if g.shape != s.shape:
+        raise ShapeError(f"top-K noise {g.shape} does not match keep probabilities {s.shape}")
     keep = _top_k_keep(np.log(np.maximum(s.data, _TINY)) + g, k)
     perturbed = ad.add(_log_s(s), ad.constant(g))
     soft = ad.softmax_with_temperature(perturbed, axis=-1, tau=tau)
@@ -283,23 +291,6 @@ def run_strategy(s: Tensor, strategy: StrategyConfig, rng: SeededRng) -> Selecti
     if strategy.kind == "deterministic_topk":
         return deterministic_topk_select(s, strategy.k)
     raise ContractError(f"{strategy.kind} reads no keep probabilities")
-
-
-class Packed(NamedTuple):
-    """The rows of B sequences packed one after another, example by example:
-    rows [R, d], R = sum(lengths)."""
-
-    rows: Tensor
-    lengths: tuple[int, ...]
-
-    def fill_empty(self, filler: Tensor) -> "Packed":
-        """The same sequences, each empty one given the one row `filler`
-        [1, d] in its place."""
-        counts = np.array(self.lengths)
-        at = (np.cumsum(counts) - counts)[counts == 0]
-        rows = np.insert(np.arange(self.rows.shape[0]), at, self.rows.shape[0])
-        return Packed(ad.gather_rows(ad.concat_rows(self.rows, filler), rows),
-                      tuple(np.maximum(counts, 1).tolist()))
 
 
 def _packed_keep(mask: SelectionMask, streams: int) -> np.ndarray:

@@ -24,10 +24,11 @@ from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformerConfig, init_parameters, save_checkpoint
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, Packed, SelectionMask, StrategyConfig, apply_ste,
+from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
                         compute_keep_probabilities, inference_k_for, inference_rank_topk,
                         original_positions, reencode_positions, run_strategy,
                         selection_loss, total_loss)
+from .stages import Packed, Stage, beside
 
 # stream labels under the run seed
 _L_INIT_TASK, _L_INIT_SCORER, _L_INIT_CONTEXT = 0, 1, 2
@@ -147,20 +148,27 @@ class Pipeline:
 
     def sparsify(self, tape: Tape, streams: list[Tensor],
                  select: Selector) -> tuple[Packed, SelectionMask]:
-        """The first stage: the kept tokens packed by `apply_ste` (every
-        stream's rows, example by example) and the batch's selection mask,
-        which all streams share.
+        """The first half of the forward: the kept tokens packed by
+        `apply_ste` (every stream's rows, example by example) and the
+        batch's selection mask, which all streams share.
 
         streams are [B, n, d], one per stream of the run; `select` turns the
         batch's keep probabilities into its mask (unused by uniform_fixed,
         which has no scorer). Reads no task parameter.
         """
+        scores = self.keep_probabilities(tape, streams) if self.needs_scorer else None
+        return self.pack(streams, scores, select)
+
+    def pack(self, streams: list[Tensor], scores: Tensor | None,
+             select: Selector) -> tuple[Packed, SelectionMask]:
+        """`sparsify` from the keep probabilities: the mask `select` makes of
+        them, or uniform_fixed's, and the kept tokens."""
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
             from .selection import uniform_fixed_select
             mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
-            mask = select(self.keep_probabilities(tape, streams))
+            mask = select(scores)
         return apply_ste(streams, mask), mask
 
     def keep_probabilities(self, tape: Tape, streams: list[Tensor]) -> Tensor:
@@ -174,6 +182,30 @@ class Pipeline:
         """The second stage: class logits [B, C] of the kept tokens, and the
         mask passed through. Reads only task parameters."""
         return self.task.forward(tape, kept, self.positions(tape, mask)), mask
+
+    def stages(self, select: Selector) -> list[Stage]:
+        """`forward_batch` as one list of one-op stages (see `stages`), from
+        the streams to the logits [B, C]: the keep-probability stages
+        (`ContextModel.stages`, then `KeepProbPredictor.stages`) with the
+        streams carried beside them, selection with `apply_ste`, the
+        positional rows, then `TaskPerformer.stages`.
+
+        The states: the streams; (streams, the keep-probability stages'
+        state); (kept, mask) after selection; (kept, positional rows), and
+        the task model's states after that.
+        """
+        keep: list[Stage] = []
+        if self.context is not None:
+            keep += self.context.stages()
+        if self.scorer is not None:
+            keep += self.scorer.stages()
+        return [Stage("streams", (), lambda tape, streams: (
+                    streams, streams if self.context is not None else streams[0])),
+                *map(beside, keep),
+                Stage("selection", (), lambda tape, state: self.pack(*state, select)),
+                Stage("positions", (self.task.pos_table,), lambda tape, state: (
+                    state[0], self.positions(tape, state[1]))),
+                *self.task.stages()]
 
     def forward_batch(self, tape: Tape, streams: list[Tensor],
                       select: Selector) -> tuple[Tensor, SelectionMask]:

@@ -71,8 +71,7 @@ def test_task_model_step_pays_for_the_rows_kept():
     masks = {}
     for name, kept_counts in counts.items():
         keep = np.arange(32) < kept_counts[:, None]
-        masks[name] = SelectionMask(keep.astype(float), ad.constant(np.ones((32, 32))),
-                                    np.where(keep, np.arange(32), 0))
+        masks[name] = SelectionMask(keep.astype(float), ad.constant(np.ones((32, 32))))
 
     def step(mask):
         with Tape() as tape:

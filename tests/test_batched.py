@@ -141,16 +141,6 @@ def test_ratio_gate_takes_keep_noise_then_drop_noise():
         assert np.array_equal(mask.hard[b], expected.astype(float))
 
 
-def test_batched_mask_pads_kept_indices_with_zero():
-    s = _keep_probabilities(SeededRng(4), 5, 6)
-    mask = ratio_controlled_select(ad.constant(s), 0.4, SeededRng(2))
-    counts = mask.kept_count
-    assert mask.kept_indices.shape == (5, max(1, counts.max()))
-    for b, c in enumerate(counts):
-        assert np.all(mask.kept_indices[b, c:] == 0)
-        assert np.all(np.diff(mask.kept_in(b)) > 0)
-
-
 def test_gumbel_max_rows_match_one_row_calls():
     p = np.array([0.1, 0.0, 0.6, 0.3])
     picks = gumbel_max_sample(np.tile(p, (50, 1)), SeededRng(5))

@@ -10,6 +10,7 @@ from sparsetok.model import (CHECKPOINT_VERSION, MultiHeadAttention, TaskPerform
 from sparsetok.rng import SeededRng
 from sparsetok.selection import (Packed, SelectionMask, StrategyConfig, apply_ste,
                                  original_positions, reencode_positions)
+from sparsetok.stages import run_stages
 from sparsetok.train import Pipeline, RunConfig
 
 SMALL = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=1, max_len=10,
@@ -111,15 +112,11 @@ PACKED = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=2, max_len=10,
                              num_classes=3, ff_mult=2)
 
 
-def leading_mask(counts, n: int, pad: int = 0) -> SelectionMask:
+def leading_mask(counts, n: int) -> SelectionMask:
     """The mask that keeps each example's first counts[b] of n tokens, soft
-    weights one, kept_indices padded with `pad`."""
-    counts = np.array(counts)
-    width = max(1, counts.max())
-    slots = np.arange(width) < counts[:, None]
-    keep = np.arange(n) < counts[:, None]
-    return SelectionMask(keep.astype(float), ad.constant(np.ones(keep.shape)),
-                         np.where(slots, np.arange(width), pad))
+    weights one."""
+    keep = np.arange(n) < np.array(counts)[:, None]
+    return SelectionMask(keep.astype(float), ad.constant(np.ones(keep.shape)))
 
 
 def forward_and_gradients(model, tokens, mask, labels, weights, encode=reencode_positions):
@@ -172,8 +169,7 @@ def test_packed_forward_matches_each_example_alone(counts):
 
 
 def test_padded_row_values_never_reach_logits_or_gradients():
-    """New values in the dropped tokens, and another padding of the mask's
-    kept_indices past each kept count, leave the logits and every gradient
+    """New values in the dropped tokens leave the logits and every gradient
     bit-identical, under either positional encoding."""
     model = init_parameters(PACKED, SeededRng(32), stddev=0.5)
     counts, n = [4, 1, 0, 2], 6
@@ -186,8 +182,7 @@ def test_padded_row_values_never_reach_logits_or_gradients():
     assert not np.array_equal(other_tokens, tokens)
     for encode in (reencode_positions, original_positions):
         base = forward_and_gradients(model, tokens, mask, labels, weights, encode)
-        moved = forward_and_gradients(model, other_tokens, leading_mask(counts, n, pad=n - 1),
-                                      labels, weights, encode)
+        moved = forward_and_gradients(model, other_tokens, mask, labels, weights, encode)
         assert np.array_equal(moved[0], base[0])
         for got, want in zip(moved[1], base[1]):
             assert np.array_equal(got, want)
@@ -208,9 +203,11 @@ def test_embed_gives_an_empty_example_the_null_token_at_table_row_0(positions):
     streams = [rng.split(i).normals(4 * 4 * 5).reshape(4, 4, 5) for i in range(2)]
     hard = np.zeros((4, 4))
     hard[0, [1, 3]] = hard[3, 2] = 1.0
-    mask = SelectionMask(hard, ad.constant(hard), np.array([[1, 3], [0, 0], [0, 0], [2, 0]]))
+    mask = SelectionMask(hard, ad.constant(hard))
     kept = apply_ste([ad.constant(x) for x in streams], mask)
-    state = task.embed(Tape(), (kept, pipeline.positions(Tape(), mask)))
+    state = run_stages(Tape(), task.stages()[:3], (kept, pipeline.positions(Tape(), mask)))
+    assert [stage.name for stage in task.stages()[:3]] == [
+        "task.null_position", "task.null_token", "task.in"]
     assert kept.lengths == (4, 0, 0, 2)
     assert state.lengths == (4, 1, 1, 2)
     v, w = streams
@@ -223,41 +220,164 @@ def test_embed_gives_an_empty_example_the_null_token_at_table_row_0(positions):
     np.testing.assert_allclose(state.rows.data, expected, rtol=1e-13, atol=1e-15)
 
 
+def state_bytes(state) -> list:
+    """Every array, shape and length of a stage's state, in order: equal
+    lists are equal states, byte for byte."""
+    if isinstance(state, Packed):
+        return [state.rows.data.tobytes(), state.rows.shape, state.lengths]
+    if isinstance(state, SelectionMask):
+        return [state.hard.tobytes(), state.soft.data.tobytes(), state.hard.shape]
+    if isinstance(state, (tuple, list)):
+        return [part for component in state for part in state_bytes(component)]
+    return [state.data.tobytes(), state.shape]
+
+
+def assert_stages_read_what_they_name(stages, parameters, state) -> None:
+    """Each stage in turn, from `state`: new values in every parameter it
+    does not name leave its output bit-identical, and new values in the
+    ones it names, if any, move it."""
+    for stage in stages:
+        out = state_bytes(stage.run(Tape(), state))
+        others = [p for p in parameters if p not in stage.parameters]
+        trials = [(others, True)] + ([(stage.parameters, False)] if stage.parameters else [])
+        for moved, same in trials:
+            saved = [p.value for p in moved]
+            for p in moved:
+                p.value = p.value + 1.0
+            try:
+                assert (state_bytes(stage.run(Tape(), state)) == out) is same, stage.name
+            finally:
+                for p, value in zip(moved, saved):
+                    p.value = value
+        state = stage.run(Tape(), state)
+
+
 def test_each_stage_reads_only_the_parameters_it_names():
-    """The stages name every parameter once, in `parameters()` order, and new
-    values in every parameter a stage does not name leave its output
-    bit-identical: what the stacked gradient check relies on. The batch keeps
-    counts 4, 1, 0, 2, so embed packs rows and reads the null token."""
+    """The stages name every parameter once, and read only those: what the
+    stacked gradient check relies on. The batch keeps counts 4, 1, 0, 2, so
+    embed packs rows and reads the null token and table row 0."""
     model = init_parameters(PACKED, SeededRng(34), stddev=0.5)
     stages = model.stages()
     assert [stage.name for stage in stages] == [
-        "embed", "task.block0.attention", "task.block0.feed_forward",
-        "task.block1.attention", "task.block1.feed_forward", "head"]
+        "task.null_position", "task.null_token", "task.in",
+        *(f"task.block{i}.{name}" for i in range(2)
+          for name in ("ln1", "attn.qkv", "attn.attention", "attn.out",
+                       "ln2", "ff.w1", "ff.gelu", "ff.w2")),
+        "task.lnf", "task.pool", "task.head"]
     named = [p for stage in stages for p in stage.parameters]
-    assert [p.name for p in named] == [p.name for p in model.parameters()]
+    assert sorted(p.name for p in named) == sorted(p.name for p in model.parameters())
     assert len({id(p) for p in named}) == len(named)
     kept = Packed(ad.constant(SeededRng(35).normals(7 * 5).reshape(7, 5)), (4, 1, 0, 2))
     positions = ad.constant(SeededRng(36).normals(7 * 8).reshape(7, 8))
-    state = (kept, positions)
-    for stage in stages:
-        out = stage.run(Tape(), state)
-        others = [p for p in model.parameters() if p not in stage.parameters]
-        saved = [p.value for p in others]
-        for p in others:
-            p.value = p.value + 1.0
-        moved = stage.run(Tape(), state)
-        for p, value in zip(others, saved):
-            p.value = value
-        if stage.name == "head":
-            assert out.shape == (4, 3)
-            assert np.array_equal(moved.data, out.data)
-        else:
-            assert out.lengths == moved.lengths == (4, 1, 1, 2)
-            assert np.array_equal(moved.rows.data, out.rows.data), stage.name
-        state = out
+    assert_stages_read_what_they_name(stages, model.parameters(), (kept, positions))
+    state = run_stages(Tape(), stages, (kept, positions))
+    assert state.shape == (4, 3)
     with Tape() as tape:
-        assert np.array_equal(model.forward(tape, kept, positions).data,
-                              state.data)
+        assert np.array_equal(model.forward(tape, kept, positions).data, state.data)
+
+
+PIPELINE_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=2, max_len=16, ff_mult=2,
+                                     init_std=0.5)
+STRATEGIES = {"uniform_fixed": StrategyConfig("uniform_fixed", k=3),
+              "gumbel_topk": StrategyConfig("gumbel_topk", k=3, tau=0.5),
+              "ratio_controlled": StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5)}
+
+
+def staged_pipeline(kind: str):
+    """A pipeline under `kind`, multimodal for ratio_controlled, and its
+    streams, a batch of four of six tokens."""
+    multimodal = kind == "ratio_controlled"
+    pipeline = Pipeline(RunConfig(dataset="unused", strategy=STRATEGIES[kind],
+                                  model=PIPELINE_MODEL, seed=3),
+                        {"d": 5, "multimodal": multimodal, "num_classes": 3})
+    streams = [ad.constant(SeededRng(40 + i).normals(4 * 6 * 5).reshape(4, 6, 5))
+               for i in range(2 if multimodal else 1)]
+    return pipeline, streams
+
+
+@pytest.mark.parametrize("selector", ["sampler", "ranker"])
+@pytest.mark.parametrize("kind", list(STRATEGIES))
+def test_pipeline_stages_are_forward_batch(kind, selector):
+    """Every stage of `Pipeline.stages` in turn gives `forward_batch`'s
+    logits and mask byte for byte, and on an active tape records the same
+    ops in the same order."""
+    pipeline, streams = staged_pipeline(kind)
+
+    def select():
+        return pipeline.sampler(SeededRng(7)) if selector == "sampler" else pipeline.ranker()
+
+    stages = pipeline.stages(select())
+    after_selection = [stage.name for stage in stages].index("selection") + 1
+    with Tape() as tape:
+        logits, mask = pipeline.forward_batch(tape, streams, select())
+        ops = [kind for kind, _, _ in tape._nodes]
+    with Tape() as tape:
+        states = [streams]
+        for stage in pipeline.stages(select()):
+            states.append(stage.run(tape, states[-1]))
+        assert [kind for kind, _, _ in tape._nodes] == ops
+    assert state_bytes(states[-1]) == state_bytes(logits)
+    assert state_bytes(states[after_selection][1]) == state_bytes(mask)
+    assert pipeline.needs_scorer == any(stage.name.startswith("scorer.") for stage in stages)
+    assert (pipeline.context is not None) == any(stage.name == "context.attention"
+                                                 for stage in stages)
+
+
+@pytest.mark.parametrize("kind", list(STRATEGIES))
+def test_each_pipeline_stage_reads_only_the_parameters_it_names(kind):
+    """The same for the pipeline's stages, under the sampler at fixed noise:
+    the keep-probability stages, selection, positions and the task model's.
+    Only the task model's null stages name a parameter they need not read,
+    here where every example keeps a token."""
+    pipeline, streams = staged_pipeline(kind)
+    stages = pipeline.stages(lambda s: pipeline.sampler(SeededRng(7))(s))
+    named = [p for stage in stages for p in stage.parameters]
+    assert {id(p) for p in named} == {id(p) for p in pipeline.parameters()}
+    state = streams
+    for stage in stages:
+        if stage.name.startswith("task.null"):
+            assert min(state[0].lengths) > 0
+            stage = stage._replace(parameters=())
+        assert_stages_read_what_they_name([stage], pipeline.parameters(), state)
+        state = stage.run(Tape(), state)
+
+
+def reference_forward(model, kept_rows, lengths, positions):
+    """Numpy transcription of the task model on packed rows where every
+    example keeps a token: input projection plus positions, each pre-norm
+    block with its two residual sublayers, final norm, each sequence's mean
+    and the head."""
+    def norm(x, gain, bias):
+        centred = x - x.mean(axis=1, keepdims=True)
+        return centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + 1e-5) * gain + bias
+
+    def gelu(x):
+        return 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
+
+    x = kept_rows @ model.in_w.value + model.in_b.value + positions
+    for block in model.blocks:
+        x = x + per_head_attention(block.attn, norm(x, block.ln1_g.value, block.ln1_b.value),
+                                   lengths)
+        h = gelu(norm(x, block.ln2_g.value, block.ln2_b.value) @ block.ff_w1.value
+                 + block.ff_b1.value)
+        x = x + h @ block.ff_w2.value + block.ff_b2.value
+    x = norm(x, model.ln_f_g.value, model.ln_f_b.value)
+    ends = np.cumsum(lengths)
+    pooled = np.stack([x[end - length:end].mean(axis=0) for end, length in zip(ends, lengths)])
+    return pooled @ model.head_w.value + model.head_b.value
+
+
+def test_forward_matches_a_numpy_transcription():
+    """The stages compute the model they describe: logits of three packed
+    sequences of 4, 1 and 2 rows agree with the plain-numpy forward."""
+    model = init_parameters(PACKED, SeededRng(38), stddev=0.5)
+    for p in model.parameters():  # move the biases and gains off their initial 0 and 1
+        p.value = p.value + 0.1 * SeededRng(39).normals(p.value.size).reshape(p.shape)
+    rows = SeededRng(40).normals(7 * 5).reshape(7, 5)
+    positions = SeededRng(41).normals(7 * 8).reshape(7, 8)
+    logits = model.forward(Tape(), Packed(ad.constant(rows), (4, 1, 2)), ad.constant(positions))
+    expected = reference_forward(model, rows, (4, 1, 2), positions)
+    np.testing.assert_allclose(logits.data, expected, rtol=1e-12, atol=1e-13)
 
 
 def test_capacity_error():
@@ -312,7 +432,7 @@ def test_fused_attention_matches_per_head_reference(padded):
     x = SeededRng(22).normals(3 * 5 * 8).reshape(15, 8)
     lengths = (3, 5, 1) if padded else (5, 5, 5)
     x = x[np.flatnonzero(np.arange(5) < np.array(lengths)[:, None])]
-    out = attn.forward(Tape(), ad.constant(x), lengths).data
+    out = run_stages(Tape(), attn.stages(), Packed(ad.constant(x), lengths)).rows.data
     expected = per_head_attention(attn, x, lengths)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -339,7 +459,7 @@ def test_attention_is_three_tape_ops_whatever_the_head_count():
     for heads in (1, 2, 4):
         attn = MultiHeadAttention("attn", 8, heads)
         with Tape() as tape:
-            attn.forward(tape, tape.leaf(np.ones((5, 8))), (2, 3))
+            run_stages(tape, attn.stages(), Packed(tape.leaf(np.ones((5, 8))), (2, 3)))
         # x, wqkv, wo, bias leaves + matmul, attention, linear
         ops = [kind for kind, _, _ in tape._nodes if kind != "leaf"]
         assert ops == ["matmul", "attention", "linear"]

@@ -4,7 +4,7 @@ import pytest
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.errors import ShapeError
-from sparsetok.model import TaskPerformer, TaskPerformerConfig
+from sparsetok.model import TaskPerformerConfig
 from sparsetok.multimodal import ContextModel
 from sparsetok.rng import SeededRng
 from sparsetok.selection import StrategyConfig, deterministic_topk_select
@@ -68,7 +68,7 @@ class TestSparsifyPairs:
         v, w = rand((1, 4, D), 1), rand((1, 4, D), 2)
         _, mask = pipeline.forward_batch(Tape(), [ad.constant(v), ad.constant(w)],
                                          fixed_selector(np.array([[0.9, 0.1, 0.5, 0.7]]), 2))
-        assert np.array_equal(mask.kept_indices, [[0, 3]])
+        assert np.array_equal(mask.hard, [[1, 0, 0, 1]])
         assert np.array_equal(fed[0].rows.data, np.concatenate([v[0, [0, 3]], w[0, [0, 3]]]))
         assert fed[0].lengths == (4,)
 
@@ -104,7 +104,7 @@ def ratio_pipeline():
 def sparsified(pipeline, streams, select):
     kept, mask = pipeline.sparsify(Tape(), streams, select)
     return (kept.rows.data.tobytes(), kept.lengths, mask.hard.tobytes(),
-            mask.soft.data.tobytes(), mask.kept_indices.tobytes())
+            mask.soft.data.tobytes())
 
 
 class TestStages:
@@ -149,54 +149,40 @@ class TestStages:
 
 def test_multimodal_end_to_end_gradients(monkeypatch):
     """The suite passes and runs the training pipeline itself: one taped
-    pass, then off the tape one `sparsify` of the base point, one
-    `keep_probabilities` per point of the stencil of each context or scorer
-    coordinate and visual token, and the task model's own stages, whose head
-    runs once per stack of at most `STACK_REPLICAS` points of each array it
-    does not read and once per point of the stencil of each of the head's
-    own coordinates."""
+    `forward_batch`, then off the tape its stages (`Pipeline.stages`). Its
+    work scales with stacks, not points: `attention` runs once per
+    attention stage in the taped pass and in the base point's run, then
+    once per stack of at most `STACK_REPLICAS` points for each attention
+    stage after the last that reads the stack's array, and never for a
+    single point. That is 64 calls at seed 8, where running each point's
+    whole sublayer or keep-probability path made 2,439."""
     from sparsetok.checks import (MULTIMODAL_STENCIL, STACK_REPLICAS,
                                   check_multimodal_end_to_end, multimodal_arrays,
                                   multimodal_point)
-    calls = []
-    inside = []
-
-    def counted(owner, stage):
-        method = getattr(owner, stage)
-
-        def run(self, tape, *args):
-            if not inside:  # streams of [B, n, d] for the first stage
-                visual = args[0][0] if isinstance(args[0], list) else None
-                calls.append((stage, ad.active_tape() is not None,
-                              getattr(visual, "shape", None)))
-            inside.append(stage)
-            try:
-                return method(self, tape, *args)
-            finally:
-                inside.pop()
-        return run
-
-    for stage in ("forward_batch", "sparsify", "keep_probabilities", "classify"):
-        monkeypatch.setattr(Pipeline, stage, counted(Pipeline, stage))
-    monkeypatch.setattr(TaskPerformer, "head", counted(TaskPerformer, "head"))
+    forward_batch, attention = Pipeline.forward_batch, ad.attention
+    taped, calls = [], []
+    monkeypatch.setattr(Pipeline, "forward_batch", lambda self, tape, *args: taped.append(
+        ad.active_tape() is not None) or forward_batch(self, tape, *args))
+    monkeypatch.setattr(ad, "attention", lambda *args: calls.append(args[0].shape) or attention(
+        *args))
     report = check_multimodal_end_to_end()
     assert report.ok, report.line()
+    assert taped == [True]
+
+    pipeline, streams, _, select = multimodal_point(8)
+    stages = pipeline.stages(select)
+    attending = [i for i, stage in enumerate(stages) if stage.name.endswith(".attention")]
+    assert [stages[i].name for i in attending] == ["context.attention",
+                                                   "task.block0.attn.attention"]
     points = len(MULTIMODAL_STENCIL.offsets)
-    selection, visual = 260, 2 * 5 * 6  # visual tokens [2, 5, 6]
-    pipeline, streams, _, _ = multimodal_point(8)
-    sizes = {name: a.size for name, a in multimodal_arrays(pipeline, streams)}
-    head = {p.name for p in pipeline.task.stages()[-1].parameters}
-    # 19 task parameters, 4 of them the head's with 8 + 8 + 8 * 3 + 3
-    # coordinates; 4 scorer and 3 context parameters
-    assert len(sizes) == 19 + 4 + 3 + 1 and len(head) == 4
-    head_coordinates = sum(sizes[name] for name in head)
-    assert head_coordinates == 43
-    stacks = sum(-(-points * size // STACK_REPLICAS)
-                 for name, size in sizes.items() if name not in head)
-    assert calls.count(("forward_batch", True, (2, 5, 6))) == 1
-    assert calls.count(("sparsify", False, (2, 5, 6))) == 1
-    assert (calls.count(("keep_probabilities", False, (2, 5, 6)))
-            == points * (selection + visual))
-    assert calls.count(("head", False, None)) == stacks + points * head_coordinates
-    assert len(calls) == (1 + 1 + points * (selection + visual) + stacks
-                          + points * head_coordinates)
+    expected = 2 * len(attending)
+    for _, array in multimodal_arrays(pipeline, streams):
+        # the visual tokens are read before every pipeline stage
+        last = max((i for i, stage in enumerate(stages)
+                    if any(p.value is array for p in stage.parameters)), default=-1)
+        stacks = -(-points * array.size // STACK_REPLICAS)
+        expected += stacks * sum(i > last for i in attending)
+    assert len(calls) == expected == 64
+    # a stack's rows: [64 replicas of two joint sequences of 10 tokens, 3 * 6]
+    # for the context, [64 replicas of 10 kept rows, 3 * 8] for the task model
+    assert max(calls) == (STACK_REPLICAS * 2 * 10, 18)

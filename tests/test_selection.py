@@ -7,6 +7,7 @@ from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.errors import CapacityError, ContractError, ShapeError
 from sparsetok.rng import SeededRng
+from sparsetok.stages import run_stages
 from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
                                  apply_ste, compute_keep_probabilities, index_grid,
                                  deterministic_topk_select, gumbel_topk_select,
@@ -80,9 +81,11 @@ class TestKeepProbabilities:
         pred = KeepProbPredictor(5).init(rng, stddev=0.7)
         with Tape() as tape:
             tokens = ad.constant(rng.normals(40).reshape(2, 4, 5))
-            logits = pred.logits(tape, tokens)
+            logits = run_stages(tape, pred.stages()[:-1], tokens)
             s = compute_keep_probabilities(tape, tokens, pred)
-        gap = logits.data[:, 0] - logits.data[:, 1]
+        assert [stage.name for stage in pred.stages()][-2:] == ["scorer.logits", "scorer.keep"]
+        assert logits.lengths == (4, 4)
+        gap = logits.rows.data[:, 0] - logits.rows.data[:, 1]
         sigmoid = 1.0 / (1.0 + np.exp(-gap))
         assert s.shape == (2, 4)
         assert np.abs(s.data.reshape(-1) - sigmoid).max() < 1e-12
@@ -90,7 +93,8 @@ class TestKeepProbabilities:
     @pytest.mark.parametrize("shape", [(4, 3), (1, 4, 2), (2, 1, 4, 3)])
     def test_predictor_takes_only_batches_of_full_width(self, shape):
         with pytest.raises(ShapeError):
-            rigged_predictor(3, 0.0, 0.0).logits(Tape(), ad.constant(np.zeros(shape)))
+            compute_keep_probabilities(Tape(), ad.constant(np.zeros(shape)),
+                                       rigged_predictor(3, 0.0, 0.0))
 
     @pytest.mark.parametrize("s", [[0.5, 0.5], [[[0.5]]]])
     def test_selectors_take_only_batches(self, s, frozen_rng):
@@ -110,7 +114,7 @@ class TestKeepProbabilities:
 class TestGumbelTopK:
     def test_frozen_noise_orders_by_score(self, frozen_rng):
         mask = gumbel_topk_select(scores_for([0.9, 0.1, 0.5, 0.7]), 2, 0.1, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [[0, 3]])
+        assert np.array_equal(mask.kept_in(0), [0, 3])
         assert np.array_equal(mask.hard, [[1, 0, 0, 1]])
 
     def test_keep_all(self, frozen_rng):
@@ -138,7 +142,7 @@ class TestGumbelTopK:
         counts = np.zeros(3)
         n = 20_000
         for i in range(n):
-            counts[gumbel_topk_select(scores, 1, 0.1, rng.split(i)).kept_indices[0, 0]] += 1
+            counts[gumbel_topk_select(scores, 1, 0.1, rng.split(i)).kept_in(0)[0]] += 1
         assert np.abs(counts / n - target).max() < 0.02
 
     def test_mask_invariants_random_inputs(self):
@@ -162,7 +166,7 @@ class TestRatioControlled:
 
     def test_frozen_noise_keeps_above_half(self, frozen_rng):
         mask = ratio_controlled_select(scores_for([0.9, 0.1]), 1.0, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [[0]])
+        assert np.array_equal(mask.hard, [[1, 0]])
         assert np.allclose(mask.soft.data, [[0.9, 0.1]], atol=1e-9)
 
     def test_all_confident_all_kept(self, frozen_rng):
@@ -172,7 +176,7 @@ class TestRatioControlled:
     def test_threshold_matches_scores_with_zero_noise(self, frozen_rng):
         s = np.array([0.2, 0.500000001, 0.8, 0.4999999])
         mask = ratio_controlled_select(scores_for(s), 1.0, frozen_rng)
-        assert np.array_equal(mask.kept_indices, [[1, 2]])
+        assert np.array_equal(mask.hard, [[0, 1, 1, 0]])
 
     def test_gate_refuses_noise_of_another_shape(self):
         s = ad.constant(np.full((2, 5), 0.5))
@@ -184,15 +188,15 @@ class TestRatioControlled:
 class TestDeterministicTopK:
     def test_direct_ordering(self):
         mask = deterministic_topk_select(scores_for([0.9, 0.1, 0.5, 0.7]), 2)
-        assert np.array_equal(mask.kept_indices, [[0, 3]])
+        assert np.array_equal(mask.hard, [[1, 0, 0, 1]])
 
     def test_tie_breaks_to_lower_index(self):
         mask = deterministic_topk_select(scores_for([0.5, 0.5]), 1)
-        assert np.array_equal(mask.kept_indices, [[0]])
+        assert np.array_equal(mask.hard, [[1, 0]])
 
     def test_identity_when_k_equals_n(self):
         mask = deterministic_topk_select(scores_for([0.3, 0.6, 0.2]), 3)
-        assert np.array_equal(mask.kept_indices, [[0, 1, 2]])
+        assert np.array_equal(mask.hard, [[1, 1, 1]])
 
     def test_argmax_invariance_under_positive_logit_scaling(self):
         rng = SeededRng(31)
@@ -202,22 +206,22 @@ class TestDeterministicTopK:
             scaled = scores_for(1 / (1 + np.exp(-scale * gaps)))
             m1 = deterministic_topk_select(base, 2)
             m2 = deterministic_topk_select(scaled, 2)
-            assert np.array_equal(m1.kept_indices, m2.kept_indices)
+            assert np.array_equal(m1.hard, m2.hard)
             i1 = inference_rank_topk(base, 3)
             i2 = inference_rank_topk(scaled, 3)
-            assert np.array_equal(i1.kept_indices, i2.kept_indices)
+            assert np.array_equal(i1.hard, i2.hard)
 
 
 class TestUniformFixed:
     def test_full_coverage(self):
-        assert np.array_equal(uniform_fixed_select(10, 10, 1).kept_indices, [np.arange(10)])
+        assert np.array_equal(uniform_fixed_select(10, 10, 1).hard, np.ones((1, 10)))
 
     def test_single_point_is_first(self):
-        assert np.array_equal(uniform_fixed_select(10, 1, 1).kept_indices, [[0]])
+        assert np.array_equal(uniform_fixed_select(10, 1, 1).hard, [[1] + [0] * 9])
 
     def test_rounded_grid(self):
         """Every example of a batch gets the same grid."""
-        assert np.array_equal(uniform_fixed_select(8, 4, 3).kept_indices, [[0, 2, 5, 7]] * 3)
+        assert np.array_equal(uniform_fixed_select(8, 4, 3).hard, [[1, 0, 1, 0, 0, 1, 0, 1]] * 3)
 
     def test_backfill_keeps_exactly_k(self):
         for n in range(2, 20):
@@ -234,8 +238,7 @@ class TestUniformFixed:
 class TestApplySte:
     def test_hard_path_forwards_tokens_exactly(self, frozen_rng):
         tokens = ad.constant([[[2.0], [3.0]]])
-        mask = SelectionMask(np.array([[1.0, 0.0]]), ad.constant([[0.3, 0.7]]),
-                             np.array([[0]]))
+        mask = SelectionMask(np.array([[1.0, 0.0]]), ad.constant([[0.3, 0.7]]))
         out = apply_ste([tokens], mask)
         assert out.rows.shape == (1, 1)
         assert out.rows.data[0, 0] == 2.0  # soft must not scale the forward value
@@ -244,16 +247,14 @@ class TestApplySte:
     def test_empty_selection_yields_zero_rows(self):
         """An example that keeps nothing gets no rows."""
         tokens = ad.constant(np.ones((1, 3, 2)))
-        mask = SelectionMask(np.zeros((1, 3)), ad.constant(np.zeros((1, 3))),
-                             np.zeros((1, 1), dtype=np.int64))
+        mask = SelectionMask(np.zeros((1, 3)), ad.constant(np.zeros((1, 3))))
         out = apply_ste([tokens], mask)
         assert out.lengths == (0,)
         assert out.rows.shape == (0, 2)
 
     def test_length_mismatch(self):
         tokens = ad.constant(np.ones((1, 3, 2)))
-        mask = SelectionMask(np.zeros((1, 2)), ad.constant(np.zeros((1, 2))),
-                             np.zeros((1, 1), dtype=np.int64))
+        mask = SelectionMask(np.zeros((1, 2)), ad.constant(np.zeros((1, 2))))
         with pytest.raises(ContractError):
             apply_ste([tokens], mask)
         with pytest.raises(ContractError):  # every stream is checked, not just the first
@@ -263,7 +264,7 @@ class TestApplySte:
         tokens_np = np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]])
         with Tape() as tape:
             s_leaf = tape.leaf(np.array([[0.6, 0.3, 0.8]]))
-            mask = SelectionMask(np.array([[1.0, 0.0, 1.0]]), s_leaf, np.array([[0, 2]]))
+            mask = SelectionMask(np.array([[1.0, 0.0, 1.0]]), s_leaf)
             out = apply_ste([ad.constant(tokens_np)], mask)
             loss = ad.mean_all(ad.square(out.rows))
             tape.backward(loss)
@@ -287,7 +288,7 @@ class TestApplySte:
                 if soft_path:
                     kept = apply_ste([tokens], mask).rows
                 else:
-                    kept = ad.gather_rows(tokens, mask.kept_indices)
+                    kept = ad.gather_rows(tokens, mask.kept_in(0)[None])
                 loss = ad.mean_all(ad.square(kept))
                 tape.backward(loss)
                 return max(np.abs(tape.grad(p)).max() for p in pred.parameters())
@@ -303,15 +304,14 @@ class TestApplySte:
         streams = [rng.split(i).normals(3 * 4 * 2).reshape(3, 4, 2) for i in range(2)]
         hard = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=float)
         soft = rng.split(2).uniforms(12).reshape(3, 4) + 0.5
-        kept = np.array([[1, 3, 0], [0, 0, 0], [0, 1, 3]])
-        return streams, hard, soft, kept
+        return streams, hard, soft
 
     def test_two_streams_pack_example_by_example(self):
         """Kept counts (2, 0, 3) of two streams give lengths (4, 0, 6): each
         example's kept tokens of stream 0, then of stream 1, in their
         original order, bit for bit."""
-        streams, hard, soft, kept = self.two_streams()
-        mask = SelectionMask(hard, ad.constant(soft), kept)
+        streams, hard, soft = self.two_streams()
+        mask = SelectionMask(hard, ad.constant(soft))
         out = apply_ste([ad.constant(x) for x in streams], mask)
         assert out.lengths == (4, 0, 6)
         v, w = streams
@@ -323,12 +323,12 @@ class TestApplySte:
         of scaling every token of both streams by its soft weight and
         reading the kept ones; each kept token's own gradient is its packed
         row's, unscaled, and a dropped token's is zero."""
-        streams, hard, soft, kept = self.two_streams()
+        streams, hard, soft = self.two_streams()
         weights = SeededRng(41).normals(10 * 2).reshape(10, 2)
         with Tape() as tape:
             s = tape.leaf(soft)
             xs = [tape.leaf(x) for x in streams]
-            out = apply_ste(xs, SelectionMask(hard, s, kept))
+            out = apply_ste(xs, SelectionMask(hard, s))
             tape.backward(ad.mean_all(ad.mask_multiply(out.rows, weights)))
             soft_grad, token_grads = tape.grad(s), [tape.grad(x) for x in xs]
         with Tape() as tape:
@@ -355,7 +355,7 @@ class TestReencodePositions:
         table = ad.constant(np.arange(20.0).reshape(10, 2))
         hard = np.zeros((1, 8))
         hard[0, [2, 5, 7]] = 1.0
-        mask = SelectionMask(hard, ad.constant(hard), np.array([[2, 5, 7]]))
+        mask = SelectionMask(hard, ad.constant(hard))
         assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:3])
         assert np.array_equal(reencode_positions(mask, table, 2).data,
                               np.concatenate([table.data[:3]] * 2))
@@ -364,23 +364,22 @@ class TestReencodePositions:
 
     def test_identity_when_all_kept(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
-        mask = SelectionMask(np.ones((1, 4)), ad.constant(np.ones((1, 4))),
-                             np.arange(4)[None])
+        mask = SelectionMask(np.ones((1, 4)), ad.constant(np.ones((1, 4))))
         assert np.array_equal(reencode_positions(mask, table, 1).data, table.data)
         assert np.array_equal(original_positions(mask, table, 1).data, table.data)
 
     def test_single_token_gets_row_zero(self):
         table = ad.constant(np.arange(8.0).reshape(4, 2))
         mask = SelectionMask(np.array([[0.0, 0.0, 0.0, 1.0]]),
-                             ad.constant([[0.0, 0.0, 0.0, 1.0]]), np.array([[3]]))
+                             ad.constant([[0.0, 0.0, 0.0, 1.0]]))
         assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:1])
 
     def test_packed_order_of_unequal_counts(self):
         """Kept counts (2, 0, 3) of two streams: each example's ranks
         0..k-1 once per stream, in apply_ste's row order."""
         table = ad.constant(np.arange(20.0).reshape(10, 2))
-        _, hard, soft, kept = TestApplySte.two_streams()
-        mask = SelectionMask(hard, ad.constant(soft), kept)
+        _, hard, soft = TestApplySte.two_streams()
+        mask = SelectionMask(hard, ad.constant(soft))
         ranks = [0, 1, 0, 1, 0, 1, 2, 0, 1, 2]
         assert np.array_equal(reencode_positions(mask, table, 2).data, table.data[ranks])
         assert np.array_equal(original_positions(mask, table, 2).data,
@@ -388,8 +387,7 @@ class TestReencodePositions:
 
     def test_capacity_error(self):
         table = ad.constant(np.zeros((2, 2)))
-        mask = SelectionMask(np.ones((1, 3)), ad.constant(np.ones((1, 3))),
-                             np.arange(3)[None])
+        mask = SelectionMask(np.ones((1, 3)), ad.constant(np.ones((1, 3))))
         with pytest.raises(CapacityError):
             reencode_positions(mask, table, 1)
         with pytest.raises(CapacityError):
@@ -400,8 +398,7 @@ def mask_with_ratio(n, kept_count, soft_value=0.5):
     """A batch-of-one mask keeping the first kept_count of n tokens."""
     hard = np.zeros((1, n))
     hard[0, :kept_count] = 1.0
-    return SelectionMask(hard, ad.constant(np.full((1, n), soft_value)),
-                         np.arange(kept_count)[None])
+    return SelectionMask(hard, ad.constant(np.full((1, n), soft_value)))
 
 
 class TestSelectionLoss:
@@ -417,8 +414,7 @@ class TestSelectionLoss:
         hard = np.zeros((2, 10))
         hard[0, :2] = 1.0
         hard[1, :6] = 1.0
-        kept = np.array([[0, 1, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5]])
-        batch = SelectionMask(hard, ad.constant(np.full((2, 10), 0.5)), kept)
+        batch = SelectionMask(hard, ad.constant(np.full((2, 10), 0.5)))
         assert abs(selection_loss(batch, 0.4).item() - 0.04) < 1e-15
 
     def test_permutation_invariance(self):
@@ -428,20 +424,20 @@ class TestSelectionLoss:
         soft = rng.uniforms(n)
         hard = np.zeros(n)
         hard[kept] = 1.0
-        base = SelectionMask(hard[None], ad.constant([soft]), kept[None])
+        base = SelectionMask(hard[None], ad.constant([soft]))
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
         kept_p = np.sort(inv[kept])
         hard_p = np.zeros(n)
         hard_p[kept_p] = 1.0
-        permuted = SelectionMask(hard_p[None], ad.constant([soft[perm]]), kept_p[None])
+        permuted = SelectionMask(hard_p[None], ad.constant([soft[perm]]))
         assert selection_loss(base, 0.3).item() == selection_loss(permuted, 0.3).item()
 
     def test_gradient_uses_soft_path(self):
         with Tape() as tape:
             soft = tape.leaf(np.full((1, 4), 0.5))
-            mask = SelectionMask(np.array([[1.0, 1.0, 0, 0]]), soft, np.array([[0, 1]]))
+            mask = SelectionMask(np.array([[1.0, 1.0, 0, 0]]), soft)
             loss = selection_loss(mask, 0.25)
             tape.backward(loss)
             grad = tape.grad(soft)
@@ -473,11 +469,11 @@ class TestInference:
         scores = scores_for([0.1, 0.8, 0.3])
         m1 = inference_rank_topk(scores, 2)
         m2 = inference_rank_topk(scores, 2)
-        assert np.array_equal(m1.kept_indices, m2.kept_indices)
+        assert np.array_equal(m1.hard, m2.hard)
 
     def test_direct_ordering(self):
         mask = inference_rank_topk(scores_for([0.1, 0.8, 0.3]), 2)
-        assert np.array_equal(mask.kept_indices, [[1, 2]])
+        assert np.array_equal(mask.hard, [[0, 1, 1]])
 
     def test_ratio_inference_k_rounding(self):
         cfg = StrategyConfig("ratio_controlled", target_ratio=0.3)
