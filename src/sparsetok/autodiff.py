@@ -761,24 +761,17 @@ def central_difference_check(cases: Iterable[Case]) -> tuple[float, str]:
     return worst, where
 
 
-def leaf_case(name: str, build_scalar: Callable[[Tensor], Tensor], point: np.ndarray,
-              step: float) -> Case:
-    """The `central_difference_check` case of `build_scalar`, which maps a
-    leaf tensor to a scalar loss using tape operations and must be
-    deterministic: the central differences and the tape gradient at a copy
-    of point."""
+def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
+                            point: np.ndarray,
+                            step: float = 1e-5) -> float:
+    """Max relative error between tape gradients and central differences of
+    `build_scalar` at a copy of point: `central_difference_check` of one
+    case. `build_scalar` maps a leaf tensor to a scalar loss using tape
+    operations and must be deterministic."""
     point = np.array(point, dtype=np.float64)
     with Tape() as tape:
         x = tape.leaf(point)
         tape.backward(build_scalar(x))
         analytic = tape.grad(x)
-    return name, central_differences(lambda: build_scalar(Tensor(point)).item(), point,
-                                     step), analytic
-
-
-def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
-                            point: np.ndarray,
-                            step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences of
-    `build_scalar` at point: `central_difference_check` of one `leaf_case`."""
-    return central_difference_check([leaf_case("x", build_scalar, point, step)])[0]
+    numeric = central_differences(lambda: build_scalar(Tensor(point)).item(), point, step)
+    return central_difference_check([("x", numeric, analytic)])[0]

@@ -1,20 +1,23 @@
 """Self-verification oracles: finite-difference gradient suites and
 Monte-Carlo sampling checks. Both print one line per suite and report the
-worst deviation, so a fresh build can prove its own wiring.
+worst deviation, so a fresh build can prove its own wiring. One evaluator,
+`stacked_central_differences`, takes the finite differences of all three
+gradient suites, and one driver, `monte_carlo_mean`, draws the trials of
+every sampling suite.
 """
 from __future__ import annotations
 
 import contextlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from . import data
-from .autodiff import (FOURTH_ORDER, Parameter, Tape, Tensor, central_difference_check,
-                       central_differences, difference_quotients, leaf_case, perturb_each)
+from .autodiff import (CENTRAL, FOURTH_ORDER, Parameter, Stencil, Tape, Tensor,
+                       central_difference_check, difference_quotients, perturb_each)
 from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
@@ -32,9 +35,10 @@ FD_STEP = 1e-5  # the central differences of the catalog and the straight-throug
 # error (up to 2.8e-4, at seed 7). The fourth-order stencil is
 # as accurate at a hundred times the step, and rounds a hundred times less.
 MULTIMODAL_STENCIL, MULTIMODAL_STEP = FOURTH_ORDER, 1e-3
-# the most perturbed points the multimodal suite stacks into one batch: the
-# suite's traced peak (tracemalloc) is 0.9 MiB at 64, 1.7 at 128, 3.3 at 256
-# and 8.9 MiB with no bound
+# the most perturbed points a gradient suite stacks into one batch: the
+# multimodal suite's traced peak (tracemalloc) is 0.9 MiB at 64, 1.7 at 128,
+# 3.3 at 256 and 8.9 MiB with no bound, the straight-through suite's 0.28,
+# 0.52 and, with no bound, 0.59 MiB
 STACK_REPLICAS = 64
 
 
@@ -50,8 +54,65 @@ class SuiteReport:
         return f"{self.name} {self.worst:.3e} {'pass' if self.ok else 'fail'}{tail}"
 
 
+def stack(states: list):
+    """The states of several batches at one stage as one batch: packed rows
+    end to end with their lengths in turn, tensors along their first axis,
+    tuples and lists component by component."""
+    first = states[0]
+    if isinstance(first, Packed):
+        return Packed(ad.constant(np.concatenate([s.rows.data for s in states])),
+                      sum((s.lengths for s in states), ()))
+    if isinstance(first, (tuple, list)):
+        return type(first)(stack(list(parts)) for parts in zip(*states))
+    return ad.constant(np.concatenate([s.data for s in states]))
+
+
+def stacked_central_differences(stages: list[Stage], base, arrays: Iterable[np.ndarray],
+                                losses: Callable[..., np.ndarray], step: float,
+                                stencil: Stencil) -> Iterator[np.ndarray]:
+    """The finite differences (`stencil` at `step`) of a loss wrt each of
+    `arrays`, in order: the loss runs `stages` from the state `base`, and
+    `losses` maps the last stage's output on a stack of replicas to each
+    replica's loss.
+
+    The one evaluator of every gradient suite. The stages run once at the
+    base point; then each perturbed point of an array (`perturb_each`) runs
+    only the stages from the first to the last that name it, from the base
+    point's state: for most arrays the one op that reads it. The points'
+    states are stacked along the batch axis (`stack`, at most
+    `STACK_REPLICAS` a stack), and the later stages and `losses` run once on
+    the stack, as soon as it is full, while the array is still perturbed:
+    the stages after the last that names it do not read it. Nothing is
+    recorded: the stages read the arrays in place, so the perturbations
+    reach them, and a point's state must not be a view of its array, which
+    moves on before the stack is built.
+    """
+    tape = Tape()  # never entered: it records nothing and hands out the values themselves
+    states = [base]  # the base point's state entering each stage
+    for stage in stages[:-1]:
+        states.append(stage.run(tape, states[-1]))
+    for array in arrays:
+        reading = [i for i, stage in enumerate(stages)
+                   if any(p.value is array for p in stage.parameters)]
+        first, end = reading[0], reading[-1] + 1
+        span = stages[first:end]
+        points = (run_stages(tape, span, states[first]) for _ in perturb_each(array, step, stencil))
+        replicas = [losses(run_stages(tape, stages[end:], stack(chunk)))
+                    for chunk in iter(lambda: list(itertools.islice(points, STACK_REPLICAS)), [])]
+        yield difference_quotients(np.concatenate(replicas), step, stencil)
+
+
 def _scalarize(out: Tensor, weights: np.ndarray) -> Tensor:
     return ad.mean_all(ad.mask_multiply(out, weights))
+
+
+def replica_means(out: Tensor, weights: np.ndarray) -> np.ndarray:
+    """`_scalarize(out, weights)` of each replica stacked in out: each
+    replica's outputs, weights.size of them in turn, are one contiguous row,
+    weighted and summed in `mean_all`'s order, so each mean is bit for bit
+    that of its replica alone."""
+    rows = out.data.reshape(-1, weights.size) * weights.reshape(-1)
+    return np.add.reduce(rows, axis=1) / weights.size
 
 
 def _rand(rng: SeededRng, shape) -> np.ndarray:
@@ -59,10 +120,12 @@ def _rand(rng: SeededRng, shape) -> np.ndarray:
 
 
 def _catalog_cases(rng: SeededRng):
-    """(op name, point, build(x) -> scalar) triples covering every primitive.
+    """(op name, point, op, weights) of every primitive: the op maps a leaf
+    x to a tensor, and the case's loss is mean(op(x) * weights), or op(x)
+    itself, a [1] loss, where weights is None (`catalog_case`).
 
-    Every constant is drawn up front: the build closures must be pure
-    functions of x or the finite differences are meaningless.
+    Every constant is drawn up front: the ops must be pure functions of x
+    or the finite differences are meaningless.
     """
     r = lambda shape: _rand(rng, shape)
     w23, w32, w34 = r((2, 3)), r((3, 2)), r((3, 4))
@@ -71,44 +134,37 @@ def _catalog_cases(rng: SeededRng):
     ln_gain, ln_bias, row_w = np.abs(r((4,))) + 0.5, r((4,)), r((3,))
     mask = (np.abs(r((2, 3))) > 0.5).astype(float)
     cases = [
-        ("add", r((2, 3)), lambda x: _scalarize(ad.add(x, ad.constant(w23)), w23)),
-        ("add_bias", r((3,)), lambda x: _scalarize(ad.add(ad.constant(w23), x), w23)),
-        ("subtract", r((2, 3)), lambda x: _scalarize(ad.subtract(x, ad.constant(w23)), w23)),
-        ("multiply_elementwise", r((2, 3)),
-         lambda x: _scalarize(ad.multiply(x, ad.constant(w23)), w23)),
-        ("matmul_left", r((2, 3)), lambda x: _scalarize(ad.matmul(x, ad.constant(w32)), w22a)),
-        ("matmul_right", r((3, 2)), lambda x: _scalarize(ad.matmul(ad.constant(w23), x), w22b)),
-        ("scale_by_constant", r((2, 3)), lambda x: _scalarize(ad.scale(x, 1.7), w23)),
-        ("natural_log", np.abs(r((2, 3))) + 0.5,
-         lambda x: _scalarize(ad.log(x), w23)),
-        ("exp", r((2, 3)), lambda x: _scalarize(ad.exp(x), w23)),
-        ("square", r((2, 3)), lambda x: _scalarize(ad.square(x), w23)),
-        ("gelu", r((2, 3)), lambda x: _scalarize(ad.gelu(x), w23)),
+        ("add", r((2, 3)), lambda x: ad.add(x, ad.constant(w23)), w23),
+        ("add_bias", r((3,)), lambda x: ad.add(ad.constant(w23), x), w23),
+        ("subtract", r((2, 3)), lambda x: ad.subtract(x, ad.constant(w23)), w23),
+        ("multiply_elementwise", r((2, 3)), lambda x: ad.multiply(x, ad.constant(w23)), w23),
+        ("matmul_left", r((2, 3)), lambda x: ad.matmul(x, ad.constant(w32)), w22a),
+        ("matmul_right", r((3, 2)), lambda x: ad.matmul(ad.constant(w23), x), w22b),
+        ("scale_by_constant", r((2, 3)), lambda x: ad.scale(x, 1.7), w23),
+        ("natural_log", np.abs(r((2, 3))) + 0.5, ad.log, w23),
+        ("exp", r((2, 3)), ad.exp, w23),
+        ("square", r((2, 3)), ad.square, w23),
+        ("gelu", r((2, 3)), ad.gelu, w23),
         ("layer_norm_x", r((3, 4)),
-         lambda x: _scalarize(ad.layer_norm(x, ad.constant(ln_gain),
-                                            ad.constant(ln_bias)), w34)),
+         lambda x: ad.layer_norm(x, ad.constant(ln_gain), ad.constant(ln_bias)), w34),
         ("layer_norm_gain", r((4,)),
-         lambda x: _scalarize(ad.layer_norm(ad.constant(w34), x, ad.constant(ln_bias)), w34)),
+         lambda x: ad.layer_norm(ad.constant(w34), x, ad.constant(ln_bias)), w34),
         ("layer_norm_bias", r((4,)),
-         lambda x: _scalarize(ad.layer_norm(ad.constant(w34), ad.constant(ln_gain), x), w34)),
-        ("concat_rows", r((2, 3)),
-         lambda x: _scalarize(ad.concat_rows(x, ad.constant(w23)), w43)),
+         lambda x: ad.layer_norm(ad.constant(w34), ad.constant(ln_gain), x), w34),
+        ("concat_rows", r((2, 3)), lambda x: ad.concat_rows(x, ad.constant(w23)), w43),
         ("gather_rows", r((4, 3)),  # repeated row checks additive scatter
-         lambda x: _scalarize(ad.gather_rows(x, np.array([2, 0, 2])), w33)),
-        ("mask_multiply", r((2, 3)),
-         lambda x: _scalarize(ad.mask_multiply(x, mask), w23)),
-        ("mean_all", r((2, 3)), lambda x: ad.mean_all(x)),
-        ("transpose", r((2, 3)), lambda x: _scalarize(ad.transpose(x), w32)),
-        ("reshape", r((2, 3)), lambda x: _scalarize(ad.reshape(x, (3, 2)), w32)),
-        ("scale_rows", r((3,)),
-         lambda x: _scalarize(ad.scale_rows(ad.constant(w34), x), w34)),
-        ("scale_rows_tokens", r((3, 4)),
-         lambda x: _scalarize(ad.scale_rows(x, ad.constant(row_w)), w34)),
-        ("softmax_axis0", r((5,)),
-         lambda x: _scalarize(ad.softmax_with_temperature(x, axis=0, tau=0.7), w5)),
-        ("softmax_axis1", r((2, 4)),
-         lambda x: _scalarize(ad.softmax_with_temperature(x, axis=1, tau=1.3), w24)),
-        ("cross_entropy", r((4,)), lambda x: ad.cross_entropy_loss(x, 1)),
+         lambda x: ad.gather_rows(x, np.array([2, 0, 2])), w33),
+        ("mask_multiply", r((2, 3)), lambda x: ad.mask_multiply(x, mask), w23),
+        ("mean_all", r((2, 3)), ad.mean_all, None),
+        ("transpose", r((2, 3)), ad.transpose, w32),
+        ("reshape", r((2, 3)), lambda x: ad.reshape(x, (3, 2)), w32),
+        ("scale_rows", r((3,)), lambda x: ad.scale_rows(ad.constant(w34), x), w34),
+        ("scale_rows_tokens", r((3, 4)), lambda x: ad.scale_rows(x, ad.constant(row_w)), w34),
+        ("softmax_axis0", r((5,)), lambda x: ad.softmax_with_temperature(x, axis=0, tau=0.7),
+         w5),
+        ("softmax_axis1", r((2, 4)), lambda x: ad.softmax_with_temperature(x, axis=1, tau=1.3),
+         w24),
+        ("cross_entropy", r((4,)), lambda x: ad.cross_entropy_loss(x, 1), None),
     ]
     # appended cases come last, so the earlier ones keep their draws
     return (cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
@@ -130,49 +186,41 @@ def _batched_cases(r):
     key_bias = np.repeat(np.array([[0.0, 0.0, -1e9], [-1e9, -1e9, 0.0]])[:, None, :], 3, axis=1)
     const = ad.constant
     return [
-        ("add_batched", r((2, 3, 4)), lambda x: _scalarize(ad.add(x, const(b234)), b234)),
-        ("add_bias_batched", r((4,)), lambda x: _scalarize(ad.add(const(b234), x), b234)),
-        ("add_rows_batched", r((3, 4)), lambda x: _scalarize(ad.add(const(b234), x), b234)),
-        ("subtract_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.subtract(const(b234), x), b234)),
-        ("multiply_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.multiply(x, const(factor)), b234)),
-        ("scale_by_constant_batched", r((2, 3, 4)), lambda x: _scalarize(ad.scale(x, -0.6), b234)),
-        ("natural_log_batched", np.abs(r((2, 3, 4))) + 0.5, lambda x: _scalarize(ad.log(x), b234)),
-        ("exp_batched", r((2, 3, 4)), lambda x: _scalarize(ad.exp(x), b234)),
-        ("square_batched", r((2, 3, 4)), lambda x: _scalarize(ad.square(x), b234)),
-        ("gelu_batched", r((2, 3, 4)), lambda x: _scalarize(ad.gelu(x), b234)),
+        ("add_batched", r((2, 3, 4)), lambda x: ad.add(x, const(b234)), b234),
+        ("add_bias_batched", r((4,)), lambda x: ad.add(const(b234), x), b234),
+        ("add_rows_batched", r((3, 4)), lambda x: ad.add(const(b234), x), b234),
+        ("subtract_batched", r((2, 3, 4)), lambda x: ad.subtract(const(b234), x), b234),
+        ("multiply_batched", r((2, 3, 4)), lambda x: ad.multiply(x, const(factor)), b234),
+        ("scale_by_constant_batched", r((2, 3, 4)), lambda x: ad.scale(x, -0.6), b234),
+        ("natural_log_batched", np.abs(r((2, 3, 4))) + 0.5, ad.log, b234),
+        ("exp_batched", r((2, 3, 4)), ad.exp, b234),
+        ("square_batched", r((2, 3, 4)), ad.square, b234),
+        ("gelu_batched", r((2, 3, 4)), ad.gelu, b234),
         ("layer_norm_x_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.layer_norm(x, const(ln_gain), const(ln_bias)), b234)),
+         lambda x: ad.layer_norm(x, const(ln_gain), const(ln_bias)), b234),
         ("layer_norm_gain_batched", r((4,)),
-         lambda x: _scalarize(ad.layer_norm(const(b234), x, const(ln_bias)), b234)),
+         lambda x: ad.layer_norm(const(b234), x, const(ln_bias)), b234),
         ("layer_norm_bias_batched", r((4,)),
-         lambda x: _scalarize(ad.layer_norm(const(b234), const(ln_gain), x), b234)),
-        ("concat_rows_left_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.concat_rows(x, const(b234)), b264)),
-        ("concat_rows_right_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.concat_rows(const(b234), x), b264)),
-        ("gather_rows_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.gather_rows(x, rows), b234)),
+         lambda x: ad.layer_norm(const(b234), const(ln_gain), x), b234),
+        ("concat_rows_left_batched", r((2, 3, 4)), lambda x: ad.concat_rows(x, const(b234)), b264),
+        ("concat_rows_right_batched", r((2, 3, 4)), lambda x: ad.concat_rows(const(b234), x),
+         b264),
+        ("gather_rows_batched", r((2, 3, 4)), lambda x: ad.gather_rows(x, rows), b234),
         ("gather_rows_table", r((3, 4)),  # one table, a batch of index rows
-         lambda x: _scalarize(ad.gather_rows(x, rows), b234)),
-        ("mask_multiply_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.mask_multiply(x, mask), b234)),
-        ("mean_all_batched", r((2, 3, 4)), lambda x: ad.mean_all(x)),
-        ("transpose_batched", r((2, 3, 4)), lambda x: _scalarize(ad.transpose(x), b243)),
-        ("reshape_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.reshape(x, (6, 4)), b234.reshape(6, 4))),
-        ("scale_rows_batched", r((2, 3)),
-         lambda x: _scalarize(ad.scale_rows(const(b234), x), b234)),
-        ("scale_rows_tokens_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.scale_rows(x, const(b23)), b234)),
+         lambda x: ad.gather_rows(x, rows), b234),
+        ("mask_multiply_batched", r((2, 3, 4)), lambda x: ad.mask_multiply(x, mask), b234),
+        ("mean_all_batched", r((2, 3, 4)), ad.mean_all, None),
+        ("transpose_batched", r((2, 3, 4)), ad.transpose, b243),
+        ("reshape_batched", r((2, 3, 4)), lambda x: ad.reshape(x, (6, 4)), b234.reshape(6, 4)),
+        ("scale_rows_batched", r((2, 3)), lambda x: ad.scale_rows(const(b234), x), b234),
+        ("scale_rows_tokens_batched", r((2, 3, 4)), lambda x: ad.scale_rows(x, const(b23)), b234),
         ("softmax_batched", r((2, 3, 4)),
-         lambda x: _scalarize(ad.softmax_with_temperature(x, axis=-1, tau=0.9), b234)),
+         lambda x: ad.softmax_with_temperature(x, axis=-1, tau=0.9), b234),
         ("softmax_masked_keys", r((2, 3, 3)),
-         lambda x: _scalarize(ad.softmax_with_temperature(ad.add(x, const(key_bias)),
-                                                          axis=2, tau=1.0), b233)),
-        ("cross_entropy_batched", r((2, 4)),
-         lambda x: _scalarize(ad.cross_entropy_loss(x, np.array([1, 3])), b2)),
+         lambda x: ad.softmax_with_temperature(ad.add(x, const(key_bias)), axis=2, tau=1.0),
+         b233),
+        ("cross_entropy_batched", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])),
+         b2),
     ]
 
 
@@ -181,9 +229,9 @@ def _attention_cases(r):
     packed sequences of 2 and 4 rows, so the first is padded by two keys."""
     w32, w64 = r((3, 2)), r((6, 4))
     return [
-        ("attention_1head", r((3, 6)), lambda x: _scalarize(ad.attention(x, (3,), 1), w32)),
-        ("attention_2heads_unequal_lengths", r((6, 12)),
-         lambda x: _scalarize(ad.attention(x, (2, 4), 2), w64)),
+        ("attention_1head", r((3, 6)), lambda x: ad.attention(x, (3,), 1), w32),
+        ("attention_2heads_unequal_lengths", r((6, 12)), lambda x: ad.attention(x, (2, 4), 2),
+         w64),
     ]
 
 
@@ -192,9 +240,9 @@ def _linear_cases(r):
     x, w, b, out_w = r((3, 4)), r((4, 2)), r((2,)), r((3, 2))
     const = ad.constant
     return [
-        ("linear_x", r((3, 4)), lambda v: _scalarize(ad.linear(v, const(w), const(b)), out_w)),
-        ("linear_w", r((4, 2)), lambda v: _scalarize(ad.linear(const(x), v, const(b)), out_w)),
-        ("linear_b", r((2,)), lambda v: _scalarize(ad.linear(const(x), const(w), v), out_w)),
+        ("linear_x", r((3, 4)), lambda v: ad.linear(v, const(w), const(b)), out_w),
+        ("linear_w", r((4, 2)), lambda v: ad.linear(const(x), v, const(b)), out_w),
+        ("linear_b", r((2,)), lambda v: ad.linear(const(x), const(w), v), out_w),
     ]
 
 
@@ -202,27 +250,44 @@ def _long_attention_cases(r):
     """Attention whose sequences are longer than its head width: two heads
     of width 1 on two packed sequences of 4 and 6 rows."""
     w = r((10, 2))
-    return [
-        ("attention_2heads_length4_6", r((10, 6)),
-         lambda x: _scalarize(ad.attention(x, (4, 6), 2), w)),
-    ]
+    return [("attention_2heads_length4_6", r((10, 6)), lambda x: ad.attention(x, (4, 6), 2), w)]
 
 
 def _segment_mean_cases(r):
     """The mean of each packed sequence's rows, on sequences of 1, 3 and 2
     rows: a one-row mean is the row itself."""
     w = r((3, 4))
-    return [
-        ("segment_mean_lengths1_3_2", r((6, 4)),
-         lambda x: _scalarize(ad.segment_mean(x, (1, 3, 2)), w)),
-    ]
+    return [("segment_mean_lengths1_3_2", r((6, 4)), lambda x: ad.segment_mean(x, (1, 3, 2)), w)]
+
+
+def catalog_case(name: str, point: np.ndarray, op: Callable[[Tensor], Tensor],
+                 weights: np.ndarray | None) -> ad.Case:
+    """The `central_difference_check` case of one catalog entry
+    (`_catalog_cases`): the tape gradient of its loss at point, and the
+    central differences at `FD_STEP`, each perturbed point running the op
+    alone and each stack of points only the weighted mean
+    (`replica_means`)."""
+    loss = op if weights is None else lambda x: _scalarize(op(x), weights)
+    with Tape() as tape:
+        x = tape.leaf(point)
+        tape.backward(loss(x))
+        analytic = tape.grad(x)
+    # each point's output copied, flat: a reshape or a transpose is a view of
+    # the point
+    value = Tensor(point)
+    stage = Stage(name, (Parameter(name, point),),
+                  lambda tape, _: Tensor(op(value).data.flatten()))
+    replica = ((lambda out: out.data.reshape(-1)) if weights is None
+               else lambda out: replica_means(out, weights))
+    numeric, = stacked_central_differences([stage], None, [point], replica, FD_STEP, CENTRAL)
+    return name, numeric, analytic
 
 
 def check_catalog(repeats: int = 3, seed: int = 2024) -> SuiteReport:
     """Finite differences vs tape gradients for every catalog primitive."""
     worst, where = central_difference_check(
-        leaf_case(name, build, point, FD_STEP) for rep in range(repeats)
-        for name, point, build in _catalog_cases(SeededRng(seed).split(rep)))
+        catalog_case(*case) for rep in range(repeats)
+        for case in _catalog_cases(SeededRng(seed).split(rep)))
     return SuiteReport("autodiff_catalog", worst, worst <= GRAD_TOLERANCE, where)
 
 
@@ -257,46 +322,63 @@ def frozen_selector(select: Selector) -> Selector:
     return select_frozen
 
 
-def check_ste_soft_path(seed: int = 7) -> SuiteReport:
-    """STE gradients wrt scorer parameters vs finite differences of the
-    frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants.
-
-    A quadratic loss reads the tokens `apply_ste` packs, so the check runs
-    through the straight-through op training uses, on a batch of one. Each
-    variant's gate reads the noise a fresh SeededRng(99) draws for the
-    batch, drawn once.
-    """
+def ste_point(seed: int) -> tuple[Tensor, np.ndarray, KeepProbPredictor,
+                                  list[tuple[str, Selector]]]:
+    """The straight-through suite's base point at `seed`: tokens [1, n, d],
+    a batch of one, the weights [n, d] of its quadratic loss, the scorer,
+    and each Gumbel variant's gate, named. Each gate reads the noise a fresh
+    SeededRng(99) draws for the batch, drawn once and given again to every
+    copy of the batch in a stack."""
     rng = SeededRng(seed)
     d, n = 6, 8
     tokens = ad.constant(_rand(rng.split(0), (1, n, d)))
     quad_w = _rand(rng.split(1), (n, d))
     # large init keeps every gradient above the finite-difference noise floor
     scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
-
     topk_noise = sample_standard_gumbel(SeededRng(99), n).reshape(1, n)
     gate_noise = sample_standard_gumbel(SeededRng(99), 2 * n).reshape(1, 2, n)
-    variants = [
-        ("gumbel_topk", lambda s: gumbel_topk_gate(s, topk_noise, 3, 0.5)),
-        ("ratio_controlled", lambda s: ratio_controlled_gate(s, gate_noise, 0.5)),
+    return tokens, quad_w, scorer, [
+        ("gumbel_topk", lambda s: gumbel_topk_gate(
+            s, np.tile(topk_noise, (s.shape[0], 1)), 3, 0.5)),
+        ("ratio_controlled", lambda s: ratio_controlled_gate(
+            s, np.tile(gate_noise, (s.shape[0], 1, 1)), 0.5)),
     ]
 
-    def cases(vname: str, selector: Selector) -> list[ad.Case]:
-        select = frozen_selector(selector)
 
-        def loss_on(tape: Tape) -> Tensor:
-            mask = select(compute_keep_probabilities(tape, tokens, scorer))
-            kept = apply_ste([tokens], mask).rows
-            return _scalarize(ad.square(kept), quad_w[mask.kept_in(0)])
+def ste_cases(tokens: Tensor, quad_w: np.ndarray, scorer: KeepProbPredictor, variant: str,
+              selector: Selector) -> Iterator[ad.Case]:
+    """One variant's `central_difference_check` cases, one per scorer
+    parameter: the tape gradient of the quadratic loss of the tokens
+    `apply_ste` packs under the frozen selector, and its central
+    differences at `FD_STEP`. Those run the scorer's stages
+    (`KeepProbPredictor.stages`) and one selection stage, the frozen
+    selector and `apply_ste` on as many copies of the tokens as the stack
+    holds; each replica's loss is the weighted mean of its own squared kept
+    rows (`replica_means`)."""
+    select = frozen_selector(selector)
+    with Tape() as tape:
+        mask = select(compute_keep_probabilities(tape, tokens, scorer))
+        weights = quad_w[mask.kept_in(0)]
+        tape.backward(_scalarize(ad.square(apply_ste([tokens], mask).rows), weights))
+        analytic = [tape.grad(p) for p in scorer.parameters()]
+    selection = Stage("selection", (), lambda tape, s: apply_ste(
+        [ad.constant(np.tile(tokens.data, (s.shape[0], 1, 1)))], select(s)))
+    numeric = stacked_central_differences(
+        [*scorer.stages(), selection], tokens, [p.value for p in scorer.parameters()],
+        lambda kept: replica_means(ad.square(kept.rows), weights), FD_STEP, CENTRAL)
+    return ((f"{variant}:{p.name}", numeric_p, g)
+            for p, numeric_p, g in zip(scorer.parameters(), numeric, analytic))
 
-        with Tape() as tape:
-            tape.backward(loss_on(tape))
-            analytic = [tape.grad(p) for p in scorer.parameters()]
-        return [(f"{vname}:{p.name}",
-                 central_differences(lambda: loss_on(Tape()).item(), p.value, FD_STEP), g)
-                for p, g in zip(scorer.parameters(), analytic)]
 
+def check_ste_soft_path(seed: int = 7) -> SuiteReport:
+    """STE gradients wrt scorer parameters vs finite differences of the
+    frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants
+    (`ste_cases`). A quadratic loss reads the tokens `apply_ste` packs, so
+    the check runs through the straight-through op training uses, on a
+    batch of one (`ste_point`)."""
+    tokens, quad_w, scorer, variants = ste_point(seed)
     worst, where = central_difference_check(
-        case for variant in variants for case in cases(*variant))
+        case for variant in variants for case in ste_cases(tokens, quad_w, scorer, *variant))
     return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, where)
 
 
@@ -348,27 +430,12 @@ def multimodal_gradients(pipeline: Pipeline, streams: list[Tensor], labels: np.n
         return [tape.grad(p) for p in pipeline.parameters()] + [tape.grad(visual)]
 
 
-def stack(states: list):
-    """The states of several batches at one stage as one batch: packed rows
-    end to end with their lengths in turn, tensors along their first axis,
-    tuples and lists component by component."""
-    first = states[0]
-    if isinstance(first, Packed):
-        return Packed(ad.constant(np.concatenate([s.rows.data for s in states])),
-                      sum((s.lengths for s in states), ()))
-    if isinstance(first, (tuple, list)):
-        return type(first)(stack(list(parts)) for parts in zip(*states))
-    return ad.constant(np.concatenate([s.data for s in states]))
-
-
-def replica_losses(stages: list[Stage], state, labels: np.ndarray) -> np.ndarray:
-    """The loss of each of the batches stacked in `state` (`stack`), all of
-    whose examples follow `labels`: one run of `stages` on the stack, then
-    each batch's mean cross-entropy over its own examples."""
-    for stage in stages:
-        state = stage.run(Tape(), state)
-    copies = state.shape[0] // labels.size
-    losses = ad.cross_entropy_loss(state, np.tile(labels, copies)).data
+def replica_losses(logits: Tensor, labels: np.ndarray) -> np.ndarray:
+    """The loss of each of the batches stacked in `logits` [copies * B, C]
+    (`stack`), all of whose examples follow `labels`: each batch's mean
+    cross-entropy over its own examples."""
+    copies = logits.shape[0] // labels.size
+    losses = ad.cross_entropy_loss(logits, np.tile(labels, copies)).data
     return losses.reshape(copies, labels.size).mean(axis=1)
 
 
@@ -390,43 +457,23 @@ def keeping_base_rows(select: Selector) -> Selector:
     return checked
 
 
-def stacked_central_differences(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
-                                select: Selector) -> Iterator[np.ndarray]:
+def multimodal_differences(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
+                           select: Selector) -> Iterator[np.ndarray]:
     """The finite differences (`MULTIMODAL_STENCIL`) of the pipeline's loss
     wrt each of `multimodal_arrays`, in order, after the selector's kept set
-    is fixed.
-
-    One loop serves every array: the pipeline's stages
-    (`Pipeline.stages`), after a first stage that reads the visual tokens,
-    run once at the base point; then each perturbed point of an array runs
-    only the stages from the first to the last that name it, from the base
-    point's state: for most arrays the one op that reads it. The points'
-    states are stacked along the batch axis (`stack`, at most
-    `STACK_REPLICAS` a stack) and the later stages run once on the stack;
-    the frozen selector keeps the base point's rows in every copy, and a
-    stack that keeps other rows is refused. Nothing is recorded: the stages
-    read the parameter values and the visual array themselves, so the
-    in-place perturbations reach them.
+    is fixed: `stacked_central_differences` over the pipeline's stages
+    (`Pipeline.stages`) after a first stage that reads the visual tokens,
+    each replica's loss its batch's mean cross-entropy. The frozen selector
+    keeps the base point's rows in every copy, and a stack that keeps other
+    rows is refused.
     """
     visual = Parameter("visual_tokens", streams[0].data)  # the very array perturbed
     stages = [Stage("visual_tokens", (visual,), lambda tape, _: [
                   ad.constant(visual.value.copy()), *streams[1:]]),
               *pipeline.stages(keeping_base_rows(select))]
-    base = [None]  # the base point's state entering each stage
-    for stage in stages[:-1]:
-        base.append(stage.run(Tape(), base[-1]))
-
-    for _, array in multimodal_arrays(pipeline, streams):
-        reading = [i for i, stage in enumerate(stages)
-                   if any(p.value is array for p in stage.parameters)]
-        first, end = reading[0], reading[-1] + 1
-        points = (run_stages(Tape(), stages[first:end], base[first])
-                  for _ in perturb_each(array, MULTIMODAL_STEP, MULTIMODAL_STENCIL))
-        # each stack runs as soon as it is full, while the array is still
-        # perturbed: the stages after `end` do not read it
-        losses = [replica_losses(stages[end:], stack(chunk), labels)
-                  for chunk in iter(lambda: list(itertools.islice(points, STACK_REPLICAS)), [])]
-        yield difference_quotients(np.concatenate(losses), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
+    return stacked_central_differences(
+        stages, None, [array for _, array in multimodal_arrays(pipeline, streams)],
+        lambda logits: replica_losses(logits, labels), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
 
 
 def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
@@ -434,7 +481,7 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
     and the visual tokens, noise and kept sets frozen, on a batch of two,
     against stacked fourth-order finite differences
-    (`stacked_central_differences`).
+    (`multimodal_differences`).
 
     The two examples keep different, non-zero token counts, so the packing
     of the kept tokens and the padding inside the task model's attention
@@ -444,7 +491,7 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     analytic = multimodal_gradients(pipeline, streams, labels, select)
     names = [name for name, _ in multimodal_arrays(pipeline, streams)]
     worst, where = central_difference_check(zip(
-        names, stacked_central_differences(pipeline, streams, labels, select), analytic))
+        names, multimodal_differences(pipeline, streams, labels, select), analytic))
     return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, where)
 
 

@@ -9,18 +9,21 @@ import sparsetok.autodiff as ad
 import sparsetok.checks as checks
 import sparsetok.data as data
 from sparsetok.autodiff import Tape
-from sparsetok.checks import (MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMPLE_TOLERANCE,
-                              SuiteReport, check_catalog,
+from sparsetok.checks import (FD_STEP, MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMPLE_TOLERANCE,
+                              SuiteReport, catalog_case, check_catalog,
                               check_gumbel_max_frequencies, check_gumbel_mean,
                               check_multimodal_end_to_end, check_ste_soft_path,
                               check_topk_inclusion_frequencies, check_topk_selection_frequencies,
-                              format_sample_report, multimodal_arrays, multimodal_gradients,
-                              multimodal_point, plackett_luce_inclusion, replica_losses,
-                              run_gradcheck, run_sample_check, stack,
-                              stacked_central_differences)
+                              format_sample_report, frozen_selector, multimodal_arrays,
+                              multimodal_differences, multimodal_gradients, multimodal_point,
+                              plackett_luce_inclusion, replica_losses, run_gradcheck,
+                              run_sample_check, stack, stacked_central_differences, ste_cases,
+                              ste_point)
 from sparsetok.errors import ContractError
+from sparsetok.gumbel import sample_standard_gumbel
 from sparsetok.rng import SeededRng
-from sparsetok.selection import Packed, deterministic_topk_select
+from sparsetok.selection import (Packed, apply_ste, compute_keep_probabilities,
+                                 deterministic_topk_select, ratio_controlled_gate)
 from sparsetok.stages import run_stages
 
 
@@ -94,9 +97,34 @@ def test_corrupted_segment_mean_fails_catalog_and_multimodal():
 
 
 def test_stacked_central_differences_match_the_per_coordinate_loop():
-    """At the suite's default seed, 8, every coordinate's stacked finite
-    difference is the one of the per-coordinate loop, which re-runs the
-    whole pipeline at each point of the stencil, to 1e-9 absolute."""
+    """Every suite's stacked finite differences are those of the
+    per-coordinate loop, which re-runs the whole loss at each point of the
+    stencil: bit for bit for every catalog case of one repeat and for both
+    straight-through variants over all four scorer parameters, and to 1e-9
+    absolute for every array of the multimodal suite at its default seed,
+    8, whose stacks batch BLAS products and attention differently."""
+    for name, point, op, weights in checks._catalog_cases(SeededRng(2024).split(0)):
+        loss = op if weights is None else lambda x: ad.mean_all(ad.mask_multiply(op(x), weights))
+        reference = ad.central_differences(lambda: loss(ad.Tensor(point)).item(), point, FD_STEP)
+        _, numeric, _ = catalog_case(name, point, op, weights)
+        np.testing.assert_array_equal(numeric, reference, err_msg=name)
+
+    tokens, quad_w, scorer, variants = ste_point(7)
+    for variant, selector in variants:
+        stacked = list(ste_cases(tokens, quad_w, scorer, variant, selector))
+        select = frozen_selector(selector)
+
+        def quadratic_loss():
+            mask = select(compute_keep_probabilities(Tape(), tokens, scorer))
+            squares = ad.square(apply_ste([tokens], mask).rows)
+            return ad.mean_all(ad.mask_multiply(squares, quad_w[mask.kept_in(0)])).item()
+
+        quadratic_loss()  # the first call, at the base point, fixes the kept set
+        assert len(stacked) == len(scorer.parameters()) == 4
+        for p, (name, numeric, _) in zip(scorer.parameters(), stacked):
+            reference = ad.central_differences(quadratic_loss, p.value, FD_STEP)
+            np.testing.assert_array_equal(numeric, reference, err_msg=name)
+
     pipeline, streams, labels, select = multimodal_point(8)
     multimodal_gradients(pipeline, streams, labels, select)  # fixes the kept set
 
@@ -105,12 +133,74 @@ def test_stacked_central_differences_match_the_per_coordinate_loop():
         return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
 
     arrays = multimodal_arrays(pipeline, streams)
-    stacked = list(stacked_central_differences(pipeline, streams, labels, select))
+    stacked = list(multimodal_differences(pipeline, streams, labels, select))
     assert len(stacked) == len(arrays) == 27
     for (name, array), numeric in zip(arrays, stacked):
         reference = ad.central_differences(loss_at, array, MULTIMODAL_STEP, MULTIMODAL_STENCIL)
         assert numeric.shape == reference.shape == (array.size,)
         np.testing.assert_allclose(numeric, reference, rtol=0, atol=1e-9, err_msg=name)
+
+
+def test_stacked_differences_run_every_stage_that_reads_the_array():
+    """A base batch whose first example keeps nothing runs the task model's
+    null stages: `task.pos_table` is then read twice in one point's span,
+    by the positional rows and again by the null position, and
+    `task.null_token` by the null row. Their stacked finite differences
+    are those of the per-coordinate loop; a point that ran only the first
+    stage reading its array would miss the null position's read of table
+    row 0."""
+    pipeline, streams, labels, _ = multimodal_point(8)
+    noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * 5).reshape(2, 2, 5)
+    noise[0, 0] = -50.0  # example 0's keep logits: it keeps no token
+    select = frozen_selector(lambda s: ratio_controlled_gate(
+        s, np.tile(noise, (s.shape[0] // 2, 1, 1)), 0.5))
+
+    def loss_at():
+        logits, _ = pipeline.forward_batch(Tape(), streams, select)
+        return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
+
+    _, mask = pipeline.forward_batch(Tape(), streams, select)  # fixes the kept set
+    assert mask.kept_count.tolist() == [0, 1]
+    arrays = [pipeline.task.pos_table.value, pipeline.task.null_token.value]
+    stages = pipeline.stages(select)
+    readers = [[stage.name for stage in stages if any(p.value is a for p in stage.parameters)]
+               for a in arrays]
+    assert readers == [["positions", "task.null_position"], ["task.null_token"]]
+    stacked = stacked_central_differences(
+        stages, streams, arrays, lambda logits: replica_losses(logits, labels),
+        MULTIMODAL_STEP, MULTIMODAL_STENCIL)
+    for array, numeric in zip(arrays, stacked):
+        reference = ad.central_differences(loss_at, array, MULTIMODAL_STEP, MULTIMODAL_STENCIL)
+        assert np.abs(reference).max() > 1e-3
+        np.testing.assert_allclose(numeric, reference, rtol=0, atol=1e-9)
+
+
+def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
+    """The straight-through suite runs `apply_ste` once in each variant's
+    taped pass and once per stack: w1's 144 points make 3 stacks, and b1's,
+    w2's and b2's one each, so 7 a variant. It runs `gelu` once taped, once
+    at the base point and once per stack of w1 and b1, the arrays read
+    before it, so 6 a variant. Re-running the whole loss at each of the 440
+    points made 442 of each. The catalog calls `mean_all` in every case's
+    taped loss but the three `cross_entropy` cases' (171), and as the op of
+    the `mean_all` cases at each of their 180 points: 351, where a mean at
+    every point made 5,265."""
+    calls = {"apply_ste": 0, "gelu": 0, "mean_all": 0}
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(
+            *args, **kwargs)
+
+    monkeypatch.setattr(checks, "apply_ste", counted("apply_ste", checks.apply_ste))
+    monkeypatch.setattr(ad, "gelu", counted("gelu", ad.gelu))
+    monkeypatch.setattr(ad, "mean_all", counted("mean_all", ad.mean_all))
+    report = check_ste_soft_path()
+    assert report.ok, report.line()
+    assert calls == {"apply_ste": 14, "gelu": 12, "mean_all": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    report = check_catalog()
+    assert report.ok, report.line()
+    assert calls["mean_all"] == 351
 
 
 def test_stacked_differences_refuse_a_point_that_keeps_other_rows():
@@ -126,7 +216,7 @@ def test_stacked_differences_refuse_a_point_that_keeps_other_rows():
         return select(s) if len(calls) == 1 else deterministic_topk_select(s, 4)
 
     with pytest.raises(ContractError, match="keep rows"):
-        list(stacked_central_differences(pipeline, streams, labels, drifting))
+        list(multimodal_differences(pipeline, streams, labels, drifting))
     with pytest.raises(ContractError, match="does not stack copies"):
         select(ad.constant(np.full((3, 5), 0.5)))
 
@@ -141,11 +231,11 @@ def test_replica_losses_move_only_with_their_own_rows():
     assert len(set(state.lengths)) > 1  # unequal lengths: attention pads inside the stack
     moved = Packed(ad.constant(state.rows.data + SeededRng(3).normals(state.rows.data.size)
                                .reshape(state.rows.shape)), state.lengths)
-    before = replica_losses(later, stack([state, state, state]), labels)
-    after = replica_losses(later, stack([state, moved, state]), labels)
+    before = replica_losses(run_stages(Tape(), later, stack([state, state, state])), labels)
+    after = replica_losses(run_stages(Tape(), later, stack([state, moved, state])), labels)
     assert after[0] == before[0] and after[2] == before[2]
     assert after[1] != before[1]
-    alone = [replica_losses(later, s, labels)[0] for s in (state, moved)]
+    alone = [replica_losses(run_stages(Tape(), later, s), labels)[0] for s in (state, moved)]
     assert before == pytest.approx([alone[0]] * 3, rel=0, abs=1e-14)
     assert after[1] == pytest.approx(alone[1], rel=0, abs=1e-14)
 
@@ -254,6 +344,18 @@ def test_topk_inclusion_oracle_has_power():
     assert not report.ok, report.line()
 
 
+def _traced_peak_mib(suite) -> float:
+    """The traced peak allocation of one passing run of `suite`, MiB."""
+    tracemalloc.start()
+    try:
+        report = suite()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.line()
+    return peak / 2**20
+
+
 # traced peak allocation at the default trial count, MiB: about twice the
 # chunked driver's peaks (1.50, 2.23, 4.24, 4.20 MiB with 2^16-value chunks)
 # and below the peaks of one batch of all trials (22.89, 10.21, 19.36 MiB for
@@ -268,14 +370,24 @@ _PEAK_BOUNDS_MIB = {
 
 @pytest.mark.parametrize("suite", _PEAK_BOUNDS_MIB, ids=lambda suite: suite.__name__)
 def test_sampling_suite_memory_is_bounded(suite):
-    tracemalloc.start()
-    try:
-        report = suite()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok, report.line()
-    assert peak / 2**20 < _PEAK_BOUNDS_MIB[suite]
+    assert _traced_peak_mib(suite) < _PEAK_BOUNDS_MIB[suite]
+
+
+# traced peak allocation of one run, MiB, at most STACK_REPLICAS = 64 points
+# a stack: 0.18, 0.28 and 0.94 MiB. The straight-through and multimodal
+# bounds fail at 128 points a stack (0.52 and 1.74 MiB) and with no bound
+# (0.59 and 8.91 MiB); the catalog's stacks are small at any size (0.25 MiB
+# with no bound)
+_GRADIENT_PEAK_BOUNDS_MIB = {
+    check_catalog: 0.35,
+    check_ste_soft_path: 0.45,
+    check_multimodal_end_to_end: 1.5,
+}
+
+
+@pytest.mark.parametrize("suite", _GRADIENT_PEAK_BOUNDS_MIB, ids=lambda suite: suite.__name__)
+def test_gradient_suite_memory_is_bounded(suite):
+    assert _traced_peak_mib(suite) < _GRADIENT_PEAK_BOUNDS_MIB[suite]
 
 
 @pytest.mark.parametrize("suite, n", [
