@@ -160,10 +160,8 @@ def _catalog_cases(rng: SeededRng):
         ("reshape", r((2, 3)), lambda x: ad.reshape(x, (3, 2)), w32),
         ("scale_rows", r((3,)), lambda x: ad.scale_rows(ad.constant(w34), x), w34),
         ("scale_rows_tokens", r((3, 4)), lambda x: ad.scale_rows(x, ad.constant(row_w)), w34),
-        ("softmax_axis0", r((5,)), lambda x: ad.softmax_with_temperature(x, axis=0, tau=0.7),
-         w5),
-        ("softmax_axis1", r((2, 4)), lambda x: ad.softmax_with_temperature(x, axis=1, tau=1.3),
-         w24),
+        ("softmax_axis0", r((5,)), lambda x: ad.softmax_with_temperature(x, 0.7), w5),
+        ("softmax_axis1", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
         ("cross_entropy", r((4,)), lambda x: ad.cross_entropy_loss(x, 1), None),
     ]
     # appended cases come last, so the earlier ones keep their draws
@@ -205,7 +203,9 @@ def _batched_cases(r):
         ("concat_rows_left_batched", r((2, 3, 4)), lambda x: ad.concat_rows(x, const(b234)), b264),
         ("concat_rows_right_batched", r((2, 3, 4)), lambda x: ad.concat_rows(const(b234), x),
          b264),
-        ("gather_rows_batched", r((2, 3, 4)), lambda x: ad.gather_rows(x, rows), b234),
+        # a batch [2, 3, 4] as its flat rows: example b's row j is row 3b + j
+        ("gather_rows_batched", r((2, 3, 4)).reshape(6, 4),
+         lambda x: ad.gather_rows(x, rows + [[0], [3]]), b234),
         ("gather_rows_table", r((3, 4)),  # one table, a batch of index rows
          lambda x: ad.gather_rows(x, rows), b234),
         ("mask_multiply_batched", r((2, 3, 4)), lambda x: ad.mask_multiply(x, mask), b234),
@@ -214,11 +214,9 @@ def _batched_cases(r):
         ("reshape_batched", r((2, 3, 4)), lambda x: ad.reshape(x, (6, 4)), b234.reshape(6, 4)),
         ("scale_rows_batched", r((2, 3)), lambda x: ad.scale_rows(const(b234), x), b234),
         ("scale_rows_tokens_batched", r((2, 3, 4)), lambda x: ad.scale_rows(x, const(b23)), b234),
-        ("softmax_batched", r((2, 3, 4)),
-         lambda x: ad.softmax_with_temperature(x, axis=-1, tau=0.9), b234),
+        ("softmax_batched", r((2, 3, 4)), lambda x: ad.softmax_with_temperature(x, 0.9), b234),
         ("softmax_masked_keys", r((2, 3, 3)),
-         lambda x: ad.softmax_with_temperature(ad.add(x, const(key_bias)), axis=2, tau=1.0),
-         b233),
+         lambda x: ad.softmax_with_temperature(ad.add(x, const(key_bias)), 1.0), b233),
         ("cross_entropy_batched", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])),
          b2),
     ]

@@ -229,12 +229,10 @@ class TaskPerformer:
         return ad.linear(pooled, tape.param(self.head_w), tape.param(self.head_b))
 
 
-def init_parameters(config: TaskPerformerConfig, rng: SeededRng,
-                    stddev: float | None = None) -> TaskPerformer:
-    """Fresh TaskPerformer: projection weights ~ N(0, stddev), biases zero,
-    norm gains one; bit-identical for identical seeds."""
-    if stddev is None:
-        stddev = config.init_std
+def init_parameters(config: TaskPerformerConfig, rng: SeededRng) -> TaskPerformer:
+    """Fresh TaskPerformer: projection weights ~ N(0, config.init_std),
+    biases zero, norm gains one; bit-identical for identical seeds."""
+    stddev = config.init_std
     model = TaskPerformer(config)
     model.in_w.value = rng.split(0).normals(model.in_w.value.size, 0.0, stddev).reshape(model.in_w.shape)
     model.pos_table.value = rng.split(1).normals(model.pos_table.value.size, 0.0, stddev).reshape(model.pos_table.shape)

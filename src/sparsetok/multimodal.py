@@ -8,12 +8,13 @@ fusion is a list of one-op stages (`ContextModel.stages`, see `stages`).
 """
 from __future__ import annotations
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ShapeError
 from .model import MultiHeadAttention
 from .rng import SeededRng
-from .selection import index_grid
 from .stages import Packed, Stage, run_stages
 
 
@@ -33,7 +34,7 @@ class ContextModel:
     def parameters(self) -> list[Parameter]:
         return self.attn.parameters()
 
-    def init(self, rng: SeededRng, stddev: float = 0.02) -> "ContextModel":
+    def init(self, rng: SeededRng, stddev: float) -> "ContextModel":
         self.attn.init(rng, stddev)
         return self
 
@@ -62,8 +63,9 @@ class ContextModel:
         return Packed(ad.reshape(joint, (batch * 2 * n, d)), (2 * n,) * batch)
 
     def slots(self, tape: ad.Tape, out: Packed) -> Tensor:
-        """u [B, n, d]: each index's visual slot plus its textual slot."""
+        """u [B, n, d]: each index's visual slot plus its textual slot.
+        Example b's index j sits at packed row 2n*b + j and its textual
+        slot n rows further on."""
         batch, n = len(out.lengths), out.lengths[0] // 2
-        joint = ad.reshape(out.rows, (batch, 2 * n, self.d))
-        return ad.add(ad.gather_rows(joint, index_grid((batch, n))),
-                      ad.gather_rows(joint, index_grid((batch, n), n)))
+        visual = (2 * n * np.arange(batch))[:, None] + np.arange(n)
+        return ad.add(ad.gather_rows(out.rows, visual), ad.gather_rows(out.rows, visual + n))

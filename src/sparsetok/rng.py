@@ -138,12 +138,6 @@ class SeededRng(_CounterDraws):
     def permutation(self, n: int) -> np.ndarray:
         return np.argsort(self.uniforms(n), kind="stable")
 
-    def choice(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), unsorted."""
-        if k > n:
-            raise ValueError(f"cannot choose {k} of {n}")
-        return self.permutation(n)[:k]
-
 
 class SeededStreams(_CounterDraws):
     """Many SeededRng streams of one seed, drawn together as [streams, draws].

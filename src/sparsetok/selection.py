@@ -87,7 +87,7 @@ class KeepProbPredictor:
         self.w2 = Parameter("scorer.w2", np.zeros((hidden, 2)))
         self.b2 = Parameter("scorer.b2", np.zeros(2))
 
-    def init(self, rng: SeededRng, stddev: float = 0.02) -> "KeepProbPredictor":
+    def init(self, rng: SeededRng, stddev: float) -> "KeepProbPredictor":
         self.w1.value = rng.split(0).normals(self.w1.value.size, 0.0, stddev).reshape(self.w1.shape)
         self.w2.value = rng.split(1).normals(self.w2.value.size, 0.0, stddev).reshape(self.w2.shape)
         self.b1.value[:] = 0.0
@@ -131,8 +131,7 @@ class SelectionMask:
 
     @property
     def kept_count(self):
-        """Kept tokens per example, [B]; one count for the [n] mask of
-        `squeeze`."""
+        """Kept tokens per example, [B]."""
         return np.count_nonzero(self.hard, axis=-1)
 
     @property
@@ -143,12 +142,6 @@ class SelectionMask:
         """Example b's kept positions, strictly increasing."""
         return np.flatnonzero(self.hard[b])
 
-    def squeeze(self) -> "SelectionMask":
-        """The one-sequence mask of a batch of one: hard and soft [n]."""
-        if self.hard.shape[0] != 1:
-            raise ContractError(f"squeeze needs a batch of one, got {self.hard.shape[0]}")
-        return SelectionMask(self.hard[0], ad.reshape(self.soft, (self.n,)))
-
 
 def _mask_from_keep(keep: np.ndarray, soft: Tensor) -> SelectionMask:
     """SelectionMask from a boolean keep array [B, n]."""
@@ -158,7 +151,7 @@ def _mask_from_keep(keep: np.ndarray, soft: Tensor) -> SelectionMask:
 def _keep_entry(logits: Tensor, tau: float, shape: tuple) -> Tensor:
     """Entry 0 of each row's softmax at temperature tau, rows [R, 2]
     reshaped to `shape`."""
-    probs = ad.softmax_with_temperature(logits, axis=1, tau=tau)
+    probs = ad.softmax_with_temperature(logits, tau)
     return ad.reshape(ad.matmul(probs, ad.constant(_KEEP_COLUMN)), shape)
 
 
@@ -213,7 +206,7 @@ def gumbel_topk_gate(s: Tensor, g: np.ndarray, k: int, tau: float) -> SelectionM
         raise ShapeError(f"top-K noise {g.shape} does not match keep probabilities {s.shape}")
     keep = _top_k_keep(np.log(np.maximum(s.data, _TINY)) + g, k)
     perturbed = ad.add(_log_s(s), ad.constant(g))
-    soft = ad.softmax_with_temperature(perturbed, axis=-1, tau=tau)
+    soft = ad.softmax_with_temperature(perturbed, tau)
     return _mask_from_keep(keep, soft)
 
 
@@ -253,7 +246,8 @@ def deterministic_topk_select(s: Tensor, k: int) -> SelectionMask:
     return _mask_from_keep(_top_k_keep(s.data, k), s)
 
 
-# the inference path: rank keep probabilities and take the top K, noise-free
+# the inference path: rank keep probabilities and take the top K, noise-free;
+# a name of its own because perfbench's tracer patches train.inference_rank_topk
 inference_rank_topk = deterministic_topk_select
 
 
@@ -342,15 +336,6 @@ def _positional_rows(positional_table: Tensor, rows: np.ndarray) -> Tensor:
         raise CapacityError(f"position {rows.max()} exceeds positional capacity "
                             f"{positional_table.shape[0]}")
     return ad.gather_rows(positional_table, rows)
-
-
-@functools.lru_cache(maxsize=64)
-def index_grid(shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
-    """Read-only int64 grid of `shape` whose every row is offset,
-    offset + 1, ..., offset + shape[-1] - 1; built once per (shape, offset)."""
-    grid = np.broadcast_to(np.arange(offset, offset + shape[-1], dtype=np.int64), shape)
-    grid.flags.writeable = False
-    return grid
 
 
 def selection_loss(mask: SelectionMask, target_ratio: float) -> Tensor:

@@ -165,6 +165,8 @@ class Pipeline:
         them, or uniform_fixed's, and the kept tokens."""
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
+            # imported here, not at the top: perfbench's tracer patches
+            # selection.uniform_fixed_select by name
             from .selection import uniform_fixed_select
             mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
@@ -215,11 +217,13 @@ class Pipeline:
 
     def forward_example(self, tape: Tape, ex: Example,
                         noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
-        """Class logits [C] and the selection mask of one example: the batched
-        forward on a batch of one; noise_rng None = inference path."""
+        """Class logits [C] and the selection mask, hard and soft [n], of one
+        example: the batched forward on a batch of one; noise_rng None =
+        inference path. Kept because perfbench's tracer patches it by name."""
         select = self.ranker() if noise_rng is None else self.sampler(noise_rng)
         logits, mask = self.forward_batch(tape, self.batch_tokens([ex]), select)
-        return ad.reshape(logits, (logits.shape[1],)), mask.squeeze()
+        return (ad.reshape(logits, (logits.shape[1],)),
+                SelectionMask(mask.hard[0], ad.reshape(mask.soft, (mask.n,))))
 
 
 @dataclass

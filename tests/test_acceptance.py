@@ -11,11 +11,12 @@ import pytest
 
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
+from sparsetok.cli import main
 from sparsetok.data import NeedleSpec, generate_dataset
 from sparsetok.model import TaskPerformerConfig, init_parameters
 from sparsetok.rng import SeededRng
 from sparsetok.selection import SelectionMask, StrategyConfig, apply_ste, reencode_positions
-from sparsetok.train import Pipeline, RunConfig, retain_heap, train_step
+from sparsetok.train import Pipeline, RunConfig, retain_heap, train_run, train_step
 
 # median step time at K=8 over the median at K=32; ten runs on a 2-vCPU
 # Intel Xeon gave 0.283-0.287 with one BLAS thread and 0.298-0.304 with two
@@ -89,3 +90,51 @@ def test_task_model_step_pays_for_the_rows_kept():
                 times[name].append(time.perf_counter() - t0)
     ratio = statistics.median(times["mixed"]) / statistics.median(times["full"])
     assert ratio < PACKED_RATIO_BOUND, f"mixed / full task-model step time {ratio:.3f}"
+
+
+def gen_data(folder, *flags) -> str:
+    """A `gen-data --seed 1` file (2000 examples, n=32) with extra flags."""
+    path = str(folder / "data.jsonl")
+    assert main(["gen-data", "--out", path, "--seed", "1", *flags]) == 0
+    return path
+
+
+def last_epochs(dataset: str, kind: str, fraction: float, seeds) -> list:
+    """The last epoch's metrics row of a 10-epoch run per seed (lr 0.1,
+    batch 32, tau 0.1, lambda 1)."""
+    strategy = StrategyConfig.for_fraction(kind, fraction, 32, tau=0.1, lam=1.0)
+    return [train_run(RunConfig(dataset=dataset, strategy=strategy, epochs=10, seed=seed)).final
+            for seed in seeds]
+
+
+# the multimodal benchmark holds a ratio_controlled run within 0.06 of its
+# 0.3 target; the same 20% of the target here
+KEEP_RATIO_TOLERANCE = 0.05
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: seeds 0-2 trained at mean keep ratios of 0.500, 0.293 and 0.289 "
+    "in their last epoch; seed 0 keeps twice its target"))
+def test_ratio_controlled_keeps_its_target_fraction(tmp_path):
+    """`ratio_controlled` at target 0.25 (lambda 1, 10 epochs) on the
+    `pure_noise` file keeps, in its last epoch, a mean share of tokens within
+    KEEP_RATIO_TOLERANCE of 0.25 on every seed."""
+    rows = last_epochs(gen_data(tmp_path), "ratio_controlled", 0.25, range(3))
+    ratios = [row.mean_keep_ratio for row in rows]
+    assert all(abs(r - 0.25) <= KEEP_RATIO_TOLERANCE for r in ratios), ratios
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: on this file deterministic top-K beat Gumbel top-K on all 5 seeds, "
+    "mean recall 0.461 against 0.330"))
+def test_gumbel_topk_recalls_at_least_deterministic_topk(tmp_path):
+    """Gumbel top-K selects the needles at least as well as noise-free top-K:
+    mean eval selection recall over seeds 0-4 at K=8 of 32, 10 epochs, on
+    the file where selection has room to win (decoy prototypes, noise 0.3)."""
+    dataset = gen_data(tmp_path, "--distractor-mode", "decoy_prototypes", "--noise-std", "0.3")
+    recall = {kind: statistics.mean(row.selection_recall
+                                    for row in last_epochs(dataset, kind, 0.25, range(5)))
+              for kind in ("gumbel_topk", "deterministic_topk")}
+    assert recall["gumbel_topk"] >= recall["deterministic_topk"], recall

@@ -27,6 +27,14 @@ def test_gather_rows_direct_indexing():
     assert np.array_equal(out.data, [[3.0, 3.0], [1.0, 1.0]])
 
 
+def test_gather_rows_takes_index_arrays_of_any_shape_from_a_table_only():
+    x = ad.constant([[1, 1], [2, 2], [3, 3]])
+    out = ad.gather_rows(x, [[2, 0], [1, 1]])
+    assert np.array_equal(out.data, [[[3.0, 3.0], [1.0, 1.0]], [[2.0, 2.0], [2.0, 2.0]]])
+    with pytest.raises(ShapeError):
+        ad.gather_rows(ad.constant(np.zeros((2, 3, 2))), [[0], [1]])
+
+
 def test_log_domain_error():
     with pytest.raises(DomainError):
         ad.log(ad.constant([1.0, 0.0]))
@@ -40,27 +48,27 @@ def test_shape_conformance_errors():
 
 
 def test_softmax_symmetry_and_closed_form():
-    y = ad.softmax_with_temperature(ad.constant([3.3, 3.3, 3.3, 3.3]), axis=0, tau=1.0)
+    y = ad.softmax_with_temperature(ad.constant([3.3, 3.3, 3.3, 3.3]), 1.0)
     assert np.allclose(y.data, 0.25, atol=1e-15)
-    y = ad.softmax_with_temperature(ad.constant([1.0, 0.0]), axis=0, tau=1.0)
+    y = ad.softmax_with_temperature(ad.constant([1.0, 0.0]), 1.0)
     assert abs(y.data[0] - math.e / (1 + math.e)) < 1e-12  # 0.7310585786300049
 
 
 def test_softmax_low_temperature_saturates():
-    y = ad.softmax_with_temperature(ad.constant([1.0, 0.0]), axis=0, tau=0.01)
+    y = ad.softmax_with_temperature(ad.constant([1.0, 0.0]), 0.01)
     assert y.data[0] > 1 - 1e-10
 
 
 def test_softmax_rows_sum_to_one_large_inputs():
     rng = SeededRng(5)
     x = ad.constant(rng.normals(400, 0.0, 1e3).reshape(20, 20))
-    y = ad.softmax_with_temperature(x, axis=1, tau=0.5)
+    y = ad.softmax_with_temperature(x, 0.5)
     assert np.abs(y.data.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_softmax_temperature_domain():
     with pytest.raises(DomainError):
-        ad.softmax_with_temperature(ad.constant([1.0]), axis=0, tau=0.0)
+        ad.softmax_with_temperature(ad.constant([1.0]), 0.0)
 
 
 def test_cross_entropy_closed_forms():
@@ -208,7 +216,7 @@ def test_backward_off_tape_constant_loss():
 
 def test_softmax_cross_entropy_chain_matches_finite_differences():
     def build(x):
-        y = ad.softmax_with_temperature(x, axis=0, tau=0.7)
+        y = ad.softmax_with_temperature(x, 0.7)
         return ad.cross_entropy_loss(ad.scale(ad.log(y), 2.0), 2)
 
     err = ad.finite_difference_check(build, SeededRng(3).normals(5), 1e-5)

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from metrics_csv import read_metrics_csv
 from sparsetok.cli import main
-from sparsetok.metrics import read_metrics_csv
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_forward_is_deterministic():
 
 
 def test_positional_sensitivity():
-    model = init_parameters(SMALL, SeededRng(6), stddev=0.3)
+    model = init_parameters(replace(SMALL, init_std=0.3), SeededRng(6))
     tokens_np = SeededRng(7).normals(20).reshape(4, 5)
     perm = np.array([2, 0, 3, 1])
 
@@ -142,7 +144,7 @@ def test_packed_forward_matches_each_example_alone(counts):
     null token), and a batch of equal counts: the batch's logits, parameter
     gradients and token gradients are those of each example run alone as a
     batch of one, summed over the examples for the parameters."""
-    model = init_parameters(PACKED, SeededRng(30), stddev=0.5)
+    model = init_parameters(replace(PACKED, init_std=0.5), SeededRng(30))
     batch, n = len(counts), 6
     rng = SeededRng(31)
     tokens = rng.normals(batch * n * 5).reshape(batch, n, 5)
@@ -171,7 +173,7 @@ def test_packed_forward_matches_each_example_alone(counts):
 def test_padded_row_values_never_reach_logits_or_gradients():
     """New values in the dropped tokens leave the logits and every gradient
     bit-identical, under either positional encoding."""
-    model = init_parameters(PACKED, SeededRng(32), stddev=0.5)
+    model = init_parameters(replace(PACKED, init_std=0.5), SeededRng(32))
     counts, n = [4, 1, 0, 2], 6
     rng = SeededRng(33)
     tokens = rng.normals(4 * n * 5).reshape(4, n, 5)
@@ -256,7 +258,7 @@ def test_each_stage_reads_only_the_parameters_it_names():
     """The stages name every parameter once, and read only those: what the
     stacked gradient check relies on. The batch keeps counts 4, 1, 0, 2, so
     embed packs rows and reads the null token and table row 0."""
-    model = init_parameters(PACKED, SeededRng(34), stddev=0.5)
+    model = init_parameters(replace(PACKED, init_std=0.5), SeededRng(34))
     stages = model.stages()
     assert [stage.name for stage in stages] == [
         "task.null_position", "task.null_token", "task.in",
@@ -370,7 +372,7 @@ def reference_forward(model, kept_rows, lengths, positions):
 def test_forward_matches_a_numpy_transcription():
     """The stages compute the model they describe: logits of three packed
     sequences of 4, 1 and 2 rows agree with the plain-numpy forward."""
-    model = init_parameters(PACKED, SeededRng(38), stddev=0.5)
+    model = init_parameters(replace(PACKED, init_std=0.5), SeededRng(38))
     for p in model.parameters():  # move the biases and gains off their initial 0 and 1
         p.value = p.value + 0.1 * SeededRng(39).normals(p.value.size).reshape(p.shape)
     rows = SeededRng(40).normals(7 * 5).reshape(7, 5)
@@ -390,7 +392,7 @@ def test_capacity_error():
 
 
 def test_input_token_gradient_matches_finite_differences():
-    model = init_parameters(SMALL, SeededRng(10), stddev=0.4)
+    model = init_parameters(replace(SMALL, init_std=0.4), SeededRng(10))
     point = SeededRng(11).normals(15).reshape(3, 5)
 
     def build(x):

@@ -40,6 +40,30 @@ class TestContextModel:
         err = ad.finite_difference_check(build, rand((2, 4, D), 9), 1e-5)
         assert err <= 1e-4
 
+    def test_fuse_matches_a_numpy_transcription(self):
+        """u_j = o_j + o_{n+j}, where o is example b's joint attention over
+        its 2n rows (v_1 .. v_n; w_1 .. w_n): each example attends only to
+        its own rows, and each index sums its own visual and textual slot."""
+        model = ContextModel(D).init(SeededRng(6), stddev=0.5)
+        model.attn.bo.value = rand((D,), 10)
+        batch, n, heads = 3, 4, model.attn.heads
+        dk = D // heads
+        visual, textual = rand((batch, n, D), 11), rand((batch, n, D), 12)
+        wqkv, wo, bo = (p.value for p in model.parameters())
+        want = np.empty((batch, n, D))
+        for b in range(batch):
+            qkv = np.concatenate([visual[b], textual[b]]) @ wqkv
+            contexts = []
+            for h in range(heads):
+                q, k, v = (qkv[:, part * D + h * dk:part * D + (h + 1) * dk] for part in range(3))
+                logits = q @ k.T / np.sqrt(dk)
+                weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+                contexts.append(weights / weights.sum(axis=1, keepdims=True) @ v)
+            o = np.concatenate(contexts, axis=1) @ wo + bo
+            want[b] = o[:n] + o[n:]
+        u = model.fuse(Tape(), ad.constant(visual), ad.constant(textual))
+        np.testing.assert_allclose(u.data, want, rtol=1e-12, atol=1e-14)
+
 
 def multimodal_pipeline():
     cfg = RunConfig(dataset="unused",

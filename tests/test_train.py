@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from metrics_csv import read_metrics_csv
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.data import STREAMS, NeedleSpec, generate_dataset, write_dataset
 from sparsetok.errors import ConfigError
-from sparsetok.metrics import read_metrics_csv
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
 from sparsetok.selection import Packed, StrategyConfig, k_for_fraction
