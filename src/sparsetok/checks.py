@@ -22,8 +22,7 @@ from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
-                        compute_keep_probabilities, gumbel_topk_gate, gumbel_topk_select,
+from .selection import (SelectionMask, StrategyConfig, gumbel_topk_gate, gumbel_topk_select,
                         ratio_controlled_gate)
 from .stages import Packed, Stage, run_stages
 from .train import Pipeline, RunConfig, Selector
@@ -37,8 +36,8 @@ FD_STEP = 1e-5  # the central differences of the catalog and the straight-throug
 MULTIMODAL_STENCIL, MULTIMODAL_STEP = FOURTH_ORDER, 1e-3
 # the most perturbed points a gradient suite stacks into one batch: the
 # multimodal suite's traced peak (tracemalloc) is 0.9 MiB at 64, 1.7 at 128,
-# 3.3 at 256 and 8.9 MiB with no bound, the straight-through suite's 0.28,
-# 0.52 and, with no bound, 0.59 MiB
+# 3.3 at 256 and 8.9 MiB with no bound, the straight-through suite's 0.33,
+# 0.60 and, with no bound, 0.66 MiB
 STACK_REPLICAS = 64
 
 
@@ -320,112 +319,60 @@ def frozen_selector(select: Selector) -> Selector:
     return select_frozen
 
 
-def ste_point(seed: int) -> tuple[Tensor, np.ndarray, KeepProbPredictor,
-                                  list[tuple[str, Selector]]]:
-    """The straight-through suite's base point at `seed`: tokens [1, n, d],
-    a batch of one, the weights [n, d] of its quadratic loss, the scorer,
-    and each Gumbel variant's gate, named. Each gate reads the noise a fresh
-    SeededRng(99) draws for the batch, drawn once and given again to every
-    copy of the batch in a stack."""
+# the task model of both pipeline suites; a large init keeps every gradient
+# above the finite-difference noise floor
+CHECK_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_mult=2,
+                                  init_std=0.5)
+
+
+def ste_point(seed: int) -> tuple[Pipeline, list[Parameter], np.ndarray, Selector]:
+    """The straight-through suite's base point at `seed`: a one-stream
+    `gumbel_topk` pipeline (K=3, tau=0.5), its tokens [1, n, d], a batch of
+    one, the label and the frozen selector. The gate reads the noise a fresh
+    SeededRng(99) draws for the batch, given again to every copy of the
+    batch in a stack (`frozen_selector`)."""
     rng = SeededRng(seed)
     d, n = 6, 8
-    tokens = ad.constant(_rand(rng.split(0), (1, n, d)))
-    quad_w = _rand(rng.split(1), (n, d))
-    # large init keeps every gradient above the finite-difference noise floor
-    scorer = KeepProbPredictor(d).init(rng.split(2), stddev=0.5)
-    topk_noise = sample_standard_gumbel(SeededRng(99), n).reshape(1, n)
-    gate_noise = sample_standard_gumbel(SeededRng(99), 2 * n).reshape(1, 2, n)
-    return tokens, quad_w, scorer, [
-        ("gumbel_topk", lambda s: gumbel_topk_gate(
-            s, np.tile(topk_noise, (s.shape[0], 1)), 3, 0.5)),
-        ("ratio_controlled", lambda s: ratio_controlled_gate(
-            s, np.tile(gate_noise, (s.shape[0], 1, 1)), 0.5)),
-    ]
-
-
-def ste_cases(tokens: Tensor, quad_w: np.ndarray, scorer: KeepProbPredictor, variant: str,
-              selector: Selector) -> Iterator[ad.Case]:
-    """One variant's `central_difference_check` cases, one per scorer
-    parameter: the tape gradient of the quadratic loss of the tokens
-    `apply_ste` packs under the frozen selector, and its central
-    differences at `FD_STEP`. Those run the scorer's stages
-    (`KeepProbPredictor.stages`) and one selection stage, the frozen
-    selector and `apply_ste` on as many copies of the tokens as the stack
-    holds; each replica's loss is the weighted mean of its own squared kept
-    rows (`replica_means`)."""
-    select = frozen_selector(selector)
-    with Tape() as tape:
-        mask = select(compute_keep_probabilities(tape, tokens, scorer))
-        weights = quad_w[mask.kept_in(0)]
-        tape.backward(_scalarize(ad.square(apply_ste([tokens], mask).rows), weights))
-        analytic = [tape.grad(p) for p in scorer.parameters()]
-    selection = Stage("selection", (), lambda tape, s: apply_ste(
-        [ad.constant(np.tile(tokens.data, (s.shape[0], 1, 1)))], select(s)))
-    numeric = stacked_central_differences(
-        [*scorer.stages(), selection], tokens, [p.value for p in scorer.parameters()],
-        lambda kept: replica_means(ad.square(kept.rows), weights), FD_STEP, CENTRAL)
-    return ((f"{variant}:{p.name}", numeric_p, g)
-            for p, numeric_p, g in zip(scorer.parameters(), numeric, analytic))
+    strategy = StrategyConfig("gumbel_topk", k=3, tau=0.5)
+    pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=CHECK_MODEL, seed=seed),
+                        {"d": d, "multimodal": False, "num_classes": 3})
+    noise = sample_standard_gumbel(SeededRng(99), n).reshape(1, n)
+    select = frozen_selector(lambda s: gumbel_topk_gate(
+        s, np.tile(noise, (s.shape[0], 1)), strategy.k, strategy.tau))
+    return pipeline, [Parameter("tokens", _rand(rng.split(0), (1, n, d)))], np.array([1]), select
 
 
 def check_ste_soft_path(seed: int = 7) -> SuiteReport:
-    """STE gradients wrt scorer parameters vs finite differences of the
-    frozen-noise, frozen-kept-set soft surrogate, for both Gumbel variants
-    (`ste_cases`). A quadratic loss reads the tokens `apply_ste` packs, so
-    the check runs through the straight-through op training uses, on a
-    batch of one (`ste_point`)."""
-    tokens, quad_w, scorer, variants = ste_point(seed)
-    worst, where = central_difference_check(
-        case for variant in variants for case in ste_cases(tokens, quad_w, scorer, *variant))
+    """STE gradients wrt the scorer's parameters vs central differences of
+    the frozen-noise, frozen-kept-set soft surrogate (`pipeline_cases`):
+    the `gumbel_topk` pipeline training runs, on a batch of one
+    (`ste_point`), so the check runs through the scorer, the Gumbel top-K
+    gate, `apply_ste` and the task model."""
+    pipeline, streams, labels, select = ste_point(seed)
+    worst, where = central_difference_check(pipeline_cases(
+        pipeline, streams, labels, select, pipeline.scorer.parameters(), FD_STEP, CENTRAL))
     return SuiteReport("ste_soft_path", worst, worst <= GRAD_TOLERANCE, where)
 
 
-def multimodal_point(seed: int) -> tuple[Pipeline, list[Tensor], np.ndarray, Selector]:
+def multimodal_point(seed: int) -> tuple[Pipeline, list[Parameter], np.ndarray, Selector]:
     """The multimodal suite's base point at `seed`: a two-stream
-    ratio-controlled pipeline, its constant streams [visual, textual] of a
-    batch of two, the labels and the frozen selector, whose first call fixes
-    the kept set. The suite perturbs the visual array in place.
+    ratio-controlled pipeline, its streams [visual, textual] of a batch of
+    two, the labels and the frozen selector.
 
     The selector is the ratio-controlled gate at the noise a fresh
     SeededRng(55) draws for the batch, given again to every copy of the
     batch in a stack (`frozen_selector`)."""
     rng = SeededRng(seed)
     d, n = 6, 5
-    model = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_mult=2,
-                                # large init keeps every gradient above the
-                                # finite-difference noise floor
-                                init_std=0.5)
     strategy = StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5)
-    pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=model, seed=seed),
+    pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=CHECK_MODEL, seed=seed),
                         {"d": d, "multimodal": True, "num_classes": 3})
-    streams = [ad.constant(_rand(rng.split(0), (2, n, d))),
-               ad.constant(_rand(rng.split(1), (2, n, d)))]
+    streams = [Parameter("visual_tokens", _rand(rng.split(0), (2, n, d))),
+               Parameter("textual_tokens", _rand(rng.split(1), (2, n, d)))]
     noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * n).reshape(2, 2, n)
     select = frozen_selector(lambda s: ratio_controlled_gate(
         s, np.tile(noise, (s.shape[0] // 2, 1, 1)), strategy.tau))
     return pipeline, streams, np.array([1, 2]), select
-
-
-def multimodal_arrays(pipeline: Pipeline, streams: list[Tensor]) -> list[tuple[str, np.ndarray]]:
-    """What the multimodal suite differentiates, in order: every pipeline
-    parameter (task, scorer, context), then the visual tokens."""
-    return [(p.name, p.value) for p in pipeline.parameters()] + [("visual_tokens",
-                                                                   streams[0].data)]
-
-
-def multimodal_gradients(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
-                         select: Selector) -> list[np.ndarray]:
-    """The tape gradients of the pipeline's loss at the base point, in
-    `multimodal_arrays` order. The first call of the frozen selector, so it
-    fixes the kept set, which must keep different, non-zero counts."""
-    with Tape() as tape:
-        visual = tape.leaf(streams[0].data)
-        logits, mask = pipeline.forward_batch(tape, [visual, *streams[1:]], select)
-        counts = mask.kept_count
-        if counts[0] == counts[1] or counts.min() == 0:
-            raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
-        tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
-        return [tape.grad(p) for p in pipeline.parameters()] + [tape.grad(visual)]
 
 
 def replica_losses(logits: Tensor, labels: np.ndarray) -> np.ndarray:
@@ -455,41 +402,55 @@ def keeping_base_rows(select: Selector) -> Selector:
     return checked
 
 
-def multimodal_differences(pipeline: Pipeline, streams: list[Tensor], labels: np.ndarray,
-                           select: Selector) -> Iterator[np.ndarray]:
-    """The finite differences (`MULTIMODAL_STENCIL`) of the pipeline's loss
-    wrt each of `multimodal_arrays`, in order, after the selector's kept set
-    is fixed: `stacked_central_differences` over the pipeline's stages
-    (`Pipeline.stages`) after a first stage that reads the visual tokens,
-    each replica's loss its batch's mean cross-entropy. The frozen selector
-    keeps the base point's rows in every copy, and a stack that keeps other
-    rows is refused.
-    """
-    visual = Parameter("visual_tokens", streams[0].data)  # the very array perturbed
-    stages = [Stage("visual_tokens", (visual,), lambda tape, _: [
-                  ad.constant(visual.value.copy()), *streams[1:]]),
+def pipeline_cases(pipeline: Pipeline, streams: list[Parameter], labels: np.ndarray,
+                   select: Selector, arrays: list[Parameter], step: float,
+                   stencil: Stencil) -> Iterator[ad.Case]:
+    """The `central_difference_check` cases of the pipeline's loss, its
+    batch's mean cross-entropy, wrt each of `arrays` (pipeline parameters
+    or streams). The tape gradient runs `Pipeline.forward_batch` once, the
+    frozen selector's first call, which fixes the kept set. The finite
+    differences (`stencil` at `step`) are `stacked_central_differences`
+    over a first stage that reads the streams, then `Pipeline.stages`, each
+    replica's loss its batch's mean cross-entropy (`replica_losses`). The
+    frozen selector keeps the base point's rows in every copy, and a stack
+    that keeps other rows is refused."""
+    with Tape() as tape:
+        logits, _ = pipeline.forward_batch(tape, [tape.param(s) for s in streams], select)
+        tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
+        analytic = [tape.grad(a) for a in arrays]
+    # each point's streams copied: the perturbed array moves on before the
+    # stack is built
+    stages = [Stage("tokens", tuple(streams), lambda tape, _: [
+                  ad.constant(s.value.copy()) for s in streams]),
               *pipeline.stages(keeping_base_rows(select))]
-    return stacked_central_differences(
-        stages, None, [array for _, array in multimodal_arrays(pipeline, streams)],
-        lambda logits: replica_losses(logits, labels), MULTIMODAL_STEP, MULTIMODAL_STENCIL)
+    numeric = stacked_central_differences(
+        stages, None, [a.value for a in arrays], lambda logits: replica_losses(logits, labels),
+        step, stencil)
+    return zip([a.name for a in arrays], numeric, analytic)
 
 
 def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     """Gradient of the training pipeline's loss (fuse -> score -> select ->
     STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
     and the visual tokens, noise and kept sets frozen, on a batch of two,
-    against stacked fourth-order finite differences
-    (`multimodal_differences`).
+    against stacked fourth-order finite differences (`pipeline_cases`).
 
-    The two examples keep different, non-zero token counts, so the packing
-    of the kept tokens and the padding inside the task model's attention
-    sit inside the check.
+    The two examples must keep different, non-zero token counts, so the
+    packing of the kept tokens and the padding inside the task model's
+    attention sit inside the check.
     """
     pipeline, streams, labels, select = multimodal_point(seed)
-    analytic = multimodal_gradients(pipeline, streams, labels, select)
-    names = [name for name, _ in multimodal_arrays(pipeline, streams)]
-    worst, where = central_difference_check(zip(
-        names, multimodal_differences(pipeline, streams, labels, select), analytic))
+
+    def distinct_counts(s: Tensor) -> SelectionMask:
+        mask = select(s)
+        counts = mask.kept_count  # a stack repeats its base batch's counts
+        if counts[0] == counts[1] or counts.min() == 0:
+            raise ContractError(f"kept counts {counts.tolist()} must differ and be non-zero")
+        return mask
+
+    worst, where = central_difference_check(pipeline_cases(
+        pipeline, streams, labels, distinct_counts, [*pipeline.parameters(), streams[0]],
+        MULTIMODAL_STEP, MULTIMODAL_STENCIL))
     return SuiteReport("multimodal_end_to_end", worst, worst <= GRAD_TOLERANCE, where)
 
 

@@ -354,8 +354,14 @@ def train_run(cfg: RunConfig) -> TrainResult:
     if cfg.positions == "original" and n_tokens > cfg.model.max_len:
         raise ConfigError(f"positions=original reads the positional table at each token's "
                           f"index, so n={n_tokens} must not exceed max_len={cfg.model.max_len}")
-
     pipeline = Pipeline(cfg, header)
+    # ratio_controlled may keep all n tokens of an example
+    kept = n_tokens if strategy.kind == "ratio_controlled" else strategy.k
+    if len(pipeline.streams) * kept > cfg.model.max_len:
+        raise ConfigError(f"a packed sequence can reach {len(pipeline.streams)} streams x {kept} "
+                          f"kept tokens = {len(pipeline.streams) * kept} rows, more than "
+                          f"max_len={cfg.model.max_len}")
+
     params = pipeline.parameters()
     run_rng = SeededRng(cfg.seed)
 

@@ -8,22 +8,21 @@ import pytest
 import sparsetok.autodiff as ad
 import sparsetok.checks as checks
 import sparsetok.data as data
-from sparsetok.autodiff import Tape
+import sparsetok.train as train
+from sparsetok.autodiff import CENTRAL, Tape
 from sparsetok.checks import (FD_STEP, MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMPLE_TOLERANCE,
                               SuiteReport, catalog_case, check_catalog,
                               check_gumbel_max_frequencies, check_gumbel_mean,
                               check_multimodal_end_to_end, check_ste_soft_path,
                               check_topk_inclusion_frequencies, check_topk_selection_frequencies,
-                              format_sample_report, frozen_selector, multimodal_arrays,
-                              multimodal_differences, multimodal_gradients, multimodal_point,
-                              plackett_luce_inclusion, replica_losses, run_gradcheck,
-                              run_sample_check, stack, stacked_central_differences, ste_cases,
-                              ste_point)
+                              format_sample_report, frozen_selector, multimodal_point,
+                              pipeline_cases, plackett_luce_inclusion, replica_losses,
+                              run_gradcheck, run_sample_check, stack,
+                              stacked_central_differences, ste_point)
 from sparsetok.errors import ContractError
 from sparsetok.gumbel import sample_standard_gumbel
 from sparsetok.rng import SeededRng
-from sparsetok.selection import (Packed, apply_ste, compute_keep_probabilities,
-                                 deterministic_topk_select, ratio_controlled_gate)
+from sparsetok.selection import Packed, deterministic_topk_select, ratio_controlled_gate
 from sparsetok.stages import run_stages
 
 
@@ -60,12 +59,15 @@ def test_corrupted_straight_through_fails_both_ste_suites():
     assert {"ste_soft_path", "multimodal_end_to_end"} <= failing
 
 
-def test_corrupted_attention_fails_catalog_and_multimodal():
-    reports, ok = run_gradcheck(corrupt_op="attention")
+@pytest.mark.parametrize("op", ["attention", "transpose", "subtract"])
+def test_corrupted_op_fails_catalog_and_multimodal(op):
+    """`transpose` and `subtract` run outside the catalog only in the
+    ratio-controlled gate, which the multimodal suite alone checks."""
+    reports, ok = run_gradcheck(corrupt_op=op)
     assert not ok
     failing = {r.name for r in reports if not r.ok}
     assert {"autodiff_catalog", "multimodal_end_to_end"} <= failing
-    assert "attention" in reports[0].detail
+    assert op in reports[0].detail
 
 
 def test_corrupted_linear_fails_catalog_and_multimodal():
@@ -88,57 +90,48 @@ def test_corrupted_matmul_still_fails_every_suite():
 
 
 def test_corrupted_segment_mean_fails_catalog_and_multimodal():
-    """The task model's pool is the only `segment_mean` outside the catalog;
-    the straight-through suite runs no task model."""
+    """The task model's pool is the only `segment_mean` outside the catalog,
+    and both pipeline suites run the task model."""
     reports, ok = run_gradcheck(corrupt_op="segment_mean")
     assert not ok
-    assert {r.name for r in reports if not r.ok} == {"autodiff_catalog", "multimodal_end_to_end"}
+    assert [r.name for r in reports if not r.ok] == [
+        "autodiff_catalog", "ste_soft_path", "multimodal_end_to_end"]
     assert "segment_mean" in reports[0].detail
 
 
 def test_stacked_central_differences_match_the_per_coordinate_loop():
     """Every suite's stacked finite differences are those of the
     per-coordinate loop, which re-runs the whole loss at each point of the
-    stencil: bit for bit for every catalog case of one repeat and for both
-    straight-through variants over all four scorer parameters, and to 1e-9
-    absolute for every array of the multimodal suite at its default seed,
-    8, whose stacks batch BLAS products and attention differently."""
+    stencil: bit for bit for every catalog case of one repeat, and to 1e-9
+    absolute for the four scorer parameters of the straight-through suite
+    and every array of the multimodal suite at their default seeds, 7 and
+    8, whose stacks batch the task model's BLAS products and attention
+    differently."""
     for name, point, op, weights in checks._catalog_cases(SeededRng(2024).split(0)):
         loss = op if weights is None else lambda x: ad.mean_all(ad.mask_multiply(op(x), weights))
         reference = ad.central_differences(lambda: loss(ad.Tensor(point)).item(), point, FD_STEP)
         _, numeric, _ = catalog_case(name, point, op, weights)
         np.testing.assert_array_equal(numeric, reference, err_msg=name)
 
-    tokens, quad_w, scorer, variants = ste_point(7)
-    for variant, selector in variants:
-        stacked = list(ste_cases(tokens, quad_w, scorer, variant, selector))
-        select = frozen_selector(selector)
+    ste, multimodal = ste_point(7), multimodal_point(8)
+    suites = [(ste, ste[0].scorer.parameters(), FD_STEP, CENTRAL),
+              (multimodal, [*multimodal[0].parameters(), multimodal[1][0]], MULTIMODAL_STEP,
+               MULTIMODAL_STENCIL)]
+    assert [len(arrays) for _, arrays, _, _ in suites] == [4, 27]
+    for (pipeline, streams, labels, select), arrays, step, stencil in suites:
+        # the taped pass, the selector's first call, fixes the kept set
+        stacked = list(pipeline_cases(pipeline, streams, labels, select, arrays, step, stencil))
 
-        def quadratic_loss():
-            mask = select(compute_keep_probabilities(Tape(), tokens, scorer))
-            squares = ad.square(apply_ste([tokens], mask).rows)
-            return ad.mean_all(ad.mask_multiply(squares, quad_w[mask.kept_in(0)])).item()
+        def loss_at():
+            tokens = [ad.constant(s.value) for s in streams]
+            logits, _ = pipeline.forward_batch(Tape(), tokens, select)
+            return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
 
-        quadratic_loss()  # the first call, at the base point, fixes the kept set
-        assert len(stacked) == len(scorer.parameters()) == 4
-        for p, (name, numeric, _) in zip(scorer.parameters(), stacked):
-            reference = ad.central_differences(quadratic_loss, p.value, FD_STEP)
-            np.testing.assert_array_equal(numeric, reference, err_msg=name)
-
-    pipeline, streams, labels, select = multimodal_point(8)
-    multimodal_gradients(pipeline, streams, labels, select)  # fixes the kept set
-
-    def loss_at():
-        logits, _ = pipeline.forward_batch(Tape(), streams, select)
-        return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
-
-    arrays = multimodal_arrays(pipeline, streams)
-    stacked = list(multimodal_differences(pipeline, streams, labels, select))
-    assert len(stacked) == len(arrays) == 27
-    for (name, array), numeric in zip(arrays, stacked):
-        reference = ad.central_differences(loss_at, array, MULTIMODAL_STEP, MULTIMODAL_STENCIL)
-        assert numeric.shape == reference.shape == (array.size,)
-        np.testing.assert_allclose(numeric, reference, rtol=0, atol=1e-9, err_msg=name)
+        assert len(stacked) == len(arrays)
+        for array, (name, numeric, _) in zip(arrays, stacked):
+            reference = ad.central_differences(loss_at, array.value, step, stencil)
+            assert numeric.shape == reference.shape == (array.value.size,)
+            np.testing.assert_allclose(numeric, reference, rtol=0, atol=1e-9, err_msg=name)
 
 
 def test_stacked_differences_run_every_stage_that_reads_the_array():
@@ -150,6 +143,7 @@ def test_stacked_differences_run_every_stage_that_reads_the_array():
     stage reading its array would miss the null position's read of table
     row 0."""
     pipeline, streams, labels, _ = multimodal_point(8)
+    streams = [ad.constant(s.value) for s in streams]
     noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * 5).reshape(2, 2, 5)
     noise[0, 0] = -50.0  # example 0's keep logits: it keeps no token
     select = frozen_selector(lambda s: ratio_controlled_gate(
@@ -176,12 +170,14 @@ def test_stacked_differences_run_every_stage_that_reads_the_array():
 
 
 def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
-    """The straight-through suite runs `apply_ste` once in each variant's
-    taped pass and once per stack: w1's 144 points make 3 stacks, and b1's,
-    w2's and b2's one each, so 7 a variant. It runs `gelu` once taped, once
-    at the base point and once per stack of w1 and b1, the arrays read
-    before it, so 6 a variant. Re-running the whole loss at each of the 440
-    points made 442 of each. The catalog calls `mean_all` in every case's
+    """The straight-through suite runs `apply_ste` once taped, once at the
+    base point and once per stack: w1's 144 points make 3 stacks, and b1's,
+    w2's and b2's one each, so 8. It runs the scorer's and the task model's
+    `gelu` once taped and once at the base point, both once per stack of w1
+    and b1, the arrays read before the scorer's, and the task model's once
+    per stack of w2 and b2: 14. Re-running the whole loss at each of the
+    220 points made 221 of `apply_ste` and 442 of `gelu`. The catalog calls
+    `mean_all` in every case's
     taped loss but the three `cross_entropy` cases' (171), and as the op of
     the `mean_all` cases at each of their 180 points: 351, where a mean at
     every point made 5,265."""
@@ -191,12 +187,12 @@ def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
         return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(
             *args, **kwargs)
 
-    monkeypatch.setattr(checks, "apply_ste", counted("apply_ste", checks.apply_ste))
+    monkeypatch.setattr(train, "apply_ste", counted("apply_ste", train.apply_ste))
     monkeypatch.setattr(ad, "gelu", counted("gelu", ad.gelu))
     monkeypatch.setattr(ad, "mean_all", counted("mean_all", ad.mean_all))
     report = check_ste_soft_path()
     assert report.ok, report.line()
-    assert calls == {"apply_ste": 14, "gelu": 12, "mean_all": 2}
+    assert calls == {"apply_ste": 8, "gelu": 14, "mean_all": 1}
     calls.update(dict.fromkeys(calls, 0))
     report = check_catalog()
     assert report.ok, report.line()
@@ -208,15 +204,15 @@ def test_stacked_differences_refuse_a_point_that_keeps_other_rows():
     a selector that keeps other rows away from the base point is refused,
     and so is a batch that is no stack of copies of the base batch."""
     pipeline, streams, labels, select = multimodal_point(8)
-    multimodal_gradients(pipeline, streams, labels, select)
     calls = []
 
-    def drifting(s):
+    def drifting(s):  # the base point's rows in the taped pass and the base run
         calls.append(s)
-        return select(s) if len(calls) == 1 else deterministic_topk_select(s, 4)
+        return select(s) if len(calls) <= 2 else deterministic_topk_select(s, 4)
 
     with pytest.raises(ContractError, match="keep rows"):
-        list(multimodal_differences(pipeline, streams, labels, drifting))
+        list(pipeline_cases(pipeline, streams, labels, drifting, [streams[0]],
+                            MULTIMODAL_STEP, MULTIMODAL_STENCIL))
     with pytest.raises(ContractError, match="does not stack copies"):
         select(ad.constant(np.full((3, 5), 0.5)))
 
@@ -225,7 +221,7 @@ def test_replica_losses_move_only_with_their_own_rows():
     """Stacked batches do not mix: new rows in one replica change its loss
     alone, and each loss is that of its batch run by itself."""
     pipeline, streams, labels, select = multimodal_point(8)
-    kept, mask = pipeline.sparsify(Tape(), streams, select)
+    kept, mask = pipeline.sparsify(Tape(), [ad.constant(s.value) for s in streams], select)
     embed, later = pipeline.task.stages()[:3], pipeline.task.stages()[3:]
     state = run_stages(Tape(), embed, (kept, pipeline.positions(Tape(), mask)))
     assert len(set(state.lengths)) > 1  # unequal lengths: attention pads inside the stack
@@ -270,6 +266,13 @@ def test_nan_adjoint_fails_the_suite(suite, op):
                                              for seed in (4, 5, 7, 8, 10, 11, 12))])
 def test_multimodal_end_to_end_over_seeds(seed):
     report = check_multimodal_end_to_end(seed)
+    assert report.ok, report.line()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, *(pytest.param(seed, marks=pytest.mark.slow)
+                                             for seed in range(4, 13))])
+def test_ste_soft_path_over_seeds(seed):
+    report = check_ste_soft_path(seed)
     assert report.ok, report.line()
 
 
@@ -374,9 +377,9 @@ def test_sampling_suite_memory_is_bounded(suite):
 
 
 # traced peak allocation of one run, MiB, at most STACK_REPLICAS = 64 points
-# a stack: 0.18, 0.28 and 0.94 MiB. The straight-through and multimodal
-# bounds fail at 128 points a stack (0.52 and 1.74 MiB) and with no bound
-# (0.59 and 8.91 MiB); the catalog's stacks are small at any size (0.25 MiB
+# a stack: 0.17, 0.33 and 0.94 MiB. The straight-through and multimodal
+# bounds fail at 128 points a stack (0.60 and 1.74 MiB) and with no bound
+# (0.66 and 8.91 MiB); the catalog's stacks are small at any size (0.24 MiB
 # with no bound)
 _GRADIENT_PEAK_BOUNDS_MIB = {
     check_catalog: 0.35,

@@ -181,8 +181,7 @@ def test_multimodal_end_to_end_gradients(monkeypatch):
     single point. That is 64 calls at seed 8, where running each point's
     whole sublayer or keep-probability path made 2,439."""
     from sparsetok.checks import (MULTIMODAL_STENCIL, STACK_REPLICAS,
-                                  check_multimodal_end_to_end, multimodal_arrays,
-                                  multimodal_point)
+                                  check_multimodal_end_to_end, multimodal_point)
     forward_batch, attention = Pipeline.forward_batch, ad.attention
     taped, calls = [], []
     monkeypatch.setattr(Pipeline, "forward_batch", lambda self, tape, *args: taped.append(
@@ -200,8 +199,8 @@ def test_multimodal_end_to_end_gradients(monkeypatch):
                                                    "task.block0.attn.attention"]
     points = len(MULTIMODAL_STENCIL.offsets)
     expected = 2 * len(attending)
-    for _, array in multimodal_arrays(pipeline, streams):
-        # the visual tokens are read before every pipeline stage
+    for differentiated in [*pipeline.parameters(), streams[0]]:
+        array = differentiated.value  # the visual tokens are read before every pipeline stage
         last = max((i for i, stage in enumerate(stages)
                     if any(p.value is array for p in stage.parameters)), default=-1)
         stacks = -(-points * array.size // STACK_REPLICAS)

@@ -209,6 +209,28 @@ def test_k_exceeding_sequence_rejected(tiny_dataset):
         train_run(tiny_cfg(tiny_dataset, StrategyConfig("gumbel_topk", k=9, tau=0.5)))
 
 
+def test_run_that_can_outgrow_max_len_rejected_before_training(tiny_mm_dataset, tmp_path,
+                                                               monkeypatch):
+    """Two streams of 8 tokens pack up to 16 rows under ratio_controlled,
+    which may keep every token, and 2K under a budget of K. Past max_len the
+    run is refused before its first step and writes nothing; one stream of
+    the same file packs at most 8 rows and trains."""
+    import sparsetok.train as train
+    model = TaskPerformerConfig(**{**vars(TINY_MODEL), "max_len": 15})
+    step = train.train_step
+    monkeypatch.setattr(train, "train_step", lambda *args: pytest.fail("a step ran"))
+    out = tmp_path / "out"
+    for strategy in (StrategyConfig("ratio_controlled", target_ratio=0.25),
+                     StrategyConfig("uniform_fixed", k=8)):
+        with pytest.raises(ConfigError, match="16 rows, more than max_len=15"):
+            train_run(tiny_cfg(tiny_mm_dataset, strategy, model=model, out_dir=str(out)))
+    assert not out.exists()
+    monkeypatch.setattr(train, "train_step", step)
+    res = train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("ratio_controlled", target_ratio=0.25),
+                             model=model, channel="visual"))
+    assert len(res.rows) == 2
+
+
 def test_positions_original_mode_runs(tiny_dataset):
     res = train_run(tiny_cfg(tiny_dataset, StrategyConfig("deterministic_topk", k=3),
                              positions="original"))
