@@ -22,8 +22,7 @@ from .errors import ConfigError, ContractError
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformerConfig
 from .rng import SeededRng
-from .selection import (SelectionMask, StrategyConfig, gumbel_topk_gate, gumbel_topk_select,
-                        ratio_controlled_gate)
+from .selection import SelectionMask, StrategyConfig, gumbel_topk_select
 from .stages import Packed, Stage, run_stages
 from .train import Pipeline, RunConfig, Selector
 
@@ -319,6 +318,21 @@ def frozen_selector(select: Selector) -> Selector:
     return select_frozen
 
 
+@dataclass
+class ReplayedNoise:
+    """A noise stream whose `uniforms(count)` replays its first draw, tiled
+    to count values: through `Pipeline.sampler`, a stack of copies of the
+    base batch (`stack`) draws the base batch's noise for every copy."""
+
+    rng: SeededRng
+    first: np.ndarray | None = None
+
+    def uniforms(self, count: int) -> np.ndarray:
+        if self.first is None:
+            self.first = self.rng.uniforms(count)
+        return np.tile(self.first, count // self.first.size)
+
+
 # the task model of both pipeline suites; a large init keeps every gradient
 # above the finite-difference noise floor
 CHECK_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_mult=2,
@@ -328,17 +342,14 @@ CHECK_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=12, ff_m
 def ste_point(seed: int) -> tuple[Pipeline, list[Parameter], np.ndarray, Selector]:
     """The straight-through suite's base point at `seed`: a one-stream
     `gumbel_topk` pipeline (K=3, tau=0.5), its tokens [1, n, d], a batch of
-    one, the label and the frozen selector. The gate reads the noise a fresh
-    SeededRng(99) draws for the batch, given again to every copy of the
-    batch in a stack (`frozen_selector`)."""
+    one, the label and the frozen selector: the training sampler on the
+    noise a fresh SeededRng(99) draws for the batch (`ReplayedNoise`)."""
     rng = SeededRng(seed)
     d, n = 6, 8
     strategy = StrategyConfig("gumbel_topk", k=3, tau=0.5)
     pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=CHECK_MODEL, seed=seed),
                         {"d": d, "multimodal": False, "num_classes": 3})
-    noise = sample_standard_gumbel(SeededRng(99), n).reshape(1, n)
-    select = frozen_selector(lambda s: gumbel_topk_gate(
-        s, np.tile(noise, (s.shape[0], 1)), strategy.k, strategy.tau))
+    select = frozen_selector(pipeline.sampler(ReplayedNoise(SeededRng(99))))
     return pipeline, [Parameter("tokens", _rand(rng.split(0), (1, n, d)))], np.array([1]), select
 
 
@@ -356,22 +367,18 @@ def check_ste_soft_path(seed: int = 7) -> SuiteReport:
 
 def multimodal_point(seed: int) -> tuple[Pipeline, list[Parameter], np.ndarray, Selector]:
     """The multimodal suite's base point at `seed`: a two-stream
-    ratio-controlled pipeline, its streams [visual, textual] of a batch of
-    two, the labels and the frozen selector.
-
-    The selector is the ratio-controlled gate at the noise a fresh
-    SeededRng(55) draws for the batch, given again to every copy of the
-    batch in a stack (`frozen_selector`)."""
+    ratio-controlled pipeline at lambda 0, as `pipeline_cases` requires,
+    its streams [visual, textual] of a batch of two, the labels and the
+    frozen selector: the training sampler on the noise a fresh
+    SeededRng(55) draws for the batch (`ReplayedNoise`)."""
     rng = SeededRng(seed)
     d, n = 6, 5
-    strategy = StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5)
+    strategy = StrategyConfig("ratio_controlled", target_ratio=0.5, tau=0.5, lam=0.0)
     pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=CHECK_MODEL, seed=seed),
                         {"d": d, "multimodal": True, "num_classes": 3})
     streams = [Parameter("visual_tokens", _rand(rng.split(0), (2, n, d))),
                Parameter("textual_tokens", _rand(rng.split(1), (2, n, d)))]
-    noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * n).reshape(2, 2, n)
-    select = frozen_selector(lambda s: ratio_controlled_gate(
-        s, np.tile(noise, (s.shape[0] // 2, 1, 1)), strategy.tau))
+    select = frozen_selector(pipeline.sampler(ReplayedNoise(SeededRng(55))))
     return pipeline, streams, np.array([1, 2]), select
 
 
@@ -405,18 +412,24 @@ def keeping_base_rows(select: Selector) -> Selector:
 def pipeline_cases(pipeline: Pipeline, streams: list[Parameter], labels: np.ndarray,
                    select: Selector, arrays: list[Parameter], step: float,
                    stencil: Stencil) -> Iterator[ad.Case]:
-    """The `central_difference_check` cases of the pipeline's loss, its
-    batch's mean cross-entropy, wrt each of `arrays` (pipeline parameters
-    or streams). The tape gradient runs `Pipeline.forward_batch` once, the
-    frozen selector's first call, which fixes the kept set. The finite
-    differences (`stencil` at `step`) are `stacked_central_differences`
-    over a first stage that reads the streams, then `Pipeline.stages`, each
-    replica's loss its batch's mean cross-entropy (`replica_losses`). The
-    frozen selector keeps the base point's rows in every copy, and a stack
-    that keeps other rows is refused."""
+    """The `central_difference_check` cases of the training objective wrt
+    each of `arrays` (pipeline parameters or streams). The tape gradient
+    runs `Pipeline.loss` once, the frozen selector's first call, which
+    fixes the kept set. The finite differences (`stencil` at `step`) are
+    `stacked_central_differences` over a first stage that reads the
+    streams, then `Pipeline.stages`, each replica's loss its batch's mean
+    cross-entropy (`replica_losses`). The frozen selector keeps the base
+    point's rows in every copy, and a stack that keeps other rows is
+    refused. So is an objective with the selection loss (ratio_controlled,
+    lambda > 0): it forwards the hard kept count, which the frozen kept set
+    holds fixed."""
+    strategy = pipeline.cfg.strategy
+    if strategy.kind == "ratio_controlled" and strategy.lam > 0:
+        raise ContractError(f"lambda={strategy.lam:g} adds the selection loss, which no "
+                            "finite difference at a frozen kept set moves")
     with Tape() as tape:
-        logits, _ = pipeline.forward_batch(tape, [tape.param(s) for s in streams], select)
-        tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
+        loss, _ = pipeline.loss(tape, [tape.param(s) for s in streams], labels, select)
+        tape.backward(loss)
         analytic = [tape.grad(a) for a in arrays]
     # each point's streams copied: the perturbed array moves on before the
     # stack is built
@@ -430,10 +443,13 @@ def pipeline_cases(pipeline: Pipeline, streams: list[Parameter], labels: np.ndar
 
 
 def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
-    """Gradient of the training pipeline's loss (fuse -> score -> select ->
-    STE -> classify, `Pipeline.forward_batch`) wrt every pipeline parameter
-    and the visual tokens, noise and kept sets frozen, on a batch of two,
-    against stacked fourth-order finite differences (`pipeline_cases`).
+    """Gradient of the training objective at lambda 0, the cross-entropy
+    (fuse -> score -> select -> STE -> task model, `Pipeline.loss`), wrt
+    every pipeline parameter and the visual tokens, noise and kept sets
+    frozen, on a batch of two, against stacked fourth-order finite
+    differences (`pipeline_cases`). The lambda * `selection_loss` training
+    adds is tested in tests/test_selection.py (`test_weighted_sum`,
+    `test_gradient_uses_soft_path`).
 
     The two examples must keep different, non-zero token counts, so the
     packing of the kept tokens and the padding inside the task model's

@@ -196,14 +196,7 @@ def gumbel_topk_select(s: Tensor, k: int, tau: float, rng: SeededRng) -> Selecti
     sees the values it would see if the examples ran one at a time.
     """
     _check_k(k, _width(s))
-    return gumbel_topk_gate(s, sample_standard_gumbel(rng, s.data.size).reshape(s.shape), k, tau)
-
-
-def gumbel_topk_gate(s: Tensor, g: np.ndarray, k: int, tau: float) -> SelectionMask:
-    """`gumbel_topk_select` at given noise g [B, n]."""
-    _check_k(k, _width(s))
-    if g.shape != s.shape:
-        raise ShapeError(f"top-K noise {g.shape} does not match keep probabilities {s.shape}")
+    g = sample_standard_gumbel(rng, s.data.size).reshape(s.shape)
     keep = _top_k_keep(np.log(np.maximum(s.data, _TINY)) + g, k)
     perturbed = ad.add(_log_s(s), ad.constant(g))
     soft = ad.softmax_with_temperature(perturbed, tau)

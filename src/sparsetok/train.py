@@ -111,11 +111,10 @@ class Pipeline:
         rng = SeededRng(cfg.seed)
         std = model_cfg.init_std
         self.task = init_parameters(model_cfg, rng.split(_L_INIT_TASK))
-        self.needs_scorer = cfg.strategy.kind != "uniform_fixed"
         self.scorer = (KeepProbPredictor(d).init(rng.split(_L_INIT_SCORER), stddev=std)
-                       if self.needs_scorer else None)
+                       if cfg.strategy.kind != "uniform_fixed" else None)
         self.context = (ContextModel(d).init(rng.split(_L_INIT_CONTEXT), stddev=std)
-                        if len(self.streams) == 2 and self.needs_scorer else None)
+                        if len(self.streams) == 2 and self.scorer is not None else None)
 
     def parameters(self) -> list[Parameter]:
         out = list(self.task.parameters())
@@ -146,23 +145,11 @@ class Pipeline:
         strategy = self.cfg.strategy
         return lambda s: inference_rank_topk(s, inference_k_for(strategy, s.shape[1]))
 
-    def sparsify(self, tape: Tape, streams: list[Tensor],
-                 select: Selector) -> tuple[Packed, SelectionMask]:
-        """The first half of the forward: the kept tokens packed by
-        `apply_ste` (every stream's rows, example by example) and the
-        batch's selection mask, which all streams share.
-
-        streams are [B, n, d], one per stream of the run; `select` turns the
-        batch's keep probabilities into its mask (unused by uniform_fixed,
-        which has no scorer). Reads no task parameter.
-        """
-        scores = self.keep_probabilities(tape, streams) if self.needs_scorer else None
-        return self.pack(streams, scores, select)
-
     def pack(self, streams: list[Tensor], scores: Tensor | None,
              select: Selector) -> tuple[Packed, SelectionMask]:
-        """`sparsify` from the keep probabilities: the mask `select` makes of
-        them, or uniform_fixed's, and the kept tokens."""
+        """The kept tokens packed by `apply_ste` (every stream's rows,
+        example by example) and the batch's mask, which all streams share:
+        the one `select` makes of the keep probabilities, or uniform_fixed's."""
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
             # imported here, not at the top: perfbench's tracer patches
@@ -172,18 +159,6 @@ class Pipeline:
         else:
             mask = select(scores)
         return apply_ste(streams, mask), mask
-
-    def keep_probabilities(self, tape: Tape, streams: list[Tensor]) -> Tensor:
-        """The scorer's keep probabilities s [B, n] of the context model's
-        fusion of the streams, or of the one stream of a run without one."""
-        u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
-        return compute_keep_probabilities(tape, u, self.scorer)
-
-    def classify(self, tape: Tape, kept: Packed,
-                 mask: SelectionMask) -> tuple[Tensor, SelectionMask]:
-        """The second stage: class logits [B, C] of the kept tokens, and the
-        mask passed through. Reads only task parameters."""
-        return self.task.forward(tape, kept, self.positions(tape, mask)), mask
 
     def stages(self, select: Selector) -> list[Stage]:
         """`forward_batch` as one list of one-op stages (see `stages`), from
@@ -211,9 +186,27 @@ class Pipeline:
 
     def forward_batch(self, tape: Tape, streams: list[Tensor],
                       select: Selector) -> tuple[Tensor, SelectionMask]:
-        """Class logits [B, C] and the batch's selection mask: `sparsify`,
-        then `classify`."""
-        return self.classify(tape, *self.sparsify(tape, streams, select))
+        """Class logits [B, C] and the selection mask of streams [B, n, d],
+        one per stream of the run: `select` turns the keep probabilities
+        s [B, n] into the mask (uniform_fixed has no scorer and its own)."""
+        scores = None
+        if self.scorer is not None:
+            u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
+            scores = compute_keep_probabilities(tape, u, self.scorer)
+        kept, mask = self.pack(streams, scores, select)
+        return self.task.forward(tape, kept, self.positions(tape, mask)), mask
+
+    def loss(self, tape: Tape, streams: list[Tensor], labels: np.ndarray,
+             select: Selector) -> tuple[Tensor, SelectionMask]:
+        """The training objective of a batch, and its mask: the mean
+        cross-entropy of `forward_batch` against labels [B], plus lambda
+        times `selection_loss` under ratio_controlled when lambda > 0."""
+        logits, mask = self.forward_batch(tape, streams, select)
+        loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
+        strategy = self.cfg.strategy
+        if strategy.kind == "ratio_controlled" and strategy.lam > 0:
+            loss = total_loss(loss, selection_loss(mask, strategy.target_ratio), strategy.lam)
+        return loss, mask
 
     def forward_example(self, tape: Tape, ex: Example,
                         noise_rng: SeededRng | None) -> tuple[Tensor, SelectionMask]:
@@ -293,20 +286,16 @@ def keep_fraction_of(strategy: StrategyConfig, n: int) -> float:
 
 def train_step(pipeline: Pipeline, params: list[Parameter], batch: list[Example],
                noise_rng: SeededRng) -> tuple[float, SelectionMask]:
-    """One plain gradient-descent step on a minibatch: the forward pass with
+    """One plain gradient-descent step on a minibatch: `Pipeline.loss` with
     the strategy's sampler drawing from noise_rng, the backward pass, and
-    the update of params. Returns the batch's mean loss and its mask."""
-    strategy, lr = pipeline.cfg.strategy, pipeline.cfg.lr
+    the update of params. Returns the batch's loss and its mask."""
     with Tape() as tape:
-        logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens(batch),
-                                              pipeline.sampler(noise_rng))
-        labels = np.array([ex.label for ex in batch])
-        loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
-        if strategy.kind == "ratio_controlled" and strategy.lam > 0:
-            loss = total_loss(loss, selection_loss(mask, strategy.target_ratio), strategy.lam)
+        loss, mask = pipeline.loss(tape, pipeline.batch_tokens(batch),
+                                   np.array([ex.label for ex in batch]),
+                                   pipeline.sampler(noise_rng))
         tape.backward(loss)
         for p in params:
-            p.value = p.value - lr * tape.grad(p)
+            p.value = p.value - pipeline.cfg.lr * tape.grad(p)
     return loss.item(), mask
 
 

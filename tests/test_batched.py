@@ -15,8 +15,8 @@ from sparsetok.gumbel import gumbel_max_sample, sample_standard_gumbel
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
 from sparsetok.selection import (StrategyConfig, deterministic_topk_select, gumbel_topk_select,
-                                 ratio_controlled_select, selection_loss, total_loss)
-from sparsetok.train import Pipeline, RunConfig
+                                 ratio_controlled_select)
+from sparsetok.train import Pipeline, RunConfig, train_step
 
 TINY_MODEL = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16,
                                  ff_mult=2, init_std=0.3)
@@ -33,40 +33,13 @@ def _pipeline(strategy, multimodal=False, positions="compact"):
     return Pipeline(cfg, header), examples
 
 
-def _loss(logits, labels, mask, strategy):
-    loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
-    if strategy.kind == "ratio_controlled":
-        loss = total_loss(loss, selection_loss(mask, strategy.target_ratio), strategy.lam)
-    return loss
-
-
-def _batched_step(pipeline, examples, rng):
-    """B times the batch-mean loss and its gradients, with the kept counts."""
-    b = len(examples)
+def _step(pipeline, examples, rng):
+    """`Pipeline.loss` of a batch drawing from rng, its gradients and its mask."""
     with Tape() as tape:
-        logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens(examples),
-                                              pipeline.sampler(rng))
-        loss = _loss(logits, np.array([ex.label for ex in examples]), mask,
-                     pipeline.cfg.strategy)
+        loss, mask = pipeline.loss(tape, pipeline.batch_tokens(examples),
+                                   np.array([ex.label for ex in examples]), pipeline.sampler(rng))
         tape.backward(loss)
-        grads = {p.name: b * tape.grad(p) for p in pipeline.parameters()}
-    return b * loss.item(), grads, mask.kept_count
-
-
-def _summed_steps(pipeline, examples, rng):
-    """Sum over batch-of-one forward_batch steps drawing from one stream."""
-    total = 0.0
-    grads = {p.name: np.zeros_like(p.value) for p in pipeline.parameters()}
-    for ex in examples:
-        with Tape() as tape:
-            logits, mask = pipeline.forward_batch(tape, pipeline.batch_tokens([ex]),
-                                                  pipeline.sampler(rng))
-            loss = _loss(logits, np.array([ex.label]), mask, pipeline.cfg.strategy)
-            tape.backward(loss)
-            for p in pipeline.parameters():
-                grads[p.name] += tape.grad(p)
-        total += loss.item()
-    return total, grads
+        return loss.item(), {p.name: tape.grad(p) for p in pipeline.parameters()}, mask
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,16 +67,31 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batched_step_equals_sum_of_single_example_steps(case):
+    """B times a batch's loss and gradients are the sums over batch-of-one
+    steps drawing from one stream."""
     pipeline, examples = CASES[case]()
-    loss_b, grads_b, counts = _batched_step(pipeline, examples, SeededRng(9).split(1))
-    loss_s, grads_s = _summed_steps(pipeline, examples, SeededRng(9).split(1))
+    loss_b, grads_b, mask = _step(pipeline, examples, SeededRng(9).split(1))
+    stream = SeededRng(9).split(1)
+    singles = [_step(pipeline, [ex], stream) for ex in examples]
+    counts, loss_b, loss_s = mask.kept_count, len(examples) * loss_b, sum(s[0] for s in singles)
     if case.startswith("ratio_controlled"):
         # the premise: padded rows and the null-token fallback are in play
         assert len(set(counts.tolist())) > 1 and counts.min() == 0, counts
     assert abs(loss_b - loss_s) <= REL * abs(loss_s)
+    grads_s = {name: sum(s[1][name] for s in singles) for name in grads_b}
     for name, g in grads_s.items():
-        assert _rel(grads_b[name], g) <= REL, name
+        assert _rel(len(examples) * grads_b[name], g) <= REL, name
     assert any(np.abs(g).max() > 0 for g in grads_s.values())
+
+
+@pytest.mark.parametrize("case", ["gumbel_topk", "deterministic_topk", "uniform_fixed",
+                                  "ratio_controlled"])
+def test_train_step_steps_on_the_pipeline_loss(case):
+    """A training step's loss is `Pipeline.loss` at the same noise, bit for
+    bit: under ratio_controlled at lambda 1 too, with the selection loss."""
+    pipeline, examples = CASES[case]()
+    loss = _step(pipeline, examples, SeededRng(9))[0]
+    assert train_step(pipeline, pipeline.parameters(), examples, SeededRng(9))[0] == loss
 
 
 def _keep_probabilities(rng: SeededRng, batch: int, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import sparsetok.data as data
 import sparsetok.train as train
 from sparsetok.autodiff import CENTRAL, Tape
 from sparsetok.checks import (FD_STEP, MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMPLE_TOLERANCE,
-                              SuiteReport, catalog_case, check_catalog,
+                              ReplayedNoise, SuiteReport, catalog_case, check_catalog,
                               check_gumbel_max_frequencies, check_gumbel_mean,
                               check_multimodal_end_to_end, check_ste_soft_path,
                               check_topk_inclusion_frequencies, check_topk_selection_frequencies,
@@ -124,8 +124,7 @@ def test_stacked_central_differences_match_the_per_coordinate_loop():
 
         def loss_at():
             tokens = [ad.constant(s.value) for s in streams]
-            logits, _ = pipeline.forward_batch(Tape(), tokens, select)
-            return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
+            return pipeline.loss(Tape(), tokens, labels, select)[0].item()
 
         assert len(stacked) == len(arrays)
         for array, (name, numeric, _) in zip(arrays, stacked):
@@ -150,8 +149,7 @@ def test_stacked_differences_run_every_stage_that_reads_the_array():
         s, np.tile(noise, (s.shape[0] // 2, 1, 1)), 0.5))
 
     def loss_at():
-        logits, _ = pipeline.forward_batch(Tape(), streams, select)
-        return ad.mean_all(ad.cross_entropy_loss(logits, labels)).item()
+        return pipeline.loss(Tape(), streams, labels, select)[0].item()
 
     _, mask = pipeline.forward_batch(Tape(), streams, select)  # fixes the kept set
     assert mask.kept_count.tolist() == [0, 1]
@@ -217,13 +215,38 @@ def test_stacked_differences_refuse_a_point_that_keeps_other_rows():
         select(ad.constant(np.full((3, 5), 0.5)))
 
 
+def test_pipeline_cases_refuse_the_selection_loss():
+    """At lambda > 0 the objective carries the selection loss, whose hard
+    count the frozen kept set holds fixed: no difference could check it."""
+    pipeline, streams, labels, select = multimodal_point(8)
+    pipeline.cfg.strategy.lam = 1.0
+    with pytest.raises(ContractError, match="selection loss"):
+        pipeline_cases(pipeline, streams, labels, select, [streams[0]], MULTIMODAL_STEP,
+                       MULTIMODAL_STENCIL)
+
+
+@pytest.mark.parametrize("point", [ste_point, multimodal_point],
+                         ids=["gumbel_topk", "ratio_controlled"])
+def test_replayed_noise_gives_each_stacked_copy_the_base_mask(point):
+    """Through the training sampler, a stack of three copies of the base
+    batch gets three base masks, byte for byte; the draw is the seed's own."""
+    pipeline, streams, _, _ = point(8)
+    noise = ReplayedNoise(SeededRng(99))
+    select = pipeline.sampler(noise)
+    batch, n = streams[0].shape[:2]
+    s = SeededRng(4).uniforms(batch * n).reshape(batch, n)
+    base, stacked = select(ad.constant(s)), select(ad.constant(np.tile(s, (3, 1))))
+    assert stacked.hard.tobytes() == 3 * base.hard.tobytes()
+    assert stacked.soft.data.tobytes() == 3 * base.soft.data.tobytes()
+    assert np.array_equal(noise.first, SeededRng(99).uniforms(noise.first.size))
+
+
 def test_replica_losses_move_only_with_their_own_rows():
     """Stacked batches do not mix: new rows in one replica change its loss
     alone, and each loss is that of its batch run by itself."""
     pipeline, streams, labels, select = multimodal_point(8)
-    kept, mask = pipeline.sparsify(Tape(), [ad.constant(s.value) for s in streams], select)
-    embed, later = pipeline.task.stages()[:3], pipeline.task.stages()[3:]
-    state = run_stages(Tape(), embed, (kept, pipeline.positions(Tape(), mask)))
+    stages, later = pipeline.stages(select), pipeline.task.stages()[3:]  # after the embedding
+    state = run_stages(Tape(), stages[:-len(later)], [ad.constant(s.value) for s in streams])
     assert len(set(state.lengths)) > 1  # unequal lengths: attention pads inside the stack
     moved = Packed(ad.constant(state.rows.data + SeededRng(3).normals(state.rows.data.size)
                                .reshape(state.rows.shape)), state.lengths)

@@ -150,6 +150,29 @@ def test_scan_finds_unnamed_definitions():
     assert unnamed_definitions(source, [source, "Used().dead()\n"]) == ["helper"]
 
 
+def called(node: ast.AST) -> set[str]:
+    """Names of the functions and methods called anywhere inside node."""
+    return {getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_train_step_holds_no_strategy_branch():
+    """One training objective: `train_step` reads no `.kind` and reaches the
+    cross-entropy, the selection loss and their sum only through
+    `Pipeline.loss`, the one function of the package that calls the latter
+    two. A new selector or estimator extends the objective, not the step."""
+    functions = [(path.name, node) for path in PACKAGE
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)]
+    losses = {"cross_entropy_loss", "selection_loss", "total_loss"}
+    step, = (f for _, f in functions if f.name == "train_step")
+    assert "kind" not in {node.attr for node in ast.walk(step) if isinstance(node, ast.Attribute)}
+    assert called(step) & (losses | {"loss"}) == {"loss"}
+    objective = [(name, f) for name, f in functions if called(f) & losses - {"cross_entropy_loss"}]
+    assert [(name, f.name) for name, f in objective] == [("train.py", "loss")]
+    assert losses <= called(objective[0][1])
+
+
 def test_one_test_file_runs_without_pythonpath():
     """`python -m pytest tests/test_metrics.py` imports the package by
     itself: the pytest configuration puts src on the path, not the caller's

@@ -320,7 +320,7 @@ def test_pipeline_stages_are_forward_batch(kind, selector):
         assert [kind for kind, _, _ in tape._nodes] == ops
     assert state_bytes(states[-1]) == state_bytes(logits)
     assert state_bytes(states[after_selection][1]) == state_bytes(mask)
-    assert pipeline.needs_scorer == any(stage.name.startswith("scorer.") for stage in stages)
+    assert (pipeline.scorer is not None) == any(stage.name.startswith("scorer.") for stage in stages)
     assert (pipeline.context is not None) == any(stage.name == "context.attention"
                                                  for stage in stages)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sparsetok.train as train
 from metrics_csv import read_metrics_csv
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
@@ -70,13 +71,13 @@ def test_multimodal_rerun_is_bit_identical(tiny_mm_dataset, tmp_path, monkeypatc
     """Two streams under ratio control: the packed kept sequences have
     unequal lengths, and a rerun writes the same bytes."""
     unequal = []
-    classify = Pipeline.classify
 
-    def recording(self, tape, kept, mask):
+    def recording(streams, mask, apply_ste=train.apply_ste):
+        kept = apply_ste(streams, mask)
         unequal.append(len(set(kept.lengths)) > 1)
-        return classify(self, tape, kept, mask)
+        return kept
 
-    monkeypatch.setattr(Pipeline, "classify", recording)
+    monkeypatch.setattr(train, "apply_ste", recording)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         train_run(tiny_cfg(tiny_mm_dataset, StrategyConfig("ratio_controlled", target_ratio=0.4),
@@ -215,7 +216,6 @@ def test_run_that_can_outgrow_max_len_rejected_before_training(tiny_mm_dataset, 
     which may keep every token, and 2K under a budget of K. Past max_len the
     run is refused before its first step and writes nothing; one stream of
     the same file packs at most 8 rows and trains."""
-    import sparsetok.train as train
     model = TaskPerformerConfig(**{**vars(TINY_MODEL), "max_len": 15})
     step = train.train_step
     monkeypatch.setattr(train, "train_step", lambda *args: pytest.fail("a step ran"))
