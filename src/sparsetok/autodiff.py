@@ -29,8 +29,9 @@ whole minibatch, not one per example:
 - Sequences of unequal length are packed, not padded: their R rows follow
   one another, example by example, so every row-wise op works on real rows
   only. Two ops see sequences and take their lengths: `attention`, which
-  pads them to the longest inside the op and gives padded keys exactly zero
-  weight, and `segment_mean`, the mean of each sequence's rows.
+  pads them inside the op, each group of similar lengths to its own
+  longest, and gives padded keys exactly zero weight, and `segment_mean`,
+  the mean of each sequence's rows.
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
@@ -351,8 +352,10 @@ def square(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation 0.5 x (1 + tanh u), u = c0 (x + c1 x^3),
     evaluated as x s with s = (1 + tanh u) / 2 = 1 / (1 + exp(-2u)): one
-    exp and one reciprocal. The derivative is s + 2 c0 out (1 - s)(1 + 3 c1 x^2).
-    Forward 8 passes over the array (x^2 and s kept for the adjoint), adjoint 7.
+    exp and one reciprocal: 8 passes over the array. When the node is
+    recorded, the forward also takes the derivative
+    s + 2 c0 out (1 - s)(1 + 3 c1 x^2) in 6 more passes and keeps it alone
+    for the adjoint, d * g; off the tape it takes none.
     Very negative x overflows exp(-2u) to inf, which gives s = 0 exactly."""
     x = _as_tensor(x)
     xd = x.data
@@ -365,18 +368,15 @@ def gelu(x: Tensor) -> Tensor:
     s += 1.0
     np.reciprocal(s, out=s)
     out = xd * s
-
-    def vjp(g):
-        d = np.subtract(1.0, s)
-        d *= out
-        buf = np.multiply(sq, 6.0 * _GELU_C0 * _GELU_C1)
-        buf += 2.0 * _GELU_C0
-        d *= buf
-        d += s
-        d *= g
-        return (d,)
-
-    return _record("gelu", out, (x,), vjp)
+    if not _TAPE_STACK or x.node_id is None:  # recorded nowhere: no derivative
+        return Tensor(out)
+    d = np.subtract(1.0, s)
+    d *= out
+    sq *= 6.0 * _GELU_C0 * _GELU_C1
+    sq += 2.0 * _GELU_C0
+    d *= sq
+    d += s
+    return _record("gelu", out, (x,), lambda g: (d * g,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -543,80 +543,107 @@ def softmax_with_temperature(x: Tensor, tau: float) -> Tensor:
     return _record("softmax", y, (x,), vjp)
 
 
+# the most groups `attention` splits a batch of unequal lengths into, and
+# the charge for each group's kernel call after the first, in logits of one
+# head (`_length_groups`). A call's own cost is that of about 1,000 logits
+# (15 us forward against 10-18 ns a logit, 30 us forward plus adjoint
+# against 30 ns, one BLAS thread); the charge is a quarter of that, because
+# a padded logit also costs memory the adjoint holds. 32 lengths drawn as
+# 2 Binomial(32, 0.3), as a multimodal batch keeps, pad to 1.18 times their
+# real logits on average, where one call pads to 2.33 times
+_ATTENTION_GROUPS = 6
+_GROUP_CALL_LOGITS = 256
+
+
+class _Group(NamedTuple):
+    """Sequences that `attention` pads to one length and runs in one kernel
+    call: `count` of them, padded to `length`; `rows`, their packed rows (a
+    slice when the group is the whole batch in order); `pos`, where those
+    rows sit in the group's zeroed [count*length] buffer; and the
+    [count, length] key bias, 0 on a real key and -inf on a padded one, or
+    None when the group's lengths are equal."""
+
+    count: int
+    length: int
+    rows: np.ndarray | slice
+    pos: np.ndarray
+    key_bias: np.ndarray | None
+
+
 @functools.lru_cache(maxsize=8)
-def _padding(lengths: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """How `attention` pads sequences of these lengths to the longest one, L:
-    L, the padded row of each packed row (row j of sequence b sits at
-    b*L + j) and the [B, L] key bias, 0 on a real key and -inf on a padded
-    one. None when every length is L, so nothing is padded. The arrays are
-    read-only and kept for the few most recent length tuples."""
-    length = max(lengths)
-    if min(lengths) == length:
+def _length_groups(lengths: tuple[int, ...], heads: int) -> tuple[_Group, ...] | None:
+    """How `attention` pads sequences of these lengths: None when every
+    length is the same, so nothing is padded, else the groups it runs.
+
+    The sequences, sorted by length, are cut into 1 to `_ATTENTION_GROUPS`
+    groups of equal count, each padded to its own longest. The cut taken
+    has the fewest padded logits over all heads plus `_GROUP_CALL_LOGITS`
+    for each call after the first (the fewest groups on a tie), so a batch
+    whose groups would save few logits keeps one padded call. Inside a
+    group the sequences keep their order. The arrays are read-only and kept
+    for the few most recent length tuples."""
+    if min(lengths) == max(lengths):
         return None
-    real = np.arange(length) < np.asarray(lengths, dtype=np.int64)[:, None]
-    rows = np.flatnonzero(real)
-    key_bias = np.where(real, 0.0, -np.inf)
-    rows.flags.writeable = key_bias.flags.writeable = False
-    return length, rows, key_bias
+    sizes = np.asarray(lengths, dtype=np.int64)
+    order, batch = np.argsort(sizes, kind="stable"), len(lengths)
+    ranked = sizes[order]
+
+    def bounds(groups: int) -> list[tuple[int, int]]:
+        return [(i * batch // groups, (i + 1) * batch // groups) for i in range(groups)]
+
+    def cost(groups: int) -> int:
+        padded = sum((end - start) * int(ranked[end - 1]) ** 2 for start, end in bounds(groups))
+        return heads * padded + (groups - 1) * _GROUP_CALL_LOGITS
+
+    groups = min(range(1, min(_ATTENTION_GROUPS, batch) + 1), key=cost)
+    sequence_of_row = np.repeat(np.arange(batch), sizes)
+    plan = []
+    for start, end in bounds(groups):
+        member = np.zeros(batch, dtype=bool)
+        member[order[start:end]] = True
+        length = int(ranked[end - 1])
+        real = np.arange(length) < sizes[member][:, None]
+        rows = slice(None) if groups == 1 else np.flatnonzero(member[sequence_of_row])
+        pos = np.flatnonzero(real)
+        key_bias = None if real.all() else np.where(real, 0.0, -np.inf)
+        for array in (rows, pos, key_bias):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        plan.append(_Group(end - start, length, rows, pos, key_bias))
+    return tuple(plan)
 
 
-def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention as one tape node.
-
-    qkv is [R, 3d]: the rows of B sequences packed one after another, row
-    counts `lengths` (each at least 1, R their sum), columns q | k | v, each
-    of the three head-major (head h owns columns h*dk .. (h+1)*dk - 1 of its
-    block, dk = d / heads). Each row attends to the rows of its own sequence.
-    Returns the heads' contexts [R, d], packed alike, head-major columns.
-
-    Sequences shorter than the longest, L, are padded to it inside the op:
-    the packed rows are written into a zeroed [B*L, 3d] buffer by one indexed
-    assignment, padded keys get a -inf logit, so their softmax weight is
-    exactly 0, and the contexts and the adjoint's input gradient are read
-    back from the packed rows. A padded query's output gradient is 0, so
-    padded rows contribute nothing to any gradient. With equal lengths the
-    rows are used as they are, no copy made.
+def _attend(x: np.ndarray, batch: int, heads: int,
+            key_bias: np.ndarray | None) -> tuple[np.ndarray, Callable]:
+    """The attention kernel on `batch` sequences of one length L, their
+    [batch*L, 3d] rows in x: the contexts [batch*L, d] and the adjoint
+    from their gradient to x's. key_bias [batch, L] is added to the logits
+    of each sequence's keys, or None to add nothing.
 
     The logits are laid out key-major, [B, heads, key, query] = k @ q^T, so
     the softmax's max and sum reduce across rows of the contiguous query
     axis, and the contexts are probs^T @ v through a transposed view. The
     1/sqrt(dk) scale is folded into the [L, dk] q operand, not the [L, L]
     logits. The softmax and its adjoint run in place: one [B, heads, L, L]
-    buffer forward and one backward, whatever the head count.
-    """
-    qkv = _as_tensor(qkv)
-    lengths = tuple(map(int, lengths))
-    rows, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
-    if (not lengths or min(lengths) < 1 or sum(lengths) != rows or heads < 1
-            or width % (3 * heads)):
-        raise ShapeError(f"attention: qkv {qkv.shape} does not split into sequences of "
-                         f"{list(lengths)} rows of q | k | v over {heads} heads")
-    d, batch = width // 3, len(lengths)
+    buffer forward and one backward, whatever the head count."""
+    rows, width = x.shape
+    d, length = width // 3, rows // batch
     dk = d // heads
-    padding = _padding(lengths)
-    x, length = qkv.data, rows // batch
-    if padding is not None:
-        length, packed, key_bias = padding
-        x = np.zeros((batch * length, width))
-        x[packed] = qkv.data
     scale = 1.0 / math.sqrt(dk)
     # [3, B, H, L, dk] views of q, k and v; every [L, dk] slice stays BLAS-ready
     q, k, v = x.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
     probs = k @ (q * scale).transpose(0, 1, 3, 2)
-    if padding is not None:
+    if key_bias is not None:
         probs += key_bias[:, None, :, None]
-    probs -= probs.max(axis=-2, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-2, keepdims=True)
     np.exp(probs, out=probs)
     probs *= 1.0 / np.add.reduce(probs, axis=-2, keepdims=True)
     # the contexts are written straight into the [B*L, d] output's head blocks
     out = np.empty((batch, length, heads, dk))
     np.matmul(probs.transpose(0, 1, 3, 2), v, out=out.transpose(0, 2, 1, 3))
-    out = out.reshape(batch * length, d)
+    out = out.reshape(rows, d)
 
     def vjp(g):
-        if padding is not None:
-            g_rows, g = g, np.zeros((batch * length, d))
-            g[packed] = g_rows
         g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
         grad = np.empty((batch, length, 3, heads, dk))
         g_q, g_k, g_v = grad.transpose(2, 0, 3, 1, 4)
@@ -633,11 +660,76 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
         g_logits *= scale
         np.matmul(g_logits, q, out=g_k)
         np.matmul(g_logits.transpose(0, 1, 3, 2), k, out=g_q)
-        grad = grad.reshape(batch * length, width)
-        return (grad if padding is None else grad.take(packed, axis=0),)
+        return grad.reshape(rows, width)
 
-    return _record("attention", out if padding is None else out.take(packed, axis=0),
-                   (qkv,), vjp)
+    return out, vjp
+
+
+def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention as one tape node.
+
+    qkv is [R, 3d]: the rows of B sequences packed one after another, row
+    counts `lengths` (each at least 1, R their sum), columns q | k | v, each
+    of the three head-major (head h owns columns h*dk .. (h+1)*dk - 1 of its
+    block, dk = d / heads). Each row attends to the rows of its own sequence.
+    Returns the heads' contexts [R, d], packed alike, head-major columns.
+
+    With equal lengths the rows go to the kernel (`_attend`) as they are,
+    no copy made. Otherwise the sequences are split into groups of similar
+    length (`_length_groups`), and each group is padded to its own longest
+    inside the op: its packed rows are written into a zeroed buffer by one
+    indexed assignment, padded keys get a -inf logit, so their softmax
+    weight is exactly 0, and the contexts and the adjoint's input gradient
+    are written back to the packed rows. A padded query's output gradient
+    is 0, so padded rows contribute nothing to any gradient. A padded key
+    adds exact zeros to every sum over keys, so a sequence's values do not
+    depend on the length it is padded to, except at dk = 1: there the
+    contexts are matrix-vector products, whose sums BLAS splits by length,
+    and they can move in the last bit. For the adjoint each group keeps its
+    own padded rows, logits and contexts.
+    """
+    qkv = _as_tensor(qkv)
+    lengths = tuple(map(int, lengths))
+    rows, width = qkv.shape if qkv.data.ndim == 2 else (0, 0)
+    if (not lengths or min(lengths) < 1 or sum(lengths) != rows or heads < 1
+            or width % (3 * heads)):
+        raise ShapeError(f"attention: qkv {qkv.shape} does not split into sequences of "
+                         f"{list(lengths)} rows of q | k | v over {heads} heads")
+    plan = _length_groups(lengths, heads)
+    if plan is None:
+        out, vjp_rows = _attend(qkv.data, len(lengths), heads, None)
+        return _record("attention", out, (qkv,), lambda g: (vjp_rows(g),))
+    d = width // 3
+    recorded = bool(_TAPE_STACK) and qkv.node_id is not None
+    pieces, adjoints = [], []
+    for group in plan:
+        x = np.zeros((group.count * group.length, width))
+        x[group.pos] = qkv.data[group.rows]
+        out_group, vjp_group = _attend(x, group.count, heads, group.key_bias)
+        pieces.append(out_group.take(group.pos, axis=0))
+        if recorded:  # else the group's buffers go before the next group's
+            adjoints.append(vjp_group)
+
+    def vjp(g):
+        pieces = []
+        for group, vjp_group in zip(plan, adjoints):
+            g_group = np.zeros((group.count * group.length, d))
+            g_group[group.pos] = g[group.rows]
+            pieces.append(vjp_group(g_group).take(group.pos, axis=0))
+        return (_packed(plan, pieces),)
+
+    return _record("attention", _packed(plan, pieces), (qkv,), vjp)
+
+
+def _packed(plan: tuple[_Group, ...], pieces: list[np.ndarray]) -> np.ndarray:
+    """The rows of each group of `plan`, one array a group, put back in
+    packed order."""
+    if len(plan) == 1:
+        return pieces[0]
+    out = np.empty((sum(map(len, pieces)), pieces[0].shape[1]))
+    for group, piece in zip(plan, pieces):
+        out[group.rows] = piece
+    return out
 
 
 def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:

@@ -164,7 +164,7 @@ def _catalog_cases(rng: SeededRng):
     ]
     # appended cases come last, so the earlier ones keep their draws
     return (cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
-            + _long_attention_cases(r) + _segment_mean_cases(r))
+            + _long_attention_cases(r) + _segment_mean_cases(r) + _grouped_attention_cases(r))
 
 
 def _batched_cases(r):
@@ -254,6 +254,20 @@ def _segment_mean_cases(r):
     rows: a one-row mean is the row itself."""
     w = r((3, 4))
     return [("segment_mean_lengths1_3_2", r((6, 4)), lambda x: ad.segment_mean(x, (1, 3, 2)), w)]
+
+
+# seven sequences, out of length order, that `attention` runs in two
+# groups: three of 1 row, unpadded, and four of 1, 1, 2 and 8 rows, padded
+# to 8 (`autodiff._length_groups`)
+GROUPED_LENGTHS = (1, 2, 1, 8, 1, 1, 1)
+
+
+def _grouped_attention_cases(r):
+    """Attention split into length groups: two heads of width 1 on the
+    packed sequences of `GROUPED_LENGTHS`."""
+    w = r((15, 2))
+    return [("attention_2heads_length_groups", r((15, 6)),
+             lambda x: ad.attention(x, GROUPED_LENGTHS, 2), w)]
 
 
 def catalog_case(name: str, point: np.ndarray, op: Callable[[Tensor], Tensor],

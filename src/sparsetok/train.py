@@ -308,9 +308,10 @@ def retain_heap() -> bool:
     kernel once more than twice that threshold is free, so each step
     page-faults its tape's arrays in again. Here blocks below 32 MiB come
     from the heap, and the heap keeps up to 64 MiB of free memory at its
-    top. The largest heap a run grows measured 29 MiB for a K=32 sweep cell
-    (n=32, B=32) and 45 MiB for multimodal training (64 rows a context
-    attention, B=32), so at these sizes no step hands memory back.
+    top. In a fresh process one run grows the heap (mallinfo2 arena) to
+    21 MiB for a K=32 sweep cell (n=32, B=32, 240 examples, 5 epochs) and
+    31 MiB for multimodal training (64 rows a context attention, B=32,
+    640 examples, 4 epochs), so at these sizes no step hands memory back.
     """
     global _heap_policy
     if _heap_policy is None:

@@ -513,20 +513,34 @@ def test_layer_norm_agrees_with_row_reductions(length, d):
         _assert_close(got, expected)
 
 
-@pytest.mark.parametrize("padded", [False, True])
-@pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("length", [1, 3, 8, 64])
-def test_attention_agrees_with_the_query_major_form(length, heads, padded):
-    """Three sequences of 16-wide rows; with padding, the second one keeps
-    the first half of its rows and the third only row 0, packed after one
-    another. The reference runs the padded [3*L] rows with the dropped keys
+# kept counts of a multimodal ratio-controlled batch: 2 Binomial(32, 0.3)
+# rows an example, one example keeping only the null token
+_RAGGED = (1, *(int(n) for n in 2 * np.random.default_rng(5).binomial(32, 0.3, 31)))
+
+# (lengths, heads) by id: three sequences of one length, and with
+# "True" the second keeping the first half of its rows and the third only
+# row 0; then 32 ragged sequences, which run in length groups, a single
+# sequence, and more equal sequences than there are groups
+_QUERY_MAJOR_BATCHES = [
+    *(pytest.param((length,) * 3 if not padded else (length, (length + 1) // 2, 1), heads,
+                   id=f"{length}-{heads}-{padded}")
+      for padded in (False, True) for heads in (1, 2, 4) for length in (1, 3, 8, 64)),
+    pytest.param(_RAGGED, 2, id="ragged32-2"),
+    pytest.param((5,), 2, id="single-2"),
+    pytest.param((4,) * (ad._ATTENTION_GROUPS + 2), 2, id="equal8-2"),
+]
+
+
+@pytest.mark.parametrize("lengths, heads", _QUERY_MAJOR_BATCHES)
+def test_attention_agrees_with_the_query_major_form(lengths, heads):
+    """Sequences of 16-wide rows, packed one after another. The reference
+    runs them padded to the longest, L, as [B*L] rows with the dropped keys
     masked and no gradient on the dropped queries; the packed op must give
     its values and gradients on the kept rows."""
-    batch, d = 3, 16
+    batch, length, d = len(lengths), max(lengths), 16
     rng = SeededRng(length * 10 + heads)
     qkv = rng.normals(batch * length * 3 * d).reshape(batch * length, 3 * d)
     g = rng.normals(batch * length * d).reshape(batch * length, d)
-    lengths = (length, (length + 1) // 2, 1) if padded else (length,) * batch
     kept = np.arange(length) < np.array(lengths)[:, None]
     rows = np.flatnonzero(kept)
     value, (grad,) = _value_and_adjoint(
@@ -536,6 +550,44 @@ def test_attention_agrees_with_the_query_major_form(length, heads, padded):
                                                  g * kept.reshape(-1, 1))
     _assert_close(value, ref_value[rows])
     _assert_close(grad, ref_grad[rows])
+
+
+def test_length_groups_pad_each_group_to_its_own_longest():
+    """Equal lengths are not padded; two sequences, whose groups would
+    remove few padded logits, stay one padded call; the catalog's grouped
+    case runs an equal group and an unequal one; a ragged batch runs in at
+    most `_ATTENTION_GROUPS` groups that cover every packed row once and pad
+    to less than one call would."""
+    from sparsetok.checks import GROUPED_LENGTHS
+    assert ad._length_groups((3, 3, 3), 2) is None and ad._length_groups((5,), 2) is None
+    for lengths in [(2, 4), (4, 6)]:
+        assert [(g.count, g.length) for g in ad._length_groups(lengths, 2)] == [(2, max(lengths))]
+    equal, unequal = ad._length_groups(GROUPED_LENGTHS, 2)
+    assert (equal.count, equal.length, equal.key_bias) == (3, 1, None)
+    assert (unequal.count, unequal.length) == (4, 8) and unequal.key_bias is not None
+    plan = ad._length_groups(_RAGGED, 2)
+    assert 1 < len(plan) <= ad._ATTENTION_GROUPS
+    rows = np.concatenate([g.rows for g in plan])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(sum(_RAGGED)))
+    assert all(len(g.pos) == len(g.rows) for g in plan)
+    padded = sum(g.count * g.length ** 2 for g in plan)
+    assert padded < 0.7 * len(_RAGGED) * max(_RAGGED) ** 2, padded
+
+
+def test_gelu_keeps_only_its_derivative_and_none_off_the_tape():
+    """A recorded gelu's adjoint holds one array, the derivative; off the
+    tape nothing is recorded, and the value is the same bit for bit."""
+    x = 3.0 * SeededRng(4).normals(12).reshape(3, 4)
+    with Tape() as tape:
+        taped = ad.gelu(tape.leaf(x))
+        _, _, vjp = tape._nodes[-1]
+    held = [c.cell_contents for c in vjp.__closure__ or ()]
+    assert [a.shape for a in held if isinstance(a, np.ndarray)] == [x.shape]
+    with Tape() as tape:
+        constant = ad.gelu(ad.constant(x))
+    assert constant.node_id is None and len(tape) == 0
+    np.testing.assert_array_equal(constant.data, taped.data)
+    np.testing.assert_array_equal(ad.gelu(ad.constant(x)).data, taped.data)
 
 
 def test_gelu_is_finite_and_silent_at_large_magnitudes():

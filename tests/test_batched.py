@@ -4,6 +4,8 @@ A training step runs its whole minibatch through one tape; these tests pin
 that down to the per-example semantics: the same noise, the same masks, and
 the same loss and gradients up to float summation order.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,38 @@ def test_backward_releases_closures():
         x = tape.leaf(np.ones((2, 3)))
         tape.backward(ad.mean_all(ad.gelu(ad.square(x))))
     assert all(vjp is None for _, _, vjp in tape._nodes)
+
+
+def _traced_step_mib(spec: NeedleSpec, strategy: StrategyConfig) -> float:
+    """The traced peak allocation (tracemalloc) of one `train_step` of the
+    default model at B=32, after a warm-up step on other examples, MiB."""
+    examples = generate_dataset(spec, 64, seed=3)
+    header = {"d": spec.d, "multimodal": spec.multimodal, "num_classes": spec.num_classes}
+    pipeline = Pipeline(RunConfig(dataset="unused", strategy=strategy, seed=3), header)
+    params, rng = pipeline.parameters(), SeededRng(3).split(1)
+    train_step(pipeline, params, examples[32:], rng)
+    tracemalloc.start()
+    try:
+        train_step(pipeline, params, examples[:32], rng)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# traced peak of one step, MiB, and its bound. The steps peak in the forward
+# of the last `gelu`. The multimodal step peaks at 18.8 (22.1 when `gelu`
+# kept x^2 and s for its adjoint and `attention` padded every sequence to
+# the batch's longest), the K=32 one at 12.8 (14.7); each bound is about
+# half-way between
+_STEP_PEAK_BOUNDS_MIB = {
+    "ratio_controlled_multimodal": (
+        NeedleSpec(multimodal=True, distractor_mode="decoy_prototypes"),
+        StrategyConfig("ratio_controlled", target_ratio=0.3, tau=0.1, lam=1.0), 20.5),
+    "uniform_fixed_k32": (NeedleSpec(), StrategyConfig("uniform_fixed", k=32), 13.8),
+}
+
+
+@pytest.mark.parametrize("case", _STEP_PEAK_BOUNDS_MIB)
+def test_train_step_memory_is_bounded(case):
+    spec, strategy, bound = _STEP_PEAK_BOUNDS_MIB[case]
+    assert _traced_step_mib(spec, strategy) < bound

@@ -176,9 +176,9 @@ def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
     per stack of w2 and b2: 14. Re-running the whole loss at each of the
     220 points made 221 of `apply_ste` and 442 of `gelu`. The catalog calls
     `mean_all` in every case's
-    taped loss but the three `cross_entropy` cases' (171), and as the op of
-    the `mean_all` cases at each of their 180 points: 351, where a mean at
-    every point made 5,265."""
+    taped loss but the three `cross_entropy` cases' (174), and as the op of
+    the `mean_all` cases at each of their 180 points: 354, where a mean at
+    every point made 5,808."""
     calls = {"apply_ste": 0, "gelu": 0, "mean_all": 0}
 
     def counted(name, fn):
@@ -194,7 +194,7 @@ def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     report = check_catalog()
     assert report.ok, report.line()
-    assert calls["mean_all"] == 351
+    assert calls["mean_all"] == 354
 
 
 def test_stacked_differences_refuse_a_point_that_keeps_other_rows():
