@@ -1,7 +1,6 @@
 """Learnable token sparsification on a verifiable synthetic task."""
 
-from .autodiff import (Parameter, Tape, Tensor, cross_entropy_loss, finite_difference_check,
-                       softmax_with_temperature)
+from .autodiff import Parameter, Tape, Tensor, cross_entropy_loss, softmax_with_temperature
 from .data import Example, NeedleSpec, generate_dataset, load_dataset, write_dataset
 from .gumbel import gumbel_max_sample, sample_standard_gumbel
 from .model import TaskPerformer, TaskPerformerConfig, init_parameters

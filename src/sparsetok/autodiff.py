@@ -846,18 +846,3 @@ def central_difference_check(cases: Iterable[Case]) -> tuple[float, str]:
             worst, where = float(err[i]), f"{name}[{i}]"
     return worst, where
 
-
-def finite_difference_check(build_scalar: Callable[[Tensor], Tensor],
-                            point: np.ndarray,
-                            step: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences of
-    `build_scalar` at a copy of point: `central_difference_check` of one
-    case. `build_scalar` maps a leaf tensor to a scalar loss using tape
-    operations and must be deterministic."""
-    point = np.array(point, dtype=np.float64)
-    with Tape() as tape:
-        x = tape.leaf(point)
-        tape.backward(build_scalar(x))
-        analytic = tape.grad(x)
-    numeric = central_differences(lambda: build_scalar(Tensor(point)).item(), point, step)
-    return central_difference_check([("x", numeric, analytic)])[0]

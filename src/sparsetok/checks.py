@@ -54,14 +54,16 @@ class SuiteReport:
 
 def stack(states: list):
     """The states of several batches at one stage as one batch: packed rows
-    end to end with their lengths in turn, tensors along their first axis,
-    tuples and lists component by component."""
+    end to end with their lengths in turn, tensors and index arrays along
+    their first axis, tuples and lists component by component."""
     first = states[0]
     if isinstance(first, Packed):
         return Packed(ad.constant(np.concatenate([s.rows.data for s in states])),
                       sum((s.lengths for s in states), ()))
     if isinstance(first, (tuple, list)):
         return type(first)(stack(list(parts)) for parts in zip(*states))
+    if isinstance(first, np.ndarray):
+        return np.concatenate(states)
     return ad.constant(np.concatenate([s.data for s in states]))
 
 

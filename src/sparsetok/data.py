@@ -49,6 +49,10 @@ class NeedleSpec:
     textual_informative: int = 2
 
     def __post_init__(self):
+        for name, least in (("n", 1), ("d", 1), ("num_informative", 1),
+                            ("textual_informative", 0)):
+            if getattr(self, name) < least:
+                raise SchemaError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.num_classes < 2:
             raise SchemaError("need at least two classes")
         if self.distractor_mode not in DISTRACTOR_MODES:
@@ -169,6 +173,8 @@ class NeedleGenerator:
 
 def generate_dataset(spec: NeedleSpec, count: int, seed: int) -> list[Example]:
     """count examples with stratified labels (balanced within one example)."""
+    if count < 0:
+        raise SchemaError(f"count must not be negative, got {count}")
     order = SeededRng(seed).split(4).permutation(count)
     labels = np.empty(count, dtype=np.int64)
     labels[order] = np.arange(count) % spec.num_classes

@@ -10,8 +10,9 @@ counts. So every projection, norm and the mean pool pays for the rows kept;
 only `attention` pads, inside the op.
 
 The forward is a list of one-op stages (`TaskPerformer.stages`, see
-`stages`): embed (the null token's position and row for an example that
-keeps nothing, then the input projection plus the positions), per block a
+`stages`): embed (the null token at position 0 for an example that keeps
+nothing, the positional rows of the packed rows' table indices, then the
+input projection plus those rows), per block a
 norm, the q | k | v projection, attention and the output projection with
 its residual add, then a norm, the two feed-forward projections with gelu
 between them and the residual add, and last the final norm, the mean pool
@@ -169,16 +170,16 @@ class TaskPerformer:
                 self.ln_f_g, self.ln_f_b, self.head_w, self.head_b]
 
     def stages(self) -> list[Stage]:
-        """The forward in order, from (kept tokens, positional rows) to the
-        [B, C] logits: embed's three stages, each block's, and the head's
-        three. The states between are `Packed`, or a block's (stream,
-        branch). `Pipeline.positions` reads pos_table for the positional
-        rows; the null position names it again."""
+        """The forward in order, from (kept tokens, positions) to the [B, C]
+        logits: embed's three stages, each block's, and the head's three.
+        The states between are `Packed`, or a block's (stream, branch).
+        `task.positions` is the one stage that reads pos_table."""
         return list(self._stages)
 
     def _build_stages(self) -> list[Stage]:
-        out = [Stage("task.null_position", (self.pos_table,), self.null_position),
-               Stage("task.null_token", (self.null_token,), self.null_row),
+        out = [Stage("task.null_token", (self.null_token,), self.null_row),
+               Stage("task.positions", (self.pos_table,), lambda tape, inputs: (
+                   inputs[0], ad.gather_rows(tape.param(self.pos_table), inputs[1]))),
                Stage("task.in", (self.in_w, self.in_b), self.project_input)]
         for block in self.blocks:
             out += block.stages()
@@ -186,33 +187,28 @@ class TaskPerformer:
                       Stage("task.pool", (), lambda tape, x: ad.segment_mean(x.rows, x.lengths)),
                       Stage("task.head", (self.head_w, self.head_b), self.head)]
 
-    def forward(self, tape: ad.Tape, kept: Packed, positional_rows: Tensor) -> Tensor:
+    def forward(self, tape: ad.Tape, kept: Packed, positions: np.ndarray) -> Tensor:
         """Class logits [B, C] for compacted sequences: the kept tokens
-        packed by `apply_ste`, rows [R, d_in], with their positional rows
-        [R, d_model]; every stage in turn."""
-        return run_stages(tape, self._stages, (kept, positional_rows))
+        packed by `apply_ste`, rows [R, d_in], with their positional table
+        rows [R] (`reencode_positions`); every stage in turn."""
+        return run_stages(tape, self._stages, (kept, positions))
 
     # An example with no kept token gets one row: the learned null token at
     # positional table row 0, so an empty selection still produces finite,
     # trainable logits.
 
-    def null_position(self, tape: ad.Tape,
-                      inputs: tuple[Packed, Tensor]) -> tuple[Packed, Tensor]:
-        """Positional table row 0 inserted for each example that keeps
-        nothing."""
+    def null_row(self, tape: ad.Tape,
+                 inputs: tuple[Packed, np.ndarray]) -> tuple[Packed, np.ndarray]:
+        """The null token at position 0 inserted for each example that keeps
+        nothing, once every sequence and position fits max_len."""
         kept, positions = inputs
-        if max(kept.lengths) > self.config.max_len:
-            raise CapacityError(f"sequence of {max(kept.lengths)} exceeds max_len "
-                                f"{self.config.max_len}")
+        limit = self.config.max_len
+        if max(kept.lengths) > limit:
+            raise CapacityError(f"sequence of {max(kept.lengths)} exceeds max_len {limit}")
+        if positions.size and positions.max() >= limit:
+            raise CapacityError(f"position {positions.max()} exceeds positional capacity {limit}")
         if 0 in kept.lengths:
-            table_row0 = ad.gather_rows(tape.param(self.pos_table), np.zeros(1, dtype=np.int64))
-            positions = Packed(positions, kept.lengths).fill_empty(table_row0).rows
-        return kept, positions
-
-    def null_row(self, tape: ad.Tape, inputs: tuple[Packed, Tensor]) -> tuple[Packed, Tensor]:
-        """The null token inserted for each example that keeps nothing."""
-        kept, positions = inputs
-        if 0 in kept.lengths:
+            positions = np.insert(positions, kept.empty_slots(), 0)
             kept = kept.fill_empty(ad.reshape(tape.param(self.null_token),
                                               (1, self.config.d_in)))
         return kept, positions

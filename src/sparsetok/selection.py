@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import ContractError, CapacityError, ShapeError
+from .errors import ContractError, ShapeError
 from .gumbel import sample_standard_gumbel
 from .rng import SeededRng
 from .stages import Packed, Stage, projection, rowwise, run_stages
@@ -310,25 +310,18 @@ def apply_ste(streams: list[Tensor], mask: SelectionMask) -> Packed:
     return Packed(rows, tuple((count * mask.kept_count).tolist()))
 
 
-def reencode_positions(mask: SelectionMask, positional_table: Tensor, streams: int) -> Tensor:
-    """Positional rows for `apply_ste`'s packed rows of `streams` streams:
-    table row j for each example's j-th kept token, [R, d]."""
+def reencode_positions(mask: SelectionMask, streams: int) -> np.ndarray:
+    """Positional table rows of `apply_ste`'s packed rows of `streams`
+    streams: row j for each example's j-th kept token, [R]."""
     keep = _packed_keep(mask, streams)
-    return _positional_rows(positional_table, (np.cumsum(keep, axis=-1) - 1)[keep])
+    return (np.cumsum(keep, axis=-1) - 1)[keep]
 
 
-def original_positions(mask: SelectionMask, positional_table: Tensor, streams: int) -> Tensor:
-    """Positional rows for `apply_ste`'s packed rows of `streams` streams:
-    each kept token's row at its original index, [R, d] (the naive
-    baseline to `reencode_positions`)."""
-    return _positional_rows(positional_table, np.nonzero(_packed_keep(mask, streams))[2])
-
-
-def _positional_rows(positional_table: Tensor, rows: np.ndarray) -> Tensor:
-    if rows.size and rows.max() >= positional_table.shape[0]:
-        raise CapacityError(f"position {rows.max()} exceeds positional capacity "
-                            f"{positional_table.shape[0]}")
-    return ad.gather_rows(positional_table, rows)
+def original_positions(mask: SelectionMask, streams: int) -> np.ndarray:
+    """Positional table rows of `apply_ste`'s packed rows of `streams`
+    streams: each kept token's original index, [R] (the naive baseline to
+    `reencode_positions`)."""
+    return np.nonzero(_packed_keep(mask, streams))[2]
 
 
 def selection_loss(mask: SelectionMask, target_ratio: float) -> Tensor:

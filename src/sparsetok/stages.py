@@ -30,12 +30,17 @@ class Packed(NamedTuple):
     rows: Tensor
     lengths: tuple[int, ...]
 
+    def empty_slots(self) -> np.ndarray:
+        """Where each empty sequence's row goes: the `np.insert` indices of
+        the rows."""
+        counts = np.array(self.lengths)
+        return (np.cumsum(counts) - counts)[counts == 0]
+
     def fill_empty(self, filler: Tensor) -> "Packed":
         """The same sequences, each empty one given the one row `filler`
         [1, d] in its place."""
         counts = np.array(self.lengths)
-        at = (np.cumsum(counts) - counts)[counts == 0]
-        rows = np.insert(np.arange(self.rows.shape[0]), at, self.rows.shape[0])
+        rows = np.insert(np.arange(self.rows.shape[0]), self.empty_slots(), self.rows.shape[0])
         return Packed(ad.gather_rows(ad.concat_rows(self.rows, filler), rows),
                       tuple(np.maximum(counts, 1).tolist()))
 

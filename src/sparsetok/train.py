@@ -124,13 +124,6 @@ class Pipeline:
             out += self.context.parameters()
         return out
 
-    def positions(self, tape: Tape, mask: SelectionMask) -> Tensor:
-        """The positional rows [R, d_model] of the kept tokens, in
-        `apply_ste`'s packed order, every stream's rows encoded alike from
-        the one table."""
-        encode = reencode_positions if self.cfg.positions == "compact" else original_positions
-        return encode(mask, tape.param(self.task.pos_table), len(self.streams))
-
     def batch_tokens(self, examples: list[Example]) -> list[Tensor]:
         """One constant token tensor [B, n, d] of a batch per stream of the run."""
         return [ad.constant(np.stack([getattr(ex, field) for ex in examples]))
@@ -146,10 +139,12 @@ class Pipeline:
         return lambda s: inference_rank_topk(s, inference_k_for(strategy, s.shape[1]))
 
     def pack(self, streams: list[Tensor], scores: Tensor | None,
-             select: Selector) -> tuple[Packed, SelectionMask]:
-        """The kept tokens packed by `apply_ste` (every stream's rows,
-        example by example) and the batch's mask, which all streams share:
-        the one `select` makes of the keep probabilities, or uniform_fixed's."""
+             select: Selector) -> tuple[tuple[Packed, np.ndarray], SelectionMask]:
+        """The task model's input and the batch's mask, which all streams
+        share: the one `select` makes of the keep probabilities, or
+        uniform_fixed's. The input is the kept tokens packed by `apply_ste`
+        (every stream's rows, example by example) and their positional table
+        rows, every stream's encoded alike."""
         batch, n = streams[0].shape[:2]
         if self.cfg.strategy.kind == "uniform_fixed":
             # imported here, not at the top: perfbench's tracer patches
@@ -158,18 +153,19 @@ class Pipeline:
             mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
         else:
             mask = select(scores)
-        return apply_ste(streams, mask), mask
+        encode = reencode_positions if self.cfg.positions == "compact" else original_positions
+        return (apply_ste(streams, mask), encode(mask, len(streams))), mask
 
     def stages(self, select: Selector) -> list[Stage]:
         """`forward_batch` as one list of one-op stages (see `stages`), from
         the streams to the logits [B, C]: the keep-probability stages
         (`ContextModel.stages`, then `KeepProbPredictor.stages`) with the
-        streams carried beside them, selection with `apply_ste`, the
-        positional rows, then `TaskPerformer.stages`.
+        streams carried beside them, selection (`pack`), then
+        `TaskPerformer.stages`.
 
         The states: the streams; (streams, the keep-probability stages'
-        state); (kept, mask) after selection; (kept, positional rows), and
-        the task model's states after that.
+        state); the task model's input (kept, positions) after selection,
+        and the task model's states after that.
         """
         keep: list[Stage] = []
         if self.context is not None:
@@ -179,9 +175,7 @@ class Pipeline:
         return [Stage("streams", (), lambda tape, streams: (
                     streams, streams if self.context is not None else streams[0])),
                 *map(beside, keep),
-                Stage("selection", (), lambda tape, state: self.pack(*state, select)),
-                Stage("positions", (self.task.pos_table,), lambda tape, state: (
-                    state[0], self.positions(tape, state[1]))),
+                Stage("selection", (), lambda tape, state: self.pack(*state, select)[0]),
                 *self.task.stages()]
 
     def forward_batch(self, tape: Tape, streams: list[Tensor],
@@ -193,8 +187,8 @@ class Pipeline:
         if self.scorer is not None:
             u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
             scores = compute_keep_probabilities(tape, u, self.scorer)
-        kept, mask = self.pack(streams, scores, select)
-        return self.task.forward(tape, kept, self.positions(tape, mask)), mask
+        inputs, mask = self.pack(streams, scores, select)
+        return self.task.forward(tape, *inputs), mask
 
     def loss(self, tape: Tape, streams: list[Tensor], labels: np.ndarray,
              select: Selector) -> tuple[Tensor, SelectionMask]:

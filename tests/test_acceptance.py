@@ -77,8 +77,7 @@ def test_task_model_step_pays_for_the_rows_kept():
     def step(mask):
         with Tape() as tape:
             kept = apply_ste([tape.leaf(tokens)], mask)
-            positions = reencode_positions(mask, tape.param(model.pos_table), 1)
-            logits = model.forward(tape, kept, positions)
+            logits = model.forward(tape, kept, reencode_positions(mask, 1))
             tape.backward(ad.mean_all(ad.cross_entropy_loss(logits, labels)))
 
     times = {name: [] for name in counts}

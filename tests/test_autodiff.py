@@ -6,6 +6,7 @@ import pytest
 
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
+from sparsetok.checks import catalog_case
 from sparsetok.errors import ContractError, DomainError, ShapeError
 from sparsetok.rng import SeededRng
 
@@ -219,7 +220,7 @@ def test_softmax_cross_entropy_chain_matches_finite_differences():
         y = ad.softmax_with_temperature(x, 0.7)
         return ad.cross_entropy_loss(ad.scale(ad.log(y), 2.0), 2)
 
-    err = ad.finite_difference_check(build, SeededRng(3).normals(5), 1e-5)
+    err, _ = ad.central_difference_check([catalog_case("x", SeededRng(3).normals(5), build, None)])
     assert err <= 1e-6
 
 
@@ -255,8 +256,8 @@ def test_mask_multiply_blocks_gradient_to_mask_only():
 
 
 def test_finite_difference_self_test():
-    err = ad.finite_difference_check(lambda x: ad.mean_all(ad.square(x)),
-                                     np.array([3.0]), 1e-5)
+    err, _ = ad.central_difference_check([catalog_case(
+        "x", np.array([3.0]), lambda x: ad.mean_all(ad.square(x)), None)])
     assert err <= 1e-8
 
 

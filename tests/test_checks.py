@@ -135,12 +135,11 @@ def test_stacked_central_differences_match_the_per_coordinate_loop():
 
 def test_stacked_differences_run_every_stage_that_reads_the_array():
     """A base batch whose first example keeps nothing runs the task model's
-    null stages: `task.pos_table` is then read twice in one point's span,
-    by the positional rows and again by the null position, and
-    `task.null_token` by the null row. Their stacked finite differences
-    are those of the per-coordinate loop; a point that ran only the first
-    stage reading its array would miss the null position's read of table
-    row 0."""
+    null stage, which reads `task.null_token` and gives the example table
+    row 0; `task.pos_table` is read by one stage after it. So the null
+    token's stacked points carry the packed rows' integer positions, and
+    table row 0's finite differences hold the empty example's read. Both
+    are those of the per-coordinate loop."""
     pipeline, streams, labels, _ = multimodal_point(8)
     streams = [ad.constant(s.value) for s in streams]
     noise = sample_standard_gumbel(SeededRng(55), 2 * 2 * 5).reshape(2, 2, 5)
@@ -157,7 +156,7 @@ def test_stacked_differences_run_every_stage_that_reads_the_array():
     stages = pipeline.stages(select)
     readers = [[stage.name for stage in stages if any(p.value is a for p in stage.parameters)]
                for a in arrays]
-    assert readers == [["positions", "task.null_position"], ["task.null_token"]]
+    assert readers == [["task.positions"], ["task.null_token"]]
     stacked = stacked_central_differences(
         stages, streams, arrays, lambda logits: replica_losses(logits, labels),
         MULTIMODAL_STEP, MULTIMODAL_STENCIL)
@@ -260,12 +259,13 @@ def test_replica_losses_move_only_with_their_own_rows():
 
 
 def test_stack_joins_states_component_by_component():
-    """Packed rows end to end with their lengths in turn, tensors along the
-    first axis, tuples and lists part by part."""
+    """Packed rows end to end with their lengths in turn, tensors and index
+    arrays along the first axis, tuples and lists part by part."""
     rows = [np.arange(6.0).reshape(3, 2), np.arange(6.0, 10.0).reshape(2, 2)]
-    states = [(Packed(ad.constant(rows[0]), (1, 2)), [ad.constant(rows[0][:1])]),
-              (Packed(ad.constant(rows[1]), (2,)), [ad.constant(rows[1][:1])])]
-    packed, tensors = stack(states)
+    states = [(Packed(ad.constant(rows[0]), (1, 2)), [ad.constant(rows[0][:1])], np.arange(3)),
+              (Packed(ad.constant(rows[1]), (2,)), [ad.constant(rows[1][:1])], np.arange(2))]
+    packed, tensors, positions = stack(states)
+    assert positions.tolist() == [0, 1, 2, 0, 1]
     assert packed.lengths == (1, 2, 2)
     assert np.array_equal(packed.rows.data, np.arange(10.0).reshape(5, 2))
     assert isinstance(tensors, list) and len(tensors) == 1

@@ -52,6 +52,19 @@ def test_gen_data_defaults_echoed_in_header(tmp_path):
         assert fh.readline().startswith('{"format_version":2,"n":32,"d":16,"num_classes":4')
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--num-informative", "-2", "num_informative must be at least 1, got -2"),
+    ("--d", "0", "d must be at least 1, got 0"),
+    ("--d", "-3", "d must be at least 1, got -3"),
+    ("--count", "-5", "count must not be negative, got -5"),
+])
+def test_gen_data_size_it_cannot_build_is_usage_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "data.jsonl"
+    assert main(["gen-data", "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_writes_metrics_and_checkpoint(tmp_path, dataset):
     out = str(tmp_path / "run")
     assert run_train(dataset, out) == 0

@@ -97,6 +97,22 @@ def test_multimodal_needs_even_classes():
         NeedleSpec(multimodal=True, num_classes=3)
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("n", 0, 1), ("d", 0, 1), ("d", -3, 1), ("num_informative", -2, 1), ("num_informative", 0, 1),
+    ("textual_informative", -1, 0)])
+def test_sizes_it_cannot_build_are_rejected_by_name(field, value, least):
+    """A spec holds at least one token, one dimension and one visual needle,
+    and no negative count of textual needles; anything less is a
+    SchemaError naming the field, before any draw."""
+    with pytest.raises(SchemaError, match=f"^{field} must be at least {least}, got {value}$"):
+        NeedleSpec(multimodal=True, **{field: value})
+
+
+def test_negative_count_is_rejected():
+    with pytest.raises(SchemaError, match="^count must not be negative, got -5$"):
+        generate_dataset(NeedleSpec(), -5, 1)
+
+
 def test_too_many_informative_rejected():
     with pytest.raises(SchemaError):
         NeedleSpec(n=4, num_informative=3, multimodal=True, textual_informative=2)

@@ -182,3 +182,64 @@ def test_one_test_file_runs_without_pythonpath():
                              "tests/test_metrics.py"],
                             cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+
+
+# a backticked file name (`metrics.csv`) is not a `module.attr` reference
+_FILE_NAME = re.compile(r"[\w/.-]+\.(?:csv|svg|jsonl?|md|py|stkn|toml)\Z")
+
+
+def readme_references(text: str) -> list[tuple[str, str]]:
+    """(head, attr) of every backticked span outside fenced code that
+    starts with `head.attr`, file names left out."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    spans = [span for span in re.findall(r"`([^`]+)`", text) if not _FILE_NAME.match(span)]
+    return [match.groups() for match in map(re.compile(r"([A-Za-z_]\w*)\.([A-Za-z_]\w*)").match,
+                                            spans) if match]
+
+
+def module_attributes(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: definitions, assignments and
+    imports."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def class_attributes(tree: ast.Module) -> dict[str, set[str]]:
+    """Each top-level class's attributes: what its body binds (methods,
+    properties, fields) and every `self.` assignment in its methods."""
+    out = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            out[cls.name] = module_attributes(ast.Module(body=cls.body, type_ignores=[])) | {
+                node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    return out
+
+
+def test_readme_names_resolve():
+    """Every backticked `module.attr` of a sparsetok module and `Class.attr`
+    of a package class in README names something that exists."""
+    attributes: dict[str, set[str]] = {}
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes[path.stem] = module_attributes(tree)
+        attributes.update(class_attributes(tree))
+    attributes["sparsetok"] = {path.stem for path in PACKAGE}
+    references = readme_references((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert ("Pipeline", "stages") in references
+    assert [f"{head}.{attr}" for head, attr in references
+            if head in attributes and attr not in attributes[head]] == []
+
+
+def test_readme_scan_skips_file_names_and_code_blocks():
+    text = ("`metrics.csv` and `checks.stack` and `Pipeline.loss(tape)` and `np.add`\n"
+            "```\nsparsetok.nothing\n```\n")
+    assert readme_references(text) == [("checks", "stack"), ("Pipeline", "loss"), ("np", "add")]

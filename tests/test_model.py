@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from sparsetok import autodiff as ad
-from sparsetok.autodiff import Tape
+from sparsetok.autodiff import Tape, central_difference_check
+from sparsetok.checks import catalog_case
 from sparsetok.errors import CapacityError, ContractError
 from sparsetok.model import (CHECKPOINT_VERSION, MultiHeadAttention, TaskPerformer,
                              TaskPerformerConfig, init_parameters, load_checkpoint,
                              restore_parameters, save_checkpoint)
 from sparsetok.rng import SeededRng
-from sparsetok.selection import (Packed, SelectionMask, StrategyConfig, apply_ste,
-                                 original_positions, reencode_positions)
+from sparsetok.selection import (STRATEGY_KINDS, Packed, SelectionMask, StrategyConfig,
+                                 apply_ste, original_positions, reencode_positions)
 from sparsetok.stages import run_stages
 from sparsetok.train import Pipeline, RunConfig
 
@@ -22,11 +23,6 @@ SMALL = TaskPerformerConfig(d_in=5, d_model=8, heads=2, layers=1, max_len=10,
 def one_sequence(tokens: ad.Tensor) -> Packed:
     """A batch of one sequence of [L, d_in] tokens, every row kept."""
     return Packed(tokens, (tokens.shape[0],))
-
-
-def leading_positions(tape: Tape, model: TaskPerformer, length: int) -> ad.Tensor:
-    """Positional rows 0..length-1 of a batch of one, [length, d_model]."""
-    return ad.gather_rows(tape.param(model.pos_table), np.arange(length))
 
 
 def test_init_deterministic_under_seed():
@@ -45,7 +41,7 @@ def test_zero_head_gives_uniform_logits_and_ln4_loss():
     model.head_b.value[:] = 0.0
     with Tape() as tape:
         tokens = ad.constant(SeededRng(2).normals(12).reshape(3, 4))
-        logits = model.forward(tape, one_sequence(tokens), leading_positions(tape, model, 3))
+        logits = model.forward(tape, one_sequence(tokens), np.arange(3))
         loss = ad.cross_entropy_loss(logits, 0)
     assert logits.shape == (1, 4)
     assert np.allclose(logits.data, logits.data[0, 0])
@@ -71,7 +67,7 @@ def test_forward_is_deterministic():
     def run():
         with Tape() as tape:
             tokens = one_sequence(ad.constant(tokens_np))
-            return model.forward(tape, tokens, leading_positions(tape, model, 4)).data.copy()
+            return model.forward(tape, tokens, np.arange(4)).data.copy()
 
     assert np.array_equal(run(), run())
 
@@ -84,7 +80,7 @@ def test_positional_sensitivity():
     def logits_for(tok):
         with Tape() as tape:
             return model.forward(tape, one_sequence(ad.constant(tok)),
-                                 leading_positions(tape, model, 4)).data.copy()
+                                 np.arange(4)).data.copy()
 
     assert not np.allclose(logits_for(tokens_np), logits_for(tokens_np[perm]))
 
@@ -97,7 +93,7 @@ def empty_sequence() -> Packed:
 def test_empty_selection_uses_null_token():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 0))
+        logits = model.forward(tape, empty_sequence(), np.arange(0))
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits.data))
 
@@ -105,7 +101,7 @@ def test_empty_selection_uses_null_token():
 def test_null_token_is_trainable_through_empty_path():
     model = init_parameters(SMALL, SeededRng(8))
     with Tape() as tape:
-        logits = model.forward(tape, empty_sequence(), leading_positions(tape, model, 0))
+        logits = model.forward(tape, empty_sequence(), np.arange(0))
         tape.backward(ad.cross_entropy_loss(logits, 1))
         assert np.abs(tape.grad(model.null_token)).max() > 0
 
@@ -123,12 +119,11 @@ def leading_mask(counts, n: int) -> SelectionMask:
 
 def forward_and_gradients(model, tokens, mask, labels, weights, encode=reencode_positions):
     """Logits [B, C] of the tokens [B, n, d_in] that `mask` keeps, packed by
-    `apply_ste` with their positional rows from `encode`, and the gradients
-    of mean_b(weights[b] * loss_b) wrt every parameter and the tokens."""
+    `apply_ste` with their positions from `encode`, and the gradients of
+    mean_b(weights[b] * loss_b) wrt every parameter and the tokens."""
     with Tape() as tape:
         x = tape.leaf(tokens)
-        positions = encode(mask, tape.param(model.pos_table), 1)
-        logits = model.forward(tape, apply_ste([x], mask), positions)
+        logits = model.forward(tape, apply_ste([x], mask), encode(mask, 1))
         losses = ad.cross_entropy_loss(logits, labels)
         tape.backward(ad.mean_all(ad.mask_multiply(losses, weights)))
         return logits.data, [tape.grad(p) for p in model.parameters()], tape.grad(x)
@@ -196,8 +191,9 @@ def test_embed_gives_an_empty_example_the_null_token_at_table_row_0(positions):
     """Two streams whose examples keep 2, 0, 0 and 1 of 4 tokens: each empty
     example is one row of embed's output, the null token's projection plus
     positional table row 0, in either positions mode; the other rows are
-    their kept tokens' projections plus their own positional rows."""
-    cfg = RunConfig(dataset="unused", strategy=StrategyConfig("uniform_fixed", k=1),
+    their kept tokens' projections plus their own positional rows. The
+    input is what `Pipeline.pack` hands the task model."""
+    cfg = RunConfig(dataset="unused", strategy=StrategyConfig("deterministic_topk", k=1),
                     model=PACKED, positions=positions)
     pipeline = Pipeline(cfg, {"d": 5, "multimodal": True, "num_classes": 3})
     task = pipeline.task
@@ -206,10 +202,10 @@ def test_embed_gives_an_empty_example_the_null_token_at_table_row_0(positions):
     hard = np.zeros((4, 4))
     hard[0, [1, 3]] = hard[3, 2] = 1.0
     mask = SelectionMask(hard, ad.constant(hard))
-    kept = apply_ste([ad.constant(x) for x in streams], mask)
-    state = run_stages(Tape(), task.stages()[:3], (kept, pipeline.positions(Tape(), mask)))
+    (kept, at), _ = pipeline.pack([ad.constant(x) for x in streams], None, lambda _: mask)
+    state = run_stages(Tape(), task.stages()[:3], (kept, at))
     assert [stage.name for stage in task.stages()[:3]] == [
-        "task.null_position", "task.null_token", "task.in"]
+        "task.null_token", "task.positions", "task.in"]
     assert kept.lengths == (4, 0, 0, 2)
     assert state.lengths == (4, 1, 1, 2)
     v, w = streams
@@ -257,11 +253,11 @@ def assert_stages_read_what_they_name(stages, parameters, state) -> None:
 def test_each_stage_reads_only_the_parameters_it_names():
     """The stages name every parameter once, and read only those: what the
     stacked gradient check relies on. The batch keeps counts 4, 1, 0, 2, so
-    embed packs rows and reads the null token and table row 0."""
+    embed packs rows and reads the null token at table row 0."""
     model = init_parameters(replace(PACKED, init_std=0.5), SeededRng(34))
     stages = model.stages()
     assert [stage.name for stage in stages] == [
-        "task.null_position", "task.null_token", "task.in",
+        "task.null_token", "task.positions", "task.in",
         *(f"task.block{i}.{name}" for i in range(2)
           for name in ("ln1", "attn.qkv", "attn.attention", "attn.out",
                        "ln2", "ff.w1", "ff.gelu", "ff.w2")),
@@ -270,7 +266,7 @@ def test_each_stage_reads_only_the_parameters_it_names():
     assert sorted(p.name for p in named) == sorted(p.name for p in model.parameters())
     assert len({id(p) for p in named}) == len(named)
     kept = Packed(ad.constant(SeededRng(35).normals(7 * 5).reshape(7, 5)), (4, 1, 0, 2))
-    positions = ad.constant(SeededRng(36).normals(7 * 8).reshape(7, 8))
+    positions = np.array([0, 1, 2, 3, 0, 0, 1])
     assert_stages_read_what_they_name(stages, model.parameters(), (kept, positions))
     state = run_stages(Tape(), stages, (kept, positions))
     assert state.shape == (4, 3)
@@ -301,8 +297,9 @@ def staged_pipeline(kind: str):
 @pytest.mark.parametrize("kind", list(STRATEGIES))
 def test_pipeline_stages_are_forward_batch(kind, selector):
     """Every stage of `Pipeline.stages` in turn gives `forward_batch`'s
-    logits and mask byte for byte, and on an active tape records the same
-    ops in the same order."""
+    logits byte for byte, after selection the task model's input under
+    `forward_batch`'s mask, and on an active tape records the same ops in
+    the same order."""
     pipeline, streams = staged_pipeline(kind)
 
     def select():
@@ -319,7 +316,9 @@ def test_pipeline_stages_are_forward_batch(kind, selector):
             states.append(stage.run(tape, states[-1]))
         assert [kind for kind, _, _ in tape._nodes] == ops
     assert state_bytes(states[-1]) == state_bytes(logits)
-    assert state_bytes(states[after_selection][1]) == state_bytes(mask)
+    kept, positions = states[after_selection]
+    assert kept.lengths == tuple(len(streams) * mask.kept_count)
+    assert np.array_equal(positions, reencode_positions(mask, len(streams)))
     assert (pipeline.scorer is not None) == any(stage.name.startswith("scorer.") for stage in stages)
     assert (pipeline.context is not None) == any(stage.name == "context.attention"
                                                  for stage in stages)
@@ -328,20 +327,36 @@ def test_pipeline_stages_are_forward_batch(kind, selector):
 @pytest.mark.parametrize("kind", list(STRATEGIES))
 def test_each_pipeline_stage_reads_only_the_parameters_it_names(kind):
     """The same for the pipeline's stages, under the sampler at fixed noise:
-    the keep-probability stages, selection, positions and the task model's.
-    Only the task model's null stages name a parameter they need not read,
-    here where every example keeps a token."""
+    the keep-probability stages, selection and the task model's. Only the
+    task model's null stage names a parameter it need not read, here where
+    every example keeps a token."""
     pipeline, streams = staged_pipeline(kind)
     stages = pipeline.stages(lambda s: pipeline.sampler(SeededRng(7))(s))
     named = [p for stage in stages for p in stage.parameters]
     assert {id(p) for p in named} == {id(p) for p in pipeline.parameters()}
     state = streams
     for stage in stages:
-        if stage.name.startswith("task.null"):
+        if stage.name == "task.null_token":
             assert min(state[0].lengths) > 0
             stage = stage._replace(parameters=())
         assert_stages_read_what_they_name([stage], pipeline.parameters(), state)
         state = stage.run(Tape(), state)
+
+
+@pytest.mark.parametrize("multimodal", [False, True], ids=["one_stream", "two_streams"])
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_each_pipeline_parameter_is_named_by_one_stage(kind, multimodal):
+    """Every strategy, over one stream or two: each parameter of the
+    pipeline is named by exactly one of its stages, so a finite difference
+    of any of them reruns one span, mostly one op."""
+    strategy = (StrategyConfig(kind, target_ratio=0.5) if kind == "ratio_controlled"
+                else StrategyConfig(kind, k=3))
+    pipeline = Pipeline(RunConfig(dataset="unused", strategy=strategy, model=PIPELINE_MODEL),
+                        {"d": 5, "multimodal": multimodal, "num_classes": 3})
+    stages = pipeline.stages(pipeline.ranker())
+    for p in pipeline.parameters():
+        naming = [stage.name for stage in stages if any(q is p for q in stage.parameters)]
+        assert len(naming) == 1, (p.name, naming)
 
 
 def reference_forward(model, kept_rows, lengths, positions):
@@ -376,9 +391,9 @@ def test_forward_matches_a_numpy_transcription():
     for p in model.parameters():  # move the biases and gains off their initial 0 and 1
         p.value = p.value + 0.1 * SeededRng(39).normals(p.value.size).reshape(p.shape)
     rows = SeededRng(40).normals(7 * 5).reshape(7, 5)
-    positions = SeededRng(41).normals(7 * 8).reshape(7, 8)
-    logits = model.forward(Tape(), Packed(ad.constant(rows), (4, 1, 2)), ad.constant(positions))
-    expected = reference_forward(model, rows, (4, 1, 2), positions)
+    positions = np.array([0, 1, 2, 3, 0, 1, 0])
+    logits = model.forward(Tape(), Packed(ad.constant(rows), (4, 1, 2)), positions)
+    expected = reference_forward(model, rows, (4, 1, 2), model.pos_table.value[positions])
     np.testing.assert_allclose(logits.data, expected, rtol=1e-12, atol=1e-13)
 
 
@@ -386,9 +401,8 @@ def test_capacity_error():
     model = init_parameters(SMALL, SeededRng(9))
     with Tape() as tape:
         tokens = one_sequence(ad.constant(np.zeros((11, 5))))
-        pos = ad.constant(np.zeros((11, 8)))
-        with pytest.raises(CapacityError):
-            model.forward(tape, tokens, pos)
+        with pytest.raises(CapacityError, match="sequence of 11 exceeds max_len 10"):
+            model.forward(tape, tokens, np.arange(11))
 
 
 def test_input_token_gradient_matches_finite_differences():
@@ -397,10 +411,11 @@ def test_input_token_gradient_matches_finite_differences():
 
     def build(x):
         tape = ad.active_tape() or Tape()
-        logits = model.forward(tape, one_sequence(x), leading_positions(tape, model, 3))
+        logits = model.forward(tape, one_sequence(x), np.arange(3))
         return ad.cross_entropy_loss(logits, 2)
 
-    assert ad.finite_difference_check(build, point, 1e-5) <= 1e-4
+    worst, _ = central_difference_check([catalog_case("tokens", point, build, None)])
+    assert worst <= 1e-4
 
 
 def per_head_attention(attn, x, lengths):

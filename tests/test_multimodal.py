@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sparsetok import autodiff as ad
-from sparsetok.autodiff import Tape
+from sparsetok.autodiff import Tape, central_difference_check
+from sparsetok.checks import catalog_case
 from sparsetok.errors import ShapeError
 from sparsetok.model import TaskPerformerConfig
 from sparsetok.multimodal import ContextModel
@@ -37,7 +38,8 @@ class TestContextModel:
             u = model.fuse(ad.active_tape() or Tape(), x, textual)
             return ad.mean_all(ad.mask_multiply(u, weights))
 
-        err = ad.finite_difference_check(build, rand((2, 4, D), 9), 1e-5)
+        err, _ = central_difference_check([catalog_case("visual", rand((2, 4, D), 9), build,
+                                                        None)])
         assert err <= 1e-4
 
     def test_fuse_matches_a_numpy_transcription(self):

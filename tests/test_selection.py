@@ -6,6 +6,7 @@ import pytest
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
 from sparsetok.errors import CapacityError, ContractError, ShapeError
+from sparsetok.model import TaskPerformerConfig, init_parameters
 from sparsetok.rng import SeededRng
 from sparsetok.stages import run_stages
 from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
@@ -352,46 +353,43 @@ class TestApplySte:
 
 class TestReencodePositions:
     def test_compacted_rows(self):
-        table = ad.constant(np.arange(20.0).reshape(10, 2))
         hard = np.zeros((1, 8))
         hard[0, [2, 5, 7]] = 1.0
         mask = SelectionMask(hard, ad.constant(hard))
-        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:3])
-        assert np.array_equal(reencode_positions(mask, table, 2).data,
-                              np.concatenate([table.data[:3]] * 2))
-        assert np.array_equal(original_positions(mask, table, 2).data,
-                              np.concatenate([table.data[[2, 5, 7]]] * 2))
+        assert reencode_positions(mask, 1).tolist() == [0, 1, 2]
+        assert reencode_positions(mask, 2).tolist() == [0, 1, 2] * 2
+        assert original_positions(mask, 2).tolist() == [2, 5, 7] * 2
 
     def test_identity_when_all_kept(self):
-        table = ad.constant(np.arange(8.0).reshape(4, 2))
         mask = SelectionMask(np.ones((1, 4)), ad.constant(np.ones((1, 4))))
-        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data)
-        assert np.array_equal(original_positions(mask, table, 1).data, table.data)
+        assert reencode_positions(mask, 1).tolist() == [0, 1, 2, 3]
+        assert original_positions(mask, 1).tolist() == [0, 1, 2, 3]
 
     def test_single_token_gets_row_zero(self):
-        table = ad.constant(np.arange(8.0).reshape(4, 2))
         mask = SelectionMask(np.array([[0.0, 0.0, 0.0, 1.0]]),
                              ad.constant([[0.0, 0.0, 0.0, 1.0]]))
-        assert np.array_equal(reencode_positions(mask, table, 1).data, table.data[:1])
+        assert reencode_positions(mask, 1).tolist() == [0]
 
     def test_packed_order_of_unequal_counts(self):
         """Kept counts (2, 0, 3) of two streams: each example's ranks
         0..k-1 once per stream, in apply_ste's row order."""
-        table = ad.constant(np.arange(20.0).reshape(10, 2))
         _, hard, soft = TestApplySte.two_streams()
         mask = SelectionMask(hard, ad.constant(soft))
-        ranks = [0, 1, 0, 1, 0, 1, 2, 0, 1, 2]
-        assert np.array_equal(reencode_positions(mask, table, 2).data, table.data[ranks])
-        assert np.array_equal(original_positions(mask, table, 2).data,
-                              table.data[[1, 3, 1, 3, 0, 1, 3, 0, 1, 3]])
+        assert reencode_positions(mask, 2).tolist() == [0, 1, 0, 1, 0, 1, 2, 0, 1, 2]
+        assert original_positions(mask, 2).tolist() == [1, 3, 1, 3, 0, 1, 3, 0, 1, 3]
 
     def test_capacity_error(self):
-        table = ad.constant(np.zeros((2, 2)))
-        mask = SelectionMask(np.ones((1, 3)), ad.constant(np.ones((1, 3))))
-        with pytest.raises(CapacityError):
-            reencode_positions(mask, table, 1)
-        with pytest.raises(CapacityError):
-            original_positions(mask, table, 1)
+        """The positions of one kept token at index 3 fit a table of 2 rows
+        re-encoded, and not at their original index: the task model, the one
+        reader of the table, refuses the latter before reading a row."""
+        hard = np.array([[0.0, 0.0, 0.0, 1.0]])
+        mask = SelectionMask(hard, ad.constant(hard))
+        model = init_parameters(TaskPerformerConfig(d_in=2, d_model=4, max_len=2, layers=1),
+                                SeededRng(1))
+        kept = apply_ste([ad.constant(np.ones((1, 4, 2)))], mask)
+        assert model.forward(Tape(), kept, reencode_positions(mask, 1)).shape == (1, 4)
+        with pytest.raises(CapacityError, match="position 3 exceeds positional capacity 2"):
+            model.forward(Tape(), kept, original_positions(mask, 1))
 
 
 def mask_with_ratio(n, kept_count, soft_value=0.5):

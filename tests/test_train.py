@@ -102,8 +102,7 @@ def test_uniform_full_matches_no_selection_baseline(tiny_dataset):
     assert mask.kept_count == 8
 
     kept = Packed(ad.constant(ex.tokens), (8,))
-    pos = ad.gather_rows(tape.param(pipeline.task.pos_table), np.arange(8))
-    logits_direct = pipeline.task.forward(tape, kept, pos)
+    logits_direct = pipeline.task.forward(tape, kept, np.arange(8))
     assert np.array_equal(logits_pipeline.data, logits_direct.data[0])
 
 
