@@ -440,7 +440,7 @@ def pipeline_cases(pipeline: Pipeline, streams: list[Parameter], labels: np.ndar
     lambda > 0): it forwards the hard kept count, which the frozen kept set
     holds fixed."""
     strategy = pipeline.cfg.strategy
-    if strategy.kind == "ratio_controlled" and strategy.lam > 0:
+    if strategy.penalized():
         raise ContractError(f"lambda={strategy.lam:g} adds the selection loss, which no "
                             "finite difference at a frozen kept set moves")
     with Tape() as tape:

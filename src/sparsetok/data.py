@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -50,11 +51,12 @@ class NeedleSpec:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("d", 1), ("num_informative", 1),
-                            ("textual_informative", 0)):
+                            ("textual_informative", 0), ("num_classes", 2)):
             if getattr(self, name) < least:
                 raise SchemaError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.num_classes < 2:
-            raise SchemaError("need at least two classes")
+        for name, value in (("noise_std", self.noise_std), ("decoy_scale", self.decoy_scale)):
+            if not 0 <= value < math.inf:
+                raise SchemaError(f"{name} must be finite and at least 0, got {value}")
         if self.distractor_mode not in DISTRACTOR_MODES:
             raise SchemaError(f"unknown distractor mode {self.distractor_mode!r}")
         planted = self.num_informative + (self.textual_informative if self.multimodal else 0)

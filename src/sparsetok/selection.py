@@ -6,12 +6,14 @@ baselines they are measured against (noise-free top-K and a fixed uniform
 grid); all but the grid read the keep probabilities s [B, n]. All of them
 emit a SelectionMask whose `soft` tensor carries the gradient path;
 `apply_ste` wires value-from-hard / derivative-from-soft and packs the kept
-tokens into the rows the task model reads.
+tokens into the rows the task model reads. `LAWS` says what each kind is.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,6 @@ from .errors import ContractError, ShapeError
 from .gumbel import sample_standard_gumbel
 from .rng import SeededRng
 from .stages import Packed, Stage, projection, rowwise, run_stages
-
-STRATEGY_KINDS = ("gumbel_topk", "ratio_controlled", "deterministic_topk", "uniform_fixed")
 
 # keeps natural_log off exact zeros without perturbing representable scores
 _TINY = 1e-300
@@ -42,22 +42,21 @@ class StrategyConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in LAWS:
             raise ContractError(f"unknown strategy kind {self.kind!r}")
-        if self.tau <= 0:
-            raise ContractError("tau must be positive")
-        if self.lam < 0:
-            raise ContractError("lambda must be non-negative")
+        if not 0 < self.tau < math.inf:
+            raise ContractError(f"tau must be positive and finite, got {self.tau}")
+        if not 0 <= self.lam < math.inf:
+            raise ContractError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.kind == "ratio_controlled":
             if self.target_ratio is None or self.k is not None:
                 raise ContractError("ratio_controlled is driven by target_ratio alone")
             if not 0 < self.target_ratio <= 1:
                 raise ContractError("target_ratio must lie in (0, 1]")
-        else:
-            if self.k is None or self.target_ratio is not None:
-                raise ContractError(f"{self.kind} is driven by K alone")
-            if self.k < 1:
-                raise ContractError("K must be positive")
+        elif self.k is None or self.target_ratio is not None:
+            raise ContractError(f"{self.kind} is driven by K alone")
+        elif self.k < 1:
+            raise ContractError("K must be positive")
 
     @classmethod
     def for_fraction(cls, kind: str, fraction: float, n: int, tau: float,
@@ -69,6 +68,22 @@ class StrategyConfig:
         if kind == "ratio_controlled":
             return cls(kind, target_ratio=fraction, tau=tau, lam=lam)
         return cls(kind, k=k_for_fraction(fraction, n), tau=tau, lam=lam)
+
+    def eval_k(self, n: int) -> int:
+        """K at eval over n tokens: K, or k_for_fraction(target_ratio, n)."""
+        return self.k if self.target_ratio is None else k_for_fraction(self.target_ratio, n)
+
+    def keep_fraction(self, n: int) -> float:
+        """The share of n tokens kept: K / n, or the target ratio."""
+        return self.k / n if self.target_ratio is None else self.target_ratio
+
+    def max_kept(self, n: int) -> int:
+        """The most of n tokens one training example keeps: K, or all n."""
+        return self.k if self.target_ratio is None else n
+
+    def penalized(self) -> bool:
+        """Whether the objective adds lam * `selection_loss`: its law does, at lam > 0."""
+        return LAWS[self.kind].penalized and self.lam > 0
 
 
 def k_for_fraction(fraction: float, n: int) -> int:
@@ -261,23 +276,29 @@ def uniform_fixed_select(n: int, k: int, batch: int) -> SelectionMask:
     return _mask_from_keep(keep, ad.constant(keep.astype(np.float64)))
 
 
-def inference_k_for(strategy: StrategyConfig, n: int) -> int:
-    """K used at inference: the trained K, or k_for_fraction(p, n) for ratio control."""
-    if strategy.kind == "ratio_controlled":
-        return k_for_fraction(strategy.target_ratio, n)
-    return strategy.k
+class Law(NamedTuple):
+    """What one strategy kind is to the pipeline."""
+    reads_scores: bool  # a run that reads no keep probabilities has no scorer
+    # (s, strategy, noise) -> the training mask of keep probabilities s [B, n];
+    # a law that reads none reads only s's leading shape [B, n], and no noise
+    draw: Callable[[Tensor, StrategyConfig, SeededRng | None], SelectionMask]
+    penalized: bool = False  # the objective adds lam * `selection_loss`
 
 
-def run_strategy(s: Tensor, strategy: StrategyConfig, rng: SeededRng) -> SelectionMask:
-    """The training mask of keep probabilities s [B, n] under a strategy that
-    reads them; uniform_fixed reads none and has `uniform_fixed_select`."""
-    if strategy.kind == "gumbel_topk":
-        return gumbel_topk_select(s, strategy.k, strategy.tau, rng)
-    if strategy.kind == "ratio_controlled":
-        return ratio_controlled_select(s, strategy.tau, rng)
-    if strategy.kind == "deterministic_topk":
-        return deterministic_topk_select(s, strategy.k)
-    raise ContractError(f"{strategy.kind} reads no keep probabilities")
+# each draw looks its selector up as it runs, so a patch of the name reaches it
+LAWS = {
+    "gumbel_topk": Law(True, lambda s, c, rng: gumbel_topk_select(s, c.k, c.tau, rng)),
+    "ratio_controlled": Law(True, lambda s, c, rng: ratio_controlled_select(s, c.tau, rng),
+                            penalized=True),
+    "deterministic_topk": Law(True, lambda s, c, _: deterministic_topk_select(s, c.k)),
+    "uniform_fixed": Law(False, lambda s, c, _: uniform_fixed_select(s.shape[1], c.k, s.shape[0])),
+}
+STRATEGY_KINDS = tuple(LAWS)
+
+
+def run_strategy(s: Tensor, strategy: StrategyConfig, rng: SeededRng | None) -> SelectionMask:
+    """The training mask of a batch under a strategy: its law's draw."""
+    return LAWS[strategy.kind].draw(s, strategy, rng)
 
 
 def _packed_keep(mask: SelectionMask, streams: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from .errors import ConfigError
 from .metrics import MetricsRow, write_line_plot, write_metrics_csv
 from .rng import mix_words
 from .selection import StrategyConfig
-from .train import RunConfig, keep_fraction_of, train_run
+from .train import RunConfig, train_run
 
 SWEEP_AXES = ("sparsity", "tau", "lambda", "variant")
 SPARSITY_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -52,8 +52,10 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
                           "at the run's keep fraction")
     if axis != "sparsity" and strategies is not None:
         raise ConfigError(f"only the sparsity axis takes strategies, not the {axis} axis")
+    if strategies is not None and len(set(strategies)) < len(strategies):
+        raise ConfigError(f"strategies must name each strategy once, got {','.join(strategies)}")
     tau, lam = base.strategy.tau, base.strategy.lam
-    base_fraction = keep_fraction_of(base.strategy, n_tokens)
+    base_fraction = base.strategy.keep_fraction(n_tokens)
     cells: list[SweepCell] = []
 
     def push(x_value: float, kind: str, fraction: float, tau: float, lam: float,

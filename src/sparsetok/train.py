@@ -24,19 +24,19 @@ from .metrics import MetricsRow, timing_enabled, write_metrics_csv
 from .model import TaskPerformerConfig, init_parameters, save_checkpoint
 from .multimodal import ContextModel
 from .rng import SeededRng
-from .selection import (KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
-                        compute_keep_probabilities, inference_k_for, inference_rank_topk,
-                        original_positions, reencode_positions, run_strategy,
-                        selection_loss, total_loss)
+from .selection import (LAWS, KeepProbPredictor, SelectionMask, StrategyConfig, apply_ste,
+                        compute_keep_probabilities, inference_rank_topk, original_positions,
+                        reencode_positions, run_strategy, selection_loss, total_loss)
 from .stages import Packed, Stage, beside
 
 # stream labels under the run seed
 _L_INIT_TASK, _L_INIT_SCORER, _L_INIT_CONTEXT = 0, 1, 2
 _L_SPLIT, _L_SHUFFLE, _L_NOISE = 3, 4, 5
 
-# the one hook of the forward pass: keep probabilities s [B, n] of a batch ->
-# its selection mask
+# the one hook of the forward pass: keep probabilities s [B, n] of a batch (or
+# under a law that reads none, its first stream) -> its selection mask
 Selector = Callable[[Tensor], SelectionMask]
+keep_fraction_of = StrategyConfig.keep_fraction  # the name perfbench's probe calls
 
 # glibc mallopt parameters (malloc.h) and the heap policy of `retain_heap`
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -112,47 +112,38 @@ class Pipeline:
         std = model_cfg.init_std
         self.task = init_parameters(model_cfg, rng.split(_L_INIT_TASK))
         self.scorer = (KeepProbPredictor(d).init(rng.split(_L_INIT_SCORER), stddev=std)
-                       if cfg.strategy.kind != "uniform_fixed" else None)
+                       if LAWS[cfg.strategy.kind].reads_scores else None)
         self.context = (ContextModel(d).init(rng.split(_L_INIT_CONTEXT), stddev=std)
                         if len(self.streams) == 2 and self.scorer is not None else None)
 
     def parameters(self) -> list[Parameter]:
-        out = list(self.task.parameters())
-        if self.scorer is not None:
-            out += self.scorer.parameters()
-        if self.context is not None:
-            out += self.context.parameters()
-        return out
+        return [p for part in (self.task, self.scorer, self.context) if part is not None
+                for p in part.parameters()]
 
     def batch_tokens(self, examples: list[Example]) -> list[Tensor]:
         """One constant token tensor [B, n, d] of a batch per stream of the run."""
         return [ad.constant(np.stack([getattr(ex, field) for ex in examples]))
                 for field, _ in self.streams]
 
-    def sampler(self, noise_rng: SeededRng) -> Selector:
+    def sampler(self, noise_rng: SeededRng | None) -> Selector:
         """The training selector: the run's strategy drawing from noise_rng."""
         return lambda s: run_strategy(s, self.cfg.strategy, noise_rng)
 
     def ranker(self) -> Selector:
-        """The inference selector: rank keep probabilities, no noise."""
-        strategy = self.cfg.strategy
-        return lambda s: inference_rank_topk(s, inference_k_for(strategy, s.shape[1]))
+        """The inference selector: rank keep probabilities, no noise (a law
+        that reads none draws no noise, and selects as in training)."""
+        if not LAWS[self.cfg.strategy.kind].reads_scores:
+            return self.sampler(None)
+        return lambda s: inference_rank_topk(s, self.cfg.strategy.eval_k(s.shape[1]))
 
-    def pack(self, streams: list[Tensor], scores: Tensor | None,
+    def pack(self, streams: list[Tensor], scores: Tensor,
              select: Selector) -> tuple[tuple[Packed, np.ndarray], SelectionMask]:
         """The task model's input and the batch's mask, which all streams
-        share: the one `select` makes of the keep probabilities, or
-        uniform_fixed's. The input is the kept tokens packed by `apply_ste`
+        share: the one `select` makes of the keep probabilities `scores`
+        (see `Selector`). The input is the kept tokens packed by `apply_ste`
         (every stream's rows, example by example) and their positional table
         rows, every stream's encoded alike."""
-        batch, n = streams[0].shape[:2]
-        if self.cfg.strategy.kind == "uniform_fixed":
-            # imported here, not at the top: perfbench's tracer patches
-            # selection.uniform_fixed_select by name
-            from .selection import uniform_fixed_select
-            mask = uniform_fixed_select(n, self.cfg.strategy.k, batch)
-        else:
-            mask = select(scores)
+        mask = select(scores)
         encode = reencode_positions if self.cfg.positions == "compact" else original_positions
         return (apply_ste(streams, mask), encode(mask, len(streams))), mask
 
@@ -167,11 +158,8 @@ class Pipeline:
         state); the task model's input (kept, positions) after selection,
         and the task model's states after that.
         """
-        keep: list[Stage] = []
-        if self.context is not None:
-            keep += self.context.stages()
-        if self.scorer is not None:
-            keep += self.scorer.stages()
+        keep = [stage for part in (self.context, self.scorer) if part is not None
+                for stage in part.stages()]
         return [Stage("streams", (), lambda tape, streams: (
                     streams, streams if self.context is not None else streams[0])),
                 *map(beside, keep),
@@ -182,11 +170,10 @@ class Pipeline:
                       select: Selector) -> tuple[Tensor, SelectionMask]:
         """Class logits [B, C] and the selection mask of streams [B, n, d],
         one per stream of the run: `select` turns the keep probabilities
-        s [B, n] into the mask (uniform_fixed has no scorer and its own)."""
-        scores = None
+        s [B, n] into the mask (see `Selector`)."""
+        scores = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
         if self.scorer is not None:
-            u = self.context.fuse(tape, *streams) if self.context is not None else streams[0]
-            scores = compute_keep_probabilities(tape, u, self.scorer)
+            scores = compute_keep_probabilities(tape, scores, self.scorer)
         inputs, mask = self.pack(streams, scores, select)
         return self.task.forward(tape, *inputs), mask
 
@@ -194,11 +181,11 @@ class Pipeline:
              select: Selector) -> tuple[Tensor, SelectionMask]:
         """The training objective of a batch, and its mask: the mean
         cross-entropy of `forward_batch` against labels [B], plus lambda
-        times `selection_loss` under ratio_controlled when lambda > 0."""
+        times `selection_loss` where the strategy is penalized."""
         logits, mask = self.forward_batch(tape, streams, select)
         loss = ad.mean_all(ad.cross_entropy_loss(logits, labels))
         strategy = self.cfg.strategy
-        if strategy.kind == "ratio_controlled" and strategy.lam > 0:
+        if strategy.penalized():
             loss = total_loss(loss, selection_loss(mask, strategy.target_ratio), strategy.lam)
         return loss, mask
 
@@ -271,13 +258,6 @@ def evaluate(pipeline: Pipeline, examples: list[Example]) -> tuple[float, float]
     return correct / len(examples), recall_sum / len(examples)
 
 
-def keep_fraction_of(strategy: StrategyConfig, n: int) -> float:
-    """The fraction of n tokens a strategy keeps: its target ratio, or K / n."""
-    if strategy.kind == "ratio_controlled":
-        return strategy.target_ratio
-    return strategy.k / n
-
-
 def train_step(pipeline: Pipeline, params: list[Parameter], batch: list[Example],
                noise_rng: SeededRng) -> tuple[float, SelectionMask]:
     """One plain gradient-descent step on a minibatch: `Pipeline.loss` with
@@ -333,14 +313,13 @@ def train_run(cfg: RunConfig) -> TrainResult:
         raise ConfigError(f"dataset {cfg.dataset} has no examples")
     n_tokens = header["n"]
     strategy = cfg.strategy
-    if strategy.k is not None and strategy.k > n_tokens:
-        raise ConfigError(f"K={strategy.k} exceeds sequence length {n_tokens}")
+    kept = strategy.max_kept(n_tokens)
+    if kept > n_tokens:
+        raise ConfigError(f"K={kept} exceeds sequence length {n_tokens}")
     if cfg.positions == "original" and n_tokens > cfg.model.max_len:
         raise ConfigError(f"positions=original reads the positional table at each token's "
                           f"index, so n={n_tokens} must not exceed max_len={cfg.model.max_len}")
     pipeline = Pipeline(cfg, header)
-    # ratio_controlled may keep all n tokens of an example
-    kept = n_tokens if strategy.kind == "ratio_controlled" else strategy.k
     if len(pipeline.streams) * kept > cfg.model.max_len:
         raise ConfigError(f"a packed sequence can reach {len(pipeline.streams)} streams x {kept} "
                           f"kept tokens = {len(pipeline.streams) * kept} rows, more than "
@@ -374,7 +353,7 @@ def train_run(cfg: RunConfig) -> TrainResult:
         accuracy, recall = evaluate(pipeline, eval_set)
         elapsed = time.perf_counter() - t0
         rows.append(MetricsRow(
-            keep_fraction=keep_fraction_of(strategy, n_tokens),
+            keep_fraction=strategy.keep_fraction(n_tokens),
             strategy=strategy.kind, tau=strategy.tau, lam=strategy.lam,
             seed=cfg.seed, epoch=epoch,
             train_loss=loss_sum / len(train_set),

@@ -57,6 +57,10 @@ def test_gen_data_defaults_echoed_in_header(tmp_path):
     ("--d", "0", "d must be at least 1, got 0"),
     ("--d", "-3", "d must be at least 1, got -3"),
     ("--count", "-5", "count must not be negative, got -5"),
+    ("--classes", "1", "num_classes must be at least 2, got 1"),
+    ("--noise-std", "nan", "noise_std must be finite and at least 0, got nan"),
+    ("--noise-std", "-1", "noise_std must be finite and at least 0, got -1.0"),
+    ("--decoy-scale", "-1", "decoy_scale must be finite and at least 0, got -1.0"),
 ])
 def test_gen_data_size_it_cannot_build_is_usage_error(tmp_path, capsys, flag, value, message):
     out = tmp_path / "data.jsonl"
@@ -392,6 +396,14 @@ class TestSweep:
                  id="grid-value-above-1"),
     pytest.param(["sweep", "--seeds", "0"], "a sweep needs at least one seed, got 0",
                  id="zero-seeds"),
+    pytest.param(["train", "--strategy", "ratio_controlled", "--tau", "nan"],
+                 "tau must be positive and finite, got nan", id="nan-tau"),
+    pytest.param(["train", "--strategy", "ratio_controlled", "--tau", "inf"],
+                 "tau must be positive and finite, got inf", id="inf-tau"),
+    pytest.param(["train", "--strategy", "ratio_controlled", "--lambda", "nan"],
+                 "lambda must be non-negative and finite, got nan", id="nan-lambda"),
+    pytest.param(["sweep", "--axis", "tau", "--grid", "nan"],
+                 "tau must be positive and finite, got nan", id="nan-tau-grid"),
 ])
 def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, argv, message):
     out = tmp_path / "out"
@@ -412,6 +424,9 @@ def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, arg
     pytest.param(["--axis", "variant", "--strategies", "gumbel_topk,ratio_controlled"],
                  "only the sparsity axis takes strategies, not the variant axis",
                  id="strategies-on-variant"),
+    pytest.param(["--strategies", "gumbel_topk,gumbel_topk", "--grid", "0.25"],
+                 "strategies must name each strategy once, got gumbel_topk,gumbel_topk",
+                 id="repeated-strategy"),
 ])
 def test_sweep_flag_the_axis_ignores_is_usage_error(tmp_path, dataset, capsys, argv, message):
     out = tmp_path / "out"

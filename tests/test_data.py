@@ -108,6 +108,22 @@ def test_sizes_it_cannot_build_are_rejected_by_name(field, value, least):
         NeedleSpec(multimodal=True, **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_classes", 1, "num_classes must be at least 2, got 1"),
+    ("noise_std", float("nan"), "noise_std must be finite and at least 0, got nan"),
+    ("noise_std", float("inf"), "noise_std must be finite and at least 0, got inf"),
+    ("noise_std", -1.0, "noise_std must be finite and at least 0, got -1.0"),
+    ("decoy_scale", -1.0, "decoy_scale must be finite and at least 0, got -1.0"),
+    ("decoy_scale", float("nan"), "decoy_scale must be finite and at least 0, got nan"),
+])
+def test_settings_it_cannot_draw_are_rejected_by_name(field, value, message):
+    """At least two classes, and a noise scale and decoy scale that are
+    finite and not negative; anything else is a SchemaError naming the
+    field and its value, before any draw."""
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        NeedleSpec(distractor_mode="decoy_prototypes", **{field: value})
+
+
 def test_negative_count_is_rejected():
     with pytest.raises(SchemaError, match="^count must not be negative, got -5$"):
         generate_dataset(NeedleSpec(), -5, 1)

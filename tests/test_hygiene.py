@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses, the package reads the process environment in one place, and
-every function, class and method the package defines is named somewhere.
+it never uses, the package reads the process environment in one place,
+every function, class and method the package defines is named somewhere,
+and only the strategy laws compare a strategy kind.
 
-The scan reads each file's syntax tree, so it needs no import of the module.
+The scan reads each file's syntax tree, so it needs no import of the module
+(the strategy-kind scan imports only the list of kinds).
 A package `__init__.py` is exempt: its imports are the public re-exports.
 """
 import ast
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sparsetok.selection import STRATEGY_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in (ROOT / "src" / "sparsetok", ROOT / "tests")
@@ -171,6 +175,57 @@ def test_train_step_holds_no_strategy_branch():
     objective = [(name, f) for name, f in functions if called(f) & losses - {"cross_entropy_loss"}]
     assert [(name, f.name) for name, f in objective] == [("train.py", "loss")]
     assert losses <= called(objective[0][1])
+
+
+def strategy_branches(source: str, kinds: tuple[str, ...]) -> list[str]:
+    """"name:line" of each comparison in `source` that asks which strategy
+    kind it has: one with a `.kind` operand, or a string of `kinds` as an
+    operand or an element of one, name being the enclosing function or
+    class ("<module>" outside any). The class `StrategyConfig` and the
+    `LAWS` table, where a kind is defined, are left out."""
+    found: list[str] = []
+
+    def asks_kind(operand: ast.AST) -> bool:
+        if isinstance(operand, ast.Attribute):
+            return operand.attr == "kind"
+        if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(asks_kind, operand.elts))
+        return isinstance(operand, ast.Constant) and operand.value in kinds
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == "StrategyConfig":
+            return
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAWS"
+                                                for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Compare) and any(map(asks_kind, [node.left, *node.comparators])):
+            found.append(f"{scope}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_no_strategy_branch_outside_the_laws():
+    """One law per selection strategy: what a strategy kind is lives in
+    `selection.LAWS` and `StrategyConfig`, and no other code of the package
+    compares a kind. autodiff.py is left out: its `kind` is a tape op's."""
+    branches = [f"{path.name}: {site}" for path in PACKAGE if path.name != "autodiff.py"
+                for site in strategy_branches(path.read_text(encoding="utf-8"), STRATEGY_KINDS)]
+    assert branches == []
+
+
+def test_scan_finds_strategy_branches():
+    source = ("LAWS = {'a': 1 if x == 'a' else 2}\n"
+              "class StrategyConfig:\n    def f(self):\n        return self.kind == 'a'\n"
+              "def pack(cfg, kind):\n    if cfg.strategy.kind != 'b':\n        pass\n"
+              "    return kind in ('c', 'a') or kind == 'z' or cfg.n > 1\n"
+              "ok = [k for k in ('a', 'b')]\n"
+              "flag = 'b' == mode\n")
+    assert strategy_branches(source, ("a", "b")) == ["pack:6", "pack:8", "<module>:10"]
 
 
 def test_one_test_file_runs_without_pythonpath():

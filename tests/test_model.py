@@ -349,8 +349,7 @@ def test_each_pipeline_parameter_is_named_by_one_stage(kind, multimodal):
     """Every strategy, over one stream or two: each parameter of the
     pipeline is named by exactly one of its stages, so a finite difference
     of any of them reruns one span, mostly one op."""
-    strategy = (StrategyConfig(kind, target_ratio=0.5) if kind == "ratio_controlled"
-                else StrategyConfig(kind, k=3))
+    strategy = StrategyConfig.for_fraction(kind, 0.5, 6, tau=0.1, lam=1.0)
     pipeline = Pipeline(RunConfig(dataset="unused", strategy=strategy, model=PIPELINE_MODEL),
                         {"d": 5, "multimodal": multimodal, "num_classes": 3})
     stages = pipeline.stages(pipeline.ranker())

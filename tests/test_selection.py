@@ -9,10 +9,10 @@ from sparsetok.errors import CapacityError, ContractError, ShapeError
 from sparsetok.model import TaskPerformerConfig, init_parameters
 from sparsetok.rng import SeededRng
 from sparsetok.stages import run_stages
-from sparsetok.selection import (KeepProbPredictor, SelectionMask, StrategyConfig,
+from sparsetok.selection import (LAWS, KeepProbPredictor, SelectionMask, StrategyConfig,
                                  apply_ste, compute_keep_probabilities,
                                  deterministic_topk_select, gumbel_topk_select,
-                                 inference_k_for, inference_rank_topk,
+                                 inference_rank_topk,
                                  original_positions, ratio_controlled_gate,
                                  ratio_controlled_select, reencode_positions,
                                  run_strategy, selection_loss, total_loss,
@@ -49,6 +49,18 @@ class TestStrategyConfig:
     def test_valid(self):
         StrategyConfig("deterministic_topk", k=3)
         StrategyConfig("ratio_controlled", target_ratio=0.3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", 0.0, "tau must be positive and finite, got 0.0"),
+        ("tau", float("nan"), "tau must be positive and finite, got nan"),
+        ("tau", float("inf"), "tau must be positive and finite, got inf"),
+        ("lam", -1.0, "lambda must be non-negative and finite, got -1.0"),
+        ("lam", float("nan"), "lambda must be non-negative and finite, got nan"),
+        ("lam", float("inf"), "lambda must be non-negative and finite, got inf"),
+    ])
+    def test_refuses_a_knob_out_of_range_by_name(self, field, value, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            StrategyConfig("ratio_controlled", target_ratio=0.3, **{field: value})
 
     def test_for_fraction_sets_the_budget_its_kind_reads(self):
         assert StrategyConfig.for_fraction("gumbel_topk", 0.25, 32, tau=0.5, lam=2.0) == (
@@ -462,6 +474,22 @@ class TestTotalLoss:
             total_loss(ad.constant([0.5]), ad.constant([0.25]), -1.0)
 
 
+def _budget(strategy: StrategyConfig, n: int, eval_k: int, fraction: float, most: int):
+    return pytest.param(strategy, n, eval_k, fraction, most, id=f"{strategy.kind}-n{n}")
+
+
+# (strategy, n, eval K, keep fraction, most tokens one example keeps)
+BUDGETS = [
+    *[_budget(StrategyConfig(kind, k=3), n, 3, 3 / n, 3)
+      for kind in ("gumbel_topk", "deterministic_topk", "uniform_fixed") for n in (10, 3)],
+    _budget(StrategyConfig("ratio_controlled", target_ratio=0.3), 10, 3, 0.3, 10),
+    _budget(StrategyConfig("ratio_controlled", target_ratio=0.3), 3, 1, 0.3, 3),
+    # round(0.1 * 3) = 0, clamped to one token
+    pytest.param(StrategyConfig("ratio_controlled", target_ratio=0.1), 3, 1, 0.1, 3,
+                 id="ratio_controlled-n3-clamped"),
+]
+
+
 class TestInference:
     def test_repeated_calls_identical(self):
         scores = scores_for([0.1, 0.8, 0.3])
@@ -473,10 +501,24 @@ class TestInference:
         mask = inference_rank_topk(scores_for([0.1, 0.8, 0.3]), 2)
         assert np.array_equal(mask.hard, [[0, 1, 1]])
 
-    def test_ratio_inference_k_rounding(self):
-        cfg = StrategyConfig("ratio_controlled", target_ratio=0.3)
-        assert inference_k_for(cfg, 10) == 3
-        assert inference_k_for(cfg, 3) == 1  # clamped to at least one token
-        cfg_k = StrategyConfig("gumbel_topk", k=5)
-        assert inference_k_for(cfg_k, 32) == 5
+    @pytest.mark.parametrize("strategy, n, eval_k, fraction, most", BUDGETS)
+    def test_budget_answers(self, strategy, n, eval_k, fraction, most):
+        """Eval K, keep fraction and the most tokens one example keeps in
+        training, over n tokens: K, K / n and K for a K budget; for a target
+        ratio p, K = max(1, round(p * n)), p and all n."""
+        assert strategy.eval_k(n) == eval_k
+        assert strategy.keep_fraction(n) == fraction
+        assert strategy.max_kept(n) == most
+
+    def test_budget_table_covers_every_kind(self):
+        assert {param.values[0].kind for param in BUDGETS} == set(LAWS)
+
+    def test_uniform_law_reads_only_the_batch_shape(self):
+        """The law that reads no keep probabilities draws uniform_fixed's
+        grid from the leading shape [B, n] of what it is handed, noise or no
+        noise."""
+        strategy = StrategyConfig("uniform_fixed", k=4)
+        mask = run_strategy(ad.constant(np.zeros((3, 8, 5))), strategy, None)
+        assert not LAWS["uniform_fixed"].reads_scores
+        assert np.array_equal(mask.hard, uniform_fixed_select(8, 4, 3).hard)
 
