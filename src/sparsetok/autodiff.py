@@ -12,20 +12,25 @@ gradients. `matmul` and `linear` skip the adjoint product
 of a constant operand and return None for it. Gradient flow through discrete
 selection is routed explicitly by `straight_through`.
 
-Batch-axis contract. Training and evaluation record one node per op for a
-whole minibatch, not one per example:
+Op forms. Training and evaluation record one node per op for a whole
+minibatch, not one per example. Each op takes the forms the pipeline
+records, and the gradient catalog (`checks._catalog_cases`) checks each
+of them; a test holds the catalog's forms to the pipeline's. `multiply`
+and `exp` are no pipeline op: only the catalog runs them.
 
-- Row-wise primitives take an optional leading batch axis: `add` (also a
-  bias or a [K, d] block broadcast over leading axes), `layer_norm` and
-  `softmax_with_temperature` (last axis), `gelu` and the other elementwise
-  ops, `scale_rows` / `concat_rows` (rows are the second-to-last axis),
-  `transpose` (last two axes) and `cross_entropy_loss` ([B, C] logits give
-  [B] losses). `gather_rows` reads a [n, d] table, so a batch gathers from
-  its rows flattened, by flat index.
-- `matmul` stays 2-D: weight projections run on flattened [R, d] rows, and
-  `linear` is a biased projection x @ w + b as one node. `attention` is all
-  heads of self-attention in one node: [R, 3d] projected q | k | v rows in,
-  [R, d] contexts out.
+- Weight projections and row-wise ops run on the packed [R, d] rows of a
+  batch: `matmul` and `linear` (a biased projection x @ w + b as one node)
+  are 2-D, and so are `layer_norm` (each row), `transpose` and
+  `cross_entropy_loss` ([B, C] logits give [B] losses). `attention` is all
+  heads of self-attention in one node: [R, 3d] projected q | k | v rows
+  in, [R, d] contexts out.
+- `add`, `subtract` and the other elementwise ops take operands of one
+  shape: [1] loss terms, [B, n] keep scores, [B, n, d] tokens or [R, d]
+  rows. `softmax_with_temperature` normalises the last axis, and
+  `scale_rows` / `concat_rows` take rows on the second-to-last axis, of
+  [B, n, d] streams or [R, d] rows. `gather_rows` reads a [n, d] table by
+  indices of any shape, so a batch gathers from its rows flattened, by
+  flat index.
 - Sequences of unequal length are packed, not padded: their R rows follow
   one another, example by example, so every row-wise op works on real rows
   only. Two ops see sequences and take their lengths: `attention`, which
@@ -264,17 +269,11 @@ def _column_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may also match only the trailing axes of a (a [m]
-    bias against [n, m] or [B, n, m], a [K, d] block against [B, K, d]) and
-    is then broadcast over a's leading axes."""
+    """Elementwise sum of two tensors of one shape."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape == b.shape:
-        return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
-    if 0 < b.data.ndim < a.data.ndim and a.shape[a.data.ndim - b.data.ndim:] == b.shape:
-        shape, size = b.shape, b.data.size
-        return _record("add", a.data + b.data, (a, b),
-                       lambda g: (g, _column_sums(g.reshape(-1, size)).reshape(shape)))
-    raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not conform")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+    return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -306,8 +305,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """[m, k] @ [k, n] + a [n] bias as one node, the bias added in place:
-    the values and gradients of `add(matmul(x, w), b)`."""
+    """[m, k] @ [k, n] + a [n] bias as one node, the bias added in place;
+    the bias gradient is g summed over the rows."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b.shape != w.shape[1:]):
@@ -380,19 +379,18 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalization over the last axis of a [..., n, d] tensor with learnable
-    gain and bias. Every row mean is a matrix-vector product with a [d]
-    vector of 1/d, and the gain and bias gradients are products of a ones
-    vector with the [rows, d] arrays, so no reduction runs along the short
-    last axis. Forward and adjoint each allocate two full-size arrays."""
+    """Normalization of each row of a [R, d] tensor with learnable gain and
+    bias. Every row mean is a matrix-vector product with a [d] vector of
+    1/d, and the gain and bias gradients are products of a ones vector with
+    the [R, d] arrays, so no reduction runs along the short last axis.
+    Forward and adjoint each allocate two full-size arrays."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if x.data.ndim < 2:
-        raise ShapeError(f"layer_norm expects rows of a 2-dim or wider input, got {x.shape}")
-    d = x.shape[-1]
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm expects [R, d] rows, got {x.shape}")
+    d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm gain/bias must match the row width")
-    shape = x.shape
-    rows = x.data.reshape(-1, d)
+    rows = x.data
     mean = _filled(d, 1.0 / d)
     xhat = rows - (rows @ mean)[:, None]
     out = np.multiply(xhat, xhat)  # the squares first, the output at the end
@@ -404,7 +402,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
         # dxhat = g * gain, so both row means are products of g and of
         # g * xhat with the vector gain / d
-        g = g.reshape(-1, d)
         buf = np.multiply(g, xhat)
         g_gain, g_bias = _column_sums(buf), _column_sums(g)
         gain_mean = gd * mean
@@ -414,11 +411,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx -= buf
         dx -= mean_dx[:, None]
         dx *= inv[:, None]
-        return dx.reshape(shape), g_gain, g_bias
+        return dx, g_gain, g_bias
 
     np.multiply(xhat, gd, out=out)
     out += bias.data
-    return _record("layer_norm", out.reshape(shape), (x, gain, bias), vjp)
+    return _record("layer_norm", out, (x, gain, bias), vjp)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -471,12 +468,11 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes of a [n, m] or [B, n, m] tensor."""
+    """Swap the two axes of a [n, m] tensor."""
     x = _as_tensor(x)
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose expects a 2- or 3-dim input, got {x.shape}")
-    return _record("transpose", np.swapaxes(x.data, -1, -2).copy(), (x,),
-                   lambda g: (np.swapaxes(g, -1, -2),))
+    if x.data.ndim != 2:
+        raise ShapeError(f"transpose expects a 2-dim input, got {x.shape}")
+    return _record("transpose", x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -733,12 +729,12 @@ def _packed(plan: tuple[_Group, ...], pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
-    """-log softmax(logits)[target]: [C] logits and one class give a [1] loss,
-    [B, C] logits and B classes give the [B] per-example losses."""
+    """-log softmax(logits)[target] of each row: [B, C] logits and B classes
+    give the [B] per-example losses."""
     logits = _as_tensor(logits)
-    if logits.data.ndim not in (1, 2):
-        raise ShapeError(f"cross_entropy_loss expects [C] or [B, C] logits, got {logits.shape}")
-    z = np.atleast_2d(logits.data)
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy_loss expects [B, C] logits, got {logits.shape}")
+    z = logits.data
     rows, c = z.shape
     t = np.asarray(target_class, dtype=np.int64).reshape(-1)
     if t.size != rows:
@@ -749,12 +745,11 @@ def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     at = np.arange(rows)
-    shape = logits.shape
 
     def vjp(g):
         d = np.exp(z - lse)  # softmax(z), made only when the adjoint is taken
         d[at, t] -= 1.0
-        return ((d * g[:, None]).reshape(shape),)
+        return (d * g[:, None],)
 
     return _record("cross_entropy", lse[:, 0] - z[at, t], (logits,), vjp)
 

@@ -119,157 +119,94 @@ def _rand(rng: SeededRng, shape) -> np.ndarray:
     return rng.normals(int(np.prod(shape))).reshape(shape)
 
 
-def _catalog_cases(rng: SeededRng):
-    """(op name, point, op, weights) of every primitive: the op maps a leaf
-    x to a tensor, and the case's loss is mean(op(x) * weights), or op(x)
-    itself, a [1] loss, where weights is None (`catalog_case`).
-
-    Every constant is drawn up front: the ops must be pure functions of x
-    or the finite differences are meaningless.
-    """
-    r = lambda shape: _rand(rng, shape)
-    w23, w32, w34 = r((2, 3)), r((3, 2)), r((3, 4))
-    w22a, w22b, w43, w33, w4, w5, w24 = (r((2, 2)), r((2, 2)), r((4, 3)), r((3, 3)),
-                                         r((4,)), r((5,)), r((2, 4)))
-    ln_gain, ln_bias, row_w = np.abs(r((4,))) + 0.5, r((4,)), r((3,))
-    mask = (np.abs(r((2, 3))) > 0.5).astype(float)
-    cases = [
-        ("add", r((2, 3)), lambda x: ad.add(x, ad.constant(w23)), w23),
-        ("add_bias", r((3,)), lambda x: ad.add(ad.constant(w23), x), w23),
-        ("subtract", r((2, 3)), lambda x: ad.subtract(x, ad.constant(w23)), w23),
-        ("multiply_elementwise", r((2, 3)), lambda x: ad.multiply(x, ad.constant(w23)), w23),
-        ("matmul_left", r((2, 3)), lambda x: ad.matmul(x, ad.constant(w32)), w22a),
-        ("matmul_right", r((3, 2)), lambda x: ad.matmul(ad.constant(w23), x), w22b),
-        ("scale_by_constant", r((2, 3)), lambda x: ad.scale(x, 1.7), w23),
-        ("natural_log", np.abs(r((2, 3))) + 0.5, ad.log, w23),
-        ("exp", r((2, 3)), ad.exp, w23),
-        ("square", r((2, 3)), ad.square, w23),
-        ("gelu", r((2, 3)), ad.gelu, w23),
-        ("layer_norm_x", r((3, 4)),
-         lambda x: ad.layer_norm(x, ad.constant(ln_gain), ad.constant(ln_bias)), w34),
-        ("layer_norm_gain", r((4,)),
-         lambda x: ad.layer_norm(ad.constant(w34), x, ad.constant(ln_bias)), w34),
-        ("layer_norm_bias", r((4,)),
-         lambda x: ad.layer_norm(ad.constant(w34), ad.constant(ln_gain), x), w34),
-        ("concat_rows", r((2, 3)), lambda x: ad.concat_rows(x, ad.constant(w23)), w43),
-        ("gather_rows", r((4, 3)),  # repeated row checks additive scatter
-         lambda x: ad.gather_rows(x, np.array([2, 0, 2])), w33),
-        ("mask_multiply", r((2, 3)), lambda x: ad.mask_multiply(x, mask), w23),
-        ("mean_all", r((2, 3)), ad.mean_all, None),
-        ("transpose", r((2, 3)), ad.transpose, w32),
-        ("reshape", r((2, 3)), lambda x: ad.reshape(x, (3, 2)), w32),
-        ("scale_rows", r((3,)), lambda x: ad.scale_rows(ad.constant(w34), x), w34),
-        ("scale_rows_tokens", r((3, 4)), lambda x: ad.scale_rows(x, ad.constant(row_w)), w34),
-        ("softmax_axis0", r((5,)), lambda x: ad.softmax_with_temperature(x, 0.7), w5),
-        ("softmax_axis1", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
-        ("cross_entropy", r((4,)), lambda x: ad.cross_entropy_loss(x, 1), None),
-    ]
-    # appended cases come last, so the earlier ones keep their draws
-    return (cases + _batched_cases(r) + _attention_cases(r) + _linear_cases(r)
-            + _long_attention_cases(r) + _segment_mean_cases(r) + _grouped_attention_cases(r))
-
-
-def _batched_cases(r):
-    """The same primitives with a leading batch axis of 2, plus a softmax
-    over masked keys."""
-    b234, b243, b233, b264 = r((2, 3, 4)), r((2, 4, 3)), r((2, 3, 3)), r((2, 6, 4))
-    b23, b2 = r((2, 3)), r((2,))
-    ln_gain, ln_bias = np.abs(r((4,))) + 0.5, r((4,))
-    mask = (np.abs(r((2, 3, 4))) > 0.5).astype(float)
-    # a factor away from zero: the gradient b234 * factor stays above the
-    # finite-difference rounding floor
-    factor = np.abs(r((2, 3, 4))) + 0.5
-    rows = np.array([[2, 0, 2], [1, 1, 0]])  # repeated rows check additive scatter
-    # example 0 masks key 2, example 1 keys 0 and 1
-    key_bias = np.repeat(np.array([[0.0, 0.0, -1e9], [-1e9, -1e9, 0.0]])[:, None, :], 3, axis=1)
-    const = ad.constant
-    return [
-        ("add_batched", r((2, 3, 4)), lambda x: ad.add(x, const(b234)), b234),
-        ("add_bias_batched", r((4,)), lambda x: ad.add(const(b234), x), b234),
-        ("add_rows_batched", r((3, 4)), lambda x: ad.add(const(b234), x), b234),
-        ("subtract_batched", r((2, 3, 4)), lambda x: ad.subtract(const(b234), x), b234),
-        ("multiply_batched", r((2, 3, 4)), lambda x: ad.multiply(x, const(factor)), b234),
-        ("scale_by_constant_batched", r((2, 3, 4)), lambda x: ad.scale(x, -0.6), b234),
-        ("natural_log_batched", np.abs(r((2, 3, 4))) + 0.5, ad.log, b234),
-        ("exp_batched", r((2, 3, 4)), ad.exp, b234),
-        ("square_batched", r((2, 3, 4)), ad.square, b234),
-        ("gelu_batched", r((2, 3, 4)), ad.gelu, b234),
-        ("layer_norm_x_batched", r((2, 3, 4)),
-         lambda x: ad.layer_norm(x, const(ln_gain), const(ln_bias)), b234),
-        ("layer_norm_gain_batched", r((4,)),
-         lambda x: ad.layer_norm(const(b234), x, const(ln_bias)), b234),
-        ("layer_norm_bias_batched", r((4,)),
-         lambda x: ad.layer_norm(const(b234), const(ln_gain), x), b234),
-        ("concat_rows_left_batched", r((2, 3, 4)), lambda x: ad.concat_rows(x, const(b234)), b264),
-        ("concat_rows_right_batched", r((2, 3, 4)), lambda x: ad.concat_rows(const(b234), x),
-         b264),
-        # a batch [2, 3, 4] as its flat rows: example b's row j is row 3b + j
-        ("gather_rows_batched", r((2, 3, 4)).reshape(6, 4),
-         lambda x: ad.gather_rows(x, rows + [[0], [3]]), b234),
-        ("gather_rows_table", r((3, 4)),  # one table, a batch of index rows
-         lambda x: ad.gather_rows(x, rows), b234),
-        ("mask_multiply_batched", r((2, 3, 4)), lambda x: ad.mask_multiply(x, mask), b234),
-        ("mean_all_batched", r((2, 3, 4)), ad.mean_all, None),
-        ("transpose_batched", r((2, 3, 4)), ad.transpose, b243),
-        ("reshape_batched", r((2, 3, 4)), lambda x: ad.reshape(x, (6, 4)), b234.reshape(6, 4)),
-        ("scale_rows_batched", r((2, 3)), lambda x: ad.scale_rows(const(b234), x), b234),
-        ("scale_rows_tokens_batched", r((2, 3, 4)), lambda x: ad.scale_rows(x, const(b23)), b234),
-        ("softmax_batched", r((2, 3, 4)), lambda x: ad.softmax_with_temperature(x, 0.9), b234),
-        ("softmax_masked_keys", r((2, 3, 3)),
-         lambda x: ad.softmax_with_temperature(ad.add(x, const(key_bias)), 1.0), b233),
-        ("cross_entropy_batched", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])),
-         b2),
-    ]
-
-
-def _attention_cases(r):
-    """The fused attention op: one head on one sequence, and two heads on two
-    packed sequences of 2 and 4 rows, so the first is padded by two keys."""
-    w32, w64 = r((3, 2)), r((6, 4))
-    return [
-        ("attention_1head", r((3, 6)), lambda x: ad.attention(x, (3,), 1), w32),
-        ("attention_2heads_unequal_lengths", r((6, 12)), lambda x: ad.attention(x, (2, 4), 2),
-         w64),
-    ]
-
-
-def _linear_cases(r):
-    """The fused projection x @ w + b on 2-D rows, wrt each operand."""
-    x, w, b, out_w = r((3, 4)), r((4, 2)), r((2,)), r((3, 2))
-    const = ad.constant
-    return [
-        ("linear_x", r((3, 4)), lambda v: ad.linear(v, const(w), const(b)), out_w),
-        ("linear_w", r((4, 2)), lambda v: ad.linear(const(x), v, const(b)), out_w),
-        ("linear_b", r((2,)), lambda v: ad.linear(const(x), const(w), v), out_w),
-    ]
-
-
-def _long_attention_cases(r):
-    """Attention whose sequences are longer than its head width: two heads
-    of width 1 on two packed sequences of 4 and 6 rows."""
-    w = r((10, 2))
-    return [("attention_2heads_length4_6", r((10, 6)), lambda x: ad.attention(x, (4, 6), 2), w)]
-
-
-def _segment_mean_cases(r):
-    """The mean of each packed sequence's rows, on sequences of 1, 3 and 2
-    rows: a one-row mean is the row itself."""
-    w = r((3, 4))
-    return [("segment_mean_lengths1_3_2", r((6, 4)), lambda x: ad.segment_mean(x, (1, 3, 2)), w)]
-
-
 # seven sequences, out of length order, that `attention` runs in two
 # groups: three of 1 row, unpadded, and four of 1, 1, 2 and 8 rows, padded
 # to 8 (`autodiff._length_groups`)
 GROUPED_LENGTHS = (1, 2, 1, 8, 1, 1, 1)
 
 
-def _grouped_attention_cases(r):
-    """Attention split into length groups: two heads of width 1 on the
-    packed sequences of `GROUPED_LENGTHS`."""
-    w = r((15, 2))
-    return [("attention_2heads_length_groups", r((15, 6)),
-             lambda x: ad.attention(x, GROUPED_LENGTHS, 2), w)]
+def _catalog_cases(rng: SeededRng):
+    """(case name, point, op, weights) of every op form the pipeline
+    records, one case for each operand it differentiates: the op maps a
+    leaf x to a tensor, and the case's loss is mean(op(x) * weights), or
+    op(x) itself, a [1] loss, where weights is None (`catalog_case`).
+    `multiply`, `exp` and `mask_multiply` are no pipeline op, but each has
+    a case: perfbench's tracer patches them by name, and `mask_multiply`
+    weights every other loss. `straight_through` has none: no finite
+    difference sees its surrogate gradient, which the two pipeline suites
+    check.
+
+    Every constant is drawn up front: the ops must be pure functions of x
+    or the finite differences are meaningless.
+    """
+    r = lambda shape: _rand(rng, shape)
+    const = ad.constant
+    w1, w23, w32, w34, w33, w22a, w22b, w43 = (r((1,)), r((2, 3)), r((3, 2)), r((3, 4)),
+                                               r((3, 3)), r((2, 2)), r((2, 2)), r((4, 3)))
+    w24, w2, w264, w64, w10_2, w15_2 = (r((2, 4)), r((2,)), r((2, 6, 4)), r((6, 4)),
+                                        r((10, 2)), r((15, 2)))
+    b234, b23, c1 = r((2, 3, 4)), r((2, 3)), r((1,))
+    ln_gain, ln_bias = np.abs(r((4,))) + 0.5, r((4,))
+    lin_x, lin_w, lin_b = r((3, 4)), r((4, 2)), r((2,))
+    mask = (np.abs(r((2, 3))) > 0.5).astype(float)
+    rows = np.array([[2, 0, 2], [1, 1, 0]])  # repeated rows check additive scatter
+    return [
+        ("add", r((2, 3)), lambda x: ad.add(x, const(w23)), w23),
+        ("add_batched", r((2, 3, 4)), lambda x: ad.add(x, const(b234)), b234),
+        ("add_loss_terms", r((1,)), lambda x: ad.add(x, const(c1)), w1),
+        # the pipeline subtracts its differentiated operand from a constant
+        ("subtract", r((2, 3)), lambda x: ad.subtract(const(w23), x), w23),
+        ("multiply_elementwise", r((2, 3)), lambda x: ad.multiply(x, const(w23)), w23),
+        ("matmul_left", r((2, 3)), lambda x: ad.matmul(x, const(w32)), w22a),
+        ("matmul_right", r((3, 2)), lambda x: ad.matmul(const(w23), x), w22b),
+        ("linear_x", r((3, 4)), lambda x: ad.linear(x, const(lin_w), const(lin_b)), w32),
+        ("linear_w", r((4, 2)), lambda x: ad.linear(const(lin_x), x, const(lin_b)), w32),
+        ("linear_b", r((2,)), lambda x: ad.linear(const(lin_x), const(lin_w), x), w32),
+        ("scale_by_constant", r((2, 3)), lambda x: ad.scale(x, 1.7), w23),
+        ("scale_by_constant_loss_term", r((1,)), lambda x: ad.scale(x, -0.6), w1),
+        ("natural_log", np.abs(r((2, 3))) + 0.5, ad.log, w23),
+        ("exp", r((2, 3)), ad.exp, w23),
+        ("square", r((2, 3)), ad.square, w23),
+        ("gelu", r((2, 3)), ad.gelu, w23),
+        ("layer_norm_x", r((3, 4)),
+         lambda x: ad.layer_norm(x, const(ln_gain), const(ln_bias)), w34),
+        ("layer_norm_gain", r((4,)),
+         lambda x: ad.layer_norm(const(w34), x, const(ln_bias)), w34),
+        ("layer_norm_bias", r((4,)),
+         lambda x: ad.layer_norm(const(w34), const(ln_gain), x), w34),
+        ("concat_rows_left", r((2, 3)), lambda x: ad.concat_rows(x, const(w23)), w43),
+        ("concat_rows_right", r((2, 3)), lambda x: ad.concat_rows(const(w23), x), w43),
+        ("concat_rows_left_batched", r((2, 3, 4)), lambda x: ad.concat_rows(x, const(b234)),
+         w264),
+        ("concat_rows_right_batched", r((2, 3, 4)), lambda x: ad.concat_rows(const(b234), x),
+         w264),
+        ("gather_rows", r((4, 3)), lambda x: ad.gather_rows(x, rows[0]), w33),
+        ("gather_rows_table", r((3, 4)),  # one table, a batch of index rows
+         lambda x: ad.gather_rows(x, rows), b234),
+        ("mask_multiply", r((2, 3)), lambda x: ad.mask_multiply(x, mask), w23),
+        ("mean_all", r((2, 3)), ad.mean_all, None),
+        ("mean_all_loss_term", r((1,)), ad.mean_all, w1),
+        ("transpose", r((2, 3)), ad.transpose, w32),
+        ("reshape", r((2, 3)), lambda x: ad.reshape(x, (3, 2)), w32),
+        ("reshape_batched", r((2, 3, 4)), lambda x: ad.reshape(x, (6, 4)), w64),
+        ("scale_rows_batched", r((2, 3)), lambda x: ad.scale_rows(const(b234), x), b234),
+        ("scale_rows_tokens_batched", r((2, 3, 4)), lambda x: ad.scale_rows(x, const(b23)),
+         b234),
+        ("softmax", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
+        ("cross_entropy", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])), w2),
+        # one head on one sequence; two heads on packed sequences of 2 and 4
+        # rows, the first padded by two keys; two heads of width 1 on
+        # sequences of 4 and 6 rows, longer than the head width; and two
+        # heads of width 1 on sequences that run in two length groups
+        ("attention_1head", r((3, 6)), lambda x: ad.attention(x, (3,), 1), w32),
+        ("attention_2heads_unequal_lengths", r((6, 12)), lambda x: ad.attention(x, (2, 4), 2),
+         w64),
+        ("attention_2heads_length4_6", r((10, 6)), lambda x: ad.attention(x, (4, 6), 2), w10_2),
+        ("attention_2heads_length_groups", r((15, 6)),
+         lambda x: ad.attention(x, GROUPED_LENGTHS, 2), w15_2),
+        # sequences of 1, 3 and 2 rows: a one-row mean is the row itself
+        ("segment_mean_lengths1_3_2", r((6, 4)), lambda x: ad.segment_mean(x, (1, 3, 2)), w34),
+    ]
 
 
 def catalog_case(name: str, point: np.ndarray, op: Callable[[Tensor], Tensor],

@@ -43,8 +43,11 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
                 strategies: tuple[str, ...] | None = None) -> list[SweepCell]:
     """Cells in deterministic order; the 1.0 sparsity cell is shared across
     strategies (one full-input run reported once per strategy). None means
-    the axis's default grid and CURVE_STRATEGIES; a setting the axis would
-    ignore (a variant grid, strategies off the sparsity axis) is a ConfigError."""
+    the axis's default grid and CURVE_STRATEGIES. A setting the axis would
+    ignore (a variant grid, strategies off the sparsity axis) is a
+    ConfigError, and so are two cells of equal strategy configs (a repeated
+    grid value or strategy, or two keep fractions that round to one K),
+    which would train one cell twice."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     if axis == "variant" and grid is not None:
@@ -52,8 +55,6 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
                           "at the run's keep fraction")
     if axis != "sparsity" and strategies is not None:
         raise ConfigError(f"only the sparsity axis takes strategies, not the {axis} axis")
-    if strategies is not None and len(set(strategies)) < len(strategies):
-        raise ConfigError(f"strategies must name each strategy once, got {','.join(strategies)}")
     tau, lam = base.strategy.tau, base.strategy.lam
     base_fraction = base.strategy.keep_fraction(n_tokens)
     cells: list[SweepCell] = []
@@ -61,6 +62,10 @@ def build_cells(axis: str, base: RunConfig, n_tokens: int,
     def push(x_value: float, kind: str, fraction: float, tau: float, lam: float,
              emit_as: tuple[str, ...]):
         strategy = StrategyConfig.for_fraction(kind, fraction, n_tokens, tau, lam)
+        for cell in cells:
+            if cell.cfg.strategy == strategy:
+                raise ConfigError(f"grid values {cell.x_value:g} and {x_value:g} train the "
+                                  f"same {kind} cell; a sweep trains each cell once")
         cfg = replace(base, strategy=strategy, out_dir=None)
         cells.append(SweepCell(len(cells), x_value, cfg, emit_as))
 

@@ -71,6 +71,8 @@ class RunConfig:
             raise ConfigError(f"unknown channel {self.channel!r}")
         if self.positions not in POSITION_MODES:
             raise ConfigError(f"unknown positions mode {self.positions!r}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 < self.eval_fraction < 1:
             raise ConfigError("eval_fraction must lie in (0, 1)")
         if self.epochs < 1:

@@ -42,10 +42,21 @@ def test_log_domain_error():
 
 
 def test_shape_conformance_errors():
+    """Among them the forms no pipeline records: `add` broadcasts no bias
+    or block, and `transpose`, `layer_norm` and `cross_entropy_loss` take
+    2-D inputs only."""
+    zeros = lambda *shape: ad.constant(np.zeros(shape))
+    for a, b in [((2, 2), (3,)), ((4, 2, 3), (3,)), ((4, 2, 3), (2, 3))]:
+        with pytest.raises(ShapeError):
+            ad.add(zeros(*a), zeros(*b))
     with pytest.raises(ShapeError):
-        ad.add(ad.constant(np.zeros((2, 2))), ad.constant(np.zeros((3,))))
+        ad.matmul(zeros(2, 3), zeros(2, 3))
     with pytest.raises(ShapeError):
-        ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
+        ad.transpose(zeros(2, 3, 4))
+    with pytest.raises(ShapeError):
+        ad.layer_norm(zeros(2, 3, 4), zeros(4), zeros(4))
+    with pytest.raises(ShapeError):
+        ad.cross_entropy_loss(zeros(4), 1)
 
 
 def test_softmax_symmetry_and_closed_form():
@@ -73,43 +84,42 @@ def test_softmax_temperature_domain():
 
 
 def test_cross_entropy_closed_forms():
-    assert abs(ad.cross_entropy_loss(ad.constant([2.0] * 4), 1).item()
+    assert abs(ad.cross_entropy_loss(ad.constant([[2.0] * 4]), 1).item()
                - 1.3862943611198906) < 1e-12  # ln 4
-    assert abs(ad.cross_entropy_loss(ad.constant([10.0, 0.0, 0.0]), 0).item()
+    assert abs(ad.cross_entropy_loss(ad.constant([[10.0, 0.0, 0.0]]), 0).item()
                - 9.079573746725622e-05) < 1e-12
     # log(e^10 + 2): large loss when the target logit is dominated
-    assert abs(ad.cross_entropy_loss(ad.constant([0.0, 10.0, 0.0]), 0).item()
+    assert abs(ad.cross_entropy_loss(ad.constant([[0.0, 10.0, 0.0]]), 0).item()
                - 10.000090795737467) < 1e-9
 
 
-@pytest.mark.parametrize("shape", [(5,), (1, 3), (7, 5)])
+@pytest.mark.parametrize("shape", [(1, 5), (1, 3), (7, 5)])
 def test_cross_entropy_matches_the_eager_softmax_formula(shape):
     """The adjoint builds softmax(z) only when it runs; values and gradients
     keep the bits of the formula that built it in the forward."""
     rng = SeededRng(17)
     z = rng.normals(math.prod(shape), 0.0, 4.0).reshape(shape)
-    rows = 1 if len(shape) == 1 else shape[0]
-    target = np.arange(rows) * 2 % shape[-1]
+    rows = shape[0]
+    target = np.arange(rows) * 2 % shape[1]
     weights = rng.normals(rows)
     with Tape() as tape:
         x = tape.leaf(z)
         loss = ad.cross_entropy_loss(x, target)
         tape.backward(ad.mean_all(ad.multiply(loss, ad.constant(weights))))
-    z2 = np.atleast_2d(z)
     at = np.arange(rows)
-    m = z2.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z2 - m).sum(axis=1, keepdims=True))
-    p = np.exp(z2 - lse)
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    p = np.exp(z - lse)
     d = p.copy()
     d[at, target] -= 1.0
-    np.testing.assert_array_equal(loss.data, lse[:, 0] - z2[at, target])
-    np.testing.assert_array_equal(tape.grad(x), (d * tape.grad(loss)[:, None]).reshape(shape))
+    np.testing.assert_array_equal(loss.data, lse[:, 0] - z[at, target])
+    np.testing.assert_array_equal(tape.grad(x), d * tape.grad(loss)[:, None])
     np.testing.assert_array_equal(ad.cross_entropy_loss(ad.constant(z), target).data, loss.data)
 
 
 def test_cross_entropy_target_range():
     with pytest.raises(IndexError):
-        ad.cross_entropy_loss(ad.constant([0.0, 0.0]), 2)
+        ad.cross_entropy_loss(ad.constant([[0.0, 0.0]]), 2)
 
 
 def test_backward_quadratic():
@@ -220,7 +230,8 @@ def test_softmax_cross_entropy_chain_matches_finite_differences():
         y = ad.softmax_with_temperature(x, 0.7)
         return ad.cross_entropy_loss(ad.scale(ad.log(y), 2.0), 2)
 
-    err, _ = ad.central_difference_check([catalog_case("x", SeededRng(3).normals(5), build, None)])
+    point = SeededRng(3).normals(5).reshape(1, 5)
+    err, _ = ad.central_difference_check([catalog_case("x", point, build, None)])
     assert err <= 1e-6
 
 
@@ -339,28 +350,19 @@ def test_catalog_gradients_on_many_random_inputs():
     assert report.worst <= 1e-4
 
 
-def _value_and_input_grads(build, arrays, out_weights):
-    """Forward value and the gradient wrt every input of build(*leaves),
-    scalarized by a fixed weight array."""
-    with Tape() as tape:
-        leaves = [tape.leaf(a) for a in arrays]
-        out = build(*leaves)
-        tape.backward(ad.mean_all(ad.mask_multiply(out, out_weights)))
-        return out.data, [tape.grad(t) for t in leaves]
-
-
 @pytest.mark.parametrize("m, k, n", [(1, 1, 1), (3, 4, 2), (64, 32, 128), (1024, 32, 4)])
 def test_linear_equals_add_of_matmul_exactly(m, k, n):
+    """Bit for bit the plain numpy products: x @ w with b added in place,
+    and the adjoint (g @ w.T, x.T @ g, ones @ g)."""
     rng = SeededRng(m * 1000 + k * 10 + n)
-    arrays = [rng.normals(m * k).reshape(m, k), rng.normals(k * n).reshape(k, n),
-              rng.normals(n)]
-    weights = rng.normals(m * n).reshape(m, n)
-    fused = _value_and_input_grads(ad.linear, arrays, weights)
-    unfused = _value_and_input_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b),
-                                     arrays, weights)
-    np.testing.assert_array_equal(fused[0], unfused[0])
-    for got, expected in zip(fused[1], unfused[1]):
-        np.testing.assert_array_equal(got, expected)
+    x, w, b = rng.normals(m * k).reshape(m, k), rng.normals(k * n).reshape(k, n), rng.normals(n)
+    g = rng.normals(m * n).reshape(m, n)
+    value, grads = _value_and_adjoint(ad.linear, [x, w, b], g)
+    expected = x @ w
+    expected += b
+    np.testing.assert_array_equal(value, expected)
+    for got, want in zip(grads, (g @ w.T, x.T @ g, np.ones(m) @ g)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_linear_rejects_shapes_that_do_not_conform():
@@ -392,17 +394,15 @@ def _gelu_formula(x, g):
 def _layer_norm_formula(x, gain, bias, g):
     """Row means as products with a [d] vector of 1/d, column sums as
     products with a ones vector."""
-    d = x.shape[-1]
-    rows, g = x.reshape(-1, d), g.reshape(-1, d)
-    mean, ones = np.full(d, 1.0 / d), np.ones(len(rows))
-    xc = rows - (rows @ mean)[:, None]
+    d = x.shape[1]
+    mean, ones = np.full(d, 1.0 / d), np.ones(len(x))
+    xc = x - (x @ mean)[:, None]
     inv = 1.0 / np.sqrt((xc * xc) @ mean + _EPS)
     xhat = xc * inv[:, None]
     g_xhat, gain_mean = g * xhat, gain * mean
     dx = (g * gain - xhat * (g_xhat @ gain_mean)[:, None]
           - (g @ gain_mean)[:, None]) * inv[:, None]
-    return ((xhat * gain + bias).reshape(x.shape),
-            (dx.reshape(x.shape), ones @ g_xhat, ones @ g))
+    return xhat * gain + bias, (dx, ones @ g_xhat, ones @ g)
 
 
 def _value_and_adjoint(build, arrays, g):
@@ -414,7 +414,8 @@ def _value_and_adjoint(build, arrays, g):
         return out.data, vjp(g)
 
 
-SHAPES = [(1, 1), (3, 4), (2, 3, 4), (1024, 128), (32, 20, 32)]
+# [R, d] rows, the one form `gelu` and `layer_norm` take in training
+SHAPES = [(1, 1), (3, 4), (6, 4), (1024, 128), (640, 32)]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -431,7 +432,7 @@ def test_gelu_matches_the_unfused_formula_exactly(shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_layer_norm_matches_the_unfused_formula_exactly(shape):
     rng = SeededRng(sum(shape) + 1)
-    d = shape[-1]
+    d = shape[1]
     x = 2.0 * rng.normals(int(np.prod(shape))).reshape(shape) + 0.5
     gain, bias = rng.normals(d) + 1.0, rng.normals(d)
     g = rng.normals(x.size).reshape(shape)
@@ -459,8 +460,6 @@ def _gelu_tanh(x, g):
 
 
 def _layer_norm_reduce(x, gain, bias, g):
-    d = x.shape[-1]
-    lead = tuple(range(x.ndim - 1))
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _EPS)
@@ -468,7 +467,7 @@ def _layer_norm_reduce(x, gain, bias, g):
     dxhat = g * gain
     dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return xhat * gain + bias, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+    return xhat * gain + bias, (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
 
 
 def _attention_query_major(qkv, batch, heads, key_bias, g):
@@ -503,7 +502,7 @@ def test_gelu_agrees_with_the_tanh_form(shape):
 @pytest.mark.parametrize("d", [16, 32])
 def test_layer_norm_agrees_with_row_reductions(length, d):
     rng = SeededRng(length * 100 + d)
-    shape = (32, length, d)
+    shape = (32 * length, d)  # the rows of 32 sequences of `length`
     x = 2.0 * rng.normals(int(np.prod(shape))).reshape(shape) + 0.5
     gain, bias = rng.normals(d) + 1.0, rng.normals(d)
     g = rng.normals(x.size).reshape(shape)

@@ -19,11 +19,15 @@ from sparsetok.checks import (FD_STEP, MULTIMODAL_STENCIL, MULTIMODAL_STEP, SAMP
                               pipeline_cases, plackett_luce_inclusion, replica_losses,
                               run_gradcheck, run_sample_check, stack,
                               stacked_central_differences, ste_point)
+from sparsetok.data import NeedleSpec, generate_dataset
 from sparsetok.errors import ContractError
 from sparsetok.gumbel import sample_standard_gumbel
+from sparsetok.model import TaskPerformerConfig
 from sparsetok.rng import SeededRng
-from sparsetok.selection import Packed, deterministic_topk_select, ratio_controlled_gate
+from sparsetok.selection import (LAWS, Packed, StrategyConfig, deterministic_topk_select,
+                                 ratio_controlled_gate)
 from sparsetok.stages import run_stages
+from sparsetok.train import Pipeline, RunConfig, train_step
 
 
 def test_gradcheck_all_suites_pass():
@@ -97,6 +101,93 @@ def test_corrupted_segment_mean_fails_catalog_and_multimodal():
     assert [r.name for r in reports if not r.ok] == [
         "autodiff_catalog", "ste_soft_path", "multimodal_end_to_end"]
     assert "segment_mean" in reports[0].detail
+
+
+# the tape kinds the catalog's ops record: every kind the package records
+# but `straight_through`
+CATALOG_KINDS = ("add", "subtract", "multiply", "matmul", "linear", "scale_by_constant",
+                 "natural_log", "exp", "square", "gelu", "layer_norm", "concat_rows",
+                 "gather_rows", "mask_multiply", "mean_all", "transpose", "reshape",
+                 "scale_rows", "softmax", "attention", "segment_mean", "cross_entropy")
+# no pipeline op multiplies, exponentiates or masks, but perfbench's tracer
+# patches `multiply`, `exp` and `mask_multiply` by name, and `mask_multiply`
+# weights every catalog loss
+CATALOG_ONLY_KINDS = {"multiply", "exp", "mask_multiply"}
+# no finite difference sees the straight-through surrogate gradient; the
+# two pipeline suites check it
+PIPELINE_ONLY_KINDS = {"straight_through"}
+
+
+def _recorded_forms(run) -> set[tuple[str, tuple[int, ...], int]]:
+    """(tape kind, input ranks, output rank) of each node `run()` records."""
+    forms = set()
+    record = ad._record
+
+    def recording(kind, out, inputs, vjp):
+        tensor = record(kind, out, inputs, vjp)
+        if tensor.node_id is not None:
+            forms.add((kind, tuple(t.data.ndim for t in inputs), out.ndim))
+        return tensor
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_record", recording)
+        run()
+    return forms
+
+
+def _pipeline_forms() -> set[tuple[str, tuple[int, ...], int]]:
+    """The op forms training records: one `train_step` per strategy on a
+    unimodal and on a multimodal batch (`ratio_controlled` at lambda 1, so
+    with its selection loss), and `Pipeline.loss` at both pipeline suites'
+    points."""
+    forms = set()
+    model = TaskPerformerConfig(d_model=8, heads=2, layers=1, max_len=16, ff_mult=2)
+    for multimodal in (False, True):
+        batch = generate_dataset(NeedleSpec(n=8, d=6, multimodal=multimodal), 4, seed=3)
+        for kind in LAWS:
+            strategy = StrategyConfig.for_fraction(kind, 0.5, 8, tau=0.5, lam=1.0)
+            pipeline = Pipeline(RunConfig(dataset="", strategy=strategy, model=model),
+                                {"d": 6, "multimodal": multimodal, "num_classes": 4})
+            forms |= _recorded_forms(lambda: train_step(
+                pipeline, pipeline.parameters(), batch, SeededRng(1)))
+    for pipeline, streams, labels, select in (ste_point(7), multimodal_point(8)):
+        def loss():
+            with Tape() as tape:
+                pipeline.loss(tape, [tape.param(s) for s in streams], labels, select)
+        forms |= _recorded_forms(loss)
+    return forms
+
+
+def _catalog_forms() -> set[tuple[str, tuple[int, ...], int]]:
+    """The op forms of the catalog's cases, each case's op alone on a taped
+    leaf."""
+    forms = set()
+    for _, point, op, _ in checks._catalog_cases(SeededRng(2024)):
+        def run():
+            with Tape() as tape:
+                op(tape.leaf(point))
+        forms |= _recorded_forms(run)
+    return forms
+
+
+def test_catalog_checks_exactly_the_op_forms_the_pipeline_records():
+    """Every form training records has a catalog case, and the catalog has
+    no case of a form training does not record, but for the named kinds."""
+    pipeline, catalog = _pipeline_forms(), _catalog_forms()
+    kinds = lambda forms: {kind for kind, _, _ in forms}
+    assert ({f for f in catalog if f[0] not in CATALOG_ONLY_KINDS}
+            == {f for f in pipeline if f[0] not in PIPELINE_ONLY_KINDS})
+    assert kinds(catalog - pipeline) == CATALOG_ONLY_KINDS
+    assert kinds(pipeline - catalog) == PIPELINE_ONLY_KINDS
+    assert kinds(catalog) == set(CATALOG_KINDS)
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_a_corrupted_adjoint_of_each_catalog_kind_fails_the_catalog(kind):
+    with ad.corrupt_adjoint(kind) as corruption:
+        report = check_catalog()
+    assert corruption.count > 0
+    assert not report.ok, report.line()
 
 
 def test_stacked_central_differences_match_the_per_coordinate_loop():
@@ -174,10 +265,10 @@ def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
     and b1, the arrays read before the scorer's, and the task model's once
     per stack of w2 and b2: 14. Re-running the whole loss at each of the
     220 points made 221 of `apply_ste` and 442 of `gelu`. The catalog calls
-    `mean_all` in every case's
-    taped loss but the three `cross_entropy` cases' (174), and as the op of
-    the `mean_all` cases at each of their 180 points: 354, where a mean at
-    every point made 5,808."""
+    `mean_all` 41 times a repeat in its taped losses, once in each of the
+    39 weighted losses and once as the op of each of the two `mean_all`
+    cases (123), and as that op at each of their 14 points a repeat (42):
+    165, where a mean at every point made 3,555."""
     calls = {"apply_ste": 0, "gelu": 0, "mean_all": 0}
 
     def counted(name, fn):
@@ -193,7 +284,7 @@ def test_stacked_suites_run_their_loss_once_per_stack(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     report = check_catalog()
     assert report.ok, report.line()
-    assert calls["mean_all"] == 354
+    assert calls["mean_all"] == 165
 
 
 def test_stacked_differences_refuse_a_point_that_keeps_other_rows():

@@ -404,11 +404,20 @@ class TestSweep:
                  "lambda must be non-negative and finite, got nan", id="nan-lambda"),
     pytest.param(["sweep", "--axis", "tau", "--grid", "nan"],
                  "tau must be positive and finite, got nan", id="nan-tau-grid"),
+    pytest.param(["train", "--lr", "nan"], "lr must be positive and finite, got nan",
+                 id="nan-lr"),
+    pytest.param(["train", "--lr", "inf"], "lr must be positive and finite, got inf",
+                 id="inf-lr"),
+    pytest.param(["train", "--lr", "0"], "lr must be positive and finite, got 0.0",
+                 id="zero-lr"),
+    pytest.param(["train", "--lr", "-1"], "lr must be positive and finite, got -1.0",
+                 id="negative-lr"),
 ])
 def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, argv, message):
     out = tmp_path / "out"
     assert main([*argv, "--dataset", dataset, "--out", str(out), "--epochs", "1"]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("error:") == 1, err
     assert not out.exists()
 
 
@@ -425,8 +434,20 @@ def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, arg
                  "only the sparsity axis takes strategies, not the variant axis",
                  id="strategies-on-variant"),
     pytest.param(["--strategies", "gumbel_topk,gumbel_topk", "--grid", "0.25"],
-                 "strategies must name each strategy once, got gumbel_topk,gumbel_topk",
+                 "grid values 0.25 and 0.25 train the same gumbel_topk cell",
                  id="repeated-strategy"),
+    pytest.param(["--grid", "0.5,0.5"], "grid values 0.5 and 0.5 train the same uniform_fixed cell",
+                 id="repeated-grid-value"),
+    pytest.param(["--axis", "tau", "--grid", "0.1,0.1"],
+                 "grid values 0.1 and 0.1 train the same gumbel_topk cell",
+                 id="repeated-tau"),
+    pytest.param(["--axis", "lambda", "--grid", "1,1"],
+                 "grid values 1 and 1 train the same ratio_controlled cell",
+                 id="repeated-lambda"),
+    # 0.25 and 0.2501 of the 8 tokens both keep K=2
+    pytest.param(["--grid", "0.25,0.2501"],
+                 "grid values 0.25 and 0.2501 train the same uniform_fixed cell",
+                 id="grid-values-of-one-k"),
 ])
 def test_sweep_flag_the_axis_ignores_is_usage_error(tmp_path, dataset, capsys, argv, message):
     out = tmp_path / "out"
