@@ -8,8 +8,8 @@ not to be fast on real workloads.
 
 Gradient-stopping is expressed structurally: tensors without a node id are
 constants, and `gather_rows` indices / `mask_multiply` masks never receive
-gradients. `matmul` and `linear` skip the adjoint product
-of a constant operand and return None for it. Gradient flow through discrete
+gradients. `matmul`, `linear` and `scale_rows` skip the adjoint product of
+a constant operand and return None for it. Gradient flow through discrete
 selection is routed explicitly by `straight_through`.
 
 Op forms. Training and evaluation record one node per op for a whole
@@ -34,9 +34,8 @@ and `exp` are no pipeline op: only the catalog runs them.
 - Sequences of unequal length are packed, not padded: their R rows follow
   one another, example by example, so every row-wise op works on real rows
   only. Two ops see sequences and take their lengths: `attention`, which
-  pads them inside the op, each group of similar lengths to its own
-  longest, and gives padded keys exactly zero weight, and `segment_mean`,
-  the mean of each sequence's rows.
+  runs the sequences of each length together, unpadded, and
+  `segment_mean`, the mean of each sequence's rows.
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
   one backward; a second call raises ContractError.
@@ -492,7 +491,8 @@ def scale_rows(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {w.shape} do not conform")
     xd, wd = x.data, w.data
     return _record("scale_rows", xd * wd[..., None], (x, w),
-                   lambda g: (g * wd[..., None], (g * xd).sum(axis=-1)))
+                   lambda g: (None if x.node_id is None else g * wd[..., None],
+                              None if w.node_id is None else (g * xd).sum(axis=-1)))
 
 
 def segment_mean(x: Tensor, lengths: Sequence[int]) -> Tensor:
@@ -539,82 +539,23 @@ def softmax_with_temperature(x: Tensor, tau: float) -> Tensor:
     return _record("softmax", y, (x,), vjp)
 
 
-# the most groups `attention` splits a batch of unequal lengths into, and
-# the charge for each group's kernel call after the first, in logits of one
-# head (`_length_groups`). A call's own cost is that of about 1,000 logits
-# (15 us forward against 10-18 ns a logit, 30 us forward plus adjoint
-# against 30 ns, one BLAS thread); the charge is a quarter of that, because
-# a padded logit also costs memory the adjoint holds. 32 lengths drawn as
-# 2 Binomial(32, 0.3), as a multimodal batch keeps, pad to 1.18 times their
-# real logits on average, where one call pads to 2.33 times
-_ATTENTION_GROUPS = 6
-_GROUP_CALL_LOGITS = 256
-
-
-class _Group(NamedTuple):
-    """Sequences that `attention` pads to one length and runs in one kernel
-    call: `count` of them, padded to `length`; `rows`, their packed rows (a
-    slice when the group is the whole batch in order); `pos`, where those
-    rows sit in the group's zeroed [count*length] buffer; and the
-    [count, length] key bias, 0 on a real key and -inf on a padded one, or
-    None when the group's lengths are equal."""
-
-    count: int
-    length: int
-    rows: np.ndarray | slice
-    pos: np.ndarray
-    key_bias: np.ndarray | None
-
-
 @functools.lru_cache(maxsize=8)
-def _length_groups(lengths: tuple[int, ...], heads: int) -> tuple[_Group, ...] | None:
-    """How `attention` pads sequences of these lengths: None when every
-    length is the same, so nothing is padded, else the groups it runs.
-
-    The sequences, sorted by length, are cut into 1 to `_ATTENTION_GROUPS`
-    groups of equal count, each padded to its own longest. The cut taken
-    has the fewest padded logits over all heads plus `_GROUP_CALL_LOGITS`
-    for each call after the first (the fewest groups on a tie), so a batch
-    whose groups would save few logits keeps one padded call. Inside a
-    group the sequences keep their order. The arrays are read-only and kept
-    for the few most recent length tuples."""
-    if min(lengths) == max(lengths):
-        return None
+def _rows_by_length(lengths: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """The sequences of each distinct length, shortest first, as (count,
+    rows): how many sequences have that length and their packed rows, in
+    order. The row arrays are read-only and kept for the few most recent
+    length tuples."""
     sizes = np.asarray(lengths, dtype=np.int64)
-    order, batch = np.argsort(sizes, kind="stable"), len(lengths)
-    ranked = sizes[order]
-
-    def bounds(groups: int) -> list[tuple[int, int]]:
-        return [(i * batch // groups, (i + 1) * batch // groups) for i in range(groups)]
-
-    def cost(groups: int) -> int:
-        padded = sum((end - start) * int(ranked[end - 1]) ** 2 for start, end in bounds(groups))
-        return heads * padded + (groups - 1) * _GROUP_CALL_LOGITS
-
-    groups = min(range(1, min(_ATTENTION_GROUPS, batch) + 1), key=cost)
-    sequence_of_row = np.repeat(np.arange(batch), sizes)
-    plan = []
-    for start, end in bounds(groups):
-        member = np.zeros(batch, dtype=bool)
-        member[order[start:end]] = True
-        length = int(ranked[end - 1])
-        real = np.arange(length) < sizes[member][:, None]
-        rows = slice(None) if groups == 1 else np.flatnonzero(member[sequence_of_row])
-        pos = np.flatnonzero(real)
-        key_bias = None if real.all() else np.where(real, 0.0, -np.inf)
-        for array in (rows, pos, key_bias):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
-        plan.append(_Group(end - start, length, rows, pos, key_bias))
-    return tuple(plan)
+    order = np.argsort(np.repeat(sizes, sizes), kind="stable")
+    order.flags.writeable = False
+    distinct, counts = np.unique(sizes, return_counts=True)
+    return tuple(zip(counts.tolist(), np.split(order, np.cumsum(distinct * counts)[:-1])))
 
 
-def _attend(x: np.ndarray, batch: int, heads: int,
-            key_bias: np.ndarray | None) -> tuple[np.ndarray, Callable]:
+def _attend(x: np.ndarray, batch: int, heads: int) -> tuple[np.ndarray, Callable]:
     """The attention kernel on `batch` sequences of one length L, their
     [batch*L, 3d] rows in x: the contexts [batch*L, d] and the adjoint
-    from their gradient to x's. key_bias [batch, L] is added to the logits
-    of each sequence's keys, or None to add nothing.
+    from their gradient to x's.
 
     The logits are laid out key-major, [B, heads, key, query] = k @ q^T, so
     the softmax's max and sum reduce across rows of the contiguous query
@@ -629,8 +570,6 @@ def _attend(x: np.ndarray, batch: int, heads: int,
     # [3, B, H, L, dk] views of q, k and v; every [L, dk] slice stays BLAS-ready
     q, k, v = x.reshape(batch, length, 3, heads, dk).transpose(2, 0, 3, 1, 4)
     probs = k @ (q * scale).transpose(0, 1, 3, 2)
-    if key_bias is not None:
-        probs += key_bias[:, None, :, None]
     probs -= np.maximum.reduce(probs, axis=-2, keepdims=True)
     np.exp(probs, out=probs)
     probs *= 1.0 / np.add.reduce(probs, axis=-2, keepdims=True)
@@ -671,18 +610,10 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
     Returns the heads' contexts [R, d], packed alike, head-major columns.
 
     With equal lengths the rows go to the kernel (`_attend`) as they are,
-    no copy made. Otherwise the sequences are split into groups of similar
-    length (`_length_groups`), and each group is padded to its own longest
-    inside the op: its packed rows are written into a zeroed buffer by one
-    indexed assignment, padded keys get a -inf logit, so their softmax
-    weight is exactly 0, and the contexts and the adjoint's input gradient
-    are written back to the packed rows. A padded query's output gradient
-    is 0, so padded rows contribute nothing to any gradient. A padded key
-    adds exact zeros to every sum over keys, so a sequence's values do not
-    depend on the length it is padded to, except at dk = 1: there the
-    contexts are matrix-vector products, whose sums BLAS splits by length,
-    and they can move in the last bit. For the adjoint each group keeps its
-    own padded rows, logits and contexts.
+    no copy made. Otherwise the sequences of each distinct length run
+    together in one kernel call, unpadded: their rows are taken from the
+    packed rows by one index array (`_rows_by_length`), and the contexts
+    and the adjoint's input gradient are written back to the same rows.
     """
     qkv = _as_tensor(qkv)
     lengths = tuple(map(int, lengths))
@@ -691,41 +622,24 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
             or width % (3 * heads)):
         raise ShapeError(f"attention: qkv {qkv.shape} does not split into sequences of "
                          f"{list(lengths)} rows of q | k | v over {heads} heads")
-    plan = _length_groups(lengths, heads)
-    if plan is None:
-        out, vjp_rows = _attend(qkv.data, len(lengths), heads, None)
+    if min(lengths) == max(lengths):
+        out, vjp_rows = _attend(qkv.data, len(lengths), heads)
         return _record("attention", out, (qkv,), lambda g: (vjp_rows(g),))
-    d = width // 3
+    groups = _rows_by_length(lengths)
     recorded = bool(_TAPE_STACK) and qkv.node_id is not None
-    pieces, adjoints = [], []
-    for group in plan:
-        x = np.zeros((group.count * group.length, width))
-        x[group.pos] = qkv.data[group.rows]
-        out_group, vjp_group = _attend(x, group.count, heads, group.key_bias)
-        pieces.append(out_group.take(group.pos, axis=0))
+    out, adjoints = np.empty((rows, width // 3)), []
+    for count, group_rows in groups:
+        out[group_rows], vjp_group = _attend(qkv.data.take(group_rows, axis=0), count, heads)
         if recorded:  # else the group's buffers go before the next group's
             adjoints.append(vjp_group)
 
     def vjp(g):
-        pieces = []
-        for group, vjp_group in zip(plan, adjoints):
-            g_group = np.zeros((group.count * group.length, d))
-            g_group[group.pos] = g[group.rows]
-            pieces.append(vjp_group(g_group).take(group.pos, axis=0))
-        return (_packed(plan, pieces),)
+        grad = np.empty((rows, width))
+        for (_, group_rows), vjp_group in zip(groups, adjoints):
+            grad[group_rows] = vjp_group(g.take(group_rows, axis=0))
+        return (grad,)
 
-    return _record("attention", _packed(plan, pieces), (qkv,), vjp)
-
-
-def _packed(plan: tuple[_Group, ...], pieces: list[np.ndarray]) -> np.ndarray:
-    """The rows of each group of `plan`, one array a group, put back in
-    packed order."""
-    if len(plan) == 1:
-        return pieces[0]
-    out = np.empty((sum(map(len, pieces)), pieces[0].shape[1]))
-    for group, piece in zip(plan, pieces):
-        out[group.rows] = piece
-    return out
+    return _record("attention", out, (qkv,), vjp)
 
 
 def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:

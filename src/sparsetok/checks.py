@@ -119,9 +119,9 @@ def _rand(rng: SeededRng, shape) -> np.ndarray:
     return rng.normals(int(np.prod(shape))).reshape(shape)
 
 
-# seven sequences, out of length order, that `attention` runs in two
-# groups: three of 1 row, unpadded, and four of 1, 1, 2 and 8 rows, padded
-# to 8 (`autodiff._length_groups`)
+# seven sequences, out of length order, that `attention` runs in three
+# length groups (`autodiff._rows_by_length`): five sequences of 1 row
+# together, then the one of 2 rows and the one of 8
 GROUPED_LENGTHS = (1, 2, 1, 8, 1, 1, 1)
 
 
@@ -195,9 +195,9 @@ def _catalog_cases(rng: SeededRng):
         ("softmax", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
         ("cross_entropy", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])), w2),
         # one head on one sequence; two heads on packed sequences of 2 and 4
-        # rows, the first padded by two keys; two heads of width 1 on
-        # sequences of 4 and 6 rows, longer than the head width; and two
-        # heads of width 1 on sequences that run in two length groups
+        # rows; two heads of width 1 on sequences of 4 and 6 rows, longer
+        # than the head width; and two heads of width 1 on sequences that
+        # run in three length groups, one of several sequences
         ("attention_1head", r((3, 6)), lambda x: ad.attention(x, (3,), 1), w32),
         ("attention_2heads_unequal_lengths", r((6, 12)), lambda x: ad.attention(x, (2, 4), 2),
          w64),
@@ -405,8 +405,8 @@ def check_multimodal_end_to_end(seed: int = 8) -> SuiteReport:
     `test_gradient_uses_soft_path`).
 
     The two examples must keep different, non-zero token counts, so the
-    packing of the kept tokens and the padding inside the task model's
-    attention sit inside the check.
+    packing of the kept tokens and the length groups inside the task
+    model's attention sit inside the check.
     """
     pipeline, streams, labels, select = multimodal_point(seed)
 

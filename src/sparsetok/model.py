@@ -6,8 +6,8 @@ training noise in the whole pipeline lives in the Gumbel selection.
 
 The model runs a whole batch at once on packed rows: `apply_ste` hands it
 the kept tokens as [R, d] rows, example by example, R = sum of the kept
-counts. So every projection, norm and the mean pool pays for the rows kept;
-only `attention` pads, inside the op.
+counts. So every projection, norm, the attention and the mean pool pay for
+the rows kept.
 
 The forward is a list of one-op stages (`TaskPerformer.stages`, see
 `stages`): embed (the null token at position 0 for an example that keeps

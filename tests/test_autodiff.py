@@ -6,7 +6,7 @@ import pytest
 
 from sparsetok import autodiff as ad
 from sparsetok.autodiff import Tape
-from sparsetok.checks import catalog_case
+from sparsetok.checks import GROUPED_LENGTHS, catalog_case
 from sparsetok.errors import ContractError, DomainError, ShapeError
 from sparsetok.rng import SeededRng
 
@@ -519,15 +519,15 @@ _RAGGED = (1, *(int(n) for n in 2 * np.random.default_rng(5).binomial(32, 0.3, 3
 
 # (lengths, heads) by id: three sequences of one length, and with
 # "True" the second keeping the first half of its rows and the third only
-# row 0; then 32 ragged sequences, which run in length groups, a single
-# sequence, and more equal sequences than there are groups
+# row 0; then 32 ragged sequences, which run as one group per distinct
+# length, a single sequence, and eight equal sequences
 _QUERY_MAJOR_BATCHES = [
     *(pytest.param((length,) * 3 if not padded else (length, (length + 1) // 2, 1), heads,
                    id=f"{length}-{heads}-{padded}")
       for padded in (False, True) for heads in (1, 2, 4) for length in (1, 3, 8, 64)),
     pytest.param(_RAGGED, 2, id="ragged32-2"),
     pytest.param((5,), 2, id="single-2"),
-    pytest.param((4,) * (ad._ATTENTION_GROUPS + 2), 2, id="equal8-2"),
+    pytest.param((4,) * 8, 2, id="equal8-2"),
 ]
 
 
@@ -552,26 +552,31 @@ def test_attention_agrees_with_the_query_major_form(lengths, heads):
     _assert_close(grad, ref_grad[rows])
 
 
-def test_length_groups_pad_each_group_to_its_own_longest():
-    """Equal lengths are not padded; two sequences, whose groups would
-    remove few padded logits, stay one padded call; the catalog's grouped
-    case runs an equal group and an unequal one; a ragged batch runs in at
-    most `_ATTENTION_GROUPS` groups that cover every packed row once and pad
-    to less than one call would."""
-    from sparsetok.checks import GROUPED_LENGTHS
-    assert ad._length_groups((3, 3, 3), 2) is None and ad._length_groups((5,), 2) is None
-    for lengths in [(2, 4), (4, 6)]:
-        assert [(g.count, g.length) for g in ad._length_groups(lengths, 2)] == [(2, max(lengths))]
-    equal, unequal = ad._length_groups(GROUPED_LENGTHS, 2)
-    assert (equal.count, equal.length, equal.key_bias) == (3, 1, None)
-    assert (unequal.count, unequal.length) == (4, 8) and unequal.key_bias is not None
-    plan = ad._length_groups(_RAGGED, 2)
-    assert 1 < len(plan) <= ad._ATTENTION_GROUPS
-    rows = np.concatenate([g.rows for g in plan])
-    np.testing.assert_array_equal(np.sort(rows), np.arange(sum(_RAGGED)))
-    assert all(len(g.pos) == len(g.rows) for g in plan)
-    padded = sum(g.count * g.length ** 2 for g in plan)
-    assert padded < 0.7 * len(_RAGGED) * max(_RAGGED) ** 2, padded
+@pytest.mark.parametrize("lengths", [
+    pytest.param(_RAGGED, id="ragged32"),
+    pytest.param((2, 4), id="catalog-2-4"),
+    pytest.param((4, 6), id="catalog-4-6"),
+    pytest.param(GROUPED_LENGTHS, id="catalog-grouped"),
+])
+def test_attention_runs_each_length_as_one_group(lengths):
+    """One group per distinct length, shortest first, counting its
+    sequences; every packed row is in exactly one group, in packed order
+    within it, and no group holds a row of a sequence of another length."""
+    groups = ad._rows_by_length(lengths)
+    length_of_row = np.repeat(lengths, lengths)
+    distinct = sorted(set(lengths))
+    assert [count for count, _ in groups] == [lengths.count(n) for n in distinct]
+    for length, (count, rows) in zip(distinct, groups):
+        assert len(rows) == count * length and np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(length_of_row[rows], length)
+    np.testing.assert_array_equal(np.sort(np.concatenate([rows for _, rows in groups])),
+                                  np.arange(sum(lengths)))
+
+
+def test_the_catalog_runs_several_length_groups():
+    """The catalog's grouped case runs one group of several equal sequences
+    and groups of a single sequence."""
+    assert [count for count, _ in ad._rows_by_length(GROUPED_LENGTHS)] == [5, 1, 1]
 
 
 def test_gelu_keeps_only_its_derivative_and_none_off_the_tape():
@@ -602,6 +607,7 @@ def test_gelu_is_finite_and_silent_at_large_magnitudes():
 @pytest.mark.parametrize("op, shapes", [
     ("matmul", [(5, 4), (4, 3)]),
     ("linear", [(5, 4), (4, 3), (3,)]),
+    ("scale_rows", [(2, 5, 4), (2, 5)]),
 ])
 def test_constant_operands_get_no_adjoint_product(op, shapes):
     """An operand with no tape node gets None, and the others' gradients

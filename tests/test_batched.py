@@ -173,9 +173,9 @@ def _traced_step_mib(spec: NeedleSpec, strategy: StrategyConfig) -> float:
 
 
 # traced peak of one step, MiB, and its bound. The steps peak in the forward
-# of the last `gelu`. The multimodal step peaks at 18.8 (22.1 when `gelu`
+# of the last `gelu`. The multimodal step peaks at 18.3 (22.1 when `gelu`
 # kept x^2 and s for its adjoint and `attention` padded every sequence to
-# the batch's longest), the K=32 one at 12.8 (14.7); each bound is about
+# the batch's longest), the K=32 one at 12.6 (14.7); each bound is about
 # half-way between
 _STEP_PEAK_BOUNDS_MIB = {
     "ratio_controlled_multimodal": (

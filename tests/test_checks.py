@@ -337,7 +337,7 @@ def test_replica_losses_move_only_with_their_own_rows():
     pipeline, streams, labels, select = multimodal_point(8)
     stages, later = pipeline.stages(select), pipeline.task.stages()[3:]  # after the embedding
     state = run_stages(Tape(), stages[:-len(later)], [ad.constant(s.value) for s in streams])
-    assert len(set(state.lengths)) > 1  # unequal lengths: attention pads inside the stack
+    assert len(set(state.lengths)) > 1  # unequal lengths: attention groups them inside the stack
     moved = Packed(ad.constant(state.rows.data + SeededRng(3).normals(state.rows.data.size)
                                .reshape(state.rows.shape)), state.lengths)
     before = replica_losses(run_stages(Tape(), later, stack([state, state, state])), labels)
