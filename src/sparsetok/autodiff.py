@@ -322,15 +322,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
-    return _record("scale_by_constant", x.data * c, (x,), lambda g: (g * c,))
+    return _record("scale", x.data * c, (x,), lambda g: (g * c,))
 
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data <= 0.0):
-        raise DomainError("natural_log of a non-positive value")
+        raise DomainError("log of a non-positive value")
     xd = x.data
-    return _record("natural_log", np.log(xd), (x,), lambda g: (g / xd,))
+    return _record("log", np.log(xd), (x,), lambda g: (g / xd,))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -536,7 +536,7 @@ def softmax_with_temperature(x: Tensor, tau: float) -> Tensor:
     def vjp(g):
         return ((y * (g - (g * y).sum(axis=-1, keepdims=True))) / tau,)
 
-    return _record("softmax", y, (x,), vjp)
+    return _record("softmax_with_temperature", y, (x,), vjp)
 
 
 @functools.lru_cache(maxsize=8)
@@ -665,7 +665,7 @@ def cross_entropy_loss(logits: Tensor, target_class) -> Tensor:
         d[at, t] -= 1.0
         return (d * g[:, None],)
 
-    return _record("cross_entropy", lse[:, 0] - z[at, t], (logits,), vjp)
+    return _record("cross_entropy_loss", lse[:, 0] - z[at, t], (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,9 @@ def _catalog_cases(rng: SeededRng):
         ("linear_x", r((3, 4)), lambda x: ad.linear(x, const(lin_w), const(lin_b)), w32),
         ("linear_w", r((4, 2)), lambda x: ad.linear(const(lin_x), x, const(lin_b)), w32),
         ("linear_b", r((2,)), lambda x: ad.linear(const(lin_x), const(lin_w), x), w32),
-        ("scale_by_constant", r((2, 3)), lambda x: ad.scale(x, 1.7), w23),
-        ("scale_by_constant_loss_term", r((1,)), lambda x: ad.scale(x, -0.6), w1),
-        ("natural_log", np.abs(r((2, 3))) + 0.5, ad.log, w23),
+        ("scale", r((2, 3)), lambda x: ad.scale(x, 1.7), w23),
+        ("scale_loss_term", r((1,)), lambda x: ad.scale(x, -0.6), w1),
+        ("log", np.abs(r((2, 3))) + 0.5, ad.log, w23),
         ("exp", r((2, 3)), ad.exp, w23),
         ("square", r((2, 3)), ad.square, w23),
         ("gelu", r((2, 3)), ad.gelu, w23),
@@ -192,8 +192,8 @@ def _catalog_cases(rng: SeededRng):
         ("scale_rows_batched", r((2, 3)), lambda x: ad.scale_rows(const(b234), x), b234),
         ("scale_rows_tokens_batched", r((2, 3, 4)), lambda x: ad.scale_rows(x, const(b23)),
          b234),
-        ("softmax", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
-        ("cross_entropy", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])), w2),
+        ("softmax_with_temperature", r((2, 4)), lambda x: ad.softmax_with_temperature(x, 1.3), w24),
+        ("cross_entropy_loss", r((2, 4)), lambda x: ad.cross_entropy_loss(x, np.array([1, 3])), w2),
         # one head on one sequence; two heads on packed sequences of 2 and 4
         # rows; two heads of width 1 on sequences of 4 and 6 rows, longer
         # than the head width; and two heads of width 1 on sequences that
@@ -427,9 +427,8 @@ def run_gradcheck(corrupt_op: str | None = None) -> tuple[list[SuiteReport], boo
     """All finite-difference suites; corrupt_op breaks one adjoint on purpose
     so tests can prove the checker catches it.
 
-    A corrupt_op no suite ran an adjoint of (the tape records `log` as
-    `natural_log`, say) is a ConfigError: its suites would pass having
-    corrupted nothing.
+    A corrupt_op no suite ran an adjoint of is a ConfigError: its suites
+    would pass having corrupted nothing.
     """
     with (ad.corrupt_adjoint(corrupt_op) if corrupt_op is not None
           else contextlib.nullcontext()) as corruption:

@@ -13,7 +13,7 @@ from .checks import format_sample_report, run_gradcheck, run_sample_check
 from .data import DISTRACTOR_MODES, NeedleSpec, generate_dataset, load_dataset, write_dataset
 from .errors import ConfigError
 from .selection import STRATEGY_KINDS, StrategyConfig
-from .sweep import CURVE_STRATEGIES, SWEEP_AXES, X_COLUMNS, run_sweep
+from .sweep import AXES, run_sweep
 from .train import CHANNELS, POSITION_MODES, RunConfig, train_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -83,13 +83,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     s = sub.add_parser("sweep", help="run a grid and plot the accuracy curve")
     training_flags(s)
-    s.add_argument("--axis", choices=SWEEP_AXES, default="sparsity")
+    s.add_argument("--axis", choices=tuple(AXES), default="sparsity")
     s.add_argument("--grid", type=float_list,
-                   help="comma-separated grid values (not on the variant axis)")
+                   help="comma-separated grid values (default: the axis's own grid)")
     s.add_argument("--seeds", type=int, default=1, help="replicates per cell")
     s.add_argument("--strategies", type=_strategy_list,
-                   help="comma-separated strategy subset (sparsity axis; default "
-                        f"{','.join(CURVE_STRATEGIES)})")
+                   help="comma-separated strategies, one cell each per grid value (sparsity "
+                        f"axis only; default {','.join(AXES['sparsity'].strategies)})")
 
     c = sub.add_parser("gradcheck", help="finite-difference verification suites")
     c.add_argument("--corrupt-op", help=argparse.SUPPRESS)  # negative-control hook
@@ -197,17 +197,15 @@ def _cmd_sweep(args) -> int:
     if not args.out:
         raise ConfigError("--out is required")
     cfg, n_tokens = _run_config(args)
-    axis = args.axis
-    rows, csv_path, svg_path = run_sweep(axis, cfg, n_tokens, args.seeds, args.out,
+    rows, csv_path, svg_path = run_sweep(args.axis, cfg, n_tokens, args.seeds, args.out,
                                          args.grid, args.strategies)
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"curve -> {svg_path}")
 
     for row in rows:
         if row.problem:
-            x_value = {"tau": row.tau, "lambda": row.lam}.get(axis, row.keep_fraction)
-            print(f"error: {row.problem} in the {row.strategy} cell at {X_COLUMNS[axis]} "
-                  f"{x_value:g} (seed {row.seed})", file=sys.stderr)
+            print(f"error: {row.problem} in the {row.strategy} cell at "
+                  f"{AXES[args.axis].column} {row.x_value:g} (seed {row.seed})", file=sys.stderr)
             return EXIT_VERIFY
     return EXIT_OK
 

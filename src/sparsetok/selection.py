@@ -24,7 +24,7 @@ from .gumbel import sample_standard_gumbel
 from .rng import SeededRng
 from .stages import Packed, Stage, projection, rowwise, run_stages
 
-# keeps natural_log off exact zeros without perturbing representable scores
+# keeps log off exact zeros without perturbing representable scores
 _TINY = 1e-300
 
 # column selector <(1,0), softmax(f(v))> that reads the keep entry
@@ -205,17 +205,16 @@ def _log_s(s: Tensor) -> Tensor:
 def gumbel_topk_select(s: Tensor, k: int, tau: float, rng: SeededRng) -> SelectionMask:
     """Variant 1: keep the K tokens with the largest Gumbel-perturbed scores.
 
-    The hard mask ranks log s_i + g_i; the soft path is the sequence-level
-    Gumbel-Softmax at temperature tau over the same perturbed scores. A batch
+    The perturbed scores are log s_i + g_i: the hard mask ranks them, and the
+    soft path is their sequence-level Gumbel-Softmax at temperature tau. A batch
     draws its noise in one call, example by example in order, so example b
     sees the values it would see if the examples ran one at a time.
     """
     _check_k(k, _width(s))
     g = sample_standard_gumbel(rng, s.data.size).reshape(s.shape)
-    keep = _top_k_keep(np.log(np.maximum(s.data, _TINY)) + g, k)
     perturbed = ad.add(_log_s(s), ad.constant(g))
-    soft = ad.softmax_with_temperature(perturbed, tau)
-    return _mask_from_keep(keep, soft)
+    keep = _top_k_keep(perturbed.data, k)  # before the softmax: frees the ranking's scratch
+    return _mask_from_keep(keep, ad.softmax_with_temperature(perturbed, tau))
 
 
 def ratio_controlled_select(s: Tensor, tau: float, rng: SeededRng) -> SelectionMask:

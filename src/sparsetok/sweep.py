@@ -1,12 +1,13 @@
-"""Experiment grids: sparsity curves, temperature/weight ablations, variant
-comparison. Cells run one after another, each cell's seeds in order. Every
-(cell, seed) pair derives its own run seed from the master seed via a
-documented hash, so a cell is reproducible in isolation.
+"""Experiment grids: sparsity curves and temperature/weight ablations,
+one row of `AXES` each. Cells run one after another, each cell's seeds in
+order. Every (cell, seed) pair derives its own run seed from the master seed
+via a documented hash, so a cell is reproducible in isolation.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .data import load_dataset
 from .errors import ConfigError
@@ -15,14 +16,24 @@ from .rng import mix_words
 from .selection import StrategyConfig
 from .train import RunConfig, train_run
 
-SWEEP_AXES = ("sparsity", "tau", "lambda", "variant")
-SPARSITY_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
-TAU_GRID = (0.01, 0.1, 0.5)
-LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0)
 CURVE_STRATEGIES = ("uniform_fixed", "deterministic_topk", "gumbel_topk")
-# the CSV column each axis varies, and the curve's x axis
-X_COLUMNS = {"sparsity": "keep_fraction", "tau": "tau", "lambda": "lambda",
-             "variant": "keep_fraction"}
+
+
+class Axis(NamedTuple):
+    """What one sweep axis varies."""
+    setting: str  # the `StrategyConfig.for_fraction` keyword the grid sets
+    column: str  # the CSV column the grid values fill, and the curve's x label
+    grid: tuple[float, ...]  # the default grid
+    strategies: tuple[str, ...]  # the default strategies, one cell each per grid value
+
+
+# the sparsity axis alone takes strategies; the others hold the keep fraction
+# at the base run's, `base.strategy.keep_fraction(n)`
+AXES = {
+    "sparsity": Axis("fraction", "keep_fraction", (0.1, 0.3, 0.5, 0.7, 1.0), CURVE_STRATEGIES),
+    "tau": Axis("tau", "tau", (0.01, 0.1, 0.5), ("gumbel_topk",)),
+    "lambda": Axis("lam", "lambda", (0.01, 0.1, 1.0, 10.0), ("ratio_controlled",)),
+}
 
 
 def cell_seed(master_seed: int, cell_index: int, seed_index: int) -> int:
@@ -41,51 +52,39 @@ class SweepCell:
 def build_cells(axis: str, base: RunConfig, n_tokens: int,
                 grid: tuple[float, ...] | None = None,
                 strategies: tuple[str, ...] | None = None) -> list[SweepCell]:
-    """Cells in deterministic order; the 1.0 sparsity cell is shared across
-    strategies (one full-input run reported once per strategy). None means
-    the axis's default grid and CURVE_STRATEGIES. A setting the axis would
-    ignore (a variant grid, strategies off the sparsity axis) is a
-    ConfigError, and so are two cells of equal strategy configs (a repeated
-    grid value or strategy, or two keep fractions that round to one K),
-    which would train one cell twice."""
-    if axis not in SWEEP_AXES:
+    """Cells in deterministic order: for each grid value, one per strategy.
+    None means the axis's default grid and strategies. At sparsity 1.0 the
+    strategies that keep K = n share one full-input `uniform_fixed` run,
+    reported once per strategy; `ratio_controlled` gates tokens in training
+    even at target 1.0, so it trains its own. Strategies off the sparsity
+    axis are a ConfigError, and so are two cells of equal strategy configs
+    (a repeated grid value or strategy, or two keep fractions that round to
+    one K), which would train one cell twice."""
+    if axis not in AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if axis == "variant" and grid is not None:
-        raise ConfigError("the variant axis takes no grid: it runs both variants "
-                          "at the run's keep fraction")
     if axis != "sparsity" and strategies is not None:
         raise ConfigError(f"only the sparsity axis takes strategies, not the {axis} axis")
+    spec = AXES[axis]
     tau, lam = base.strategy.tau, base.strategy.lam
     base_fraction = base.strategy.keep_fraction(n_tokens)
     cells: list[SweepCell] = []
-
-    def push(x_value: float, kind: str, fraction: float, tau: float, lam: float,
-             emit_as: tuple[str, ...]):
-        strategy = StrategyConfig.for_fraction(kind, fraction, n_tokens, tau, lam)
-        for cell in cells:
-            if cell.cfg.strategy == strategy:
-                raise ConfigError(f"grid values {cell.x_value:g} and {x_value:g} train the "
-                                  f"same {kind} cell; a sweep trains each cell once")
-        cfg = replace(base, strategy=strategy, out_dir=None)
-        cells.append(SweepCell(len(cells), x_value, cfg, emit_as))
-
-    if axis == "sparsity":
-        strategies = strategies or CURVE_STRATEGIES
-        for fraction in grid or SPARSITY_GRID:
-            if fraction == 1.0:
-                push(1.0, "uniform_fixed", 1.0, tau, lam, tuple(strategies))
+    full_input = StrategyConfig.for_fraction("uniform_fixed", 1.0, n_tokens, tau, lam)
+    for x_value in grid or spec.grid:
+        settings = {"fraction": base_fraction, "tau": tau, "lam": lam, spec.setting: x_value}
+        first = len(cells)  # this grid value's first cell
+        for kind in strategies or spec.strategies:
+            strategy = StrategyConfig.for_fraction(kind, n=n_tokens, **settings)
+            shared = axis == "sparsity" and x_value == 1.0 and strategy.k == n_tokens
+            strategy = full_input if shared else strategy
+            same = next((c for c in cells if c.cfg.strategy == strategy), None)
+            if same is None:
+                cfg = replace(base, strategy=strategy, out_dir=None)
+                cells.append(SweepCell(len(cells), x_value, cfg, (kind,)))
+            elif shared and same.index >= first:
+                same.emit_as += (kind,)
             else:
-                for kind in strategies:
-                    push(fraction, kind, fraction, tau, lam, (kind,))
-    elif axis == "tau":
-        for t in grid or TAU_GRID:
-            push(t, "gumbel_topk", base_fraction, t, lam, ("gumbel_topk",))
-    elif axis == "lambda":
-        for l in grid or LAMBDA_GRID:
-            push(l, "ratio_controlled", base_fraction, tau, l, ("ratio_controlled",))
-    else:  # variant
-        for kind in ("gumbel_topk", "ratio_controlled"):
-            push(base_fraction, kind, base_fraction, tau, lam, (kind,))
+                raise ConfigError(f"grid values {same.x_value:g} and {x_value:g} train the "
+                                  f"same {strategy.kind} cell; a sweep trains each cell once")
     return cells
 
 
@@ -103,15 +102,16 @@ def _cells_config(configs: list[dict]) -> dict:
 
 @dataclass
 class SweepRow(MetricsRow):
-    """A cell's final-epoch row plus its run's `TrainResult.problem`, which
-    the CSV leaves out."""
+    """A cell's final-epoch row plus its grid value and its run's
+    `TrainResult.problem`, which the CSV leaves out."""
+    x_value: float = 0.0
     problem: str | None = None
 
 
 def _run_cell(cell: SweepCell, seed_index: int, master_seed: int) -> SweepRow:
     cfg = replace(cell.cfg, seed=cell_seed(master_seed, cell.index, seed_index))
     result = train_run(cfg)
-    return SweepRow(**vars(result.final), problem=result.problem)
+    return SweepRow(**vars(result.final), x_value=cell.x_value, problem=result.problem)
 
 
 def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
@@ -143,6 +143,6 @@ def run_sweep(axis: str, base: RunConfig, n_tokens: int, num_seeds: int,
     write_metrics_csv(csv_path, rows, config)
     plot = {label: [(x, sum(vals) / len(vals)) for x, vals in sorted(pts.items())]
             for label, pts in series.items()}
-    write_line_plot(svg_path, plot, X_COLUMNS[axis], "mean eval accuracy",
+    write_line_plot(svg_path, plot, AXES[axis].column, "mean eval accuracy",
                     f"{axis} sweep ({num_seeds} seed{'s' if num_seeds != 1 else ''})")
     return rows, csv_path, svg_path

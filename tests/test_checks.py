@@ -105,10 +105,10 @@ def test_corrupted_segment_mean_fails_catalog_and_multimodal():
 
 # the tape kinds the catalog's ops record: every kind the package records
 # but `straight_through`
-CATALOG_KINDS = ("add", "subtract", "multiply", "matmul", "linear", "scale_by_constant",
-                 "natural_log", "exp", "square", "gelu", "layer_norm", "concat_rows",
-                 "gather_rows", "mask_multiply", "mean_all", "transpose", "reshape",
-                 "scale_rows", "softmax", "attention", "segment_mean", "cross_entropy")
+CATALOG_KINDS = ("add", "subtract", "multiply", "matmul", "linear", "scale", "log", "exp",
+                 "square", "gelu", "layer_norm", "concat_rows", "gather_rows",
+                 "mask_multiply", "mean_all", "transpose", "reshape", "scale_rows",
+                 "softmax_with_temperature", "attention", "segment_mean", "cross_entropy_loss")
 # no pipeline op multiplies, exponentiates or masks, but perfbench's tracer
 # patches `multiply`, `exp` and `mask_multiply` by name, and `mask_multiply`
 # weights every catalog loss

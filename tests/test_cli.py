@@ -274,10 +274,10 @@ def test_gradcheck_negative_control_names_op(capsys):
     assert "fail" in out and "matmul" in out
 
 
-@pytest.mark.parametrize("kind", ["log", "nosuchop"])
+@pytest.mark.parametrize("kind", ["natural_log", "nosuchop"])
 def test_gradcheck_corrupt_op_that_corrupts_nothing_is_usage_error(kind, capsys):
-    """The tape records `log` as `natural_log`: corrupting `log` breaks no
-    adjoint, so its suites would pass and prove nothing."""
+    """No op records under these kinds: corrupting one breaks no adjoint, so
+    its suites would pass and prove nothing."""
     assert main(["gradcheck", "--corrupt-op", kind]) == 1
     captured = capsys.readouterr()
     assert repr(kind) in captured.err
@@ -296,14 +296,19 @@ def test_sample_check_report_format(capsys):
         assert verdict == "pass"
 
 
+# Gumbel top-K against the ratio gate at one keep fraction: 0.25 of the
+# dataset's 8 tokens is K=2
+BOTH_SELECTORS = ("--strategies", "gumbel_topk,ratio_controlled", "--grid", "0.25")
+
+
 class TestSweep:
-    def test_variant_axis_emits_two_groups(self, tmp_path, dataset):
+    def test_both_selectors_emit_two_groups(self, tmp_path, dataset):
         out = str(tmp_path / "sweep")
-        rc = main(["sweep", "--dataset", dataset, "--out", out, "--axis", "variant",
-                   "--keep-fraction", "0.25", "--epochs", "1", "--batch-size", "16",
-                   "--seeds", "1", "--seed", "3", "--tau", "0.5"])
+        rc = main(["sweep", "--dataset", dataset, "--out", out, *BOTH_SELECTORS,
+                   "--epochs", "1", "--batch-size", "16", "--seeds", "1", "--seed", "3",
+                   "--tau", "0.5"])
         assert rc == 0
-        rows, _ = read_metrics_csv(os.path.join(out, "sweep_variant.csv"))
+        rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
         assert sorted({r["strategy"] for r in rows}) == ["gumbel_topk", "ratio_controlled"]
 
     def test_sparsity_sweep_shares_full_input_cell(self, tmp_path, dataset):
@@ -321,11 +326,11 @@ class TestSweep:
 
     def test_svg_is_valid_xml_with_polylines(self, tmp_path, dataset):
         out = str(tmp_path / "sweep3")
-        rc = main(["sweep", "--dataset", dataset, "--out", out, "--axis", "variant",
-                   "--keep-fraction", "0.25", "--epochs", "1", "--batch-size", "16",
-                   "--seeds", "1", "--seed", "3", "--tau", "0.5"])
+        rc = main(["sweep", "--dataset", dataset, "--out", out, *BOTH_SELECTORS,
+                   "--epochs", "1", "--batch-size", "16", "--seeds", "1", "--seed", "3",
+                   "--tau", "0.5"])
         assert rc == 0
-        svg = os.path.join(out, "sweep_variant.svg")
+        svg = os.path.join(out, "sweep_sparsity.svg")
         root = ET.parse(svg).getroot()
         polylines = root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 2
@@ -338,11 +343,11 @@ class TestSweep:
         from sparsetok.model import TaskPerformerConfig
 
         out = str(tmp_path / "sweep4")
-        rc = main(["sweep", "--dataset", dataset, "--out", out, "--axis", "variant",
-                   "--keep-fraction", "0.25", "--epochs", "1", "--batch-size", "16",
-                   "--seeds", "1", "--seed", "3", "--tau", "0.5"])
+        rc = main(["sweep", "--dataset", dataset, "--out", out, *BOTH_SELECTORS,
+                   "--epochs", "1", "--batch-size", "16", "--seeds", "1", "--seed", "3",
+                   "--tau", "0.5"])
         assert rc == 0
-        rows, _ = read_metrics_csv(os.path.join(out, "sweep_variant.csv"))
+        rows, _ = read_metrics_csv(os.path.join(out, "sweep_sparsity.csv"))
         gumbel_row = next(r for r in rows if r["strategy"] == "gumbel_topk")
 
         cfg = RunConfig(dataset=dataset,
@@ -422,17 +427,12 @@ def test_out_of_range_run_inputs_are_usage_errors(tmp_path, dataset, capsys, arg
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["--axis", "variant", "--grid", "0.1,0.9"], "the variant axis takes no grid",
-                 id="grid-on-variant"),
     pytest.param(["--axis", "tau", "--strategies", "uniform_fixed"],
                  "only the sparsity axis takes strategies, not the tau axis",
                  id="strategies-on-tau"),
     pytest.param(["--axis", "lambda", "--strategies", "gumbel_topk"],
                  "only the sparsity axis takes strategies, not the lambda axis",
                  id="strategies-on-lambda"),
-    pytest.param(["--axis", "variant", "--strategies", "gumbel_topk,ratio_controlled"],
-                 "only the sparsity axis takes strategies, not the variant axis",
-                 id="strategies-on-variant"),
     pytest.param(["--strategies", "gumbel_topk,gumbel_topk", "--grid", "0.25"],
                  "grid values 0.25 and 0.25 train the same gumbel_topk cell",
                  id="repeated-strategy"),
@@ -492,6 +492,5 @@ def test_sweep_runs_cells_in_order_then_seeds(tmp_path, dataset, monkeypatch):
     train_run = sweep.train_run
     monkeypatch.setattr(sweep, "train_run", recording)
     assert main(["sweep", "--dataset", dataset, "--out", str(tmp_path / "sweep"),
-                 "--axis", "variant", "--keep-fraction", "0.25", "--epochs", "1",
-                 "--seeds", "2", "--seed", "3"]) == 0
+                 *BOTH_SELECTORS, "--epochs", "1", "--seeds", "2", "--seed", "3"]) == 0
     assert seeds == [sweep.cell_seed(3, cell, s) for cell in range(2) for s in range(2)]
