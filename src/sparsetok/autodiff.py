@@ -38,11 +38,18 @@ and `exp` are no pipeline op: only the catalog runs them.
   `segment_mean`, the mean of each sequence's rows.
 - `Tape.backward` releases each node's closure (and the forward arrays it
   holds) as soon as that node's adjoint has run, so a tape supports exactly
-  one backward; a second call raises ContractError.
+  one backward; a second call raises ContractError. It drops each non-leaf
+  node's gradient as soon as that adjoint has consumed it, so a step holds
+  only the gradients still to be read, and it ends holding the gradients
+  of the leaves alone (parameters and `Tape.leaf` tensors): `Tape.grad` of
+  a non-leaf raises ContractError. A closure keeps only what its adjoint
+  reads: `gather_rows` keeps its source's shape, not the source.
 - Kernels write into their own fresh buffers in place, but never into an
   input or into the incoming gradient `g`, which `add` hands to both of its
-  inputs. Row and column sums run as BLAS matrix-vector products with a
-  constant vector, not as numpy reductions along a short axis.
+  inputs. An adjoint may write into a buffer its own closure made, as
+  `gelu`'s does into its derivative: the closure runs once. Row and column
+  sums run as BLAS matrix-vector products with a constant vector, not as
+  numpy reductions along a short axis.
 """
 from __future__ import annotations
 
@@ -58,6 +65,8 @@ from .errors import ContractError, DomainError, ShapeError
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
 _LN_EPS = 1e-5
+# the bytes of one row block of `gelu`: its two working blocks stay in cache
+_GELU_BLOCK_BYTES = 256 * 1024
 
 _TAPE_STACK: list["Tape"] = []
 
@@ -173,10 +182,12 @@ class Tape:
         return t
 
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Populate gradients of every recorded node reachable from `loss`.
+        """Populate the gradients of the leaves (parameters and `leaf`
+        tensors) reachable from `loss`.
 
         Runs once per tape: each node's closure is dropped after its adjoint
-        has run, which frees the forward arrays it captured.
+        has run, which frees the forward arrays it captured, and so is the
+        gradient of each non-leaf node once its adjoint has consumed it.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -189,14 +200,13 @@ class Tape:
             return grads
         grads[loss.node_id] = np.ones_like(loss.data)
         for nid in range(loss.node_id, -1, -1):
-            g = grads.get(nid)
-            if g is None:
+            if nid not in grads:
                 continue
             kind, input_ids, vjp = self._nodes[nid]
-            if vjp is None:
+            if vjp is None:  # a leaf: its gradient stays
                 continue
             self._nodes[nid] = (kind, input_ids, None)
-            input_grads = vjp(g)
+            input_grads = vjp(grads.pop(nid))
             if _CORRUPT_VJP is not None and kind == _CORRUPT_VJP.kind:
                 _CORRUPT_VJP.count += 1
                 input_grads = tuple(
@@ -211,13 +221,21 @@ class Tape:
         return grads
 
     def grad(self, ref: Tensor | Parameter) -> np.ndarray:
-        """Gradient of the last backward wrt a tensor or parameter (zeros if unreached)."""
+        """Gradient of the last backward wrt a parameter or a leaf tensor
+        (zeros if unreached, or for a constant). Backward keeps no
+        gradient of a non-leaf node, so asking for one raises ContractError."""
         if isinstance(ref, Parameter):
             t = self._param_nodes.get(id(ref))
             if t is None:
                 return np.zeros_like(ref.value)
             ref = t
-        g = self.gradients.get(ref.node_id) if ref.node_id is not None else None
+        if ref.node_id is None:
+            return np.zeros_like(ref.data)
+        kind = self._nodes[ref.node_id][0]
+        if kind != "leaf":
+            raise ContractError(f"node {ref.node_id} is a {kind} node, not a leaf; "
+                                "backward keeps only the gradients of leaves")
+        g = self.gradients.get(ref.node_id)
         return np.zeros_like(ref.data) if g is None else g
 
 
@@ -347,34 +365,58 @@ def square(x: Tensor) -> Tensor:
     return _record("square", xd * xd, (x,), lambda g: (g * (2.0 * xd),))
 
 
+def _gelu_block_rows(width: int) -> int:
+    """The rows of one `gelu` block: as many [width] rows as fit in
+    `_GELU_BLOCK_BYTES` of float64, at least one."""
+    return max(1, _GELU_BLOCK_BYTES // (8 * max(width, 1)))
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation 0.5 x (1 + tanh u), u = c0 (x + c1 x^3),
     evaluated as x s with s = (1 + tanh u) / 2 = 1 / (1 + exp(-2u)): one
     exp and one reciprocal: 8 passes over the array. When the node is
     recorded, the forward also takes the derivative
     s + 2 c0 out (1 - s)(1 + 3 c1 x^2) in 6 more passes and keeps it alone
-    for the adjoint, d * g; off the tape it takes none.
+    for the adjoint, which multiplies g into it in place; off the tape it
+    takes none. The passes run over blocks of rows (`_gelu_block_rows`),
+    x^2 and s in two block-sized buffers, so beside x the op holds only its
+    output and the derivative.
     Very negative x overflows exp(-2u) to inf, which gives s = 0 exactly."""
     x = _as_tensor(x)
     xd = x.data
-    sq = xd * xd
-    s = np.multiply(sq, -2.0 * _GELU_C0 * _GELU_C1)
-    s -= 2.0 * _GELU_C0
-    s *= xd
-    with np.errstate(over="ignore"):
-        np.exp(s, out=s)
-    s += 1.0
-    np.reciprocal(s, out=s)
-    out = xd * s
-    if not _TAPE_STACK or x.node_id is None:  # recorded nowhere: no derivative
+    rows = xd.reshape(-1, xd.shape[-1]) if xd.ndim > 1 else xd.reshape(1, -1)
+    out = np.empty(rows.shape)
+    # recorded nowhere: no derivative
+    d = np.empty(rows.shape) if _TAPE_STACK and x.node_id is not None else None
+    step = _gelu_block_rows(rows.shape[1])
+    sq_block, s_block = np.empty((2, min(step, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        xb = rows[block]
+        sq, s = sq_block[:len(xb)], s_block[:len(xb)]
+        np.multiply(xb, xb, out=sq)
+        np.multiply(sq, -2.0 * _GELU_C0 * _GELU_C1, out=s)
+        s -= 2.0 * _GELU_C0
+        s *= xb
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        np.multiply(xb, s, out=out[block])
+        if d is None:
+            continue
+        db = d[block]
+        np.subtract(1.0, s, out=db)
+        db *= out[block]
+        sq *= 6.0 * _GELU_C0 * _GELU_C1
+        sq += 2.0 * _GELU_C0
+        db *= sq
+        db += s
+    out = out.reshape(xd.shape)
+    if d is None:
         return Tensor(out)
-    d = np.subtract(1.0, s)
-    d *= out
-    sq *= 6.0 * _GELU_C0 * _GELU_C1
-    sq += 2.0 * _GELU_C0
-    d *= sq
-    d += s
-    return _record("gelu", out, (x,), lambda g: (d * g,))
+    d = d.reshape(xd.shape)
+    return _record("gelu", out, (x,), lambda g: (np.multiply(d, g, out=d),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -435,18 +477,19 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows: source {x.shape} is not a [n, d] table of rows")
-    (n, width), src = x.shape, x.data
+    n, width = x.shape
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"gather_rows index out of range for {n} rows")
 
     def vjp(g):
         # one bincount over flat cell indices: each cell sums its
-        # contributions in gather order, as np.add.at would
+        # contributions in gather order, as np.add.at would. The adjoint
+        # reads the source's shape only, so the tape does not keep the source
         cells = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        out = np.bincount(cells, weights=g.reshape(-1), minlength=src.size)
+        out = np.bincount(cells, weights=g.reshape(-1), minlength=n * width)
         return (out.reshape(n, width),)
 
-    return _record("gather_rows", src.take(idx, axis=0), (x,), vjp)
+    return _record("gather_rows", x.data.take(idx, axis=0), (x,), vjp)
 
 
 def mask_multiply(x: Tensor, mask) -> Tensor:
@@ -555,7 +598,8 @@ def _rows_by_length(lengths: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], .
 def _attend(x: np.ndarray, batch: int, heads: int) -> tuple[np.ndarray, Callable]:
     """The attention kernel on `batch` sequences of one length L, their
     [batch*L, 3d] rows in x: the contexts [batch*L, d] and the adjoint
-    from their gradient to x's.
+    from their gradient and the contexts themselves to x's gradient. The
+    adjoint does not keep the contexts: the caller hands them back.
 
     The logits are laid out key-major, [B, heads, key, query] = k @ q^T, so
     the softmax's max and sum reduce across rows of the contiguous query
@@ -578,7 +622,7 @@ def _attend(x: np.ndarray, batch: int, heads: int) -> tuple[np.ndarray, Callable
     np.matmul(probs.transpose(0, 1, 3, 2), v, out=out.transpose(0, 2, 1, 3))
     out = out.reshape(rows, d)
 
-    def vjp(g):
+    def vjp(g, contexts):
         g_context = g.reshape(batch, length, heads, dk).transpose(0, 2, 1, 3)
         grad = np.empty((batch, length, 3, heads, dk))
         g_q, g_k, g_v = grad.transpose(2, 0, 3, 1, 4)
@@ -587,7 +631,7 @@ def _attend(x: np.ndarray, batch: int, heads: int) -> tuple[np.ndarray, Callable
         # softmax adjoint P * (dP - rowsum(dP * P)), where rowsum(dP * P) =
         # rowsum(dO * O) needs no second [L, L] array; it is one
         # matrix-vector product over the [B*L*heads, dk] rows of dO * O
-        row_term = np.multiply(g, out).reshape(-1, dk) @ _filled(dk, 1.0)
+        row_term = np.multiply(g, contexts).reshape(-1, dk) @ _filled(dk, 1.0)
         g_logits -= row_term.reshape(batch, length, heads).transpose(0, 2, 1).copy()[:, :, None]
         g_logits *= probs
         # the 1/sqrt(dk) of q: on the contiguous logit gradient, not the
@@ -614,6 +658,7 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
     together in one kernel call, unpadded: their rows are taken from the
     packed rows by one index array (`_rows_by_length`), and the contexts
     and the adjoint's input gradient are written back to the same rows.
+    The adjoint reads each group's contexts from the op's one output.
     """
     qkv = _as_tensor(qkv)
     lengths = tuple(map(int, lengths))
@@ -624,7 +669,7 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
                          f"{list(lengths)} rows of q | k | v over {heads} heads")
     if min(lengths) == max(lengths):
         out, vjp_rows = _attend(qkv.data, len(lengths), heads)
-        return _record("attention", out, (qkv,), lambda g: (vjp_rows(g),))
+        return _record("attention", out, (qkv,), lambda g: (vjp_rows(g, out),))
     groups = _rows_by_length(lengths)
     recorded = bool(_TAPE_STACK) and qkv.node_id is not None
     out, adjoints = np.empty((rows, width // 3)), []
@@ -636,7 +681,8 @@ def attention(qkv: Tensor, lengths: Sequence[int], heads: int) -> Tensor:
     def vjp(g):
         grad = np.empty((rows, width))
         for (_, group_rows), vjp_group in zip(groups, adjoints):
-            grad[group_rows] = vjp_group(g.take(group_rows, axis=0))
+            grad[group_rows] = vjp_group(g.take(group_rows, axis=0),
+                                         out.take(group_rows, axis=0))
         return (grad,)
 
     return _record("attention", out, (qkv,), vjp)

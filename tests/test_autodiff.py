@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -102,19 +103,16 @@ def test_cross_entropy_matches_the_eager_softmax_formula(shape):
     rows = shape[0]
     target = np.arange(rows) * 2 % shape[1]
     weights = rng.normals(rows)
-    with Tape() as tape:
-        x = tape.leaf(z)
-        loss = ad.cross_entropy_loss(x, target)
-        tape.backward(ad.mean_all(ad.multiply(loss, ad.constant(weights))))
+    loss, (dx,) = _value_and_adjoint(lambda x: ad.cross_entropy_loss(x, target), [z], weights)
     at = np.arange(rows)
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     p = np.exp(z - lse)
     d = p.copy()
     d[at, target] -= 1.0
-    np.testing.assert_array_equal(loss.data, lse[:, 0] - z[at, target])
-    np.testing.assert_array_equal(tape.grad(x), d * tape.grad(loss)[:, None])
-    np.testing.assert_array_equal(ad.cross_entropy_loss(ad.constant(z), target).data, loss.data)
+    np.testing.assert_array_equal(loss, lse[:, 0] - z[at, target])
+    np.testing.assert_array_equal(dx, d * weights[:, None])
+    np.testing.assert_array_equal(ad.cross_entropy_loss(ad.constant(z), target).data, loss)
 
 
 def test_cross_entropy_target_range():
@@ -128,6 +126,28 @@ def test_backward_quadratic():
         loss = ad.mean_all(ad.square(x))
         tape.backward(loss)
         assert abs(tape.grad(x)[0] - 6.0) < 1e-12
+
+
+def test_backward_keeps_only_the_gradients_of_leaves():
+    """A parameter's and a `tape.leaf`'s gradients read after backward, an
+    unreached leaf's are zeros, and an intermediate node's gradient is
+    dropped once its adjoint has used it, so asking for it raises."""
+    p = ad.Parameter("p", np.array([1.0, -2.0]))
+    with Tape() as tape:
+        w = tape.param(p)
+        x = tape.leaf(np.array([0.5, 3.0]))
+        unused = tape.leaf(np.array([1.0]))
+        hidden = ad.multiply(w, x)
+        loss = ad.mean_all(ad.square(hidden))
+        tape.backward(loss)
+    # d/dw mean((w x)^2) = w x^2, d/dx = w^2 x
+    assert set(tape.gradients) == {w.node_id, x.node_id}
+    np.testing.assert_array_equal(tape.grad(p), [0.25, -18.0])
+    np.testing.assert_array_equal(tape.grad(x), [0.5, 12.0])
+    np.testing.assert_array_equal(tape.grad(unused), [0.0])
+    for node in (hidden, loss):
+        with pytest.raises(ContractError):
+            tape.grad(node)
 
 
 def test_backward_constant_loss_gives_zero_grads():
@@ -233,6 +253,21 @@ def test_softmax_cross_entropy_chain_matches_finite_differences():
     point = SeededRng(3).normals(5).reshape(1, 5)
     err, _ = ad.central_difference_check([catalog_case("x", point, build, None)])
     assert err <= 1e-6
+
+
+def test_gather_rows_adjoint_does_not_keep_its_source():
+    """The adjoint reads only the source's shape: a source array that no
+    other node holds is freed while the tape lives, and the gradient still
+    scatters into rows of the source's shape."""
+    with Tape() as tape:
+        x = tape.leaf(np.arange(6.0).reshape(3, 2))
+        src = ad.scale(x, 2.0)
+        rows = ad.gather_rows(src, [2, 2, 0])
+        source = weakref.ref(src.data)
+        del src
+        assert source() is None
+        tape.backward(ad.mean_all(rows))
+    np.testing.assert_array_equal(tape.grad(x), np.array([[1, 1], [0, 0], [2, 2]]) * (2.0 / 6.0))
 
 
 def test_gather_same_row_twice_doubles_gradient():
@@ -418,15 +453,26 @@ def _value_and_adjoint(build, arrays, g):
 SHAPES = [(1, 1), (3, 4), (6, 4), (1024, 128), (640, 32)]
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+def _gelu_block_edges(width):
+    """Row counts on each side of `gelu`'s row-block edges at one width."""
+    b = ad._gelu_block_rows(width)
+    return [(rows, width) for rows in (1, b - 1, b, b + 1, 3 * b + 5)]
+
+
+@pytest.mark.parametrize("shape", SHAPES + _gelu_block_edges(128) + _gelu_block_edges(32))
 def test_gelu_matches_the_unfused_formula_exactly(shape):
+    """On the tape and off it, whole blocks or not; the adjoint writes into
+    the derivative's buffer, never into g."""
     rng = SeededRng(sum(shape))
     x = 3.0 * rng.normals(int(np.prod(shape))).reshape(shape)
     g = rng.normals(x.size).reshape(shape)
+    g_before = g.copy()
     value, (dx,) = _value_and_adjoint(ad.gelu, [x], g)
     ref_value, ref_dx = _gelu_formula(x, g)
     np.testing.assert_array_equal(value, ref_value)
     np.testing.assert_array_equal(dx, ref_dx)
+    np.testing.assert_array_equal(g, g_before)
+    np.testing.assert_array_equal(ad.gelu(ad.constant(x)).data, ref_value)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

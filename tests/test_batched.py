@@ -173,15 +173,16 @@ def _traced_step_mib(spec: NeedleSpec, strategy: StrategyConfig) -> float:
 
 
 # traced peak of one step, MiB, and its bound. The steps peak in the forward
-# of the last `gelu`. The multimodal step peaks at 18.3 (22.1 when `gelu`
-# kept x^2 and s for its adjoint and `attention` padded every sequence to
-# the batch's longest), the K=32 one at 12.6 (14.7); each bound is about
-# half-way between
+# of the last `gelu`, which holds its input, output and derivative and two
+# row blocks; the backward, which drops each non-leaf gradient once used,
+# stays below it. The multimodal step peaks at 15.7 (18.3 when `gelu` held
+# five input-sized arrays and backward kept every node's gradient), the
+# K=32 one at 11.1 (12.6); each bound is about half-way between
 _STEP_PEAK_BOUNDS_MIB = {
     "ratio_controlled_multimodal": (
         NeedleSpec(multimodal=True, distractor_mode="decoy_prototypes"),
-        StrategyConfig("ratio_controlled", target_ratio=0.3, tau=0.1, lam=1.0), 20.5),
-    "uniform_fixed_k32": (NeedleSpec(), StrategyConfig("uniform_fixed", k=32), 13.8),
+        StrategyConfig("ratio_controlled", target_ratio=0.3, tau=0.1, lam=1.0), 17.0),
+    "uniform_fixed_k32": (NeedleSpec(), StrategyConfig("uniform_fixed", k=32), 11.8),
 }
 
 
